@@ -21,6 +21,7 @@ from fractions import Fraction
 from .ratlin import (
     Matrix,
     Subspace,
+    kernel_image_rank,
     restrict_to_subspace,
     vec,
     QONE,
@@ -31,7 +32,6 @@ from .groups import (
     GroupHom,
     QuotientGroup,
     Subgroup,
-    fixed_subspace,
     generate_closure,
     quotient,
     DEFAULT_ORDER_BOUND,
@@ -191,21 +191,31 @@ def stratify(chart: LocalChart) -> StrataReport:
     """All isotropy strata of a chart, in decreasing dimension.
 
     Every isotropy group that occurs is the pointwise stabilizer of the
-    fixed subspace of some subgroup, so we enumerate subgroups, deduplicate
-    by fixed subspace, and attach the full stabilizer to each.
+    fixed subspace Fix(H) of some subgroup H.  Since Fix(<S>) is the
+    intersection of the element fixed spaces ker(s - I) over s in S, the
+    spaces Fix(H) are exactly the intersection closure of the element fixed
+    spaces: it is built here from the full space by intersecting with one
+    element fixed space at a time, and the full stabilizer is attached to
+    each space found.
     """
     n = chart.dim
-    by_space: dict[Subspace, Subgroup] = {}
-    for h in chart.group.all_subgroups():
-        space = fixed_subspace(h)
-        if space not in by_space:
-            by_space[space] = pointwise_stabilizer(chart.group, space)
+    ident = Matrix.identity(n)
+    element_spaces = list(dict.fromkeys(
+        kernel_image_rank(m - ident)[0] for m in chart.group.elements))
+    spaces = [Subspace.full(n)]
+    seen = set(spaces)
+    for space in spaces:  # grows while it is walked
+        for fixed in element_spaces:
+            meet = space.intersect(fixed)
+            if meet not in seen:
+                seen.add(meet)
+                spaces.append(meet)
     strata = []
-    for space, stab in by_space.items():
+    for space in spaces:
         in_bdy = (chart.boundary
                   and all(b[-1] == 0 for b in space.basis))
         strata.append(Stratum(
-            isotropy=stab,
+            isotropy=pointwise_stabilizer(chart.group, space),
             fixed_space=space,
             dimension=space.dim,
             codimension=n - space.dim,

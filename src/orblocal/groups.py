@@ -102,17 +102,6 @@ class FiniteMatrixGroup:
             self._inv = [self.index_of(m.inverse()) for m in self.elements]
         return self._inv[i]
 
-    def multiplication_table(self) -> list[list[int]]:
-        return [[self.mul(i, j) for j in range(self.order)]
-                for i in range(self.order)]
-
-    def element_order(self, i: int) -> int:
-        k, cur = 1, i
-        while cur != 0:
-            cur = self.mul(cur, i)
-            k += 1
-        return k
-
     def is_trivial(self) -> bool:
         return self.order == 1
 
@@ -121,39 +110,6 @@ class FiniteMatrixGroup:
 
     def full_subgroup(self) -> "Subgroup":
         return Subgroup(self, tuple(range(self.order)))
-
-    def subgroup_generated(self, indices) -> "Subgroup":
-        members = {0}
-        frontier = [0]
-        gens = sorted(set(indices))
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for g in gens:
-                    p = self.mul(m, g)
-                    if p not in members:
-                        members.add(p)
-                        nxt.append(p)
-            frontier = nxt
-        return Subgroup(self, tuple(sorted(members)))
-
-    def all_subgroups(self) -> list["Subgroup"]:
-        """Every subgroup, as the join-closure of the cyclic subgroups."""
-        seen: dict[tuple[int, ...], Subgroup] = {}
-        for i in range(self.order):
-            s = self.subgroup_generated([i])
-            seen[s.members] = s
-        changed = True
-        while changed:
-            changed = False
-            current = list(seen.values())
-            for a in current:
-                for b in current:
-                    j = self.subgroup_generated(set(a.members) | set(b.members))
-                    if j.members not in seen:
-                        seen[j.members] = j
-                        changed = True
-        return sorted(seen.values(), key=lambda s: (len(s.members), s.members))
 
     def __repr__(self):
         return "FiniteMatrixGroup(dim=%d, order=%d)" % (self.dim, self.order)
@@ -417,8 +373,7 @@ class InvariantSubspaceResult:
 
     status is one of 'found', 'none_found', 'certified_none'; certified_none
     is only issued by a sound argument (complete sign-pattern enumeration in
-    dimensions 1 and n-1, or a real-irreducibility certificate from the
-    commutant).
+    dimensions 1 and n-1, or a one-dimensional commutant).
     """
 
     status: str
@@ -472,23 +427,6 @@ def _transpose_group(group: FiniteMatrixGroup) -> FiniteMatrixGroup:
                             max_order=group.order + 1)
 
 
-def _division_algebra_on_grid(basis: list[Matrix]) -> bool:
-    """Every nonzero {-1,0,1}-combination of the basis is invertible."""
-    if len(basis) > 6:
-        return False
-    import itertools as it
-    for coeffs in it.product((-1, 0, 1), repeat=len(basis)):
-        if all(c == 0 for c in coeffs):
-            continue
-        m = Matrix.zero(basis[0].rows, basis[0].cols)
-        for c, b in zip(coeffs, basis):
-            if c:
-                m = m + b.scale(c)
-        if not m.is_invertible():
-            return False
-    return True
-
-
 def find_invariant_subspace(group: FiniteMatrixGroup, dim_wanted: int) -> InvariantSubspaceResult:
     """Search for a dim_wanted-dimensional subspace invariant under the group.
 
@@ -496,8 +434,10 @@ def find_invariant_subspace(group: FiniteMatrixGroup, dim_wanted: int) -> Invari
     (n-1 through the transpose group and duality).  Intermediate dimensions
     use the commutant: kernels of irreducible characteristic factors of
     commutant elements are invariant, and their sums/intersections are
-    searched; 'certified_none' is issued when the commutant is (verifiably
-    on a sign grid) a division algebra, which forces real-irreducibility.
+    searched.  There 'certified_none' is issued only when the commutant is
+    one-dimensional (scalars alone); a search that finds nothing otherwise
+    returns 'none_found', as no sound certificate of nonexistence is known
+    for it.
     """
     n = group.dim
     if not (0 < dim_wanted < n):
@@ -538,14 +478,12 @@ def find_invariant_subspace(group: FiniteMatrixGroup, dim_wanted: int) -> Invari
             probes.append(m)
 
     candidates: list[Subspace] = []
-    all_kernels_trivial = True
     for m in probes:
         for factor, _ in factor_rational_poly(m.charpoly()):
             fm = poly_apply_matrix(list(factor), m)
             ker, img, _ = kernel_image_rank(fm)
             for s in (ker, img):
                 if 0 < s.dim < n:
-                    all_kernels_trivial = False
                     candidates.append(s)
     for _ in range(2):
         fresh = []
@@ -559,10 +497,6 @@ def find_invariant_subspace(group: FiniteMatrixGroup, dim_wanted: int) -> Invari
         if s.dim == dim_wanted and _verify_invariant(group, s):
             return InvariantSubspaceResult("found", s, "commutant factor kernel")
 
-    if all_kernels_trivial and _division_algebra_on_grid(basis):
-        return InvariantSubspaceResult(
-            "certified_none", None,
-            "commutant is a division algebra on the sign grid: real-irreducible")
     return InvariantSubspaceResult(
         "none_found", None,
         "search exhausted without a certificate of nonexistence")

@@ -1,19 +1,23 @@
 """Exact rational linear algebra and polynomial maps.
 
-Everything in this module is computed over Q with ``fractions.Fraction``;
-no floating point enters any code path here.  The three value types are
+Everything in this module is computed exactly over Q; no floating point
+enters any code path here.  The three value types are
 
 * ``Matrix``    -- immutable rational matrix (also used for vectors of group
-                   actions and differentials),
+                   actions and differentials), stored as integer numerator
+                   rows over one positive common denominator in lowest
+                   terms: products, sums, scaling, equality and hashing run
+                   on ints, and ``entries`` is its ``Fraction`` view,
 * ``Subspace``  -- a linear subspace of Q^n stored by its reduced row-echelon
                    basis, so equality of subspaces is syntactic,
 * ``MultiPoly`` -- a polynomial map Q^n -> Q^m with exact coefficients.
 
-On top of those it provides kernels/images/rank, characteristic polynomials
-with full factorization into irreducibles over Q (Yun square-free split plus
-Kronecker's finite interpolation method; fine at the degrees <= 8 this
-library works with), and dense univariate helpers (gcd, Sturm chains) used
-by the critical-value sampler.
+Elimination (rref, det, kernels), vectors and polynomials work on
+``fractions.Fraction``.  On top of those it provides kernels/images/rank,
+characteristic polynomials with full factorization into irreducibles over Q
+(Yun square-free split plus Kronecker's finite interpolation method; fine
+at the degrees <= 8 this library works with), and dense univariate helpers
+(gcd, Sturm chains) used by the critical-value sampler.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -47,35 +53,63 @@ def vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def is_zero_vec(v) -> bool:
-    return all(x == 0 for x in v)
-
-
 class Matrix:
-    """Immutable rational matrix, row-major."""
+    """Immutable rational matrix, row-major.
 
-    __slots__ = ("rows", "cols", "entries", "_hash")
+    Stored as integer numerator rows over one positive common denominator,
+    in lowest terms (the gcd of the denominator and every numerator is 1),
+    so the representation is canonical: products, sums, scaling, equality
+    and hashing are integer work.  ``entries`` is the Fraction view, built
+    on first use, or kept as given when the matrix was built from entries.
+    """
+
+    __slots__ = ("rows", "cols", "_num", "_den", "_entries", "_hash")
 
     def __init__(self, entries: Sequence[Sequence]):
         rows = tuple(tuple(rat(e) for e in row) for row in entries)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged matrix")
-        self.entries = rows
+        den = lcm(*(e.denominator for row in rows for e in row))
+        self._num = tuple(tuple(e.numerator * (den // e.denominator) for e in row)
+                          for row in rows)
+        self._den = den
+        self._entries = rows
         self.rows = len(rows)
         self.cols = len(rows[0]) if rows else 0
         self._hash = None
 
     @classmethod
+    def _make(cls, num: tuple[tuple[int, ...], ...], den: int) -> "Matrix":
+        """The matrix num / den (den > 0), brought to lowest terms."""
+        if den != 1:
+            g = gcd(den, *itertools.chain.from_iterable(num))
+            if g != 1:
+                num = tuple(tuple(x // g for x in row) for row in num)
+                den //= g
+        m = object.__new__(cls)
+        m._num = num
+        m._den = den
+        m._entries = None
+        m.rows = len(num)
+        m.cols = len(num[0]) if num else 0
+        m._hash = None
+        return m
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        if self._entries is None:
+            den = self._den
+            self._entries = tuple(tuple(Fraction(x, den) for x in row)
+                                  for row in self._num)
+        return self._entries
+
+    @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[QONE if i == j else QZERO for j in range(n)] for i in range(n)])
+        return cls._make(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[QZERO] * cols for _ in range(rows)])
+        return cls._make(((0,) * cols,) * rows, 1)
 
     @classmethod
     def diagonal(cls, diag: Sequence) -> "Matrix":
@@ -101,11 +135,12 @@ class Matrix:
         return tuple(r[j] for r in self.entries)
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.entries == other.entries
+        return (isinstance(other, Matrix) and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self.entries)
+            self._hash = hash((self._den, self._num))
         return self._hash
 
     def __repr__(self):
@@ -114,25 +149,24 @@ class Matrix:
         )
 
     def __add__(self, other):
-        self._same_shape(other)
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign: int) -> "Matrix":
+        """self + sign * other over the least common denominator."""
         self._same_shape(other)
-        return Matrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
+        den = lcm(self._den, other._den)
+        fa, fb = den // self._den, sign * (den // other._den)
+        return Matrix._make(
+            tuple(tuple(a * fa + b * fb for a, b in zip(ra, rb))
+                  for ra, rb in zip(self._num, other._num)),
+            den)
 
     def __neg__(self):
-        return Matrix([[-a for a in row] for row in self.entries])
+        return Matrix._make(tuple(tuple(-a for a in row) for row in self._num),
+                            self._den)
 
     def _same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -144,13 +178,11 @@ class Matrix:
             if self.cols != other.rows:
                 raise ValueError("cannot multiply %dx%d by %dx%d"
                                  % (self.rows, self.cols, other.rows, other.cols))
-            bt = list(zip(*other.entries)) if other.entries else []
-            return Matrix(
-                [
-                    [sum(a * b for a, b in zip(row, col)) for col in bt]
-                    for row in self.entries
-                ]
-            )
+            bt = tuple(zip(*other._num))
+            return Matrix._make(
+                tuple(tuple(sum(map(mul, row, col)) for col in bt)
+                      for row in self._num),
+                self._den * other._den)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -158,10 +190,12 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         c = rat(c)
-        return Matrix([[c * a for a in row] for row in self.entries])
+        k = c.numerator
+        return Matrix._make(tuple(tuple(k * a for a in row) for row in self._num),
+                            self._den * c.denominator)
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.entries)) if self.entries else [])
+        return Matrix._make(tuple(zip(*self._num)), self._den)
 
     def apply(self, v: Sequence) -> tuple[Fraction, ...]:
         """Matrix times column vector, returned as a tuple."""
@@ -169,18 +203,21 @@ class Matrix:
         if len(v) != self.cols:
             raise ValueError("vector length %d does not match %d columns"
                              % (len(v), self.cols))
-        return tuple(sum(a * x for a, x in zip(row, v)) for row in self.entries)
+        d = lcm(*(x.denominator for x in v))
+        iv = [x.numerator * (d // x.denominator) for x in v]
+        den = self._den * d
+        return tuple(Fraction(sum(map(mul, row, iv)), den) for row in self._num)
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and self == Matrix.identity(self.rows)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for row in self.entries for a in row)
+        return not any(map(any, self._num))
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("trace of non-square matrix")
-        return sum(self.entries[i][i] for i in range(self.rows))
+        return Fraction(sum(self._num[i][i] for i in range(self.rows)), self._den)
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row-echelon form and pivot columns."""
@@ -315,9 +352,6 @@ class Subspace:
                 v = [a - f * b for a, b in zip(v, row)]
         return all(a == 0 for a in v)
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(b) for b in other.basis)
-
     def sum_with(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
         return Subspace.from_vectors(self.ambient_dim, self.basis + other.basis)
@@ -337,22 +371,12 @@ class Subspace:
                 inter.append(row[n:])
         return Subspace.from_vectors(n, inter)
 
-    def image_under(self, m: Matrix) -> "Subspace":
-        return Subspace.from_vectors(m.rows, [m.apply(b) for b in self.basis])
-
     def is_invariant_under(self, m: Matrix) -> bool:
         """True iff m maps this subspace into itself."""
         return all(self.contains(m.apply(b)) for b in self.basis)
 
     def fixed_pointwise_by(self, m: Matrix) -> bool:
         return all(m.apply(b) == b for b in self.basis)
-
-    def complement_matrix(self) -> Matrix:
-        """Rows annihilating this subspace: the subspace is their kernel."""
-        if not self.basis:
-            return Matrix.identity(self.ambient_dim)
-        ker, _, _ = kernel_image_rank(Matrix(self.basis))
-        return Matrix(ker.basis) if ker.basis else Matrix([[]] * 0)
 
     def _same_ambient(self, other):
         if self.ambient_dim != other.ambient_dim:
@@ -926,29 +950,6 @@ class MultiPoly:
                     acc = _t_add(acc, _t_scale(dict(d), c))
             coords.append(acc)
         return MultiPoly(self.num_vars, coords)
-
-    def translate_output(self, t: Sequence) -> "MultiPoly":
-        """Add a constant vector to the output."""
-        t = vec(t)
-        if len(t) != self.out_dim:
-            raise ValueError("translation length mismatch")
-        z = (0,) * self.num_vars
-        coords = []
-        for c, ti in zip(self.coords, t):
-            coords.append(_t_add(dict(c), {z: ti} if ti != 0 else {}))
-        return MultiPoly(self.num_vars, coords)
-
-    def dense_univariate(self, coord: int = 0) -> list[Fraction]:
-        """Dense coefficient list of one output coordinate of a 1-variable map."""
-        if self.num_vars != 1:
-            raise ValueError("map has %d variables, expected 1" % self.num_vars)
-        d = dict(self.coords[coord])
-        if not d:
-            return []
-        out = [QZERO] * (max(e[0] for e in d) + 1)
-        for e, c in d.items():
-            out[e[0]] = c
-        return out
 
     def variables_used(self, coord: int) -> set[int]:
         return {i for e, _ in self.coords[coord] for i, k in enumerate(e) if k}

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from orblocal.charts import LocalChart, pointwise_stabilizer, stratify
 from orblocal.ratlin import Matrix, Subspace
 from orblocal.groups import (
     ClosureBoundExceeded,
@@ -90,19 +91,62 @@ class TestSubgroups:
         with pytest.raises(ValueError):
             Subgroup(g, (0, 1))  # not closed: missing the square
 
-    def test_lagrange_all_subgroups(self):
-        for grp in (z2z2(), generate_closure(2, [ROT3, SWAP]),
-                    generate_closure(2, [ROT4, m([[1, 0], [0, -1]])])):
-            subs = grp.all_subgroups()
-            for s in subs:
-                assert grp.order % s.order == 0
-            orders = sorted(s.order for s in subs)
+    def test_stratify_matches_subgroup_enumeration(self):
+        s3 = generate_closure(2, [ROT3, SWAP])
+        d4 = generate_closure(2, [ROT4, m([[1, 0], [0, -1]])])
+        # Z2^2 on R^3: its fixed space 0 is fixed by no single element
+        z2z2_r3 = generate_closure(3, [m([[-1, 0, 0], [0, 1, 0], [0, 0, -1]]),
+                                       m([[1, 0, 0], [0, -1, 0], [0, 0, -1]])])
+        for grp in (s3, z2z2(), d4, b3_conjugate(), z2z2_r3):
+            subgroups = subgroups_by_joins(grp)
+            orders = sorted(len(h) for h in subgroups)
+            assert all(grp.order % k == 0 for k in orders)
             assert orders[0] == 1 and orders[-1] == grp.order
+            if grp is s3:
+                # S3: trivial, three order-2, one order-3, full
+                assert orders == [1, 2, 2, 2, 3, 6]
+            got = {(s.fixed_space, s.isotropy.members)
+                   for s in stratify(LocalChart(grp.dim, grp)).strata}
+            want = set()
+            for h in subgroups:
+                space = fixed_subspace(Subgroup(grp, h))
+                want.add((space, pointwise_stabilizer(grp, space).members))
+            assert got == want
 
-    def test_s3_subgroup_count(self):
-        # S3: trivial, three order-2, one order-3, full
-        subs = generate_closure(2, [ROT3, SWAP]).all_subgroups()
-        assert sorted(s.order for s in subs) == [1, 2, 2, 2, 3, 6]
+
+def subgroups_by_joins(grp):
+    """Every subgroup, as a sorted member tuple: the closure of the trivial
+    subgroup under joins with cyclic subgroups (a reference for stratify)."""
+
+    def generated(gens):
+        members, frontier = {0}, [0]
+        while frontier:
+            frontier = sorted({grp.mul(a, g) for a in frontier for g in gens}
+                              - members)
+            members.update(frontier)
+        return tuple(sorted(members))
+
+    gens_of = {(0,): ()}
+    queue = [(0,)]
+    for h in queue:
+        for g in range(grp.order):
+            if g not in h:
+                joined = generated(gens_of[h] + (g,))
+                if joined not in gens_of:
+                    gens_of[joined] = gens_of[h] + (g,)
+                    queue.append(joined)
+    return list(gens_of)
+
+
+def b3_conjugate():
+    """The signed permutations of three coordinates (order 48), conjugated
+    by a rational matrix so that elements have denominators."""
+    p = m([[1, F(1, 2), 0], [0, 1, F(-1, 3)], [2, 0, 1]])
+    pinv = p.inverse()
+    gens = [m([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+            m([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
+            m([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])]
+    return generate_closure(3, [p * g * pinv for g in gens])
 
 
 class TestHomomorphisms:
@@ -270,6 +314,16 @@ class TestInvariantSubspaces:
         assert res.found
         for el in g.elements:
             assert res.subspace.is_invariant_under(el)
+
+    def test_x4_plus_1_gets_no_certificate(self):
+        # x^4 + 1 is irreducible over Q but is the product of two real
+        # quadratics, so real invariant planes exist; a Q-irreducible action
+        # must not be certified real-irreducible
+        companion = m([[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+        g = generate_closure(4, [companion])
+        assert g.order == 8
+        res = find_invariant_subspace(g, 2)
+        assert res.status == "none_found"
 
 
 class TestIndexTwo:
