@@ -91,6 +91,21 @@ class TestSubgroups:
         with pytest.raises(ValueError):
             Subgroup(g, (0, 1))  # not closed: missing the square
 
+    def test_lagrange_all_subgroups(self):
+        for grp in (z2z2(), generate_closure(2, [ROT3, SWAP]),
+                    generate_closure(2, [ROT4, m([[1, 0], [0, -1]])])):
+            subs = [Subgroup(grp, h) for h in subgroups_by_joins(grp)]
+            for s in subs:
+                assert grp.order % s.order == 0
+            orders = sorted(s.order for s in subs)
+            assert orders[0] == 1 and orders[-1] == grp.order
+
+    def test_s3_subgroup_count(self):
+        # S3: trivial, three order-2, one order-3, full
+        grp = generate_closure(2, [ROT3, SWAP])
+        subs = [Subgroup(grp, h) for h in subgroups_by_joins(grp)]
+        assert sorted(s.order for s in subs) == [1, 2, 2, 2, 3, 6]
+
     def test_stratify_matches_subgroup_enumeration(self):
         s3 = generate_closure(2, [ROT3, SWAP])
         d4 = generate_closure(2, [ROT4, m([[1, 0], [0, -1]])])
@@ -99,12 +114,6 @@ class TestSubgroups:
                                        m([[1, 0, 0], [0, -1, 0], [0, 0, -1]])])
         for grp in (s3, z2z2(), d4, b3_conjugate(), z2z2_r3):
             subgroups = subgroups_by_joins(grp)
-            orders = sorted(len(h) for h in subgroups)
-            assert all(grp.order % k == 0 for k in orders)
-            assert orders[0] == 1 and orders[-1] == grp.order
-            if grp is s3:
-                # S3: trivial, three order-2, one order-3, full
-                assert orders == [1, 2, 2, 2, 3, 6]
             got = {(s.fixed_space, s.isotropy.members)
                    for s in stratify(LocalChart(grp.dim, grp)).strata}
             want = set()
