@@ -10,7 +10,6 @@ chart dimensions 1 through 4, with and without boundary.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from fractions import Fraction as F
 from functools import lru_cache
@@ -419,17 +418,13 @@ def _run_obstruction(name: str, verdict: str, reason: str) -> dict:
 
 def _run_sard(case_name: str, box, min_fraction: F) -> dict:
     case = germ_case(case_name)
-    t0 = time.time()
     report = sard_sample(case.germ, box, 10000, SARD_SEED)
-    elapsed = time.time() - t0
     again = sard_sample(case.germ, box, 10000, SARD_SEED)
     b1 = json.dumps(report.to_jsonable(), sort_keys=True).encode()
     b2 = json.dumps(again.to_jsonable(), sort_keys=True).encode()
     assert b1 == b2, "sard report is not deterministic"
     assert report.regular_fraction >= min_fraction, report.regular_fraction
-    out = report.to_jsonable()
-    out["elapsed_seconds"] = round(elapsed, 4)
-    return out
+    return report.to_jsonable()
 
 
 def _run_classify_types() -> dict:

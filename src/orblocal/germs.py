@@ -52,6 +52,7 @@ from .groups import (
     fixed_subspace,
     kernel_of,
     quotient,
+    reynolds,
     verify_homomorphism,
 )
 from .charts import (
@@ -313,9 +314,10 @@ class InvariantProjection:
     """The averaged projection onto the differential kernel.
 
     For each gamma in the homomorphism kernel N, a_gamma = gamma - I maps
-    into the kernel subspace K; projection = -(1/|N|) sum a_gamma is an
-    idempotent commuting with N whose image lies in K and whose kernel N
-    fixes pointwise.
+    into the kernel subspace K.  Their average is R_N - I, where R_N is the
+    Reynolds projector of N onto its fixed space, so
+    projection = I - R_N = -(1/|N|) sum a_gamma is an idempotent commuting
+    with N whose image lies in K and whose kernel N fixes pointwise.
     """
 
     n_group: Subgroup
@@ -340,18 +342,15 @@ def invariant_projection(germ: MapGerm) -> InvariantProjection:
     ngrp = germ.n_subgroup()
     kernel = germ.kernel_at(germ.base_point)
     a_gamma = []
-    acc = Matrix.zero(n, n)
     for i in ngrp.members:
-        m = germ.source.group.element(i)
-        a = m - ident
+        a = germ.source.group.element(i) - ident
         for col in range(n):
             if not kernel.contains(a.column(col)):
                 raise AssertionError(
                     "gamma - I does not map into the kernel (broken germ)")
         a_gamma.append((i, a))
-        acc = acc + a
-    avg = acc.scale(Fraction(1, ngrp.order))
-    proj = -avg
+    proj = ident - reynolds(germ.source.group, ngrp.members)
+    avg = -proj
     assert proj * proj == proj, "projection is not idempotent"
     for i in ngrp.members:
         m = germ.source.group.element(i)

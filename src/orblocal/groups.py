@@ -6,9 +6,15 @@ Elements are addressed by index (0 is the identity); the element matrices
 ARE the action, so effectiveness is automatic.
 
 Besides the group/subgroup/homomorphism/quotient plumbing this module
-provides the representation-theoretic searches the chart calculus needs:
-fixed subspaces, the commutant algebra, invariant-subspace search with sound
-"certified none" verdicts, and index-2 subgroup enumeration.
+provides the representation-theoretic searches the chart calculus needs.
+They rest on one averaging primitive, the Reynolds projector
+R_chi = (1/|H|) sum chi(h) h of a subgroup H and a sign character chi
+(``reynolds``), and on the list of sign characters G -> {+-1}
+(``sign_characters``): fixed subspaces are images of R_H, index-2 subgroups
+are kernels of the nontrivial sign characters, and invariant lines and
+hyperplanes are the column and row spaces of a nonzero R_chi.  The commutant
+algebra drives the invariant-subspace search in the other dimensions, with
+sound "certified none" verdicts.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .ratlin import (
     Matrix,
@@ -70,7 +77,6 @@ class FiniteMatrixGroup:
         self.words = tuple(words)
         self.index = {m: i for i, m in enumerate(self.elements)}
         self._mul_cache: dict[tuple[int, int], int] = {}
-        self._inv: list[int] | None = None
 
     @property
     def order(self) -> int:
@@ -98,9 +104,11 @@ class FiniteMatrixGroup:
         return got
 
     def inv(self, i: int) -> int:
-        if self._inv is None:
-            self._inv = [self.index_of(m.inverse()) for m in self.elements]
-        return self._inv[i]
+        """The inverse of element i: its last power before the identity."""
+        j = i
+        while (k := self.mul(j, i)) != 0:
+            j = k
+        return j
 
     def is_trivial(self) -> bool:
         return self.order == 1
@@ -324,17 +332,51 @@ def quotient(parent: FiniteMatrixGroup, n: Subgroup) -> QuotientGroup:
     return q
 
 
-def fixed_subspace(h: Subgroup) -> Subspace:
-    """{v : g v = v for all g in h}, as the intersection of kernels of g - I."""
-    n = h.parent.dim
-    space = Subspace.full(n)
-    ident = Matrix.identity(n)
-    for i in h.members:
-        if i == 0:
+def sign_characters(g: FiniteMatrixGroup) -> list[tuple[int, ...]]:
+    """Every homomorphism g -> {+1, -1}, as its values over all elements.
+
+    Each assignment of signs to the generators, in binary order (so the
+    trivial character comes first), is extended along the generator words;
+    an extension is kept at its first occurrence when chi(x s) = chi(x) chi(s)
+    for every element x and generator s, which by induction on word length
+    makes it multiplicative.
+    """
+    gens = g.generator_indices
+    out = []
+    seen = set()
+    for bits in range(1 << len(gens)):
+        chi = tuple(-1 if sum((bits >> gi) & 1 for gi in word) & 1 else 1
+                    for word in g.words)
+        if chi in seen:
             continue
-        ker, _, _ = kernel_image_rank(h.parent.element(i) - ident)
-        space = space.intersect(ker)
-    return space
+        seen.add(chi)
+        if all(chi[g.mul(x, s)] == chi[x] * chi[s]
+               for x in range(g.order) for s in gens):
+            out.append(chi)
+    return out
+
+
+def reynolds(g: FiniteMatrixGroup, members: Sequence[int],
+             char: Sequence[int] | None = None) -> Matrix:
+    """The Reynolds projector (1/|H|) sum chi(h) h over the members of H.
+
+    char is a sign character of g (values over all elements, as listed by
+    sign_characters); None means the trivial character.  The result is the
+    projection onto the chi-eigenspace {v : h v = chi(h) v for all h in H}.
+    """
+    acc = Matrix.zero(g.dim, g.dim)
+    for i in members:
+        if char is None or char[i] == 1:
+            acc = acc + g.element(i)
+        else:
+            acc = acc - g.element(i)
+    return acc.scale(Fraction(1, len(members)))
+
+
+def fixed_subspace(h: Subgroup) -> Subspace:
+    """{v : g v = v for all g in h}, the image of the Reynolds projector R_h."""
+    r = reynolds(h.parent, h.members)
+    return Subspace.from_vectors(r.rows, r.transpose().entries)
 
 
 def commutant(g: FiniteMatrixGroup) -> list[Matrix]:
@@ -372,8 +414,9 @@ class InvariantSubspaceResult:
     """Outcome of an invariant-subspace search.
 
     status is one of 'found', 'none_found', 'certified_none'; certified_none
-    is only issued by a sound argument (complete sign-pattern enumeration in
-    dimensions 1 and n-1, or a one-dimensional commutant).
+    is only issued by a sound argument (every sign character's Reynolds
+    projector is zero in dimensions 1 and n-1, or the commutant is
+    one-dimensional).
     """
 
     status: str
@@ -395,72 +438,47 @@ def _verify_invariant(group: FiniteMatrixGroup, s: Subspace) -> bool:
     return all(s.is_invariant_under(m) for m in group.elements)
 
 
-def _invariant_line(group: FiniteMatrixGroup) -> Subspace | None:
-    """A group-invariant line, or None (complete).
-
-    A real eigenvalue of a finite-order real matrix is +-1, so a common
-    eigenvector realizes a sign pattern over the generators; enumerating
-    all 2^k patterns decides existence.
-    """
-    n = group.dim
-    gens = list(group.generators)
-    if not gens:
-        return Subspace.from_vectors(n, [[QONE] + [QZERO] * (n - 1)])
-    ident = Matrix.identity(n)
-    for bits in range(1 << len(gens)):
-        space = Subspace.full(n)
-        for i, g in enumerate(gens):
-            sign = QONE if not (bits >> i) & 1 else -QONE
-            ker, _, _ = kernel_image_rank(g - ident.scale(sign))
-            space = space.intersect(ker)
-            if space.is_zero():
-                break
-        if not space.is_zero():
-            return Subspace.from_vectors(n, [space.basis[0]])
-    return None
-
-
-def _transpose_group(group: FiniteMatrixGroup) -> FiniteMatrixGroup:
-    return generate_closure(group.dim,
-                            [g.transpose() for g in group.generators]
-                            or [Matrix.identity(group.dim)],
-                            max_order=group.order + 1)
-
-
 def find_invariant_subspace(group: FiniteMatrixGroup, dim_wanted: int) -> InvariantSubspaceResult:
     """Search for a dim_wanted-dimensional subspace invariant under the group.
 
-    Dimensions 1 and n-1 are decided completely by sign-pattern enumeration
-    (n-1 through the transpose group and duality).  Intermediate dimensions
-    use the commutant: kernels of irreducible characteristic factors of
-    commutant elements are invariant, and their sums/intersections are
-    searched.  There 'certified_none' is issued only when the commutant is
-    one-dimensional (scalars alone); a search that finds nothing otherwise
-    returns 'none_found', as no sound certificate of nonexistence is known
-    for it.
+    Dimensions 1 and n-1 are decided completely by the sign characters.  A
+    real eigenvalue of a finite-order real matrix is +-1, so a common
+    eigenvector spans a line on which the group acts by a sign character
+    chi, and the lines of that kind are those in the image of R_chi.  Its
+    row space is the chi-eigenspace of the transposed action, so the kernel
+    of a nonzero row of R_chi is an invariant hyperplane, and there is none
+    when every R_chi is zero.  Intermediate dimensions use the commutant:
+    kernels of irreducible characteristic factors of commutant elements are
+    invariant, and their sums/intersections are searched.  There
+    'certified_none' is issued only when the commutant is one-dimensional
+    (scalars alone); a search that finds nothing otherwise returns
+    'none_found', as no sound certificate of nonexistence is known for it.
     """
     n = group.dim
     if not (0 < dim_wanted < n):
         raise ValueError("requested dimension %d out of range (0, %d)"
                          % (dim_wanted, n))
-    if dim_wanted == 1:
-        line = _invariant_line(group)
-        if line is not None:
+    if dim_wanted in (1, n - 1):
+        projectors = (reynolds(group, range(group.order), chi)
+                      for chi in sign_characters(group))
+        r = next((p for p in projectors if not p.is_zero()), None)
+        if dim_wanted == 1:
+            if r is None:
+                return InvariantSubspaceResult(
+                    "certified_none", None,
+                    "no common eigenvector: all 2^k sign patterns have zero intersection")
+            image = Subspace.from_vectors(n, r.transpose().entries)
+            line = Subspace.from_vectors(n, image.basis[:1])
             assert _verify_invariant(group, line)
             return InvariantSubspaceResult("found", line, "sign-pattern line")
-        return InvariantSubspaceResult(
-            "certified_none", None,
-            "no common eigenvector: all 2^k sign patterns have zero intersection")
-    if dim_wanted == n - 1:
-        dual_line = _invariant_line(_transpose_group(group))
-        if dual_line is not None:
-            phi = Matrix([dual_line.basis[0]])
-            hyp, _, _ = kernel_image_rank(phi)
-            assert _verify_invariant(group, hyp)
-            return InvariantSubspaceResult("found", hyp, "dual sign-pattern hyperplane")
-        return InvariantSubspaceResult(
-            "certified_none", None,
-            "no invariant hyperplane: transpose group has no common eigenvector")
+        if r is None:
+            return InvariantSubspaceResult(
+                "certified_none", None,
+                "no invariant hyperplane: transpose group has no common eigenvector")
+        phi = Matrix(Subspace.from_vectors(n, r.entries).basis[:1])
+        hyp, _, _ = kernel_image_rank(phi)
+        assert _verify_invariant(group, hyp)
+        return InvariantSubspaceResult("found", hyp, "dual sign-pattern hyperplane")
 
     basis = commutant(group)
     if len(basis) == 1:
@@ -503,31 +521,7 @@ def find_invariant_subspace(group: FiniteMatrixGroup, dim_wanted: int) -> Invari
 
 
 def index2_subgroups(g: FiniteMatrixGroup) -> list[Subgroup]:
-    """All subgroups of index exactly 2.
-
-    Found as kernels of surjective sign characters: each assignment of the
-    generators to {+1,-1} is extended along the generator words and checked
-    for multiplicativity on every pair.
-    """
-    k = len(g.generator_indices)
-    out = []
-    seen = set()
-    for bits in range(1, 1 << k):
-        signs = [1 if not (bits >> i) & 1 else -1 for i in range(k)]
-        char = [1] * g.order
-        for i, word in enumerate(g.words):
-            s = 1
-            for gi in word:
-                s *= signs[gi]
-            char[i] = s
-        ok = all(
-            char[g.mul(a, b)] == char[a] * char[b]
-            for a in range(g.order) for b in range(g.order)
-        )
-        if not ok or all(s == 1 for s in char):
-            continue
-        members = tuple(i for i, s in enumerate(char) if s == 1)
-        if members not in seen:
-            seen.add(members)
-            out.append(Subgroup(g, members))
-    return out
+    """All subgroups of index exactly 2: the kernels of the nontrivial sign
+    characters, in the order of sign_characters."""
+    return [Subgroup(g, tuple(i for i, s in enumerate(chi) if s == 1))
+            for chi in sign_characters(g)[1:]]

@@ -953,18 +953,3 @@ class MultiPoly:
 
     def variables_used(self, coord: int) -> set[int]:
         return {i for e, _ in self.coords[coord] for i, k in enumerate(e) if k}
-
-
-def poly_eval(p: MultiPoly, point: Sequence) -> tuple[Fraction, ...]:
-    """Exact evaluation of a polynomial map at a rational point."""
-    return p.eval(point)
-
-
-def poly_jacobian(p: MultiPoly, point: Sequence) -> Matrix:
-    """Exact Jacobian of a polynomial map at a rational point."""
-    return p.jacobian_at(point)
-
-
-def poly_identity_zero(p: MultiPoly) -> bool:
-    """True iff every coefficient of every coordinate is zero."""
-    return p.is_zero()

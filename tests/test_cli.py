@@ -182,3 +182,11 @@ class TestCorpus:
     def test_corrupt_mode_nonzero_exit(self, capsys):
         assert main(["corpus", "run", "--corrupt"]) == 2
         assert "FAIL corrupted-self-test" in capsys.readouterr().out
+
+    def test_sard_report_byte_reproducible(self, tmp_path):
+        o1, o2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        assert main(["corpus", "run", "--anchor", "sard", "--out", o1]) == 0
+        assert main(["corpus", "run", "--anchor", "sard", "--out", o2]) == 0
+        first = open(o1, "rb").read()
+        assert json.loads(first)["results"]
+        assert first == open(o2, "rb").read()

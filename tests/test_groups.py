@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from orblocal.charts import LocalChart, pointwise_stabilizer, stratify
-from orblocal.ratlin import Matrix, Subspace
+from orblocal.ratlin import Matrix, Subspace, kernel_image_rank
 from orblocal.groups import (
     ClosureBoundExceeded,
     NotAHomomorphism,
@@ -17,6 +17,7 @@ from orblocal.groups import (
     index2_subgroups,
     kernel_of,
     quotient,
+    sign_characters,
     verify_homomorphism,
 )
 
@@ -29,6 +30,8 @@ NEG1 = m([[-1]])
 ROT3 = m([[0, -1], [1, -1]])
 ROT4 = m([[0, -1], [1, 0]])
 SWAP = m([[0, 1], [1, 0]])
+FLIP_X = m([[-1, 0], [0, 1]])
+FLIP_Y = m([[1, 0], [0, -1]])
 
 
 def z2_line():
@@ -359,3 +362,63 @@ class TestIndexTwo:
             for s in index2_subgroups(g):
                 assert s.index_in_parent() == 2
                 assert s.is_normal()
+
+
+def sign_characters_by_pairs(g):
+    """Reference: every generator sign assignment in binary order, extended
+    along the words and kept once if multiplicative on every pair."""
+    k = len(g.generator_indices)
+    out = []
+    for bits in range(1 << k):
+        chi = []
+        for word in g.words:
+            s = 1
+            for gi in word:
+                s *= -1 if (bits >> gi) & 1 else 1
+            chi.append(s)
+        chi = tuple(chi)
+        if chi not in out and all(chi[g.mul(a, b)] == chi[a] * chi[b]
+                                  for a in range(g.order)
+                                  for b in range(g.order)):
+            out.append(chi)
+    return out
+
+
+def fixed_by_kernels(h):
+    """Reference: the intersection of the kernels of h - I over h."""
+    n = h.parent.dim
+    space = Subspace.full(n)
+    for i in h.members:
+        ker, _, _ = kernel_image_rank(h.parent.element(i) - Matrix.identity(n))
+        space = space.intersect(ker)
+    return space
+
+
+class TestReynolds:
+    def test_sign_characters_match_pairwise_reference(self):
+        groups = (generate_closure(2, [ROT4, FLIP_Y]),
+                  generate_closure(2, [ROT3, SWAP]),
+                  b3_conjugate(),
+                  generate_closure(2, [FLIP_X, FLIP_Y, FLIP_X]),
+                  generate_closure(2, [Matrix.identity(2), FLIP_X, FLIP_Y]))
+        for g in groups:
+            chars = sign_characters(g)
+            assert chars == sign_characters_by_pairs(g)
+            assert chars[0] == (1,) * g.order
+
+    def test_fixed_subspace_is_intersection_of_kernels(self):
+        g = b3_conjugate()
+        subgroups = index2_subgroups(g) + [g.full_subgroup()]
+        assert len(subgroups) == 4
+        for h in subgroups:
+            assert fixed_subspace(h) == fixed_by_kernels(h)
+
+    def test_repeated_generator_keeps_index2_order(self):
+        g = generate_closure(2, [FLIP_X, FLIP_Y, FLIP_X])
+        assert [s.members for s in index2_subgroups(g)] == [(0, 2), (0, 1), (0, 3)]
+
+    def test_repeated_generator_same_line(self):
+        e1 = Subspace.from_vectors(2, [[1, 0]])
+        for gens in ([FLIP_X, FLIP_Y], [FLIP_X, FLIP_Y, FLIP_X]):
+            res = find_invariant_subspace(generate_closure(2, gens), 1)
+            assert res.found and res.subspace == e1

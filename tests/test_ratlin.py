@@ -12,9 +12,6 @@ from orblocal.ratlin import (
     has_real_root,
     kernel_image_rank,
     poly_apply_matrix,
-    poly_eval,
-    poly_identity_zero,
-    poly_jacobian,
     poly_gcd,
     poly_mul,
     restrict_to_subspace,
@@ -222,44 +219,44 @@ class TestSturm:
 class TestMultiPoly:
     def test_eval_sum_squares(self):
         p = MultiPoly(2, [{(2, 0): F(1), (0, 2): F(1)}])
-        assert poly_eval(p, [F(3, 2), 0]) == (F(9, 4),)
-        assert poly_eval(p, [0, 0]) == (F(0),)
+        assert p.eval([F(3, 2), 0]) == (F(9, 4),)
+        assert p.eval([0, 0]) == (F(0),)
 
     def test_eval_square_negative(self):
         p = MultiPoly(1, [{(2,): F(1)}])
-        assert poly_eval(p, [-2]) == (F(4),)
+        assert p.eval([-2]) == (F(4),)
 
     def test_eval_arity_mismatch(self):
         p = MultiPoly(2, [{(1, 0): F(1)}])
         with pytest.raises(ValueError):
-            poly_eval(p, [1])
+            p.eval([1])
 
     def test_jacobian_square(self):
         p = MultiPoly(1, [{(2,): F(1)}])
-        assert poly_jacobian(p, [1]) == Matrix([[2]])
+        assert p.jacobian_at([1]) == Matrix([[2]])
 
     def test_jacobian_linear(self):
         p = MultiPoly.coordinate(2, 0)
-        assert poly_jacobian(p, [7, -2]) == Matrix([[1, 0]])
+        assert p.jacobian_at([7, -2]) == Matrix([[1, 0]])
 
     def test_jacobian_gradient(self):
         p = MultiPoly(2, [{(2, 0): F(1), (0, 2): F(1)}])
-        assert poly_jacobian(p, [1, 0]) == Matrix([[2, 0]])
+        assert p.jacobian_at([1, 0]) == Matrix([[2, 0]])
 
     def test_identity_zero_even_composition(self):
         p = MultiPoly(1, [{(2,): F(1)}])
         neg = Matrix([[-1]])
-        assert poly_identity_zero(p.compose_affine(neg) - p)
+        assert (p.compose_affine(neg) - p).is_zero()
 
     def test_identity_zero_odd_composition(self):
         p = MultiPoly.coordinate(1, 0)
         neg = Matrix([[-1]])
         diff = p.compose_affine(neg) - p
-        assert not poly_identity_zero(diff)
+        assert not diff.is_zero()
         assert diff.coords[0] == (((1,), F(-2)),)
 
     def test_zero_map(self):
-        assert poly_identity_zero(MultiPoly.zero_map(3, 2))
+        assert MultiPoly.zero_map(3, 2).is_zero()
 
     def test_compose_affine_translation(self):
         p = MultiPoly(1, [{(2,): F(1)}])
