@@ -9,7 +9,7 @@ no-retraction bookkeeping.  All core arithmetic is exact over Q.
 
 __version__ = "0.1.0"
 
-from .ratlin import Matrix, MultiPoly, Rational, Subspace, kernel_image_rank
+from .ratlin import Matrix, MultiPoly, Rational, Subspace, kernel, kernel_image_rank
 from .groups import (
     FiniteMatrixGroup,
     GroupHom,
@@ -58,7 +58,7 @@ from .onedim import (
 
 __all__ = [
     "__version__",
-    "Matrix", "MultiPoly", "Rational", "Subspace", "kernel_image_rank",
+    "Matrix", "MultiPoly", "Rational", "Subspace", "kernel", "kernel_image_rank",
     "FiniteMatrixGroup", "GroupHom", "Subgroup", "find_invariant_subspace",
     "generate_closure", "index2_subgroups", "verify_homomorphism",
     "ChartEmbedding", "LocalChart", "build_chart",

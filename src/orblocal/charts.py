@@ -21,7 +21,7 @@ from fractions import Fraction
 from .ratlin import (
     Matrix,
     Subspace,
-    kernel_image_rank,
+    kernel,
     restrict_to_subspace,
     vec,
     QONE,
@@ -201,7 +201,7 @@ def stratify(chart: LocalChart) -> StrataReport:
     n = chart.dim
     ident = Matrix.identity(n)
     element_spaces = list(dict.fromkeys(
-        kernel_image_rank(m - ident)[0] for m in chart.group.elements))
+        kernel(m - ident) for m in chart.group.elements))
     spaces = [Subspace.full(n)]
     seen = set(spaces)
     for space in spaces:  # grows while it is walked

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 input/schema error, 2 failed mathematical check.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -282,7 +283,9 @@ def cmd_corpus(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_MATH
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once; each parse returns a fresh namespace."""
     ap = argparse.ArgumentParser(
         prog="orblocal",
         description="exact local calculus of smooth orbifold charts and germs")

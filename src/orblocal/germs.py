@@ -31,6 +31,7 @@ from .ratlin import (
     Matrix,
     MultiPoly,
     Subspace,
+    kernel,
     kernel_image_rank,
     poly_gcd,
     poly_derivative,
@@ -111,8 +112,7 @@ class MapGerm:
         return self.lift.jacobian_at(point)
 
     def kernel_at(self, point) -> Subspace:
-        ker, _, _ = kernel_image_rank(self.lift.jacobian_at(point))
-        return ker
+        return kernel(self.lift.jacobian_at(point))
 
     def n_subgroup(self) -> Subgroup:
         """The kernel of the homomorphism, a normal subgroup of the source group."""
@@ -548,8 +548,8 @@ def _equivariant_linear_maps(source: LocalChart, target: LocalChart,
                 for a in range(k):
                     row[a * n + j] -= tg.entries[i][a]
                 rows.append(row)
-    ker, _, _ = kernel_image_rank(Matrix(rows))
-    return [Matrix([v[i * n:(i + 1) * n] for i in range(k)]) for v in ker.basis]
+    return [Matrix([v[i * n:(i + 1) * n] for i in range(k)])
+            for v in kernel(Matrix(rows)).basis]
 
 
 def obstruction_certificate(source: LocalChart, target: LocalChart,

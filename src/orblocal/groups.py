@@ -27,6 +27,7 @@ from typing import Sequence
 from .ratlin import (
     Matrix,
     Subspace,
+    kernel,
     kernel_image_rank,
     poly_apply_matrix,
     factor_rational_poly,
@@ -46,8 +47,8 @@ class ClosureBoundExceeded(RuntimeError):
 class NotAHomomorphism(ValueError):
     """Generator images do not extend to a homomorphism.
 
-    Carries a witness pair of source element indices where multiplicativity
-    breaks.
+    Carries a witness (a, j): a source element index and a generator
+    position such that phi(a s) != phi(a) phi(s) for s the j-th generator.
     """
 
     def __init__(self, msg, witness=None):
@@ -245,9 +246,13 @@ def verify_homomorphism(source: FiniteMatrixGroup, target: FiniteMatrixGroup,
                         images_of_generators: list[Matrix]) -> GroupHom:
     """Extend generator images to the whole group and verify multiplicativity.
 
-    The extension follows the breadth-first generator words of the source;
-    the result is then checked on every pair of elements, so an assignment
-    violating a relation raises NotAHomomorphism with a witness pair.
+    The extension phi follows the breadth-first generator words of the
+    source.  It is then checked on (element, generator) pairs:
+    phi(a s) = phi(a) phi(s) for every element a and generator s, which by
+    induction on word length makes phi multiplicative on every pair.  An
+    assignment violating a relation raises NotAHomomorphism with the
+    witness (a, j): element index a and the position j of s in the source's
+    generators.
     """
     if len(images_of_generators) != len(source.generator_indices):
         raise ValueError("need one image per generator (%d generators)"
@@ -260,11 +265,11 @@ def verify_homomorphism(source: FiniteMatrixGroup, target: FiniteMatrixGroup,
             cur = target.mul(cur, img_idx[gi])
         mapping[i] = cur
     for a in range(source.order):
-        for b in range(source.order):
-            if mapping[source.mul(a, b)] != target.mul(mapping[a], mapping[b]):
+        for j, s in enumerate(source.generator_indices):
+            if mapping[source.mul(a, s)] != target.mul(mapping[a], mapping[s]):
                 raise NotAHomomorphism(
-                    "generator images violate a relation at pair (%d, %d)" % (a, b),
-                    witness=(a, b))
+                    "generator images violate a relation at element %d and "
+                    "generator %d" % (a, j), witness=(a, j))
     return GroupHom(source, target, tuple(mapping))
 
 
@@ -405,8 +410,8 @@ def commutant(g: FiniteMatrixGroup) -> list[Matrix]:
                     row[i * n + k] += a.entries[k][j]
                     row[k * n + j] -= a.entries[i][k]
                 rows.append(row)
-    ker, _, _ = kernel_image_rank(Matrix(rows))
-    return [Matrix([b[i * n:(i + 1) * n] for i in range(n)]) for b in ker.basis]
+    return [Matrix([b[i * n:(i + 1) * n] for i in range(n)])
+            for b in kernel(Matrix(rows)).basis]
 
 
 @dataclass(frozen=True)
@@ -476,7 +481,7 @@ def find_invariant_subspace(group: FiniteMatrixGroup, dim_wanted: int) -> Invari
                 "certified_none", None,
                 "no invariant hyperplane: transpose group has no common eigenvector")
         phi = Matrix(Subspace.from_vectors(n, r.entries).basis[:1])
-        hyp, _, _ = kernel_image_rank(phi)
+        hyp = kernel(phi)
         assert _verify_invariant(group, hyp)
         return InvariantSubspaceResult("found", hyp, "dual sign-pattern hyperplane")
 

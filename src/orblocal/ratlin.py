@@ -6,24 +6,31 @@ enters any code path here.  The three value types are
 * ``Matrix``    -- immutable rational matrix (also used for vectors of group
                    actions and differentials), stored as integer numerator
                    rows over one positive common denominator in lowest
-                   terms: products, sums, scaling, equality and hashing run
-                   on ints, and ``entries`` is its ``Fraction`` view,
+                   terms: products, sums, scaling, elimination, equality and
+                   hashing run on ints, and ``entries`` is its ``Fraction``
+                   view,
 * ``Subspace``  -- a linear subspace of Q^n stored by its reduced row-echelon
-                   basis, so equality of subspaces is syntactic,
+                   basis, so equality of subspaces is syntactic; the same
+                   rows are kept as integers over one denominator, and
+                   membership, invariance and intersection run on those,
 * ``MultiPoly`` -- a polynomial map Q^n -> Q^m with exact coefficients.
 
-Elimination (rref, det, kernels), vectors and polynomials work on
-``fractions.Fraction``.  On top of those it provides kernels/images/rank,
-characteristic polynomials with full factorization into irreducibles over Q
-(Yun square-free split plus Kronecker's finite interpolation method; fine
-at the degrees <= 8 this library works with), and dense univariate helpers
-(gcd, Sturm chains) used by the critical-value sampler.
+Elimination (rref, rank, det, inverse, solve, kernels) is fraction-free
+Gauss-Jordan elimination (Bareiss) on the integer rows: every intermediate
+entry is a minor of the input, every division is exact, and the reduced
+form is read off at the end over the last pivot.  Vectors and polynomials
+work on ``fractions.Fraction``.  On top of those it provides
+kernels/images/rank, characteristic polynomials with full factorization
+into irreducibles over Q (Yun square-free split plus Kronecker's finite
+interpolation method; fine at the degrees <= 8 this library works with),
+and dense univariate helpers (gcd, Sturm chains) used by the critical-value
+sampler.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -53,14 +60,73 @@ def vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
+def _int_vec(v: Sequence) -> list[int]:
+    """A rational vector scaled to integers by the lcm of its denominators."""
+    v = vec(v)
+    d = lcm(*(x.denominator for x in v))
+    return [x.numerator * (d // x.denominator) for x in v]
+
+
+def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows, in place.
+
+    Pivots are sought in the first ncols columns; rows are updated in full.
+    At each pivot p (the previous pivot prev starts at 1) every other row
+    becomes (p row_i - row_i[c] row_r) // prev; by Sylvester's identity each
+    entry is then a minor of the input, so the division is exact.  Rows
+    with a zero in the pivot column are scaled by p / prev all the same,
+    which keeps later divisions exact.  Afterwards the first len(pivots)
+    rows are d times the reduced echelon rows, d being the last pivot, and
+    the other rows are zero in the first ncols columns.
+
+    Returns (pivot columns, d, sign of the row swaps); d is 1 without pivots,
+    and for a square matrix of full rank sign * d is its determinant.
+    """
+    nrows = len(rows)
+    pivots: list[int] = []
+    prev = sign = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            sign = -sign
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                rows[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+            elif p != prev:
+                rows[i] = [p * a // prev for a in row]
+        pivots.append(c)
+        prev = p
+    return pivots, prev, sign
+
+
+def _over(rows: Sequence[Sequence[int]], d: int) -> "Matrix":
+    """The matrix rows / d, for a nonzero integer d of either sign."""
+    if d < 0:
+        rows, d = [[-x for x in row] for row in rows], -d
+    return Matrix._make(tuple(map(tuple, rows)), d)
+
+
 class Matrix:
     """Immutable rational matrix, row-major.
 
     Stored as integer numerator rows over one positive common denominator,
     in lowest terms (the gcd of the denominator and every numerator is 1),
     so the representation is canonical: products, sums, scaling, equality
-    and hashing are integer work.  ``entries`` is the Fraction view, built
-    on first use, or kept as given when the matrix was built from entries.
+    and hashing are integer work, and so are rref, rank, det and inverse,
+    which run fraction-free elimination on the numerator rows.  ``entries``
+    is the Fraction view, built on first use, or kept as given when the
+    matrix was built from entries.
     """
 
     __slots__ = ("rows", "cols", "_num", "_den", "_entries", "_hash")
@@ -221,26 +287,9 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row-echelon form and pivot columns."""
-        m = [list(row) for row in self.entries]
-        nrows, ncols = self.rows, self.cols
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [inv * a for a in m[r]]
-            for i in range(nrows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-        return Matrix(m), tuple(pivots)
+        rows = [list(row) for row in self._num]
+        pivots, d, _ = _eliminate(rows, self.cols)
+        return _over(rows, d), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -248,34 +297,23 @@ class Matrix:
     def det(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        m = [list(row) for row in self.entries]
         n = self.rows
-        d = QONE
-        for c in range(n):
-            pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-            if pr is None:
-                return QZERO
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
-                d = -d
-            d *= m[c][c]
-            inv = 1 / m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c] != 0:
-                    f = m[i][c] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return d
+        pivots, d, sign = _eliminate([list(row) for row in self._num], n)
+        if len(pivots) < n:
+            return QZERO
+        return Fraction(sign * d, self._den ** n)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
         n = self.rows
-        aug = Matrix([list(row) + list(idr) for row, idr in
-                      zip(self.entries, Matrix.identity(n).entries)])
-        red, pivots = aug.rref()
-        if pivots[:n] != tuple(range(n)):
+        rows = [list(row) + [int(i == j) for j in range(n)]
+                for i, row in enumerate(self._num)]
+        pivots, d, _ = _eliminate(rows, n)
+        if len(pivots) < n:
             raise ValueError("matrix is singular")
-        return Matrix([row[n:] for row in red.entries])
+        # rows = [d I | d num^-1], and the inverse of num / den is den num^-1
+        return _over([[self._den * x for x in row[n:]] for row in rows], d)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -306,30 +344,46 @@ class Subspace:
 
     Two Subspace values are equal exactly when they are the same subspace;
     the basis rows are the nonzero rows of the RREF of any spanning set.
+    Beside them it keeps the same rows as integers over one positive common
+    denominator, with the pivot column of each row, and membership,
+    invariance and intersection work on those; they take no part in
+    equality, hashing or repr.
     """
 
     ambient_dim: int
     basis: tuple[tuple[Fraction, ...], ...]
+    # (num, den, pivots): basis[i][j] == num[i][j] / den, and basis[i] has
+    # its leading 1 in column pivots[i]
+    _echelon: tuple = field(compare=False, repr=False)
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        vs = [vec(v) for v in vectors]
-        for v in vs:
+        rows = [_int_vec(v) for v in vectors]
+        for v in rows:
             if len(v) != ambient_dim:
                 raise ValueError("vector length %d in ambient dimension %d"
                                  % (len(v), ambient_dim))
-        if not vs:
-            return cls(ambient_dim, ())
-        red, pivots = Matrix(vs).rref()
-        return cls(ambient_dim, tuple(red.entries[i] for i in range(len(pivots))))
+        return cls._from_rows(ambient_dim, rows)
+
+    @classmethod
+    def _from_rows(cls, n: int, rows: list[list[int]]) -> "Subspace":
+        """The span of integer rows of length n (the list is reduced in place)."""
+        pivots, d, _ = _eliminate(rows, n)
+        return cls._from_echelon(n, rows[:len(pivots)], d, pivots)
+
+    @classmethod
+    def _from_echelon(cls, n: int, rows, d: int, pivots) -> "Subspace":
+        """The subspace whose reduced echelon basis is rows / d."""
+        red = _over(rows, d)
+        return cls(n, red.entries, (red._num, red._den, tuple(pivots)))
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
-        return cls.from_vectors(n, Matrix.identity(n).entries)
+        return cls._from_rows(n, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
-        return cls(n, ())
+        return cls(n, (), ((), 1, ()))
 
     @property
     def dim(self) -> int:
@@ -342,63 +396,91 @@ class Subspace:
         return self.dim == self.ambient_dim
 
     def contains(self, v: Sequence) -> bool:
-        v = list(vec(v))
+        v = _int_vec(v)
         if len(v) != self.ambient_dim:
             raise ValueError("vector/ambient dimension mismatch")
-        for row in self.basis:
-            lead = next(j for j, a in enumerate(row) if a != 0)
-            if v[lead] != 0:
-                f = v[lead]
-                v = [a - f * b for a, b in zip(v, row)]
-        return all(a == 0 for a in v)
+        return self._spans(v)
+
+    def _spans(self, v: Sequence[int]) -> bool:
+        """True iff the integer vector v lies in the subspace.
+
+        With the echelon basis b_i = num_i / den, v is in the span exactly
+        when v = sum v[pivot_i] b_i, that is den v = sum v[pivot_i] num_i.
+        """
+        num, den, pivots = self._echelon
+        acc = [den * x for x in v]
+        for row, c in zip(num, pivots):
+            f = v[c]
+            if f:
+                acc = [a - f * b for a, b in zip(acc, row)]
+        return not any(acc)
 
     def sum_with(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
-        return Subspace.from_vectors(self.ambient_dim, self.basis + other.basis)
+        return Subspace._from_rows(
+            self.ambient_dim, [list(r) for r in self._echelon[0] + other._echelon[0]])
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: row reduce [A|A; B|0], read intersection off rows [0|D]."""
         self._same_ambient(other)
+        if self.is_zero() or other.is_full():
+            return self
+        if other.is_zero() or self.is_full():
+            return other
         n = self.ambient_dim
-        block = [list(b) + list(b) for b in self.basis]
-        block += [list(b) + [QZERO] * n for b in other.basis]
-        if not block:
-            return Subspace.zero(n)
-        red, _ = Matrix(block).rref()
-        inter = []
-        for row in red.entries:
-            if all(a == 0 for a in row[:n]) and any(a != 0 for a in row[n:]):
-                inter.append(row[n:])
-        return Subspace.from_vectors(n, inter)
+        zero = (0,) * n
+        block = ([list(r + r) for r in self._echelon[0]]
+                 + [list(r + zero) for r in other._echelon[0]])
+        pivots, d, _ = _eliminate(block, 2 * n)
+        # the rows with pivots in the right half are d times the reduced
+        # echelon basis of the intersection
+        k = next((i for i, c in enumerate(pivots) if c >= n), len(pivots))
+        return Subspace._from_echelon(n, [row[n:] for row in block[k:len(pivots)]],
+                                      d, [c - n for c in pivots[k:]])
 
     def is_invariant_under(self, m: Matrix) -> bool:
         """True iff m maps this subspace into itself."""
-        return all(self.contains(m.apply(b)) for b in self.basis)
+        self._same_shape(m)
+        return all(self._spans([sum(map(mul, r, b)) for r in m._num])
+                   for b in self._echelon[0])
 
     def fixed_pointwise_by(self, m: Matrix) -> bool:
-        return all(m.apply(b) == b for b in self.basis)
+        self._same_shape(m)
+        md = m._den
+        return all([sum(map(mul, r, b)) for r in m._num] == [md * x for x in b]
+                   for b in self._echelon[0])
 
     def _same_ambient(self, other):
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
 
+    def _same_shape(self, m: Matrix):
+        if m.rows != self.ambient_dim or m.cols != self.ambient_dim:
+            raise ValueError("%dx%d matrix on a subspace of Q^%d"
+                             % (m.rows, m.cols, self.ambient_dim))
+
+
+def kernel(m: Matrix) -> Subspace:
+    """Exact kernel of a rational matrix, read off its integer reduced rows."""
+    rows = [list(row) for row in m._num]
+    pivots, d, _ = _eliminate(rows, m.cols)
+    pivot_set = set(pivots)
+    vecs = []
+    for j in range(m.cols):
+        if j not in pivot_set:
+            # d times the kernel vector with a 1 in free column j
+            v = [0] * m.cols
+            v[j] = d
+            for row, c in zip(rows, pivots):
+                v[c] = -row[j]
+            vecs.append(v)
+    return Subspace._from_rows(m.cols, vecs)
+
 
 def kernel_image_rank(m: Matrix) -> tuple[Subspace, Subspace, int]:
     """Exact kernel, column space, and rank of a rational matrix."""
-    red, pivots = m.rref()
-    rank = len(pivots)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    kernel_vecs = []
-    for j in free:
-        v = [QZERO] * m.cols
-        v[j] = QONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red.entries[r][j]
-        kernel_vecs.append(v)
-    kernel = Subspace.from_vectors(m.cols, kernel_vecs)
-    image = Subspace.from_vectors(m.rows, [m.column(j) for j in range(m.cols)])
-    return kernel, image, rank
+    image = Subspace._from_rows(m.rows, [list(col) for col in zip(*m._num)])
+    return kernel(m), image, image.dim
 
 
 def restrict_to_subspace(m: Matrix, s: Subspace) -> Matrix:
@@ -425,13 +507,16 @@ def restrict_to_subspace(m: Matrix, s: Subspace) -> Matrix:
 def solve_exact(a: Matrix, b: Sequence) -> tuple[Fraction, ...] | None:
     """One exact solution x of a x = b, or None if inconsistent."""
     b = vec(b)
-    aug = Matrix([list(row) + [bb] for row, bb in zip(a.entries, b)])
-    red, pivots = aug.rref()
-    if a.cols in pivots:
+    bd = lcm(*(y.denominator for y in b))
+    # a = num / den, so a x = b is (bd num) x = den (bd b), all in integers
+    rows = [[bd * x for x in row] + [a._den * y.numerator * (bd // y.denominator)]
+            for row, y in zip(a._num, b)]
+    pivots, d, _ = _eliminate(rows, a.cols)
+    if any(row[-1] for row in rows[len(pivots):]):
         return None
     x = [QZERO] * a.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red.entries[r][a.cols]
+    for row, c in zip(rows, pivots):
+        x[c] = Fraction(row[-1], d)
     return tuple(x)
 
 

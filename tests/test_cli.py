@@ -3,7 +3,7 @@ import json
 import pytest
 
 from orblocal import __version__
-from orblocal.cli import main
+from orblocal.cli import build_parser, main
 from orblocal.corpus import builtin_documents
 from orblocal.serialize import parse_matrix
 
@@ -164,6 +164,35 @@ class TestRetraction:
         assert main(["retraction", path, "--out", out]) == 0
         report = json.loads(open(out).read())
         assert report["derived"]["status"] == "hypothesis not met"
+
+
+class TestParserReuse:
+    def test_calls_do_not_share_arguments(self, tmp_path, docs, capsys):
+        strata_out = tmp_path / "s.json"
+        path = write(tmp_path, docs["chart-quarter-plane"], "chart.json")
+        assert main(["strata", path, "--out", str(strata_out)]) == 0
+        report = json.loads(strata_out.read_text())
+        assert report["scenario"] == "chart-quarter-plane"
+        assert report["derived"]["singular_count"] == 3
+        strata_out.unlink()
+        capsys.readouterr()
+
+        # no --out: the report goes to stdout, not to the previous file
+        path = write(tmp_path, docs["obstruction-z2-line"], "obstruction.json")
+        assert main(["obstruct", path]) == 0
+        printed = capsys.readouterr().out
+        report = json.loads(printed[printed.index("\n{") + 1:])
+        assert report["scenario"] == "obstruction-z2-line"
+        assert report["derived"]["verdict"] == "impossible"
+        assert not strata_out.exists()
+
+        classify_out = tmp_path / "c.json"
+        path = write(tmp_path, docs["components-four-types"], "components.json")
+        assert main(["classify1", path, "--out", str(classify_out)]) == 0
+        report = json.loads(classify_out.read_text())
+        assert report["derived"]["types"] == ["a", "b", "c", "d"]
+        assert not strata_out.exists()
+        assert build_parser() is build_parser()
 
 
 class TestCorpus:

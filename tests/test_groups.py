@@ -182,6 +182,21 @@ class TestHomomorphisms:
             verify_homomorphism(z3, z2, [NEG1])
         assert exc.value.witness is not None
 
+    def test_s3_witness_breaks_multiplicativity(self):
+        s3 = generate_closure(2, [ROT3, SWAP])
+        z2 = z2_line()
+        with pytest.raises(NotAHomomorphism) as exc:
+            verify_homomorphism(s3, z2, [NEG1, Matrix.identity(1)])
+        a, j = exc.value.witness
+        s = s3.generator_indices[j]
+        phi = {}  # the extension along the words, as verify_homomorphism builds it
+        for i, word in enumerate(s3.words):
+            cur = Matrix.identity(1)
+            for gi in word:
+                cur = cur * [NEG1, Matrix.identity(1)][gi]
+            phi[i] = cur
+        assert phi[s3.mul(a, s)] != phi[a] * phi[s]
+
     def test_kernel_trivial_for_identity(self):
         g = z2_line()
         h = verify_homomorphism(g, g, [NEG1])

@@ -1,12 +1,15 @@
-"""Property tests: the integer-scaled Matrix core against plain Fractions."""
+"""Property tests: the integer-scaled Matrix core, its fraction-free
+elimination and Subspace against plain Fractions."""
 
 from fractions import Fraction as F
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from orblocal.groups import generate_closure
-from orblocal.ratlin import Matrix
+from orblocal.ratlin import (Matrix, Subspace, _eliminate, kernel, kernel_image_rank,
+                             solve_exact)
 
 SETTINGS = settings(max_examples=80, deadline=None)
 
@@ -96,3 +99,249 @@ def test_group_index_finds_products(p, data):
     product = grp.element(i) * grp.element(j)
     assert from_entries[product] == grp.index_of(product) == grp.mul(i, j)
     assert grp.index_of(Matrix(product.entries)) == grp.mul(i, j)
+
+
+# ---------------------------------------------------------------------------
+# elimination and subspaces against a plain-Fraction Gauss-Jordan reference
+
+
+def ref_rref(a):
+    """Reduced row-echelon rows and pivot columns, over Fractions."""
+    m = [[F(x) for x in row] for row in a]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [inv * x for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, tuple(pivots)
+
+
+def ref_det(a):
+    m = [[F(x) for x in row] for row in a]
+    n = len(m)
+    d = F(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pr is None:
+            return F(0)
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            d = -d
+        d *= m[c][c]
+        for i in range(c + 1, n):
+            f = m[i][c] / m[c][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return d
+
+
+def ref_span(n, vectors):
+    """The nonzero reduced echelon rows of a spanning set."""
+    red, pivots = ref_rref(vectors)
+    return tuple(tuple(row) for row in red[:len(pivots)])
+
+
+def ref_contains(basis, v):
+    return ref_span(len(v), list(basis) + [list(v)]) == tuple(basis)
+
+
+def ref_kernel(a, cols):
+    red, pivots = ref_rref(a)
+    vecs = []
+    for j in range(cols):
+        if j not in pivots:
+            v = [F(0)] * cols
+            v[j] = F(1)
+            for r, c in enumerate(pivots):
+                v[c] = -red[r][j]
+            vecs.append(v)
+    return ref_span(cols, vecs)
+
+
+def ref_intersect(n, a, b):
+    block = [list(x) + list(x) for x in a] + [list(x) + [F(0)] * n for x in b]
+    red, _ = ref_rref(block)
+    return ref_span(n, [row[n:] for row in red
+                        if not any(row[:n]) and any(row[n:])])
+
+
+def ref_apply(m, v):
+    return [sum((x * y for x, y in zip(row, v)), F(0)) for row in m]
+
+
+sparse = st.sampled_from((F(0), F(0), F(1), F(-1), F(2), F(-1, 2)))
+
+
+@st.composite
+def row_sets(draw, cols, min_rows=0, max_rows=5):
+    """Rows with zero rows, repeats, negated multiples and sums of earlier rows."""
+    rows = []
+    for _ in range(draw(st.integers(min_rows, max_rows))):
+        kind = draw(st.sampled_from(("fresh", "sparse", "zero", "repeat", "multiple", "sum")))
+        if kind == "zero":
+            rows.append([F(0)] * cols)
+        elif kind == "sparse":
+            rows.append(draw(st.lists(sparse, min_size=cols, max_size=cols)))
+        elif kind == "fresh" or not rows:
+            rows.append(draw(st.lists(rationals, min_size=cols, max_size=cols)))
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "multiple":
+            c = draw(st.sampled_from((F(-1), F(-3, 2), F(2), F(-1, 7))))
+            rows.append([c * x for x in draw(st.sampled_from(rows))])
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([x - y for x, y in zip(a, b)])
+    return rows
+
+
+def matrices(max_rows=5, max_cols=6):
+    return st.integers(0, max_cols).flatmap(lambda c: row_sets(c, 0, max_rows))
+
+
+def square_matrices(max_n=5):
+    return st.integers(0, max_n).flatmap(lambda n: row_sets(n, n, n))
+
+
+def subspaces(n):
+    return row_sets(n).map(lambda rows: (rows, Subspace.from_vectors(n, rows)))
+
+
+def assert_echelon(s):
+    """The integer rows of a Subspace are its basis over one denominator."""
+    num, den, pivots = s._echelon
+    assert den > 0 and gcd(den, *(x for row in num for x in row)) == 1
+    assert s.basis == tuple(tuple(F(x, den) for x in row) for row in num)
+    for row, c in zip(s.basis, pivots):
+        assert row[c] == 1 and not any(row[:c])
+
+
+@SETTINGS
+@given(matrices())
+def test_rref_and_rank(a):
+    m = Matrix(a)
+    red, pivots = m.rref()
+    ref, ref_pivots = ref_rref(a)
+    assert pivots == ref_pivots
+    assert_matches(red, ref)
+    assert m.rank() == len(ref_pivots)
+
+
+@SETTINGS
+@given(square_matrices())
+def test_det_and_inverse(a):
+    m = Matrix(a)
+    d = ref_det(a)
+    assert m.det() == d and type(m.det()) is F
+    if len(a) >= 2:
+        assert Matrix([a[1], a[0]] + a[2:]).det() == -d
+    if d == 0:
+        with pytest.raises(ValueError):
+            m.inverse()
+        assert not m.is_invertible()
+    else:
+        n = len(a)
+        inv, _ = ref_rref([list(row) + [F(int(i == j)) for j in range(n)]
+                           for i, row in enumerate(a)])
+        assert_matches(m.inverse(), [row[n:] for row in inv])
+        assert (m * m.inverse()).is_identity()
+
+
+@SETTINGS
+@given(matrices(), st.data())
+def test_solve_exact(a, data):
+    m = Matrix(a)
+    x = data.draw(st.lists(rationals, min_size=m.cols, max_size=m.cols))
+    other = data.draw(st.lists(rationals, min_size=m.rows, max_size=m.rows))
+    for b in (ref_apply(a, x), other):
+        red, pivots = ref_rref([list(row) + [y] for row, y in zip(a, b)])
+        got = solve_exact(m, b)
+        if m.cols in pivots:
+            assert got is None
+        else:
+            want = [F(0)] * m.cols
+            for r, c in enumerate(pivots):
+                want[c] = red[r][m.cols]
+            assert got == tuple(want)
+            assert ref_apply(a, got) == list(b)
+
+
+def test_solve_exact_inconsistent():
+    a = Matrix([[1, F(1, 2)], [2, 1], [0, 0]])
+    assert solve_exact(a, [1, 2, 0]) == (F(1), F(0))
+    assert solve_exact(a, [1, 3, 0]) is None
+    assert solve_exact(a, [1, 2, F(1, 3)]) is None
+
+
+@SETTINGS
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(st.just(n), subspaces(n), subspaces(n))),
+       st.data())
+def test_subspace_operations(case, data):
+    n, (rows_a, a), (rows_b, b) = case
+    assert a.basis == ref_span(n, rows_a)
+    assert_echelon(a)
+    inter = a.intersect(b)
+    assert inter.basis == ref_intersect(n, a.basis, b.basis)
+    assert_echelon(inter)
+    assert inter == b.intersect(a)
+    assert a.sum_with(b) == Subspace.from_vectors(n, rows_a + rows_b)
+    coeffs = data.draw(st.lists(rationals, min_size=a.dim, max_size=a.dim))
+    inside = [sum((c * row[j] for c, row in zip(coeffs, a.basis)), F(0))
+              for j in range(n)]
+    assert a.contains(inside)
+    v = data.draw(st.lists(rationals, min_size=n, max_size=n))
+    assert a.contains(v) == ref_contains(a.basis, v)
+    m = data.draw(grids(n, n))
+    images = [ref_apply(m, row) for row in a.basis]
+    assert a.is_invariant_under(Matrix(m)) == all(ref_contains(a.basis, w) for w in images)
+    assert a.fixed_pointwise_by(Matrix(m)) == all(
+        list(w) == list(row) for w, row in zip(images, a.basis))
+    # B^T C maps everything into the span of the basis rows B
+    c = data.draw(grids(a.dim, n))
+    into = ref_mul([list(col) for col in zip(*a.basis)], c) if a.dim else [[F(0)] * n] * n
+    assert a.is_invariant_under(Matrix(into))
+    assert a.fixed_pointwise_by(Matrix.identity(n))
+
+
+@SETTINGS
+@given(matrices())
+def test_kernel_and_image(a):
+    m = Matrix(a)
+    ker = kernel(m)
+    assert ker.ambient_dim == m.cols
+    assert ker.basis == ref_kernel(a, m.cols)
+    assert_echelon(ker)
+    for v in ker.basis:
+        assert not any(m.apply(v))
+    k, image, rank = kernel_image_rank(m)
+    assert k == ker
+    assert image.basis == ref_span(m.rows, [list(c) for c in zip(*a)])
+    assert rank == image.dim == len(ref_rref(a)[1]) == m.cols - ker.dim
+
+
+def test_negative_final_pivot():
+    rows = [[2, 1], [1, -1]]
+    pivots, d, sign = _eliminate([list(r) for r in rows], 2)
+    assert pivots == [0, 1] and d == -3 and sign == 1
+    m = Matrix(rows)
+    assert m.det() == -3
+    red, piv = m.rref()
+    assert red == Matrix.identity(2) and red._den == 1 and piv == (0, 1)
+    assert m.inverse() == Matrix([[F(1, 3), F(1, 3)], [F(1, 3), F(-2, 3)]])
+    assert solve_exact(m, [3, 0]) == (F(1), F(1))
+    assert kernel(m).is_zero() and Subspace.from_vectors(2, rows).is_full()
+    swapped = Matrix([[0, 1, 2], [3, 4, 5], [6, 7, 9]])
+    assert _eliminate([list(r) for r in swapped._num], 3)[2] == -1
+    assert swapped.det() == ref_det(swapped.entries) == -3
