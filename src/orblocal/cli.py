@@ -146,6 +146,8 @@ def cmd_sard(args) -> int:
         if not lo < hi:
             raise SchemaError("$.box[%d]" % i, "empty interval")
         box.append((lo, hi))
+    if args.samples < 1:
+        raise SchemaError("$.samples", "need at least 1 sample, got %d" % args.samples)
     sard = sard_sample(germ, box, args.samples, args.seed)
     report = _base_report(meta)
     report["seed"] = args.seed

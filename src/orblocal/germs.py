@@ -23,6 +23,7 @@ On top of germs this module builds:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -648,7 +649,14 @@ def _critical_value_resultant(coeffs: list[Fraction]) -> list[Fraction]:
 
 
 def _separable_coordinates(lift: MultiPoly) -> list[tuple]:
-    """Per output coordinate: ('const', value) or ('poly', var, coeffs, deriv, res).
+    """Per output coordinate: ('const', value) or
+    ('poly', var, coeffs, deriv, res, snapped_res).
+
+    ``res`` is the critical-value resultant and ``snapped_res`` the same
+    polynomial homogenized to the snap denominator D: with L the lcm of the
+    denominators of res = sum c_i p^i of degree d, it lists the integers
+    c_i * L * D^(d - i) from i = d down to 0, so their integer Horner sum at
+    n is L * D^d * res(n / D), zero exactly when res(n / D) is.
 
     Raises UnsupportedLift unless each output uses at most one variable and
     no two outputs share one.
@@ -673,18 +681,47 @@ def _separable_coordinates(lift: MultiPoly) -> list[tuple]:
             for e, c in d.items():
                 coeffs[e[v]] = c
             coeffs = poly_trim(coeffs)
-            out.append(("poly", v, coeffs, poly_derivative(coeffs),
-                        _critical_value_resultant(coeffs)))
+            res = _critical_value_resultant(coeffs)
+            lcm = math.lcm(*(c.denominator for c in res))
+            top = len(res) - 1
+            snapped = tuple(res[i].numerator * (lcm // res[i].denominator)
+                            * SNAP_DENOMINATOR ** (top - i)
+                            for i in range(top, -1, -1))
+            out.append(("poly", v, coeffs, poly_derivative(coeffs), res, snapped))
     return out
 
 
+def _regular_on_numerators(coords, ns) -> bool:
+    """True when the snapped sample (n / D for n in ns) is proven regular on ints.
+
+    These are the early exits of ``_classify_sample`` without a Fraction: a
+    constant coordinate a/b misses n/D (n*b != a*D), so the preimage is
+    empty; or there is no constant coordinate and no critical-value
+    resultant vanishes.  False leaves the sample to ``_classify_sample``.
+    """
+    undecided = False
+    for coord, n in zip(coords, ns):
+        if coord[0] == "const":
+            if n * coord[1].denominator != coord[1].numerator * SNAP_DENOMINATOR:
+                return True
+            undecided = True
+        elif not undecided:
+            acc = 0
+            for c in coord[5]:
+                acc = acc * n + c
+            undecided = acc == 0
+    return not undecided
+
+
 def _classify_sample(coords, p) -> bool:
-    """True iff p is a regular value of a separable lift; exact.
+    """True iff p is a regular value of a separable lift; exact over Q.
 
     p is critical exactly when every coordinate equation has a real
     solution and some coordinate shares a real root with its derivative.
-    The cheap resultant filter handles almost every sample; the gcd and
-    Sturm checks only run for resultant roots.
+    The resultant filter rules out most points; the gcd and Sturm checks
+    only run for resultant roots and matched constant coordinates.
+    ``sard_sample`` calls it only for the samples that
+    ``_regular_on_numerators`` leaves undecided.
     """
     capable = []
     for coord, pj in zip(coords, p):
@@ -703,7 +740,7 @@ def _classify_sample(coords, p) -> bool:
         if is_const:
             critical_real = True  # zero Jacobian row on a full solution set
             continue
-        _, _, coeffs, deriv, _ = coord
+        _, _, coeffs, deriv, _, _ = coord
         shifted = list(coeffs)
         shifted[0] = shifted[0] - pj
         poly_trim(shifted)
@@ -751,22 +788,29 @@ class SardReport:
 def sard_sample(germ: MapGerm, box, samples: int, seed: int) -> SardReport:
     """Sample target points and classify each regular/critical exactly.
 
-    Floats are used only to draw the samples; each is snapped to a rational
-    with bounded denominator and then classified with exact arithmetic
-    (empty preimages are regular by convention).  Deterministic per seed.
+    Floats are used only to draw the samples; each coordinate is snapped to
+    n / SNAP_DENOMINATOR with integer n and classified with exact arithmetic
+    (empty preimages are regular by convention).  The integer filter
+    ``_regular_on_numerators`` proves almost every sample regular on n; only
+    the rest become Fractions and go through ``_classify_sample`` over Q.
+    Deterministic per seed.  Raises ValueError unless samples >= 1.
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1, got %d" % samples)
     box = tuple((Fraction(lo), Fraction(hi)) for lo, hi in box)
     if len(box) != germ.target.dim:
         raise ValueError("box must give one interval per target coordinate")
     coords = _separable_coordinates(germ.lift)
     fbox = [(float(lo), float(hi)) for lo, hi in box]
-    rng = random.Random(seed)
+    uniform = random.Random(seed).uniform
     regular_count = 0
     critical: set[tuple[Fraction, ...]] = set()
     for _ in range(samples):
-        p = tuple(
-            Fraction(round(rng.uniform(lo, hi) * SNAP_DENOMINATOR), SNAP_DENOMINATOR)
-            for lo, hi in fbox)
+        ns = [round(uniform(lo, hi) * SNAP_DENOMINATOR) for lo, hi in fbox]
+        if _regular_on_numerators(coords, ns):
+            regular_count += 1
+            continue
+        p = tuple(Fraction(n, SNAP_DENOMINATOR) for n in ns)
         if _classify_sample(coords, p):
             regular_count += 1
         else:

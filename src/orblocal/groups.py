@@ -163,7 +163,16 @@ def generate_closure(dim: int, generators: list[Matrix],
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup of a FiniteMatrixGroup, as a sorted tuple of member indices."""
+    """A subgroup of a FiniteMatrixGroup, as a sorted tuple of member indices.
+
+    Construction checks closure on a generating set: starting from the
+    identity, the reached set is closed under right multiplication by the
+    generators found so far, and each member not yet reached becomes a new
+    generator.  Every product must stay in the member set; at the end the
+    reached set, a subgroup, is the member set.  Each new generator at least
+    doubles the reached subgroup, so the check takes |H| * |S| products
+    with |S| <= log2 |H| instead of |H|^2.
+    """
 
     parent: FiniteMatrixGroup
     members: tuple[int, ...]
@@ -172,10 +181,23 @@ class Subgroup:
         ms = set(self.members)
         if 0 not in ms:
             raise ValueError("subgroup must contain the identity")
-        for a in self.members:
-            for b in self.members:
-                if self.parent.mul(a, b) not in ms:
-                    raise ValueError("member set not closed under product")
+        mul = self.parent.mul
+        gens: list[int] = []
+        reached, seen = [0], {0}
+        for g in self.members:
+            if g in seen:
+                continue
+            gens.append(g)
+            # elements reached before g already absorbed the older generators
+            old = len(reached)
+            for i, a in enumerate(reached):  # runs over the appended elements too
+                for s in (gens[-1:] if i < old else gens):
+                    b = mul(a, s)
+                    if b not in seen:
+                        if b not in ms:
+                            raise ValueError("member set not closed under product")
+                        seen.add(b)
+                        reached.append(b)
 
     @property
     def order(self) -> int:

@@ -95,6 +95,17 @@ class TestSard:
         assert main(["sard", path, "--samples", "10", "--seed", "1",
                      "--box", "-2", "2", "--box", "-2", "2"]) == 1
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_samples_below_one_input_error(self, tmp_path, docs, capsys, samples):
+        path = write(tmp_path, docs["germ-z2-square"])
+        out = tmp_path / "report.json"
+        assert main(["sard", path, "--samples", samples, "--seed", "1",
+                     "--box", "-2", "2", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "input error" in captured.err and "at least 1 sample" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_unsupported_lift_exit_two(self, tmp_path, docs):
         path = write(tmp_path, docs["germ-sum-squares"])
         assert main(["sard", path, "--samples", "10", "--seed", "1",

@@ -1,9 +1,11 @@
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from orblocal.ratlin import Matrix, MultiPoly, Subspace
+from orblocal.ratlin import Matrix, MultiPoly, Subspace, poly_add, poly_mul, poly_trim
 from orblocal.groups import verify_homomorphism
 from orblocal.charts import ChartEmbedding, verify_embedding
 from orblocal.germs import (
@@ -11,7 +13,11 @@ from orblocal.germs import (
     NotCentered,
     NotInPreimage,
     NotRegularPoint,
+    SNAP_DENOMINATOR,
+    SardReport,
     UnsupportedLift,
+    _classify_sample,
+    _separable_coordinates,
     build_germ,
     cocycle_identities,
     faithfulness_check,
@@ -416,6 +422,94 @@ class TestSard:
         case = germ_case("z2-square")
         with pytest.raises(ValueError):
             sard_sample(case.germ, [(-2, 2), (-2, 2)], 10, 0)
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_samples_below_one_rejected(self, samples):
+        case = germ_case("z2-square")
+        with pytest.raises(ValueError, match="at least 1"):
+            sard_sample(case.germ, [(-2, 2)], samples, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_integer_filter_matches_fraction_loop(self, data):
+        coords = data.draw(st.lists(sard_coordinates(), min_size=1, max_size=2))
+        box = [data.draw(sard_interval(centre)) for _, centre in coords]
+        germ = separable_germ([terms for terms, _ in coords])
+        samples = data.draw(st.integers(1, 40))
+        seed = data.draw(st.integers(0, 2 ** 16))
+        assert sard_sample(germ, box, samples, seed) == \
+            sard_reference(germ, box, samples, seed)
+
+
+def sard_reference(germ, box, samples, seed):
+    """The per-sample Fraction loop that sard_sample ran before its integer
+    filter: every sample becomes a Fraction tuple and goes through
+    _classify_sample."""
+    box = tuple((F(lo), F(hi)) for lo, hi in box)
+    coords = _separable_coordinates(germ.lift)
+    fbox = [(float(lo), float(hi)) for lo, hi in box]
+    rng = random.Random(seed)
+    regular_count = 0
+    critical = set()
+    for _ in range(samples):
+        p = tuple(F(round(rng.uniform(lo, hi) * SNAP_DENOMINATOR), SNAP_DENOMINATOR)
+                  for lo, hi in fbox)
+        if _classify_sample(coords, p):
+            regular_count += 1
+        else:
+            critical.add(p)
+    return SardReport(samples=samples, seed=seed, box=box, regular_count=regular_count,
+                      critical_values=tuple(sorted(critical)))
+
+
+small_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=7)
+nonzero_rationals = small_rationals.filter(lambda x: x != 0)
+# values on the snap grid, many of them with a reduced denominator below 10^6,
+# and off it (denominators 3 and 7 do not divide 10^6)
+grid_values = st.one_of(
+    st.integers(-2 * SNAP_DENOMINATOR, 2 * SNAP_DENOMINATOR).map(
+        lambda k: F(k, SNAP_DENOMINATOR)),
+    st.builds(lambda k, e: F(k, 10 ** e), st.integers(-20, 20), st.integers(0, 6)))
+off_grid_values = st.sampled_from([F(1, 3), F(-2, 3), F(5, 7), F(-1, 21)])
+
+
+@st.composite
+def sard_coordinates(draw):
+    """(coefficients from degree 0 up, a value to centre a box on): a
+    constant, a linear map, or s * (x - a)^2 * g(x) + v with deg g <= 2,
+    whose critical value v lies on the snap grid."""
+    kind = draw(st.sampled_from(["const", "poly"]))
+    if kind == "const":
+        value = draw(st.one_of(grid_values, off_grid_values, st.just(F(0))))
+        return [value], value
+    deg = draw(st.integers(1, 4))
+    if deg == 1:
+        coeffs = [draw(small_rationals), draw(nonzero_rationals)]
+        return coeffs, coeffs[0]
+    a, s, v = draw(small_rationals), draw(nonzero_rationals), draw(grid_values)
+    g = [draw(small_rationals) for _ in range(deg - 2)] + [s]
+    coeffs = poly_add(poly_mul(poly_mul([-a, F(1)], [-a, F(1)]), g), [v])
+    return poly_trim(coeffs), v
+
+
+def sard_interval(centre):
+    """A wide interval, or a narrow one around centre that the snap grid
+    meets in a few points or only one."""
+    half = st.sampled_from([F(1, 10 ** 8), F(1, SNAP_DENOMINATOR), F(3, SNAP_DENOMINATOR)])
+    return st.one_of(st.just((F(-2), F(2))),
+                     half.map(lambda h: (centre - h, centre + h)))
+
+
+def separable_germ(coord_coeffs):
+    """A germ between trivial charts whose output j is coord_coeffs[j] in
+    variable j (a constant uses no variable)."""
+    n = len(coord_coeffs)
+    chart = charts()["line-trivial" if n == 1 else "plane-trivial"]
+    outputs = []
+    for j, coeffs in enumerate(coord_coeffs):
+        outputs.append({tuple(k if i == j else 0 for i in range(n)): c
+                        for k, c in enumerate(coeffs) if c != 0})
+    return build_germ(chart, chart, MultiPoly(n, outputs), trivial_theta(chart, chart))
 
 
 class TestLiftReplacement:

@@ -161,6 +161,76 @@ def b3_conjugate():
     return generate_closure(3, [p * g * pinv for g in gens])
 
 
+def closed_by_pairs(grp, members):
+    """The all-pairs closure check: the identity and every (member, member)
+    product lie in the member set."""
+    ms = set(members)
+    return 0 in ms and all(grp.mul(a, b) in ms for a in members for b in members)
+
+
+def builds(grp, members):
+    try:
+        Subgroup(grp, members)
+    except ValueError as e:
+        assert "closed" in str(e) or "identity" in str(e)
+        return False
+    return True
+
+
+@pytest.fixture(scope="module", params=["d4", "b3-conjugate"])
+def closure_group(request):
+    if request.param == "d4":
+        return generate_closure(2, [ROT4, FLIP_Y])
+    return b3_conjugate()
+
+
+class TestSubgroupClosureCheck:
+    def test_every_subgroup_builds(self, closure_group):
+        grp = closure_group
+        for h in subgroups_by_joins(grp):
+            assert closed_by_pairs(grp, h)
+            assert Subgroup(grp, h).members == h
+
+    def test_removing_a_member_breaks_closure(self, closure_group):
+        grp = closure_group
+        for h in subgroups_by_joins(grp):
+            if len(h) < 3:
+                continue
+            for x in h[1:]:
+                smaller = tuple(y for y in h if y != x)
+                assert not closed_by_pairs(grp, smaller)
+                with pytest.raises(ValueError, match="not closed under product"):
+                    Subgroup(grp, smaller)
+
+    def test_adding_an_outside_element(self, closure_group):
+        grp = closure_group
+        for h in subgroups_by_joins(grp):
+            for x in range(grp.order):
+                if x in h:
+                    continue
+                larger = tuple(sorted(h + (x,)))
+                closed = closed_by_pairs(grp, larger)
+                # only {1, x} with x of order 2 is a subgroup of order |H| + 1
+                assert closed == (h == (0,) and grp.mul(x, x) == 0)
+                assert builds(grp, larger) == closed
+
+    def test_products_of_cyclic_subgroups(self, closure_group):
+        # <a><b> is a subgroup only when it equals <a, b>; the other product
+        # sets are closed under most of the products a check can try
+        grp = closure_group
+        cyclic = {}
+        for a in range(grp.order):
+            powers, x = [0], a
+            while x != 0:
+                powers.append(x)
+                x = grp.mul(x, a)
+            cyclic[a] = powers
+        for a in range(grp.order):
+            for b in range(grp.order):
+                product = tuple(sorted({grp.mul(x, y) for x in cyclic[a] for y in cyclic[b]}))
+                assert builds(grp, product) == closed_by_pairs(grp, product)
+
+
 class TestHomomorphisms:
     def test_identity_hom(self):
         g = z2_line()
