@@ -9,7 +9,6 @@ chart dimensions 1 through 4, with and without boundary.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction as F
 from functools import lru_cache
@@ -419,10 +418,6 @@ def _run_obstruction(name: str, verdict: str, reason: str) -> dict:
 def _run_sard(case_name: str, box, min_fraction: F) -> dict:
     case = germ_case(case_name)
     report = sard_sample(case.germ, box, 10000, SARD_SEED)
-    again = sard_sample(case.germ, box, 10000, SARD_SEED)
-    b1 = json.dumps(report.to_jsonable(), sort_keys=True).encode()
-    b2 = json.dumps(again.to_jsonable(), sort_keys=True).encode()
-    assert b1 == b2, "sard report is not deterministic"
     assert report.regular_fraction >= min_fraction, report.regular_fraction
     return report.to_jsonable()
 

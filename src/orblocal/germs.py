@@ -377,6 +377,9 @@ class CocycleReport:
     failures: tuple[tuple[int, int, str], ...]
 
 
+_COCYCLE_IDENTITIES = ("left-twisted", "right-twisted", "product")
+
+
 def cocycle_identities(proj: InvariantProjection) -> CocycleReport:
     """Check the three composition identities of gamma -> gamma - I on N x N.
 
@@ -384,26 +387,45 @@ def cocycle_identities(proj: InvariantProjection) -> CocycleReport:
         A(gamma delta) = A(gamma) + gamma A(delta)
                        = A(delta) + A(gamma) delta
                        = A(delta) + A(gamma) + A(gamma) A(delta)
+
+    Every pair is checked, one delta at a time on blocks stacked over gamma:
+    with G = [gamma], A = [A(gamma)] and C = [A(gamma delta)] stacked
+    vertically in member order and D = [A(delta)] repeated, C - A is
+    compared with G A(delta), C - D with A delta and C - A - D with
+    A A(delta).  Stacks are exact and in lowest terms, so they are equal
+    exactly when every block is.  The failures name (gamma, delta,
+    identity), ordered gamma first, then delta, then identity as listed
+    above.
     """
     grp = proj.n_group.parent
-    failures = []
-    pairs = 0
+    members = proj.n_group.members
     amap = dict(proj.a_gamma)
-    for gi in proj.n_group.members:
-        for di in proj.n_group.members:
-            pairs += 1
-            g = grp.element(gi)
-            d = grp.element(di)
-            a_gd = amap[grp.mul(gi, di)]
-            a_g, a_d = amap[gi], amap[di]
-            if a_gd != a_g + g * a_d:
-                failures.append((gi, di, "left-twisted"))
-            if a_gd != a_d + a_g * d:
-                failures.append((gi, di, "right-twisted"))
-            if a_gd != a_d + a_g + a_g * a_d:
-                failures.append((gi, di, "product"))
-    return CocycleReport(pairs_checked=pairs, ok=not failures,
-                         failures=tuple(failures))
+    g_v = Matrix.vstack([grp.element(gi) for gi in members])
+    a_v = Matrix.vstack([amap[gi] for gi in members])
+    bad = []
+    for dpos, di in enumerate(members):
+        a_d = amap[di]
+        c_d = Matrix.vstack([amap[grp.mul(gi, di)] for gi in members])
+        d_v = Matrix.vstack([a_d] * len(members))
+        c_a = c_d - a_v
+        sides = ((c_a, g_v * a_d),
+                 (c_d - d_v, a_v * grp.element(di)),
+                 (c_a - d_v, a_v * a_d))
+        for k, (lhs, rhs) in enumerate(sides):
+            if lhs != rhs:
+                bad.extend((gpos, dpos, k)
+                           for gpos in _differing_blocks(lhs, rhs, grp.dim))
+    failures = tuple((members[g], members[d], _COCYCLE_IDENTITIES[k])
+                     for g, d, k in sorted(bad))
+    return CocycleReport(pairs_checked=len(members) ** 2, ok=not failures,
+                         failures=failures)
+
+
+def _differing_blocks(a: Matrix, b: Matrix, n: int) -> list[int]:
+    """Positions of the n-row blocks in which two stacked matrices differ."""
+    rows = (a - b).entries
+    return [i for i in range(len(rows) // n)
+            if any(map(any, rows[i * n:(i + 1) * n]))]
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ sound "certified none" verdicts.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -64,20 +64,23 @@ class FiniteMatrixGroup:
     """A finite group of invertible rational dim x dim matrices.
 
     Element 0 is the identity; ordering is breadth-first from the identity
-    in the given generator order, so it is deterministic.  Products are
-    resolved through an index cache rather than a dense table so large
-    closures stay affordable.
+    in the given generator order, so it is deterministic.  Products are read
+    off the right-multiplication table of the generators that the closure
+    fills: right[e][s] is the index of element e times generator s, and
+    words[j] spells element j as a product of generator positions, so no
+    product after closure multiplies matrices.
     """
 
     def __init__(self, dim: int, elements: list[Matrix],
                  generator_indices: tuple[int, ...],
-                 words: list[tuple[int, ...]]):
+                 words: list[tuple[int, ...]],
+                 right: list[tuple[int, ...]]):
         self.dim = dim
         self.elements = tuple(elements)
         self.generator_indices = generator_indices
         self.words = tuple(words)
+        self.right = tuple(right)
         self.index = {m: i for i, m in enumerate(self.elements)}
-        self._mul_cache: dict[tuple[int, int], int] = {}
 
     @property
     def order(self) -> int:
@@ -97,12 +100,15 @@ class FiniteMatrixGroup:
             raise ValueError("matrix is not an element of this group") from None
 
     def mul(self, i: int, j: int) -> int:
-        key = (i, j)
-        got = self._mul_cache.get(key)
-        if got is None:
-            got = self.index_of(self.elements[i] * self.elements[j])
-            self._mul_cache[key] = got
-        return got
+        """The index of element i times element j.
+
+        Element j is the product of its word's generators in order, so
+        multiplying i on the right by each of them in turn lands on i * j.
+        """
+        right = self.right
+        for s in self.words[j]:
+            i = right[i][s]
+        return i
 
     def inv(self, i: int) -> int:
         """The inverse of element i: its last power before the identity."""
@@ -129,7 +135,10 @@ def generate_closure(dim: int, generators: list[Matrix],
     """Close a generator list into a finite matrix group.
 
     Breadth-first from the identity, multiplying on the right by generators
-    in the given order, so the element ordering is deterministic.  Raises
+    in the given order, so the element ordering is deterministic.  Every
+    product elements[e] * g is kept as an index in the right-multiplication
+    table right[e][s] (s the position of g in the list); the search visits
+    elements in index order, so right[e] is appended as e is visited.  Raises
     ClosureBoundExceeded if the closure passes max_order.
     """
     for g in generators:
@@ -141,24 +150,29 @@ def generate_closure(dim: int, generators: list[Matrix],
     ident = Matrix.identity(dim)
     elements = [ident]
     words: list[tuple[int, ...]] = [()]
+    right: list[tuple[int, ...]] = []
     index = {ident: 0}
     frontier = [0]
     while frontier:
         nxt = []
         for ei in frontier:
+            row = []
             for gi, g in enumerate(generators):
                 prod = elements[ei] * g
-                if prod not in index:
+                j = index.get(prod)
+                if j is None:
                     if len(elements) >= max_order:
                         raise ClosureBoundExceeded(
                             "closure exceeded %d elements" % max_order)
-                    index[prod] = len(elements)
+                    j = index[prod] = len(elements)
                     words.append(words[ei] + (gi,))
-                    nxt.append(len(elements))
+                    nxt.append(j)
                     elements.append(prod)
+                row.append(j)
+            right.append(tuple(row))
         frontier = nxt
     gen_indices = tuple(index[g] for g in generators)
-    return FiniteMatrixGroup(dim, elements, gen_indices, words)
+    return FiniteMatrixGroup(dim, elements, gen_indices, words, right)
 
 
 @dataclass(frozen=True)
@@ -171,11 +185,13 @@ class Subgroup:
     generator.  Every product must stay in the member set; at the end the
     reached set, a subgroup, is the member set.  Each new generator at least
     doubles the reached subgroup, so the check takes |H| * |S| products
-    with |S| <= log2 |H| instead of |H|^2.
+    with |S| <= log2 |H| instead of |H|^2.  The generating set S is kept in
+    ``generators``, which takes no part in equality, hashing or repr.
     """
 
     parent: FiniteMatrixGroup
     members: tuple[int, ...]
+    generators: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ms = set(self.members)
@@ -198,6 +214,7 @@ class Subgroup:
                             raise ValueError("member set not closed under product")
                         seen.add(b)
                         reached.append(b)
+        object.__setattr__(self, "generators", tuple(gens))
 
     @property
     def order(self) -> int:
@@ -219,11 +236,19 @@ class Subgroup:
         return self.parent.order // self.order
 
     def is_normal(self) -> bool:
+        """Whether s h s^-1 lies in H for every parent generator s and every
+        generator h of H.
+
+        Conjugation by s maps H = <h_i> onto <s h_i s^-1>, so these checks
+        give s H s^-1 = H for each s, and the parent's generators generate
+        every conjugation of a finite group.
+        """
+        p = self.parent
         ms = set(self.members)
-        for g in range(self.parent.order):
-            gi = self.parent.inv(g)
-            for h in self.members:
-                if self.parent.mul(self.parent.mul(g, h), gi) not in ms:
+        for s in p.generator_indices:
+            si = p.inv(s)
+            for h in self.generators:
+                if p.mul(p.mul(s, h), si) not in ms:
                     return False
         return True
 
@@ -299,7 +324,8 @@ def kernel_of(hom: GroupHom) -> Subgroup:
     """The kernel subgroup {g : hom(g) = identity}; always normal."""
     members = tuple(i for i, t in enumerate(hom.mapping) if t == 0)
     k = Subgroup(hom.source, members)
-    assert k.is_normal(), "kernel failed normality check"
+    if not k.is_normal():
+        raise NotNormal("kernel of order %d failed the normality check" % k.order)
     return k
 
 

@@ -127,6 +127,11 @@ class Matrix:
     which run fraction-free elimination on the numerator rows.  ``entries``
     is the Fraction view, built on first use, or kept as given when the
     matrix was built from entries.
+
+    The tuple of rows is built from a list (``tuple([...])``) wherever
+    tall matrices pass: CPython allocates a tuple built from a generator at
+    a guessed size and shrinks it, so freeing tall results would stock the
+    interpreter's per-size tuple free lists and raise peak memory.
     """
 
     __slots__ = ("rows", "cols", "_num", "_den", "_entries", "_hash")
@@ -150,7 +155,7 @@ class Matrix:
         if den != 1:
             g = gcd(den, *itertools.chain.from_iterable(num))
             if g != 1:
-                num = tuple(tuple(x // g for x in row) for row in num)
+                num = tuple([tuple(x // g for x in row) for row in num])
                 den //= g
         m = object.__new__(cls)
         m._num = num
@@ -182,6 +187,17 @@ class Matrix:
         d = vec(diag)
         n = len(d)
         return cls([[d[i] if i == j else QZERO for j in range(n)] for i in range(n)])
+
+    @classmethod
+    def vstack(cls, blocks: Sequence["Matrix"]) -> "Matrix":
+        """The blocks stacked top to bottom, over their common denominator."""
+        if any(b.cols != blocks[0].cols for b in blocks):
+            raise ValueError("cannot stack blocks of different widths")
+        den = lcm(*(b._den for b in blocks))
+        return cls._make(
+            tuple([row if b._den == den else tuple(x * (den // b._den) for x in row)
+                   for b in blocks for row in b._num]),
+            den)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence]) -> "Matrix":
@@ -226,12 +242,12 @@ class Matrix:
         den = lcm(self._den, other._den)
         fa, fb = den // self._den, sign * (den // other._den)
         return Matrix._make(
-            tuple(tuple(a * fa + b * fb for a, b in zip(ra, rb))
-                  for ra, rb in zip(self._num, other._num)),
+            tuple([tuple(a * fa + b * fb for a, b in zip(ra, rb))
+                   for ra, rb in zip(self._num, other._num)]),
             den)
 
     def __neg__(self):
-        return Matrix._make(tuple(tuple(-a for a in row) for row in self._num),
+        return Matrix._make(tuple([tuple(-a for a in row) for row in self._num]),
                             self._den)
 
     def _same_shape(self, other):
@@ -246,8 +262,8 @@ class Matrix:
                                  % (self.rows, self.cols, other.rows, other.cols))
             bt = tuple(zip(*other._num))
             return Matrix._make(
-                tuple(tuple(sum(map(mul, row, col)) for col in bt)
-                      for row in self._num),
+                tuple([tuple(sum(map(mul, row, col)) for col in bt)
+                       for row in self._num]),
                 self._den * other._den)
         return self.scale(other)
 
@@ -257,7 +273,7 @@ class Matrix:
     def scale(self, c) -> "Matrix":
         c = rat(c)
         k = c.numerator
-        return Matrix._make(tuple(tuple(k * a for a in row) for row in self._num),
+        return Matrix._make(tuple([tuple(k * a for a in row) for row in self._num]),
                             self._den * c.denominator)
 
     def transpose(self) -> "Matrix":

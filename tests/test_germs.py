@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction as F
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from orblocal.ratlin import Matrix, MultiPoly, Subspace, poly_add, poly_mul, poly_trim
 from orblocal.groups import verify_homomorphism
-from orblocal.charts import ChartEmbedding, verify_embedding
+from orblocal.charts import ChartEmbedding, build_chart, verify_embedding
 from orblocal.germs import (
     EquivarianceError,
     NotCentered,
@@ -267,6 +268,77 @@ class TestCocycle:
         proj = invariant_projection(germ_case("x-squared-plane").germ)
         rep = cocycle_identities(proj)
         assert rep.ok and rep.pairs_checked == 16
+
+    def test_matches_pairwise_reference_on_honest_projections(self):
+        projs = [invariant_projection(case.germ) for case in germ_cases()]
+        for proj in projs + [invariant_projection(b3_germ())]:
+            rep = cocycle_identities(proj)
+            assert rep.ok
+            assert ((rep.pairs_checked, rep.failures) == cocycle_reference(proj)
+                    == (proj.n_group.order ** 2, ()))
+
+    @pytest.mark.parametrize("case", ["x-squared-plane", "sym-sum", "dihedral-radial"])
+    def test_corrupted_projection_failures_match_reference(self, case):
+        proj = invariant_projection(germ_case(case).germ)
+        for a_gamma in corruptions(proj.a_gamma):
+            bad = dataclasses.replace(proj, a_gamma=a_gamma)
+            rep = cocycle_identities(bad)
+            assert not rep.ok
+            assert (rep.pairs_checked, rep.failures) == cocycle_reference(bad)
+
+
+def cocycle_reference(proj):
+    """The per-pair loop: the three identities with small products for each
+    (gamma, delta), gamma outer and delta inner."""
+    grp = proj.n_group.parent
+    failures = []
+    pairs = 0
+    amap = dict(proj.a_gamma)
+    for gi in proj.n_group.members:
+        for di in proj.n_group.members:
+            pairs += 1
+            g = grp.element(gi)
+            d = grp.element(di)
+            a_gd = amap[grp.mul(gi, di)]
+            a_g, a_d = amap[gi], amap[di]
+            if a_gd != a_g + g * a_d:
+                failures.append((gi, di, "left-twisted"))
+            if a_gd != a_d + a_g * d:
+                failures.append((gi, di, "right-twisted"))
+            if a_gd != a_d + a_g + a_g * a_d:
+                failures.append((gi, di, "product"))
+    return pairs, tuple(failures)
+
+
+def corruptions(a_gamma):
+    """Copies of a_gamma with one A(gamma) made nonzero and wrong, one made
+    zero, and two of them swapped."""
+    n = a_gamma[0][1].rows
+    k = len(a_gamma) // 2
+    i, a = a_gamma[k]
+    off = Matrix([[F(j - 2 * r, 3) for j in range(n)] for r in range(n)])
+    swapped = list(a_gamma)
+    (i1, a1), (i2, a2) = swapped[1], swapped[-1]
+    swapped[1], swapped[-1] = (i1, a2), (i2, a1)
+    return [a_gamma[:k] + ((i, a + off),) + a_gamma[k + 1:],
+            a_gamma[:k] + ((i, Matrix.zero(n, n)),) + a_gamma[k + 1:],
+            tuple(swapped)]
+
+
+def b3_germ():
+    """The signed permutations of three coordinates, conjugated by a rational
+    matrix, plus a trivial fourth coordinate, mapped to the trivial line by
+    the last coordinate: N is the whole group of order 48."""
+    p = m([[1, F(1, 2), 0], [0, 1, F(-1, 3)], [2, 0, 1]])
+    pinv = p.inverse()
+    gens = [m([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+            m([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
+            m([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])]
+    blocks = [[list(row) + [0] for row in (p * g * pinv).entries] + [[0, 0, 0, 1]]
+              for g in gens]
+    src = build_chart(4, [m(b) for b in blocks])
+    line = build_chart(1, [])
+    return build_germ(src, line, MultiPoly.coordinate(4, 3), trivial_theta(src, line))
 
 
 class TestFaithfulness:

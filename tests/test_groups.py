@@ -7,6 +7,7 @@ from orblocal.charts import LocalChart, pointwise_stabilizer, stratify
 from orblocal.ratlin import Matrix, Subspace, kernel_image_rank
 from orblocal.groups import (
     ClosureBoundExceeded,
+    GroupHom,
     NotAHomomorphism,
     NotNormal,
     Subgroup,
@@ -229,6 +230,93 @@ class TestSubgroupClosureCheck:
             for b in range(grp.order):
                 product = tuple(sorted({grp.mul(x, y) for x in cyclic[a] for y in cyclic[b]}))
                 assert builds(grp, product) == closed_by_pairs(grp, product)
+
+
+@pytest.fixture(scope="module",
+                params=["s3", "d4", "b3-conjugate", "repeated-generator",
+                        "identity-generator"])
+def product_group(request):
+    return {
+        "s3": lambda: generate_closure(2, [ROT3, SWAP]),
+        "d4": lambda: generate_closure(2, [ROT4, FLIP_Y]),
+        "b3-conjugate": b3_conjugate,
+        "repeated-generator": lambda: generate_closure(2, [ROT4, FLIP_Y, ROT4]),
+        "identity-generator": lambda: generate_closure(
+            2, [ROT3, Matrix.identity(2), SWAP]),
+    }[request.param]()
+
+
+class TestProductTable:
+    def test_mul_matches_matrix_product(self, product_group):
+        grp = product_group
+        for i in range(grp.order):
+            for j in range(grp.order):
+                assert grp.element(grp.mul(i, j)) == grp.element(i) * grp.element(j)
+
+    def test_no_matrix_product_after_closure(self, product_group, monkeypatch):
+        grp = product_group
+
+        def refuse(self, other):
+            raise AssertionError("matrix product after closure")
+
+        monkeypatch.setattr(Matrix, "__mul__", refuse)
+        for i in range(grp.order):
+            assert grp.mul(i, grp.inv(i)) == 0
+        assert grp.full_subgroup().is_normal()
+        assert quotient(grp, grp.trivial_subgroup()).order == grp.order
+        for s in index2_subgroups(grp):
+            assert quotient(grp, s).order == 2
+
+
+def normal_by_pairs(grp, members):
+    """The all-pairs normality check: g h g^-1 lies in H for every element g
+    of the parent and every member h."""
+    ms = set(members)
+    for g in range(grp.order):
+        g_inv = grp.index_of(grp.element(g).inverse())
+        if any(grp.mul(grp.mul(g, h), g_inv) not in ms for h in members):
+            return False
+    return True
+
+
+class TestNormality:
+    @pytest.mark.parametrize("make", [
+        lambda: generate_closure(2, [ROT4, FLIP_Y]),
+        lambda: generate_closure(2, [ROT3, SWAP]),
+        b3_conjugate,
+    ], ids=["d4", "s3", "b3-conjugate"])
+    def test_matches_all_pairs_reference(self, make):
+        grp = make()
+        verdicts = []
+        for h in subgroups_by_joins(grp):
+            normal = normal_by_pairs(grp, h)
+            assert Subgroup(grp, h).is_normal() == normal
+            verdicts.append(normal)
+        assert True in verdicts and False in verdicts
+
+    def test_generating_set_kept_outside_equality(self, product_group):
+        grp = product_group
+        for h in subgroups_by_joins(grp):
+            sub = Subgroup(grp, h)
+            gens = sub.generators
+            assert len(gens) <= sub.order.bit_length() - 1
+            reached, frontier = {0}, [0]
+            while frontier:
+                frontier = [b for b in {grp.mul(a, s) for a in frontier for s in gens}
+                            if b not in reached]
+                reached.update(frontier)
+            assert tuple(sorted(reached)) == h
+            assert sub == Subgroup(grp, h) and hash(sub) == hash(Subgroup(grp, h))
+            assert "generators" not in repr(sub)
+
+    def test_kernel_of_rejects_non_normal_kernel(self):
+        # an unverified map of S3 onto Z2 whose kernel is one reflection's
+        # subgroup: an explicit raise, not an assert that -O would remove
+        s3 = generate_closure(2, [ROT3, SWAP])
+        swap = s3.index_of(SWAP)
+        mapping = tuple(0 if i in (0, swap) else 1 for i in range(s3.order))
+        with pytest.raises(NotNormal):
+            kernel_of(GroupHom(s3, z2_line(), mapping))
 
 
 class TestHomomorphisms:
