@@ -24,6 +24,7 @@ from .ratlin import (
     kernel,
     restrict_to_subspace,
     vec,
+    vec_add,
     QONE,
     QZERO,
 )
@@ -239,6 +240,7 @@ class SuborbifoldLocalModel:
 
     lambda_group acts on the subspace; omega is the part acting trivially on
     it; the intrinsic isotropy is the (effective) quotient lambda/omega.
+    All three are in the chart group's indices.
     """
 
     chart: LocalChart
@@ -261,10 +263,12 @@ def suborbifold_model(chart: LocalChart, subspace: Subspace,
                       lambda_group: Subgroup) -> SuborbifoldLocalModel:
     """Build the local model of a suborbifold from its invariant subspace.
 
-    Verifies invariance of the subspace under lambda (raising NotInvariant
-    with a witness element and vector otherwise), computes the pointwise
-    stabilizer omega, and checks that lambda/omega acts effectively on the
-    subspace.
+    Verifies invariance of the subspace under every member of lambda
+    (raising NotInvariant with a witness element and vector otherwise),
+    takes the members fixing it pointwise as omega, and forms the intrinsic
+    isotropy quotient(lambda, omega) in the chart group's indices, checking
+    that no coset but omega's own fixes the subspace pointwise.  The model
+    is full when lambda is the whole chart group.
     """
     if lambda_group.parent is not chart.group:
         raise ValueError("lambda subgroup belongs to a different group")
@@ -272,20 +276,17 @@ def suborbifold_model(chart: LocalChart, subspace: Subspace,
         raise ValueError("subspace ambient dimension mismatch")
     for i in lambda_group.members:
         m = chart.group.element(i)
-        for b in subspace.basis:
-            if not subspace.contains(m.apply(b)):
-                raise NotInvariant(
-                    "subspace is not invariant under element %d" % i,
-                    witness=(m, b))
-    omega_members = tuple(i for i in lambda_group.members
-                          if subspace.fixed_pointwise_by(chart.group.element(i)))
-    omega = Subgroup(chart.group, omega_members)
-    lam_grp = _subgroup_as_group(lambda_group)
-    omega_in_lam = Subgroup(lam_grp, tuple(
-        lam_grp.index_of(chart.group.element(i)) for i in omega_members))
-    intr = quotient(lam_grp, omega_in_lam)
+        if not subspace.is_invariant_under(m):
+            b = next(b for b in subspace.basis if not subspace.contains(m.apply(b)))
+            raise NotInvariant(
+                "subspace is not invariant under element %d" % i,
+                witness=(m, b))
+    omega = Subgroup(chart.group, tuple(
+        i for i in lambda_group.members
+        if subspace.fixed_pointwise_by(chart.group.element(i))))
+    intr = quotient(lambda_group, omega)
     for c in range(1, intr.order):
-        rep = lam_grp.element(intr.representative(c))
+        rep = chart.group.element(intr.representative(c))
         if subspace.fixed_pointwise_by(rep):
             raise AssertionError("intrinsic isotropy fails to act effectively")
     return SuborbifoldLocalModel(
@@ -296,15 +297,6 @@ def suborbifold_model(chart: LocalChart, subspace: Subspace,
         intrinsic_isotropy=intr,
         full=lambda_group.is_full(),
     )
-
-
-def _subgroup_as_group(sub: Subgroup) -> FiniteMatrixGroup:
-    """Reify a subgroup as a standalone group (generated by its members)."""
-    gens = [sub.parent.element(i) for i in sub.members if i != 0]
-    if not gens:
-        gens = [Matrix.identity(sub.parent.dim)]
-    return generate_closure(sub.parent.dim, gens,
-                            max_order=sub.order + 1)
 
 
 @dataclass(frozen=True)
@@ -318,7 +310,6 @@ class ChartEmbedding:
     theta: GroupHom
 
     def apply(self, point) -> tuple[Fraction, ...]:
-        from .ratlin import vec_add
         return vec_add(self.linear.apply(point), self.translate)
 
 

@@ -25,9 +25,7 @@ from .germs import (
     invariant_projection,
     is_regular_value,
     obstruction_certificate,
-    preimage_model,
-    preimage_model_boundary,
-    recenter_germ,
+    preimage_model_at,
     sard_sample,
 )
 from .onedim import boundary_parity, classify_1_orbifold, retraction_contradiction
@@ -36,10 +34,6 @@ from .serialize import SchemaError
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_MATH = 2
-
-
-class MathCheckFailure(Exception):
-    """A scenario is well-formed but fails a mathematical check."""
 
 
 def _load(path: str) -> dict:
@@ -109,15 +103,10 @@ def cmd_analyze(args) -> int:
         return EXIT_MATH
     models = []
     for pt in lifts:
-        g, point = germ, pt
-        if any(m.apply(pt) != pt for m in germ.source.group.elements):
-            g = recenter_germ(germ, pt)
-            point = (Fraction(0),) * g.source.dim
-        model = (preimage_model_boundary if g.source.boundary
-                 else preimage_model)(g, p, point)
+        model = preimage_model_at(germ, p, pt)
         models.append({
             "lift_point": serialize.vector_json(pt),
-            "recentered": g is not germ,
+            "recentered": model.germ is not germ,
             "kernel": [serialize.vector_json(b) for b in model.kernel.basis],
             "gamma_s_order": model.gamma_s.order,
             "g_order": model.g_group.order,

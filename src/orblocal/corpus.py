@@ -38,9 +38,9 @@ from .germs import (
     obstruction_certificate,
     preimage_model,
     preimage_model_boundary,
+    preimage_model_at,
     pull_back_germ,
     real_target_structure,
-    recenter_germ,
     sard_sample,
 )
 from .onedim import (
@@ -177,24 +177,9 @@ def germ_case(name: str) -> GermCase:
 
 
 def case_preimage_models(case: GermCase):
-    """Preimage models for every supplied lift point, re-centering as needed.
-
-    Points fixed by the whole chart group go straight to the model builder;
-    other orbits are translated so the point is the origin and the group is
-    cut down to its isotropy subgroup first.
-    """
-    out = []
-    for pt in case.lifts:
-        germ = case.germ
-        point = pt
-        if any(m.apply(pt) != pt for m in germ.source.group.elements):
-            germ = recenter_germ(germ, pt)
-            point = (F(0),) * germ.source.dim
-        if germ.source.boundary:
-            out.append(preimage_model_boundary(germ, case.p, point))
-        else:
-            out.append(preimage_model(germ, case.p, point))
-    return out
+    """Preimage models for every supplied lift point (preimage_model_at
+    re-centers the points the chart group does not fix)."""
+    return [preimage_model_at(case.germ, case.p, pt) for pt in case.lifts]
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .ratlin import (
@@ -43,17 +43,18 @@ from .ratlin import (
     vec,
     QONE,
     QZERO,
+    _lagrange_interpolate,
 )
 from .groups import (
-    FiniteMatrixGroup,
     GroupHom,
     QuotientGroup,
     Subgroup,
     InvariantSubspaceResult,
     find_invariant_subspace,
     fixed_subspace,
+    generate_closure,
+    intertwiners,
     kernel_of,
-    quotient,
     reynolds,
     verify_homomorphism,
 )
@@ -61,11 +62,9 @@ from .charts import (
     ChartEmbedding,
     LocalChart,
     isotropy_at,
-    pointwise_stabilizer,
     stratify,
     suborbifold_model,
     SuborbifoldLocalModel,
-    _subgroup_as_group,
 )
 
 SNAP_DENOMINATOR = 10 ** 6
@@ -105,9 +104,6 @@ class MapGerm:
     lift: MultiPoly
     theta: GroupHom
     base_point: tuple[Fraction, ...]
-
-    def lift_value(self, point) -> tuple[Fraction, ...]:
-        return self.lift.eval(point)
 
     def jacobian_at(self, point) -> Matrix:
         return self.lift.jacobian_at(point)
@@ -195,18 +191,34 @@ def is_regular_value(germ: MapGerm, p, preimage_lifts) -> RegularValueReport:
 
 @dataclass(frozen=True)
 class PreimageModel:
-    """The local structure of a regular-value preimage at a centered point."""
+    """The local structure of a regular-value preimage at a centered point.
+
+    suborbifold is the full suborbifold model of the differential kernel K
+    in the source chart; kernel, g_group (the pointwise stabilizer G of K)
+    and gamma_s (the intrinsic isotropy Gamma/G) are read off it.  At a
+    boundary point boundary_kind is "boundary-point" and boundary_kernel_dim
+    is the dimension of K inside the boundary hyperplane.
+    """
 
     germ: MapGerm
     target_point: tuple[Fraction, ...]
     lift_point: tuple[Fraction, ...]
-    kernel: Subspace
-    g_group: Subgroup
-    gamma_s: QuotientGroup
     suborbifold: SuborbifoldLocalModel
     dim: int
     boundary_kind: str = "interior"
     boundary_kernel_dim: int | None = None
+
+    @property
+    def kernel(self) -> Subspace:
+        return self.suborbifold.subspace
+
+    @property
+    def g_group(self) -> Subgroup:
+        return self.suborbifold.omega
+
+    @property
+    def gamma_s(self) -> QuotientGroup:
+        return self.suborbifold.intrinsic_isotropy
 
     def gamma_s_order(self) -> int:
         return self.gamma_s.order
@@ -234,41 +246,22 @@ def _check_centered_regular(germ: MapGerm, p, lift_point):
     return p, pt
 
 
-def _kernel_split(group: FiniteMatrixGroup, kernel: Subspace):
-    """Verify invariance of the kernel and split the group action on it."""
-    for i, m in enumerate(group.elements):
-        if not kernel.is_invariant_under(m):
-            raise AssertionError(
-                "kernel not invariant under element %d (broken germ data)" % i)
-    g_group = pointwise_stabilizer(group, kernel)
-    gamma_s = quotient(group, g_group)
-    for c in range(1, gamma_s.order):
-        rep = group.element(gamma_s.representative(c))
-        if kernel.fixed_pointwise_by(rep):
-            raise AssertionError("quotient fails to act effectively on the kernel")
-    return g_group, gamma_s
-
-
 def preimage_model(germ: MapGerm, p, lift_point) -> PreimageModel:
     """The preimage suborbifold model at a group-fixed regular lift point.
 
-    The kernel of the differential is the local linear model; the quotient
-    by its pointwise stabilizer acts effectively on it and is the intrinsic
-    isotropy; the resulting suborbifold model is full.
+    The kernel of the differential is the local linear model, and
+    suborbifold_model splits the whole chart group on it: the pointwise
+    stabilizer G and the quotient Gamma/G, which acts effectively on the
+    kernel and is the intrinsic isotropy.  The resulting model is full.
     """
     p, pt = _check_centered_regular(germ, p, lift_point)
     kernel = germ.kernel_at(pt)
-    g_group, gamma_s = _kernel_split(germ.source.group, kernel)
     sub = suborbifold_model(germ.source, kernel,
                             germ.source.group.full_subgroup())
-    assert sub.omega.members == g_group.members
-    assert sub.full
     dim = germ.source.dim - germ.target.dim
     assert kernel.dim == dim
-    return PreimageModel(
-        germ=germ, target_point=p, lift_point=pt, kernel=kernel,
-        g_group=g_group, gamma_s=gamma_s, suborbifold=sub, dim=dim,
-    )
+    return PreimageModel(germ=germ, target_point=p, lift_point=pt,
+                         suborbifold=sub, dim=dim)
 
 
 def _boundary_restriction(lift: MultiPoly) -> MultiPoly:
@@ -301,13 +294,25 @@ def preimage_model_boundary(germ: MapGerm, p, lift_point) -> PreimageModel:
         bdy = germ.source.boundary_hyperplane()
         meet = base.kernel.intersect(bdy)
         assert meet.dim == base.kernel.dim - 1
-        return PreimageModel(
-            germ=germ, target_point=base.target_point, lift_point=pt,
-            kernel=base.kernel, g_group=base.g_group, gamma_s=base.gamma_s,
-            suborbifold=base.suborbifold, dim=base.dim,
-            boundary_kind="boundary-point", boundary_kernel_dim=meet.dim,
-        )
+        return replace(base, boundary_kind="boundary-point",
+                       boundary_kernel_dim=meet.dim)
     return base
+
+
+def preimage_model_at(germ: MapGerm, p, lift_point) -> PreimageModel:
+    """The preimage model at any supplied lift point.
+
+    A point the chart group does not fix is first made the center by
+    recenter_germ, which cuts the group down to the point's isotropy; the
+    model's germ is then the re-centered one.  Boundary charts go through
+    preimage_model_boundary, others through preimage_model.
+    """
+    pt = vec(lift_point)
+    if any(m.apply(pt) != pt for m in germ.source.group.elements):
+        germ = recenter_germ(germ, pt)
+        pt = (QZERO,) * germ.source.dim
+    build = preimage_model_boundary if germ.source.boundary else preimage_model
+    return build(germ, p, pt)
 
 
 @dataclass(frozen=True)
@@ -441,16 +446,16 @@ def kernel_split_at_base(germ: MapGerm) -> KernelSplit:
     """The (kernel, pointwise stabilizer, quotient) data at the base point.
 
     Unlike preimage_model this does not require the base point to be a
-    regular point, only group-fixed; the split is what the faithfulness
-    argument consumes.
+    regular point, only group-fixed; the split is the full suborbifold
+    model of the kernel, and it is what the faithfulness argument consumes.
     """
     pt = germ.base_point
     for m in germ.source.group.elements:
         if m.apply(pt) != pt:
             raise NotCentered("base point is not fixed by the chart group")
-    kernel = germ.kernel_at(pt)
-    g_group, gamma_s = _kernel_split(germ.source.group, kernel)
-    return KernelSplit(kernel, g_group, gamma_s)
+    sub = suborbifold_model(germ.source, germ.kernel_at(pt),
+                            germ.source.group.full_subgroup())
+    return KernelSplit(sub.subspace, sub.omega, sub.intrinsic_isotropy)
 
 
 @dataclass(frozen=True)
@@ -554,27 +559,6 @@ class ObstructionCertificate:
     invariant_search: InvariantSubspaceResult | None = None
 
 
-def _equivariant_linear_maps(source: LocalChart, target: LocalChart,
-                             theta: GroupHom) -> list[Matrix]:
-    """Basis of {L : L gamma = theta(gamma) L for all gamma}, exact."""
-    n, k = source.dim, target.dim
-    rows = []
-    for gi in source.group.generator_indices or (0,):
-        g = source.group.element(gi)
-        tg = target.group.element(theta.apply(gi))
-        # (L g - tg L)[i][j] row for each (i, j), unknowns L[a][b] flattened
-        for i in range(k):
-            for j in range(n):
-                row = [QZERO] * (k * n)
-                for b in range(n):
-                    row[i * n + b] += g.entries[b][j]
-                for a in range(k):
-                    row[a * n + j] -= tg.entries[i][a]
-                rows.append(row)
-    return [Matrix([v[i * n:(i + 1) * n] for i in range(k)])
-            for v in kernel(Matrix(rows)).basis]
-
-
 def obstruction_certificate(source: LocalChart, target: LocalChart,
                             theta: GroupHom) -> ObstructionCertificate:
     """Decide whether the chart centers admit a germ whose center value is regular.
@@ -607,7 +591,8 @@ def obstruction_certificate(source: LocalChart, target: LocalChart,
                 "a regular center value needs a %d-dimensional invariant "
                 "subspace; none exists (%s)" % (n - k, search.reason),
                 invariant_search=search)
-    basis = _equivariant_linear_maps(source, target, theta)
+    basis = intertwiners(source.group,
+                         lambda gi: target.group.element(theta.apply(gi)))
     candidates = list(basis)
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
@@ -666,7 +651,6 @@ def _critical_value_resultant(coeffs: list[Fraction]) -> list[Fraction]:
         shifted = list(coeffs)
         shifted[0] = shifted[0] - t
         ys.append(_sylvester_resultant(poly_trim(shifted), deriv))
-    from .ratlin import _lagrange_interpolate
     return _lagrange_interpolate(xs, ys) or [QZERO]
 
 
@@ -893,7 +877,11 @@ def recenter_germ(germ: MapGerm, point) -> MapGerm:
     """
     pt = vec(point)
     iso = isotropy_at(germ.source, pt)
-    new_group = _subgroup_as_group(iso)
+    # the isotropy subgroup as a standalone group, generated by its members
+    gens = [germ.source.group.element(i) for i in iso.members if i != 0]
+    if not gens:
+        gens = [Matrix.identity(germ.source.dim)]
+    new_group = generate_closure(germ.source.dim, gens, max_order=iso.order + 1)
     boundary = germ.source.boundary and germ.source.on_boundary(pt)
     new_chart = LocalChart(germ.source.dim, new_group, boundary)
     gen_images = [germ.theta.apply_matrix(g) for g in new_group.generators]

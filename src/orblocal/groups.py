@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .ratlin import (
     Matrix,
@@ -31,7 +32,6 @@ from .ratlin import (
     kernel_image_rank,
     poly_apply_matrix,
     factor_rational_poly,
-    QONE,
     QZERO,
 )
 
@@ -236,16 +236,21 @@ class Subgroup:
         return self.parent.order // self.order
 
     def is_normal(self) -> bool:
-        """Whether s h s^-1 lies in H for every parent generator s and every
+        """Whether H is normal in its parent: is_normalized_by the parent's
+        generators."""
+        return self.is_normalized_by(self.parent.generator_indices)
+
+    def is_normalized_by(self, elements: Sequence[int]) -> bool:
+        """Whether s h s^-1 lies in H for every s in elements and every
         generator h of H.
 
         Conjugation by s maps H = <h_i> onto <s h_i s^-1>, so these checks
-        give s H s^-1 = H for each s, and the parent's generators generate
-        every conjugation of a finite group.
+        give s H s^-1 = H for each s, and then for every product of the
+        elements: H is normal in the subgroup they generate.
         """
         p = self.parent
         ms = set(self.members)
-        for s in p.generator_indices:
+        for s in elements:
             si = p.inv(s)
             for h in self.generators:
                 if p.mul(p.mul(s, h), si) not in ms:
@@ -331,26 +336,28 @@ def kernel_of(hom: GroupHom) -> Subgroup:
 
 @dataclass(frozen=True)
 class QuotientGroup:
-    """The quotient of a group by a verified-normal subgroup.
+    """The quotient h / n of a subgroup h by a subgroup n normal in it.
 
-    Cosets are sorted index tuples, listed in order of their smallest
-    member, so coset 0 is the identity coset.
+    Everything is in the indices of the common parent group.  Cosets are
+    sorted index tuples, listed in order of their smallest member, so coset
+    0 is n itself and the representative of a coset (its smallest member)
+    lies in h.  coset_index maps each member of h to its coset.
     """
 
-    parent: FiniteMatrixGroup
+    group: Subgroup
     normal: Subgroup
     cosets: tuple[tuple[int, ...], ...]
-    table: tuple[tuple[int, ...], ...]
+    coset_index: dict[int, int] = field(repr=False, compare=False)
 
     @property
     def order(self) -> int:
         return len(self.cosets)
 
     def coset_of(self, i: int) -> int:
-        for c, members in enumerate(self.cosets):
-            if i in members:
-                return c
-        raise ValueError("element index %d not in any coset" % i)
+        try:
+            return self.coset_index[i]
+        except KeyError:
+            raise ValueError("element index %d not in any coset" % i) from None
 
     def representative(self, c: int) -> int:
         return self.cosets[c][0]
@@ -358,30 +365,41 @@ class QuotientGroup:
     def is_trivial(self) -> bool:
         return self.order == 1
 
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """The coset product table, built on first read: table[a][b] is the
+        coset of representative(a) * representative(b)."""
+        mul = self.group.parent.mul
+        reps = [c[0] for c in self.cosets]
+        return tuple(tuple(self.coset_of(mul(a, b)) for b in reps) for a in reps)
 
-def quotient(parent: FiniteMatrixGroup, n: Subgroup) -> QuotientGroup:
-    """Form parent / n; raises NotNormal if n is not normal."""
-    if n.parent is not parent:
+
+def quotient(h: Subgroup, n: Subgroup) -> QuotientGroup:
+    """Form h / n in the parent's indices; g.full_subgroup() divides all of g.
+
+    n must lie in h, and it must be normal there: s x s^-1 in n for the
+    generators s of h and x of n (Subgroup.is_normalized_by); NotNormal
+    otherwise.  Each coset x n is listed once, from its smallest member x.
+    """
+    if n.parent is not h.parent:
         raise ValueError("subgroup belongs to a different group")
-    if not n.is_normal():
+    if not set(n.members) <= set(h.members):
+        raise ValueError("subgroup of order %d does not lie in the group divided"
+                         % n.order)
+    if not n.is_normalized_by(h.generators):
         raise NotNormal("subgroup of order %d is not normal" % n.order)
-    nset = set(n.members)
+    mul = h.parent.mul
     seen: dict[int, int] = {}
     cosets: list[tuple[int, ...]] = []
-    for g in range(parent.order):
+    for g in h.members:
         if g in seen:
             continue
-        coset = tuple(sorted(parent.mul(g, h) for h in nset))
+        coset = tuple(sorted(mul(g, x) for x in n.members))
         for m in coset:
             seen[m] = len(cosets)
         cosets.append(coset)
-    order = len(cosets)
-    table = tuple(
-        tuple(seen[parent.mul(cosets[a][0], cosets[b][0])] for b in range(order))
-        for a in range(order)
-    )
-    q = QuotientGroup(parent, n, tuple(cosets), table)
-    assert q.order * n.order == parent.order
+    q = QuotientGroup(h, n, tuple(cosets), seen)
+    assert q.order * n.order == h.order
     return q
 
 
@@ -432,34 +450,37 @@ def fixed_subspace(h: Subgroup) -> Subspace:
     return Subspace.from_vectors(r.rows, r.transpose().entries)
 
 
-def commutant(g: FiniteMatrixGroup) -> list[Matrix]:
-    """A basis of {M : Mg = gM for all g}, via the exact commutation system.
+def intertwiners(g: FiniteMatrixGroup,
+                 image: Callable[[int], Matrix]) -> list[Matrix]:
+    """A basis of {L : L a = image(a) L for every a in g}, exact.
 
-    Commuting with the generators suffices; the returned basis comes from
-    the RREF kernel of the stacked system, so it is deterministic.
+    image(a) is the k x k matrix that element index a acts by on the
+    target.  The conditions are solved on g's generators (on the identity
+    alone when there are none), which suffices; the basis comes from the
+    RREF kernel of the stacked system over the k x n entries of L, row by
+    row, so it is deterministic.
     """
     n = g.dim
-    gens = g.generators if g.generators else ()
-    if not gens:
-        basis = []
-        for i in range(n):
-            for j in range(n):
-                m = [[QZERO] * n for _ in range(n)]
-                m[i][j] = QONE
-                basis.append(Matrix(m))
-        return basis
+    k = image(0).rows
     rows = []
-    for a in gens:
-        # (M a - a M)[i][j] = sum_k M[i][k] a[k][j] - a[i][k] M[k][j]
-        for i in range(n):
+    for gi in g.generator_indices or (0,):
+        a, b = g.element(gi).entries, image(gi).entries
+        # (L a - b L)[i][j] = sum_c L[i][c] a[c][j] - b[i][c] L[c][j]
+        for i in range(k):
             for j in range(n):
-                row = [QZERO] * (n * n)
-                for k in range(n):
-                    row[i * n + k] += a.entries[k][j]
-                    row[k * n + j] -= a.entries[i][k]
+                row = [QZERO] * (k * n)
+                for c in range(n):
+                    row[i * n + c] += a[c][j]
+                for c in range(k):
+                    row[c * n + j] -= b[i][c]
                 rows.append(row)
-    return [Matrix([b[i * n:(i + 1) * n] for i in range(n)])
-            for b in kernel(Matrix(rows)).basis]
+    return [Matrix([v[i * n:(i + 1) * n] for i in range(k)])
+            for v in kernel(Matrix(rows)).basis]
+
+
+def commutant(g: FiniteMatrixGroup) -> list[Matrix]:
+    """A basis of {M : M g = g M for all g}, the self-intertwiners of g."""
+    return intertwiners(g, g.element)
 
 
 @dataclass(frozen=True)

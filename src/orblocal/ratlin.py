@@ -697,10 +697,7 @@ def _int_divisors(n: int) -> list[int]:
 
 def _rational_roots(p: list[Fraction]) -> list[Fraction]:
     """All rational roots of p, by the rational root theorem."""
-    den = 1
-    for c in p:
-        den = den * c.denominator // _gcd_int(den, c.denominator)
-    ip = [int(c * den) for c in p]
+    ip = _int_vec(p)
     while ip and ip[0] == 0:
         ip = ip[1:]
     roots = []
@@ -716,12 +713,6 @@ def _rational_roots(p: list[Fraction]) -> list[Fraction]:
             if cand not in roots and poly_eval_at(p, cand) == 0:
                 roots.append(cand)
     return roots
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 _KRONECKER_COMBO_CAP = 4_000_000
@@ -756,10 +747,7 @@ def _factor_squarefree(p: list[Fraction]) -> list[list[Fraction]]:
 
 def _kronecker_find_factor(p: list[Fraction]) -> list[Fraction] | None:
     """A nontrivial factor of p (monic, square-free, no rational roots), or None."""
-    den = 1
-    for c in p:
-        den = den * c.denominator // _gcd_int(den, c.denominator)
-    ip = [int(c * den) for c in p]
+    ip = _int_vec(p)
     points: list[int] = []
     k = 0
     while len(points) <= poly_deg(p) // 2:
@@ -1016,24 +1004,19 @@ class MultiPoly:
             if t[i] != 0:
                 d[zero_e] = d.get(zero_e, QZERO) + t[i]
             subs.append(d)
+        # powers[i][k] is subs[i] ** k, extended as higher powers are needed
+        powers: list[list[TermDict]] = [[{zero_e: QONE}] for _ in subs]
         coords_out = []
-        pow_cache: dict[tuple[int, int], TermDict] = {}
-
-        def sub_power(i: int, k: int) -> TermDict:
-            if k == 0:
-                return {zero_e: QONE}
-            key = (i, k)
-            if key not in pow_cache:
-                pow_cache[key] = _t_mul(sub_power(i, k - 1), subs[i])
-            return pow_cache[key]
-
         for c in self.coords:
             acc: TermDict = {}
             for e, coef in c:
                 term = {zero_e: coef}
                 for i, k in enumerate(e):
                     if k:
-                        term = _t_mul(term, sub_power(i, k))
+                        pw = powers[i]
+                        while len(pw) <= k:
+                            pw.append(_t_mul(pw[-1], subs[i]))
+                        term = _t_mul(term, pw[k])
                 acc = _t_add(acc, term)
             coords_out.append(acc)
         return MultiPoly(nv, coords_out)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ratlin import Matrix, MultiPoly, vec
+from .ratlin import Matrix, MultiPoly
 from .groups import GroupHom, verify_homomorphism
-from .charts import ChartEmbedding, LocalChart, build_chart
+from .charts import ChartEmbedding, LocalChart, build_chart, verify_embedding
 from .germs import MapGerm, build_germ
 from .onedim import (
     AssemblyEnd,
@@ -304,7 +304,6 @@ def parse_atlas_payload(v, path: str) -> RetractionScenario:
 
 def parse_embedding(v, charts: list[LocalChart], path: str) -> ChartEmbedding:
     """Parse and verify a declared chart embedding (indices into the atlas)."""
-    from .charts import verify_embedding
     if not isinstance(v, dict):
         raise SchemaError(path, "expected an embedding object")
     for key in ("source", "target", "linear", "translate", "theta_gen_images"):

@@ -203,6 +203,7 @@ class TestSuborbifold:
         assert not model.full
         assert model.omega.is_trivial()
         assert model.intrinsic_isotropy.order == 2
+        assert model.restricted_action(1) == m([[-1]])
 
     def test_diagonal_full_group_rejected(self):
         c = quarter_plane()

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from orblocal.charts import LocalChart, pointwise_stabilizer, stratify
+from orblocal.charts import LocalChart, pointwise_stabilizer, stratify, suborbifold_model
 from orblocal.ratlin import Matrix, Subspace, kernel_image_rank
 from orblocal.groups import (
     ClosureBoundExceeded,
@@ -263,9 +263,9 @@ class TestProductTable:
         for i in range(grp.order):
             assert grp.mul(i, grp.inv(i)) == 0
         assert grp.full_subgroup().is_normal()
-        assert quotient(grp, grp.trivial_subgroup()).order == grp.order
+        assert quotient(grp.full_subgroup(), grp.trivial_subgroup()).order == grp.order
         for s in index2_subgroups(grp):
-            assert quotient(grp, s).order == 2
+            assert quotient(grp.full_subgroup(), s).order == 2
 
 
 def normal_by_pairs(grp, members):
@@ -378,36 +378,72 @@ class TestQuotients:
     def test_z2z2_mod_diagonal(self):
         g = z2z2()
         diag = Subgroup(g, (0, g.index_of(m([[-1, 0], [0, -1]]))))
-        q = quotient(g, diag)
+        q = quotient(g.full_subgroup(), diag)
         assert q.order == 2
 
     def test_mod_trivial(self):
         g = generate_closure(2, [ROT3])
-        q = quotient(g, g.trivial_subgroup())
+        q = quotient(g.full_subgroup(), g.trivial_subgroup())
         assert q.order == g.order
 
     def test_mod_full(self):
         g = generate_closure(2, [ROT3])
-        assert quotient(g, g.full_subgroup()).is_trivial()
+        assert quotient(g.full_subgroup(), g.full_subgroup()).is_trivial()
 
     def test_non_normal_rejected(self):
         s3 = generate_closure(2, [ROT3, SWAP])
         reflection = Subgroup(s3, (0, s3.index_of(SWAP)))
         assert not reflection.is_normal()
         with pytest.raises(NotNormal):
-            quotient(s3, reflection)
+            quotient(s3.full_subgroup(), reflection)
 
     def test_coset_product_representative_independent(self):
         g = generate_closure(2, [ROT3, SWAP])
         n = Subgroup(g, tuple(sorted(
             [0, g.index_of(ROT3), g.index_of(ROT3 * ROT3)])))
-        q = quotient(g, n)
+        q = quotient(g.full_subgroup(), n)
         for a, ca in enumerate(q.cosets):
             for b, cb in enumerate(q.cosets):
                 expect = q.table[a][b]
                 for ra in ca:
                     for rb in cb:
                         assert q.coset_of(g.mul(ra, rb)) == expect
+
+    def test_normal_in_subgroup_not_in_parent(self):
+        # in D4, a reflection's subgroup is normal in the Klein four-group
+        # of diagonal signs but not in D4, where ROT4 conjugates it away
+        d4 = generate_closure(2, [ROT4, FLIP_Y])
+        klein = Subgroup(d4, tuple(sorted(d4.index_of(x) for x in (
+            Matrix.identity(2), -Matrix.identity(2), FLIP_X, FLIP_Y))))
+        omega = Subgroup(d4, (0, d4.index_of(FLIP_Y)))
+        q = quotient(klein, omega)
+        assert q.order == 2
+        assert all(q.representative(c) in klein.members for c in range(q.order))
+        with pytest.raises(NotNormal):
+            quotient(d4.full_subgroup(), omega)
+        with pytest.raises(ValueError):
+            q.coset_of(d4.index_of(ROT4))
+        with pytest.raises(ValueError, match="does not lie in"):
+            quotient(omega, klein)
+
+    def test_intrinsic_isotropy_of_every_invariant_stratum(self, closure_group):
+        # every subgroup Lambda and every Lambda-invariant stratum space S:
+        # Lambda / Omega is split in the parent's indices and acts on S
+        # effectively
+        grp = closure_group
+        chart = LocalChart(grp.dim, grp)
+        spaces = [s.fixed_space for s in stratify(chart).strata]
+        for h in subgroups_by_joins(grp):
+            lam = Subgroup(grp, h)
+            for space in spaces:
+                if not all(space.is_invariant_under(grp.element(i)) for i in h):
+                    continue
+                model = suborbifold_model(chart, space, lam)
+                intr = model.intrinsic_isotropy
+                assert intr.order == lam.order // model.omega.order
+                assert all(intr.representative(c) in h for c in range(intr.order))
+                for c in range(1, intr.order):
+                    assert not model.restricted_action(c).is_identity()
 
 
 class TestFixedSubspaces:
