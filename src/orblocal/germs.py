@@ -3,7 +3,8 @@
 A germ couples a polynomial lift between two chart models with a group
 homomorphism between their isotropy groups; the commuting-diagram condition
 (lift of the action equals the action of the lift) is verified as an exact
-polynomial identity for every group element.
+polynomial identity on the generators of the source group, which together
+with the homomorphism property gives it for every element.
 
 On top of germs this module builds:
 
@@ -120,9 +121,16 @@ def build_germ(source: LocalChart, target: LocalChart, lift: MultiPoly,
                theta: GroupHom, base_point=None) -> MapGerm:
     """Verify and assemble a map germ.
 
-    Equivariance is checked per group element as an exact polynomial
-    identity lift(gamma y) - theta(gamma) lift(y) == 0; a violation raises
-    EquivarianceError carrying the offending element and the residual.
+    theta is first checked to be multiplicative on (element, generator)
+    pairs (GroupHom.check_multiplicative, NotAHomomorphism otherwise).
+    Equivariance is then the exact polynomial identity
+    lift(gamma y) - theta(gamma) lift(y) == 0 for the distinct generators
+    gamma of the source group, in ascending index order (the identity alone
+    when there are none).  It holds for a product once it holds for its
+    factors, so it then holds for every element.  Breadth-first closure puts
+    the generators right after the identity, so the first generator that
+    fails is the first element that fails: a violation raises
+    EquivarianceError carrying that element and the residual.
     """
     if lift.num_vars != source.dim:
         raise ValueError("lift has %d variables, source dimension is %d"
@@ -140,7 +148,8 @@ def build_germ(source: LocalChart, target: LocalChart, lift: MultiPoly,
     value = lift.eval(base)
     if not target.contains_point(value):
         raise ValueError("lift image of base point outside the target half-space")
-    for gi in range(source.group.order):
+    theta.check_multiplicative()
+    for gi in sorted(set(source.group.generator_indices or (0,))):
         g = source.group.element(gi)
         tg = target.group.element(theta.apply(gi))
         residual = lift.compose_affine(g) - lift.apply_matrix(tg)
@@ -234,7 +243,7 @@ def _check_centered_regular(germ: MapGerm, p, lift_point):
     pt = vec(lift_point)
     if germ.lift.eval(pt) != p:
         raise NotInPreimage("lift point does not map to the target point")
-    for m in germ.source.group.elements:
+    for m in germ.source.group.generators:
         if m.apply(pt) != pt:
             raise NotCentered(
                 "lift point is not fixed by the chart group; re-center the germ")
@@ -308,7 +317,7 @@ def preimage_model_at(germ: MapGerm, p, lift_point) -> PreimageModel:
     preimage_model_boundary, others through preimage_model.
     """
     pt = vec(lift_point)
-    if any(m.apply(pt) != pt for m in germ.source.group.elements):
+    if any(m.apply(pt) != pt for m in germ.source.group.generators):
         germ = recenter_germ(germ, pt)
         pt = (QZERO,) * germ.source.dim
     build = preimage_model_boundary if germ.source.boundary else preimage_model
@@ -324,6 +333,7 @@ class InvariantProjection:
     Reynolds projector of N onto its fixed space, so
     projection = I - R_N = -(1/|N|) sum a_gamma is an idempotent commuting
     with N whose image lies in K and whose kernel N fixes pointwise.
+    a_gamma lists every member of N, in member order.
     """
 
     n_group: Subgroup
@@ -342,35 +352,45 @@ class InvariantProjection:
 
 
 def invariant_projection(germ: MapGerm) -> InvariantProjection:
-    """Build the invariant projection at the germ's base point, verified exactly."""
+    """Build the invariant projection at the germ's base point, verified exactly.
+
+    The checks that concern N run on its generators (Subgroup.generators):
+    gamma - I maps into the kernel K, gamma commutes with the projection,
+    and gamma fixes the projection kernel pointwise.  Each passes to
+    products: gamma delta - I = (gamma - I) delta + (delta - I) maps into K
+    when both terms do, and commuting with or fixing a vector under two
+    matrices gives the same under their product.  The projection is checked
+    to be idempotent with its image in K and its kernel and image splitting
+    the space.  Every check raises AssertionError explicitly, so it also
+    runs under python -O.
+    """
     n = germ.source.dim
+    grp = germ.source.group
     ident = Matrix.identity(n)
     ngrp = germ.n_subgroup()
     kernel = germ.kernel_at(germ.base_point)
-    a_gamma = []
-    for i in ngrp.members:
-        a = germ.source.group.element(i) - ident
-        for col in range(n):
-            if not kernel.contains(a.column(col)):
-                raise AssertionError(
-                    "gamma - I does not map into the kernel (broken germ)")
-        a_gamma.append((i, a))
-    proj = ident - reynolds(germ.source.group, ngrp.members)
-    avg = -proj
-    assert proj * proj == proj, "projection is not idempotent"
-    for i in ngrp.members:
-        m = germ.source.group.element(i)
-        assert m * proj == proj * m, "projection does not commute with N"
+    gens = [grp.element(i) for i in ngrp.generators]
+    for m in gens:
+        a = m - ident
+        if not all(kernel.contains(a.column(col)) for col in range(n)):
+            raise AssertionError(
+                "gamma - I does not map into the kernel (broken germ)")
+    a_gamma = tuple((i, grp.element(i) - ident) for i in ngrp.members)
+    proj = ident - reynolds(grp, ngrp.members)
+    if proj * proj != proj:
+        raise AssertionError("projection is not idempotent")
+    if any(m * proj != proj * m for m in gens):
+        raise AssertionError("projection does not commute with N")
     pk, pi, _ = kernel_image_rank(proj)
-    for b in pi.basis:
-        assert kernel.contains(b), "projection image escapes the kernel"
-    for i in ngrp.members:
-        m = germ.source.group.element(i)
-        assert pk.fixed_pointwise_by(m), "N moves the projection kernel"
-    assert pk.dim + pi.dim == n and pk.intersect(pi).is_zero()
+    if not all(kernel.contains(b) for b in pi.basis):
+        raise AssertionError("projection image escapes the kernel")
+    if not all(pk.fixed_pointwise_by(m) for m in gens):
+        raise AssertionError("N moves the projection kernel")
+    if pk.dim + pi.dim != n or not pk.intersect(pi).is_zero():
+        raise AssertionError("projection kernel and image do not split the space")
     return InvariantProjection(
         n_group=ngrp, kernel_space=kernel,
-        a_gamma=tuple(a_gamma), average=avg, projection=proj,
+        a_gamma=a_gamma, average=-proj, projection=proj,
         proj_kernel=pk, proj_image=pi,
     )
 
@@ -393,42 +413,56 @@ def cocycle_identities(proj: InvariantProjection) -> CocycleReport:
                        = A(delta) + A(gamma) delta
                        = A(delta) + A(gamma) + A(gamma) A(delta)
 
-    Every pair is checked, one delta at a time on blocks stacked over gamma:
-    with G = [gamma], A = [A(gamma)] and C = [A(gamma delta)] stacked
-    vertically in member order and D = [A(delta)] repeated, C - A is
-    compared with G A(delta), C - D with A delta and C - A - D with
-    A A(delta).  Stacks are exact and in lowest terms, so they are equal
-    exactly when every block is.  The failures name (gamma, delta,
-    identity), ordered gamma first, then delta, then identity as listed
-    above.
+    Every pair and every identity is checked, one delta at a time on blocks
+    stacked over gamma, from one product per delta.  With E(gamma) =
+    A(gamma) + I and Delta(gamma) = A(gamma) - gamma + I, the residuals R1,
+    R2, R3 of the three identities (left side minus right side) are, in any
+    ring,
+        R3 = E(gamma delta) - E(gamma) E(delta),
+        R2 = R3 + A(gamma) Delta(delta),   R1 = R3 + Delta(gamma) A(delta).
+    With E = [E(gamma)], C = [E(gamma delta)], A = [A(gamma)] and
+    Delta = [Delta(gamma)] stacked vertically in member order, the stacked
+    R3 is C - E E(delta); A Delta(delta) and Delta A(delta) are only formed
+    when Delta(delta), or the Delta stack, is nonzero.  A projection built
+    by invariant_projection has A(gamma) = gamma - I, so Delta is zero and
+    all three residuals are R3.  Matrices are exact and in lowest terms, so
+    R3 is zero exactly when C equals E E(delta), which is all that is
+    compared when Delta is zero, and a residual is zero exactly when every
+    block is.  The failures name (gamma, delta, identity), ordered gamma
+    first, then delta, then identity as listed above.
     """
     grp = proj.n_group.parent
     members = proj.n_group.members
+    n = grp.dim
+    ident = Matrix.identity(n)
     amap = dict(proj.a_gamma)
-    g_v = Matrix.vstack([grp.element(gi) for gi in members])
+    emap = {gi: amap[gi] + ident for gi in members}
+    delta = {gi: emap[gi] - grp.element(gi) for gi in members}
     a_v = Matrix.vstack([amap[gi] for gi in members])
+    e_v = Matrix.vstack([emap[gi] for gi in members])
+    delta_v = Matrix.vstack([delta[gi] for gi in members])
+    delta_zero = delta_v.is_zero()
     bad = []
     for dpos, di in enumerate(members):
-        a_d = amap[di]
-        c_d = Matrix.vstack([amap[grp.mul(gi, di)] for gi in members])
-        d_v = Matrix.vstack([a_d] * len(members))
-        c_a = c_d - a_v
-        sides = ((c_a, g_v * a_d),
-                 (c_d - d_v, a_v * grp.element(di)),
-                 (c_a - d_v, a_v * a_d))
-        for k, (lhs, rhs) in enumerate(sides):
-            if lhs != rhs:
-                bad.extend((gpos, dpos, k)
-                           for gpos in _differing_blocks(lhs, rhs, grp.dim))
+        c_d = Matrix.vstack([emap[grp.mul(gi, di)] for gi in members])
+        prod = e_v * emap[di]
+        if delta_zero and c_d == prod:
+            continue
+        r3 = c_d - prod
+        r2 = r3 if delta[di].is_zero() else r3 + a_v * delta[di]
+        r1 = r3 if delta_zero else r3 + delta_v * amap[di]
+        for k, r in enumerate((r1, r2, r3)):
+            bad.extend((gpos, dpos, k) for gpos in _nonzero_blocks(r, n))
     failures = tuple((members[g], members[d], _COCYCLE_IDENTITIES[k])
                      for g, d, k in sorted(bad))
     return CocycleReport(pairs_checked=len(members) ** 2, ok=not failures,
                          failures=failures)
 
 
-def _differing_blocks(a: Matrix, b: Matrix, n: int) -> list[int]:
-    """Positions of the n-row blocks in which two stacked matrices differ."""
-    rows = (a - b).entries
+def _nonzero_blocks(r: Matrix, n: int) -> list[int]:
+    """Positions of the nonzero n-row blocks of a stacked residual, read off
+    its integer numerator rows."""
+    rows = r._num
     return [i for i in range(len(rows) // n)
             if any(map(any, rows[i * n:(i + 1) * n]))]
 
@@ -450,7 +484,7 @@ def kernel_split_at_base(germ: MapGerm) -> KernelSplit:
     model of the kernel, and it is what the faithfulness argument consumes.
     """
     pt = germ.base_point
-    for m in germ.source.group.elements:
+    for m in germ.source.group.generators:
         if m.apply(pt) != pt:
             raise NotCentered("base point is not fixed by the chart group")
     sub = suborbifold_model(germ.source, germ.kernel_at(pt),

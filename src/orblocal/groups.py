@@ -293,18 +293,34 @@ class GroupHom:
                        for t in self.mapping)
         return GroupHom(self.source, self.target, mapped)
 
+    def check_multiplicative(self) -> None:
+        """Raise NotAHomomorphism unless phi(a s) = phi(a) phi(s) for every
+        element a and generator s of the source (the identity alone when
+        there are none).
+
+        By induction on word length this makes phi multiplicative on every
+        pair; with a the identity it also gives phi(identity) = identity.
+        These are integer table lookups.  The witness (a, j) names the
+        element index a and the position j of s in the source's generators.
+        """
+        src, tgt, phi = self.source, self.target, self.mapping
+        for a in range(src.order):
+            for j, s in enumerate(src.generator_indices or (0,)):
+                if phi[src.mul(a, s)] != tgt.mul(phi[a], phi[s]):
+                    raise NotAHomomorphism(
+                        "generator images violate a relation at element %d and "
+                        "generator %d" % (a, j), witness=(a, j))
+
 
 def verify_homomorphism(source: FiniteMatrixGroup, target: FiniteMatrixGroup,
                         images_of_generators: list[Matrix]) -> GroupHom:
     """Extend generator images to the whole group and verify multiplicativity.
 
     The extension phi follows the breadth-first generator words of the
-    source.  It is then checked on (element, generator) pairs:
-    phi(a s) = phi(a) phi(s) for every element a and generator s, which by
-    induction on word length makes phi multiplicative on every pair.  An
-    assignment violating a relation raises NotAHomomorphism with the
-    witness (a, j): element index a and the position j of s in the source's
-    generators.
+    source.  It is then checked on (element, generator) pairs by
+    GroupHom.check_multiplicative: an assignment violating a relation raises
+    NotAHomomorphism with the witness (a, j), element index a and the
+    position j of the generator in the source's generators.
     """
     if len(images_of_generators) != len(source.generator_indices):
         raise ValueError("need one image per generator (%d generators)"
@@ -316,13 +332,9 @@ def verify_homomorphism(source: FiniteMatrixGroup, target: FiniteMatrixGroup,
         for gi in word:
             cur = target.mul(cur, img_idx[gi])
         mapping[i] = cur
-    for a in range(source.order):
-        for j, s in enumerate(source.generator_indices):
-            if mapping[source.mul(a, s)] != target.mul(mapping[a], mapping[s]):
-                raise NotAHomomorphism(
-                    "generator images violate a relation at element %d and "
-                    "generator %d" % (a, j), witness=(a, j))
-    return GroupHom(source, target, tuple(mapping))
+    hom = GroupHom(source, target, tuple(mapping))
+    hom.check_multiplicative()
+    return hom
 
 
 def kernel_of(hom: GroupHom) -> Subgroup:

@@ -1,13 +1,18 @@
 import dataclasses
+import functools
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import orblocal
 from orblocal.ratlin import Matrix, MultiPoly, Subspace, poly_add, poly_mul, poly_trim
-from orblocal.groups import verify_homomorphism
+from orblocal.groups import GroupHom, NotAHomomorphism, verify_homomorphism
 from orblocal.charts import ChartEmbedding, build_chart, verify_embedding
 from orblocal.germs import (
     EquivarianceError,
@@ -87,12 +92,57 @@ class TestBuildGerm:
             build_germ(half, line, MultiPoly.coordinate(2, 0),
                        trivial_theta(half, line), base_point=[0, -1])
 
+    @pytest.mark.parametrize("chart,lift,first", [
+        # invariant under the first generator (x -> -x, or the quarter
+        # turn), not under the second (y -> -y)
+        ("quarter-plane", {(2, 0): F(1), (0, 1): F(1)}, 2),
+        ("dihedral-8", {(3, 1): F(1), (1, 3): F(-1)}, 2),
+        # invariant under neither
+        ("quarter-plane", {(1, 0): F(1), (0, 1): F(1)}, 1),
+    ])
+    def test_gamma_index_matches_all_element_loop(self, c, chart, lift, first):
+        src, line = c[chart], c["line-trivial"]
+        lift = MultiPoly(2, [lift])
+        theta = trivial_theta(src, line)
+        gi, residual = equivariance_reference(src, line, lift, theta)
+        assert gi == first
+        with pytest.raises(EquivarianceError) as exc:
+            build_germ(src, line, lift, theta)
+        assert exc.value.gamma_index == gi
+        assert exc.value.residual == residual
+        assert str(exc.value) == "lift is not equivariant at element %d" % gi
+
+    def test_rejects_hom_equivariant_on_generators_not_multiplicative(self, c):
+        # both reflections and their product go to -1: x y is equivariant on
+        # the two generators, but the map is no homomorphism and x y fails
+        # equivariance at the product
+        src, tgt = c["quarter-plane"], c["line-z2"]
+        lift = MultiPoly(2, [{(1, 1): F(1)}])
+        bad = GroupHom(src.group, tgt.group, (0, 1, 1, 1))
+        assert equivariance_reference(src, tgt, lift, bad)[0] == 3
+        with pytest.raises(NotAHomomorphism) as exc:
+            build_germ(src, tgt, lift, bad)
+        assert exc.value.witness == (1, 1)
+        good = GroupHom(src.group, tgt.group, (0, 1, 1, 0))
+        assert build_germ(src, tgt, lift, good).theta is good
+
     def test_equivariance_holds_for_all_corpus_germs(self):
         # build_germ re-runs the equivariance identity; rebuilding must pass
         for case in germ_cases():
             g = case.germ
             rebuilt = build_germ(g.source, g.target, g.lift, g.theta, g.base_point)
             assert rebuilt.lift == g.lift
+
+
+def equivariance_reference(source, target, lift, theta):
+    """The all-element loop: the first element at which the lift is not
+    equivariant, with its residual, or None."""
+    for gi in range(source.group.order):
+        residual = (lift.compose_affine(source.group.element(gi))
+                    - lift.apply_matrix(target.group.element(theta.apply(gi))))
+        if not residual.is_zero():
+            return gi, residual
+    return None
 
 
 class TestRegularValues:
@@ -245,12 +295,44 @@ class TestInvariantProjection:
                 for i in proj.n_group.members:
                     assert case.germ.source.group.element(i).apply(b) == b
 
+    def test_checks_raise_under_optimize(self):
+        # python -O strips asserts; the projection checks must still fire
+        script = "\n".join([
+            "import sys",
+            "from orblocal import germs",
+            "from orblocal.corpus import germ_case",
+            "from orblocal.ratlin import Matrix",
+            "germs.reynolds = lambda g, members, char=None: Matrix.identity(g.dim).scale(2)",
+            "try:",
+            "    germs.invariant_projection(germ_case('mirror-line').germ)",
+            "except AssertionError as e:",
+            "    print(sys.flags.optimize, e)",
+            "else:",
+            "    print(sys.flags.optimize, 'no error')",
+        ])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(orblocal.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "1 projection is not idempotent"
+
     def test_image_of_a_gamma_in_kernel(self):
         for case in germ_cases():
             proj = invariant_projection(case.germ)
             for _, a in proj.a_gamma:
                 for col in range(a.cols):
                     assert proj.kernel_space.contains(a.column(col))
+
+
+@functools.cache
+def honest_projection(name):
+    """The invariant projection of a corpus germ, or of b3_germ(), built once."""
+    germ = b3_germ() if name == "b3" else germ_case(name).germ
+    return invariant_projection(germ)
+
+
+small_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=4)
 
 
 class TestCocycle:
@@ -285,6 +367,23 @@ class TestCocycle:
             rep = cocycle_identities(bad)
             assert not rep.ok
             assert (rep.pairs_checked, rep.failures) == cocycle_reference(bad)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from(["x-squared-plane", "dihedral-radial", "b3"]), st.data())
+    def test_matches_reference_after_random_perturbations(self, name, data):
+        proj = honest_projection(name)
+        n = proj.n_group.parent.dim
+        a_gamma = list(proj.a_gamma)
+        positions = data.draw(st.lists(st.integers(0, len(a_gamma) - 1),
+                                       unique=True, max_size=4))
+        for pos in positions:
+            off = data.draw(st.lists(small_rationals, min_size=n * n, max_size=n * n))
+            i, a = a_gamma[pos]
+            a_gamma[pos] = (i, a + Matrix([off[r * n:(r + 1) * n] for r in range(n)]))
+        bad = dataclasses.replace(proj, a_gamma=tuple(a_gamma))
+        rep = cocycle_identities(bad)
+        assert (rep.pairs_checked, rep.failures) == cocycle_reference(bad)
+        assert rep.ok == (not rep.failures)
 
 
 def cocycle_reference(proj):
