@@ -75,7 +75,8 @@ def cmd_analyze(args) -> int:
     report = _base_report(meta)
     checks = report["checks"]
     checks.append({"name": "germ-equivariance", "passed": True,
-                   "elements_checked": germ.source.group.order})
+                   "generators_checked":
+                       len(set(germ.source.group.generator_indices or (0,)))})
     reg = is_regular_value(germ, p, lifts)
     checks.append({
         "name": "regular-value", "passed": reg.regular,

@@ -14,7 +14,10 @@ On top of germs this module builds:
   part of the group acting trivially on it, and the effective quotient that
   becomes the intrinsic isotropy of the preimage suborbifold,
 * the kernel-averaging invariant projection (gamma - I averaged over the
-  kernel of the homomorphism, negated), with its algebraic identity suite,
+  kernel of the homomorphism, negated), with its algebraic identity suite:
+  the composition identities of gamma -> gamma - I are checked on every
+  pair of the kernel, each pair as one dot product of integer-packed
+  matrices,
 * faithfulness of the homomorphism kernel inside the quotient,
 * obstruction certificates for the existence of germs with a regular center
   value, and
@@ -28,6 +31,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import mul
 
 from .ratlin import (
     Matrix,
@@ -268,7 +272,9 @@ def preimage_model(germ: MapGerm, p, lift_point) -> PreimageModel:
     sub = suborbifold_model(germ.source, kernel,
                             germ.source.group.full_subgroup())
     dim = germ.source.dim - germ.target.dim
-    assert kernel.dim == dim
+    if kernel.dim != dim:
+        raise AssertionError("kernel dimension %d differs from %d"
+                             % (kernel.dim, dim))
     return PreimageModel(germ=germ, target_point=p, lift_point=pt,
                          suborbifold=sub, dim=dim)
 
@@ -302,7 +308,8 @@ def preimage_model_boundary(germ: MapGerm, p, lift_point) -> PreimageModel:
                 "restriction to the boundary hyperplane is not regular at the point")
         bdy = germ.source.boundary_hyperplane()
         meet = base.kernel.intersect(bdy)
-        assert meet.dim == base.kernel.dim - 1
+        if meet.dim != base.kernel.dim - 1:
+            raise AssertionError("kernel does not meet the boundary in codimension 1")
         return replace(base, boundary_kind="boundary-point",
                        boundary_kernel_dim=meet.dim)
     return base
@@ -413,58 +420,120 @@ def cocycle_identities(proj: InvariantProjection) -> CocycleReport:
                        = A(delta) + A(gamma) delta
                        = A(delta) + A(gamma) + A(gamma) A(delta)
 
-    Every pair and every identity is checked, one delta at a time on blocks
-    stacked over gamma, from one product per delta.  With E(gamma) =
-    A(gamma) + I and Delta(gamma) = A(gamma) - gamma + I, the residuals R1,
-    R2, R3 of the three identities (left side minus right side) are, in any
-    ring,
+    Every pair and every identity is checked exactly, with one n-term
+    integer dot product per pair.  With E(gamma) = A(gamma) + I and
+    Delta(gamma) = A(gamma) - gamma + I, the residuals R1, R2, R3 of the
+    three identities (left side minus right side) are, in any ring,
         R3 = E(gamma delta) - E(gamma) E(delta),
         R2 = R3 + A(gamma) Delta(delta),   R1 = R3 + Delta(gamma) A(delta).
-    With E = [E(gamma)], C = [E(gamma delta)], A = [A(gamma)] and
-    Delta = [Delta(gamma)] stacked vertically in member order, the stacked
-    R3 is C - E E(delta); A Delta(delta) and Delta A(delta) are only formed
-    when Delta(delta), or the Delta stack, is nonzero.  A projection built
-    by invariant_projection has A(gamma) = gamma - I, so Delta is zero and
-    all three residuals are R3.  Matrices are exact and in lowest terms, so
-    R3 is zero exactly when C equals E E(delta), which is all that is
-    compared when Delta is zero, and a residual is zero exactly when every
-    block is.  The failures name (gamma, delta, identity), ordered gamma
-    first, then delta, then identity as listed above.
+    Over the common denominator D of every A(gamma) and gamma, the hatted
+    matrices E^ = D E, A^ = D A and Delta^ = D Delta are integer, and so is
+    D^2 R3 = D E^(gamma delta) - E^(gamma) E^(delta), which is zero exactly
+    when R3 is; likewise for R2 and R1.
+
+    Each integer matrix is packed into one integer by Kronecker
+    substitution, key(M) = sum M[i][j] 2^(b (n i + j)).  The key is zero
+    only for the zero matrix as long as every entry has absolute value
+    below 2^(b-1), since each entry is then one signed base-2^b digit; b is
+    chosen from the bound D max|E^| + 2 n max^2 (max over the entries of
+    E^, A^ and Delta^) on every entry of the three scaled residuals.  With
+    the row-packed l(gamma)_k = sum_i E^(gamma)[i][k] 2^(b n i) and the
+    column-packed u(delta)_k = sum_j E^(delta)[k][j] 2^(b j), the key of
+    E^(gamma) E^(delta) is the dot product l(gamma) . u(delta), so the
+    packed D^2 R3 is D key(E^(gamma delta)) - l(gamma) . u(delta).  R2 and
+    R1 add the products of A^ and Delta^ packed the same way, formed only
+    when some Delta is nonzero.  A projection built by invariant_projection
+    has A(gamma) = gamma - I, so Delta is zero, all three residuals are R3,
+    and a pair whose R3 is nonzero fails all three identities.
+
+    For each delta the members gamma delta are read off the parent's
+    generator table all at once, by walking delta's generator word.  The
+    failures name (gamma, delta, identity), ordered gamma first, then
+    delta, then identity as listed above.
     """
     grp = proj.n_group.parent
     members = proj.n_group.members
     n = grp.dim
-    ident = Matrix.identity(n)
-    amap = dict(proj.a_gamma)
-    emap = {gi: amap[gi] + ident for gi in members}
-    delta = {gi: emap[gi] - grp.element(gi) for gi in members}
-    a_v = Matrix.vstack([amap[gi] for gi in members])
-    e_v = Matrix.vstack([emap[gi] for gi in members])
-    delta_v = Matrix.vstack([delta[gi] for gi in members])
-    delta_zero = delta_v.is_zero()
+    den, a_hat, e_hat, d_hat = _hatted(proj)
+    delta_zero = not any(x for d in d_hat for row in d for x in row)
+    b = _digit_bits(den, n, a_hat + e_hat + d_hat)
+    step = b * n
+
+    def row_packed(ms):
+        return [[_pack(col, step) for col in zip(*m)] for m in ms]
+
+    def col_packed(ms):
+        return [[_pack(row, b) for row in m] for m in ms]
+
+    l_e, u_e = row_packed(e_hat), col_packed(e_hat)
+    # D key(E^(gamma)), indexed by the parent's element index
+    e_key = [0] * grp.order
+    for gi, u in zip(members, u_e):
+        e_key[gi] = den * _pack(u, step)
+    if not delta_zero:
+        l_a, u_a = row_packed(a_hat), col_packed(a_hat)
+        l_d, u_d = row_packed(d_hat), col_packed(d_hat)
+    right, words = grp.right, grp.words
     bad = []
     for dpos, di in enumerate(members):
-        c_d = Matrix.vstack([emap[grp.mul(gi, di)] for gi in members])
-        prod = e_v * emap[di]
-        if delta_zero and c_d == prod:
+        col = members
+        for s in words[di]:
+            col = [right[c][s] for c in col]
+        ue = u_e[dpos]
+        r3 = [e_key[c] - sum(map(mul, lg, ue)) for c, lg in zip(col, l_e)]
+        if delta_zero:
+            if any(r3):
+                bad.extend((gpos, dpos, k) for gpos, r in enumerate(r3) if r
+                           for k in range(3))
             continue
-        r3 = c_d - prod
-        r2 = r3 if delta[di].is_zero() else r3 + a_v * delta[di]
-        r1 = r3 if delta_zero else r3 + delta_v * amap[di]
-        for k, r in enumerate((r1, r2, r3)):
-            bad.extend((gpos, dpos, k) for gpos in _nonzero_blocks(r, n))
+        ua, ud = u_a[dpos], u_d[dpos]
+        r2 = [r + sum(map(mul, lg, ud)) for r, lg in zip(r3, l_a)]
+        r1 = [r + sum(map(mul, lg, ua)) for r, lg in zip(r3, l_d)]
+        for k, rs in enumerate((r1, r2, r3)):
+            bad.extend((gpos, dpos, k) for gpos, r in enumerate(rs) if r)
     failures = tuple((members[g], members[d], _COCYCLE_IDENTITIES[k])
                      for g, d, k in sorted(bad))
     return CocycleReport(pairs_checked=len(members) ** 2, ok=not failures,
                          failures=failures)
 
 
-def _nonzero_blocks(r: Matrix, n: int) -> list[int]:
-    """Positions of the nonzero n-row blocks of a stacked residual, read off
-    its integer numerator rows."""
-    rows = r._num
-    return [i for i in range(len(rows) // n)
-            if any(map(any, rows[i * n:(i + 1) * n]))]
+def _hatted(proj: InvariantProjection):
+    """(D, A^, E^, Delta^): the common denominator D of every A(gamma) and
+    gamma in N, and the integer rows of D A(gamma), D E(gamma) and
+    D Delta(gamma), each a list in member order."""
+    grp = proj.n_group.parent
+    members = proj.n_group.members
+    amap = dict(proj.a_gamma)
+    den = math.lcm(*(m._den for gi in members for m in (amap[gi], grp.element(gi))))
+
+    def scaled(m: Matrix) -> list[list[int]]:
+        f = den // m._den
+        return [[x * f for x in row] for row in m._num]
+
+    a_hat = [scaled(amap[gi]) for gi in members]
+    e_hat = [[[x + den * (i == j) for j, x in enumerate(row)]
+              for i, row in enumerate(a)] for a in a_hat]
+    d_hat = [[[x - y for x, y in zip(er, gr)]
+              for er, gr in zip(e, scaled(grp.element(gi)))]
+             for e, gi in zip(e_hat, members)]
+    return den, a_hat, e_hat, d_hat
+
+
+def _digit_bits(den: int, n: int, mats) -> int:
+    """The digit width b for packing the residuals of n x n integer matrices.
+
+    An entry of D^2 R3 = D E^(gamma delta) - E^(gamma) E^(delta) is at most
+    D t + n t^2 in absolute value, t the largest entry of mats, and R1 and
+    R2 add one more product, n t^2.  So 2^(b-1) > D t + 2 n t^2 keeps every
+    entry one signed digit.
+    """
+    top = max(abs(x) for m in mats for row in m for x in row)
+    return (den * top + 2 * n * top * top).bit_length() + 1
+
+
+def _pack(digits, step: int) -> int:
+    """Kronecker substitution: sum digits[j] 2^(step j), one signed digit each."""
+    return sum(x << (step * j) for j, x in enumerate(digits))
 
 
 @dataclass(frozen=True)
@@ -505,7 +574,8 @@ def faithfulness_check(germ: MapGerm, model: PreimageModel | None = None) -> Fai
     """Verify N meets the trivially-acting subgroup only in the identity.
 
     The composite of N into the quotient by that subgroup is then checked
-    for injectivity element by element.
+    for injectivity element by element.  Either failure raises
+    AssertionError explicitly, so the check also runs under python -O.
     """
     if model is not None:
         if model.germ is not germ:
@@ -524,8 +594,10 @@ def faithfulness_check(germ: MapGerm, model: PreimageModel | None = None) -> Fai
         injective=injective,
         coset_images=images,
     )
-    assert report.intersection_trivial, "N meets G beyond the identity"
-    assert report.injective, "N does not inject into the quotient"
+    if not report.intersection_trivial:
+        raise AssertionError("N meets G beyond the identity")
+    if not report.injective:
+        raise AssertionError("N does not inject into the quotient")
     return report
 
 
@@ -905,14 +977,15 @@ def lift_replacement_invariance(germ: MapGerm, eta: Matrix) -> LiftReplacementRe
 def recenter_germ(germ: MapGerm, point) -> MapGerm:
     """Translate coordinates so a preimage point becomes the chart center.
 
-    The chart group shrinks to the isotropy group of the point; the lift is
-    precomposed with the translation; a boundary flag survives only when
-    the point lies on the boundary hyperplane.
+    The chart group shrinks to the isotropy group of the point, closed as a
+    group of its own from the isotropy's generating set (Subgroup.generators,
+    at most log2 of its order); the lift is precomposed with the
+    translation; a boundary flag survives only when the point lies on the
+    boundary hyperplane.
     """
     pt = vec(point)
     iso = isotropy_at(germ.source, pt)
-    # the isotropy subgroup as a standalone group, generated by its members
-    gens = [germ.source.group.element(i) for i in iso.members if i != 0]
+    gens = [germ.source.group.element(i) for i in iso.generators]
     if not gens:
         gens = [Matrix.identity(germ.source.dim)]
     new_group = generate_closure(germ.source.dim, gens, max_order=iso.order + 1)

@@ -189,17 +189,6 @@ class Matrix:
         return cls([[d[i] if i == j else QZERO for j in range(n)] for i in range(n)])
 
     @classmethod
-    def vstack(cls, blocks: Sequence["Matrix"]) -> "Matrix":
-        """The blocks stacked top to bottom, over their common denominator."""
-        if any(b.cols != blocks[0].cols for b in blocks):
-            raise ValueError("cannot stack blocks of different widths")
-        den = lcm(*(b._den for b in blocks))
-        return cls._make(
-            tuple([row if b._den == den else tuple(x * (den // b._den) for x in row)
-                   for b in blocks for row in b._num]),
-            den)
-
-    @classmethod
     def from_columns(cls, columns: Sequence[Sequence]) -> "Matrix":
         cols = [vec(c) for c in columns]
         if not cols:

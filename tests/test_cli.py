@@ -30,6 +30,15 @@ class TestAnalyze:
         models = report["derived"]["preimage_models"]
         assert models[0]["gamma_s_order"] == 2
 
+    @pytest.mark.parametrize("name,count", [
+        ("germ-dihedral-radial", 2), ("germ-trivial-line", 1)])
+    def test_equivariance_reports_generators_checked(self, tmp_path, docs, name, count):
+        out = str(tmp_path / "report.json")
+        assert main(["analyze", write(tmp_path, docs[name]), "--out", out]) == 0
+        check = json.loads(open(out).read())["checks"][0]
+        assert check == {"name": "germ-equivariance", "passed": True,
+                         "generators_checked": count}
+
     def test_critical_value_exit_two(self, tmp_path, docs, capsys):
         path = write(tmp_path, docs["germ-z2-square-critical"])
         assert main(["analyze", path]) == 2

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 import orblocal
 from orblocal.ratlin import Matrix, MultiPoly, Subspace, poly_add, poly_mul, poly_trim
 from orblocal.groups import GroupHom, NotAHomomorphism, verify_homomorphism
-from orblocal.charts import ChartEmbedding, build_chart, verify_embedding
+from orblocal.charts import ChartEmbedding, build_chart, isotropy_at, verify_embedding
+from orblocal import germs
 from orblocal.germs import (
     EquivarianceError,
     NotCentered,
@@ -327,12 +328,13 @@ class TestInvariantProjection:
 
 @functools.cache
 def honest_projection(name):
-    """The invariant projection of a corpus germ, or of b3_germ(), built once."""
-    germ = b3_germ() if name == "b3" else germ_case(name).germ
+    """The invariant projection of a corpus germ, or of bn_germ(3), built once."""
+    germ = bn_germ(3) if name == "b3" else germ_case(name).germ
     return invariant_projection(germ)
 
 
 small_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+large_rationals = st.builds(F, st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 4))
 
 
 class TestCocycle:
@@ -353,7 +355,7 @@ class TestCocycle:
 
     def test_matches_pairwise_reference_on_honest_projections(self):
         projs = [invariant_projection(case.germ) for case in germ_cases()]
-        for proj in projs + [invariant_projection(b3_germ())]:
+        for proj in projs + [honest_projection("b3")]:
             rep = cocycle_identities(proj)
             assert rep.ok
             assert ((rep.pairs_checked, rep.failures) == cocycle_reference(proj)
@@ -371,19 +373,79 @@ class TestCocycle:
     @settings(max_examples=15, deadline=None)
     @given(st.sampled_from(["x-squared-plane", "dihedral-radial", "b3"]), st.data())
     def test_matches_reference_after_random_perturbations(self, name, data):
-        proj = honest_projection(name)
-        n = proj.n_group.parent.dim
-        a_gamma = list(proj.a_gamma)
-        positions = data.draw(st.lists(st.integers(0, len(a_gamma) - 1),
-                                       unique=True, max_size=4))
-        for pos in positions:
-            off = data.draw(st.lists(small_rationals, min_size=n * n, max_size=n * n))
-            i, a = a_gamma[pos]
-            a_gamma[pos] = (i, a + Matrix([off[r * n:(r + 1) * n] for r in range(n)]))
-        bad = dataclasses.replace(proj, a_gamma=tuple(a_gamma))
+        bad = perturbed(honest_projection(name), data, small_rationals, 0, 4)
         rep = cocycle_identities(bad)
         assert (rep.pairs_checked, rep.failures) == cocycle_reference(bad)
         assert rep.ok == (not rep.failures)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from(["x-squared-plane", "b3"]), st.data())
+    def test_matches_reference_after_large_perturbations(self, name, data):
+        # entries far above those of the honest projection, over denominators
+        # that differ between members
+        bad = perturbed(honest_projection(name), data, large_rationals, 1, 3)
+        rep = cocycle_identities(bad)
+        assert (rep.pairs_checked, rep.failures) == cocycle_reference(bad)
+        assert rep.ok == (not rep.failures)
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.sampled_from(["x-squared-plane", "b3"]), st.data())
+    def test_digit_width_bounds_every_scaled_residual(self, name, data):
+        # random residuals never cancel across packed digits, so a too
+        # narrow width would pass the comparison above; check the bound
+        bad = perturbed(honest_projection(name), data, large_rationals, 1, 3)
+        den, a_hat, e_hat, d_hat = germs._hatted(bad)
+        bits = germs._digit_bits(den, bad.n_group.parent.dim, a_hat + e_hat + d_hat)
+        assert scaled_residual_peak(bad, den) < 2 ** (bits - 1)
+
+    @pytest.mark.parametrize("den", [1, 7])
+    def test_one_corrupted_member_with_own_or_shared_denominator(self, den):
+        # every A(gamma) of x-squared-plane is integer: a corruption over 1
+        # shares the common denominator, one over 7 raises it
+        proj = honest_projection("x-squared-plane")
+        i, a = proj.a_gamma[2]
+        off = Matrix([[F(3, den), 0], [F(-5, den), F(1, den)]])
+        a_gamma = proj.a_gamma[:2] + ((i, a + off),) + proj.a_gamma[3:]
+        bad = dataclasses.replace(proj, a_gamma=a_gamma)
+        rep = cocycle_identities(bad)
+        assert not rep.ok
+        assert (rep.pairs_checked, rep.failures) == cocycle_reference(bad)
+
+    def test_b4_conjugate_every_pair(self):
+        rep = cocycle_identities(invariant_projection(bn_germ(4)))
+        assert rep.ok and rep.pairs_checked == 384 ** 2 == 147456
+
+
+def perturbed(proj, data, entries, min_size, max_size):
+    """proj with between min_size and max_size of its A(gamma) shifted by
+    matrices drawn from entries."""
+    n = proj.n_group.parent.dim
+    a_gamma = list(proj.a_gamma)
+    positions = data.draw(st.lists(st.integers(0, len(a_gamma) - 1), unique=True,
+                                   min_size=min_size, max_size=max_size))
+    for pos in positions:
+        off = data.draw(st.lists(entries, min_size=n * n, max_size=n * n))
+        i, a = a_gamma[pos]
+        a_gamma[pos] = (i, a + Matrix([off[r * n:(r + 1) * n] for r in range(n)]))
+    return dataclasses.replace(proj, a_gamma=tuple(a_gamma))
+
+
+def scaled_residual_peak(proj, den):
+    """The largest entry, in absolute value, of den^2 R over the residuals R
+    of the three identities on every pair; each den^2 R must be integer."""
+    grp = proj.n_group.parent
+    amap = dict(proj.a_gamma)
+    peak = 0
+    for gi in proj.n_group.members:
+        for di in proj.n_group.members:
+            g, d = grp.element(gi), grp.element(di)
+            a_gd, a_g, a_d = amap[grp.mul(gi, di)], amap[gi], amap[di]
+            for r in (a_gd - a_g - g * a_d, a_gd - a_d - a_g * d,
+                      a_gd - a_d - a_g - a_g * a_d):
+                assert den * den % r._den == 0
+                top = max(abs(x) for row in r._num for x in row)
+                peak = max(peak, top * (den * den // r._den))
+    return peak
 
 
 def cocycle_reference(proj):
@@ -424,20 +486,22 @@ def corruptions(a_gamma):
             tuple(swapped)]
 
 
-def b3_germ():
-    """The signed permutations of three coordinates, conjugated by a rational
-    matrix, plus a trivial fourth coordinate, mapped to the trivial line by
-    the last coordinate: N is the whole group of order 48."""
-    p = m([[1, F(1, 2), 0], [0, 1, F(-1, 3)], [2, 0, 1]])
+def bn_germ(n):
+    """The signed permutations of n coordinates, conjugated by a rational
+    matrix, plus a trivial last coordinate, mapped to the trivial line by
+    that coordinate: N is the whole group, of order 2^n n!."""
+    p = m([[1 if j == i else F(1, 2) if j == i + 1 and i % 2 == 0
+            else F(-1, 3) if j == i + 1 else 2 if (i, j) == (n - 1, 0) else 0
+            for j in range(n)] for i in range(n)])
     pinv = p.inverse()
-    gens = [m([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
-            m([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
-            m([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])]
-    blocks = [[list(row) + [0] for row in (p * g * pinv).entries] + [[0, 0, 0, 1]]
-              for g in gens]
-    src = build_chart(4, [m(b) for b in blocks])
+    swap = [[int(j == (1 - i if i < 2 else i)) for j in range(n)] for i in range(n)]
+    cycle = [[int(j == (i - 1) % n) for j in range(n)] for i in range(n)]
+    flip = [[(-1 if i == 0 else 1) * int(i == j) for j in range(n)] for i in range(n)]
+    blocks = [[list(row) + [0] for row in (p * m(g) * pinv).entries] + [[0] * n + [1]]
+              for g in (swap, cycle, flip)]
+    src = build_chart(n + 1, [m(b) for b in blocks])
     line = build_chart(1, [])
-    return build_germ(src, line, MultiPoly.coordinate(4, 3), trivial_theta(src, line))
+    return build_germ(src, line, MultiPoly.coordinate(n + 1, n), trivial_theta(src, line))
 
 
 class TestFaithfulness:
@@ -469,6 +533,32 @@ class TestFaithfulness:
         model = preimage_model(a.germ, [0], [0, 0])
         with pytest.raises(ValueError):
             faithfulness_check(b.germ, model)
+
+    def test_checks_raise_under_optimize(self):
+        # a split whose trivially-acting subgroup is the whole group meets N
+        # beyond the identity; the check must raise with asserts stripped
+        script = "\n".join([
+            "import sys",
+            "from orblocal import germs",
+            "from orblocal.corpus import germ_case",
+            "germ = germ_case('mirror-line').germ",
+            "split = germs.kernel_split_at_base(germ)",
+            "full = germ.source.group.full_subgroup()",
+            "germs.kernel_split_at_base = lambda g: germs.KernelSplit(",
+            "    split.kernel, full, split.gamma_s)",
+            "try:",
+            "    germs.faithfulness_check(germ)",
+            "except AssertionError as e:",
+            "    print(sys.flags.optimize, e)",
+            "else:",
+            "    print(sys.flags.optimize, 'no error')",
+        ])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(orblocal.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "1 N meets G beyond the identity"
 
 
 class TestRealTarget:
@@ -723,6 +813,22 @@ class TestRecenterAndPullback:
         case = germ_case("half-plane-edge")
         rg = recenter_germ(case.germ, [0, 0])
         assert rg.source.boundary
+
+    @pytest.mark.parametrize("name,point", [
+        ("sum-squares", [1, 0]),
+        ("dihedral-radial", [1, 1]),
+        ("dihedral-radial", [0, 0]),
+        # P e1 for the conjugating matrix P of bn_germ(3): its isotropy is
+        # the conjugate of the order-8 stabilizer of e1
+        ("b3", [1, 0, 2, 5]),
+        ("b3", [0, 0, 0, 1]),  # the whole group
+    ])
+    def test_recentered_group_is_the_isotropy(self, name, point):
+        germ = bn_germ(3) if name == "b3" else germ_case(name).germ
+        iso = isotropy_at(germ.source, point)
+        rg = recenter_germ(germ, point)
+        assert set(rg.source.group.elements) == set(iso.matrices())
+        assert rg.source.group.order == iso.order
 
     def test_pullback_through_embedding(self, c):
         mirror, qp = c["mirror-plane"], c["quarter-plane"]
