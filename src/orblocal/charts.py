@@ -138,16 +138,15 @@ def product_chart(a: LocalChart, b: LocalChart) -> LocalChart:
 
 
 def isotropy_at(chart: LocalChart, point) -> Subgroup:
-    """The exact stabilizer subgroup of a rational point."""
+    """The exact stabilizer subgroup of a rational point: the pointwise
+    stabilizer of the line through it (of the origin, for p = 0)."""
     p = vec(point)
     if len(p) != chart.dim:
         raise ValueError("point has length %d in a %d-dimensional chart"
                          % (len(p), chart.dim))
     if chart.boundary and p[-1] < 0:
         raise ValueError("point lies outside the half-space")
-    members = tuple(i for i, m in enumerate(chart.group.elements)
-                    if m.apply(p) == p)
-    return Subgroup(chart.group, members)
+    return pointwise_stabilizer(chart.group, Subspace.from_vectors(chart.dim, [p]))
 
 
 def pointwise_stabilizer(group: FiniteMatrixGroup, s: Subspace) -> Subgroup:
@@ -317,9 +316,14 @@ def verify_embedding(e: ChartEmbedding) -> ChartEmbedding:
     """Check injectivity, theta injectivity, and exact equivariance.
 
     Equivariance of an affine map psi(y) = Ly + t under gamma means
-    L gamma = theta(gamma) L and theta(gamma) t = t, which covers the
-    polynomial identity in y; a few rational sample points are evaluated
-    on both sides as an extra consistency pass.
+    L gamma = theta(gamma) L and theta(gamma) t = t, which gives
+    psi(gamma y) = theta(gamma) psi(y) for every y.  theta is first checked
+    to be multiplicative (GroupHom.check_multiplicative, NotAHomomorphism
+    otherwise); then both conditions hold for a product when they hold for
+    its factors, so they are checked on the distinct generators (the
+    identity when there are none) in ascending index order.  Closure is
+    breadth-first, so the first failing generator is the first failing
+    element.
     """
     if e.linear.rows != e.target.dim or e.linear.cols != e.source.dim:
         raise EmbeddingError("linear part is %dx%d for a %d->%d embedding"
@@ -331,7 +335,8 @@ def verify_embedding(e: ChartEmbedding) -> ChartEmbedding:
         raise EmbeddingError("theta does not connect the chart groups")
     if not e.theta.is_injective():
         raise EmbeddingError("theta is not injective", witness=e.theta.mapping)
-    for gi in range(e.source.group.order):
+    e.theta.check_multiplicative()
+    for gi in sorted(set(e.source.group.generator_indices or (0,))):
         g = e.source.group.element(gi)
         tg = e.target.group.element(e.theta.apply(gi))
         if e.linear * g != tg * e.linear:
@@ -342,14 +347,4 @@ def verify_embedding(e: ChartEmbedding) -> ChartEmbedding:
             raise EmbeddingError(
                 "equivariance fails on the translation at element %d" % gi,
                 witness=(tg, e.translate))
-    for k in range(3):
-        y = vec([Fraction(k + 1, j + 2) for j in range(e.source.dim)])
-        for gi in range(e.source.group.order):
-            g = e.source.group.element(gi)
-            tg = e.target.group.element(e.theta.apply(gi))
-            lhs = e.apply(g.apply(y))
-            rhs = tg.apply(e.apply(y))
-            if lhs != rhs:
-                raise EmbeddingError(
-                    "commuting diagram fails at sample point", witness=(gi, y))
     return e

@@ -62,6 +62,19 @@ def _base_report(meta: dict) -> dict:
             "version": __version__, "checks": [], "derived": {}}
 
 
+def _payload(path: str, kind: str, default_name: str) -> tuple:
+    """(payload, name) of a document: a scenario wrapper of the given kind,
+    or a bare payload object named default_name."""
+    doc = _load(path)
+    if not isinstance(doc, dict):
+        raise SchemaError("$", "expected a JSON object")
+    if "kind" not in doc:
+        return doc, default_name
+    meta = serialize.parse_scenario(doc)
+    _expect_kind(meta, kind)
+    return meta["payload"], meta["name"]
+
+
 def _expect_kind(meta: dict, kind: str):
     if meta["kind"] != kind:
         raise SchemaError("$.kind", "expected a %r scenario, got %r"
@@ -151,13 +164,7 @@ def cmd_sard(args) -> int:
 
 
 def cmd_strata(args) -> int:
-    doc = _load(args.file)
-    if "kind" in doc:
-        meta = serialize.parse_scenario(doc)
-        _expect_kind(meta, "chart")
-        payload, name = meta["payload"], meta["name"]
-    else:
-        payload, name = doc, "chart"
+    payload, name = _payload(args.file, "chart", "chart")
     chart = serialize.parse_chart(payload, "$.payload")
     rep = stratify(chart)
     strata = [{
@@ -179,13 +186,7 @@ def cmd_strata(args) -> int:
 
 
 def cmd_obstruct(args) -> int:
-    doc = _load(args.file)
-    if "kind" in doc:
-        meta = serialize.parse_scenario(doc)
-        _expect_kind(meta, "obstruction")
-        payload, name = meta["payload"], meta["name"]
-    else:
-        payload, name = doc, "obstruction"
+    payload, name = _payload(args.file, "obstruction", "obstruction")
     source, target, theta = serialize.parse_obstruction_payload(payload, "$.payload")
     cert = obstruction_certificate(source, target, theta)
     derived = {"verdict": cert.verdict, "reason": cert.reason_code,
@@ -203,13 +204,7 @@ def cmd_obstruct(args) -> int:
 
 
 def cmd_classify1(args) -> int:
-    doc = _load(args.file)
-    if "kind" in doc:
-        meta = serialize.parse_scenario(doc)
-        _expect_kind(meta, "component-list")
-        payload, name = meta["payload"], meta["name"]
-    else:
-        payload, name = doc, "components"
+    payload, name = _payload(args.file, "component-list", "components")
     if not isinstance(payload, dict) or "components" not in payload:
         raise SchemaError("$.payload.components", "missing required field")
     comps = [serialize.parse_component(cj, "$.payload.components[%d]" % i)
@@ -229,13 +224,7 @@ def cmd_classify1(args) -> int:
 
 
 def cmd_retraction(args) -> int:
-    doc = _load(args.file)
-    if "kind" in doc:
-        meta = serialize.parse_scenario(doc)
-        _expect_kind(meta, "atlas")
-        payload, name = meta["payload"], meta["name"]
-    else:
-        payload, name = doc, "atlas"
+    payload, name = _payload(args.file, "atlas", "atlas")
     scenario = serialize.parse_atlas_payload(payload, "$.payload")
     rep = retraction_contradiction(scenario)
     derived = {
@@ -254,7 +243,7 @@ def cmd_retraction(args) -> int:
 def cmd_corpus(args) -> int:
     if args.action != "run":
         raise SchemaError("$", "unknown corpus action %r" % args.action)
-    results = list(corpus.run_corpus(anchor=args.anchor, corrupt=args.corrupt))
+    results = list(corpus.run_corpus(anchor=args.anchor))
     failures = 0
     for name, anchor, ok, detail in results:
         status = "PASS" if ok else "FAIL"
@@ -322,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="run the built-in scenario corpus")
     p.add_argument("action", choices=["run"])
     p.add_argument("--anchor", help="only scenarios whose anchor/name match")
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_corpus)
     return ap

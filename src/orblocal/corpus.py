@@ -639,14 +639,9 @@ def scenarios() -> tuple[Scenario, ...]:
     return tuple(sorted(out, key=lambda s: s.name))
 
 
-def run_corpus(anchor: str | None = None, corrupt: bool = False):
+def run_corpus(anchor: str | None = None):
     """Run (a filter of) the corpus; yields (name, anchor, ok, detail)."""
-    items = list(scenarios())
-    if corrupt:
-        items.append(Scenario(
-            "corrupted-self-test", "self-test",
-            lambda: (_ for _ in ()).throw(AssertionError("intentional failure"))))
-    for sc in items:
+    for sc in scenarios():
         if anchor and anchor not in sc.anchor and anchor not in sc.name:
             continue
         try:

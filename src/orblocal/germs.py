@@ -629,20 +629,27 @@ def real_target_structure(germ: MapGerm, model: PreimageModel) -> RealTargetRepo
         raise ValueError("model was built from a different germ")
     grp = germ.source.group
     proj = invariant_projection(germ)
-    assert model.g_group.is_trivial(), "trivially-acting subgroup is not trivial"
-    assert model.gamma_s.order == grp.order
+    if not model.g_group.is_trivial():
+        raise AssertionError("trivially-acting subgroup is not trivial")
+    if model.gamma_s.order != grp.order:
+        raise AssertionError("the group does not survive into the quotient")
     if not grp.is_trivial():
-        assert proj.proj_kernel.dim == 1, "fixed line is not 1-dimensional"
-        for m in grp.elements:
-            assert proj.proj_kernel.fixed_pointwise_by(m)
-        assert proj.proj_image == model.kernel, "projection image differs from kernel"
+        if proj.proj_kernel.dim != 1:
+            raise AssertionError("fixed line is not 1-dimensional")
+        # a vector fixed by each generator is fixed by their products
+        for i in grp.generator_indices:
+            if not proj.proj_kernel.fixed_pointwise_by(grp.element(i)):
+                raise AssertionError("fixed line is moved by element %d" % i)
+        if proj.proj_image != model.kernel:
+            raise AssertionError("projection image differs from kernel")
     fix = fixed_subspace(grp.full_subgroup())
     stratum_dim = None
     if not grp.is_trivial():
         report = stratify(germ.source)
         stratum = next(s for s in report.strata if s.fixed_space == fix)
         stratum_dim = stratum.dimension
-        assert stratum_dim >= 1, "singular stratum through the point is isolated"
+        if stratum_dim < 1:
+            raise AssertionError("singular stratum through the point is isolated")
     return RealTargetReport(
         gamma_order=grp.order,
         gamma_s_order=model.gamma_s.order,
@@ -969,8 +976,10 @@ def lift_replacement_invariance(germ: MapGerm, eta: Matrix) -> LiftReplacementRe
         n_unchanged=n0 == n1,
         companion=companion,
     )
-    assert report.kernels_equal, "kernel changed under lift replacement"
-    assert report.n_unchanged, "homomorphism kernel changed under conjugation"
+    if not report.kernels_equal:
+        raise AssertionError("kernel changed under lift replacement")
+    if not report.n_unchanged:
+        raise AssertionError("homomorphism kernel changed under conjugation")
     return report
 
 

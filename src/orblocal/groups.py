@@ -458,8 +458,7 @@ def reynolds(g: FiniteMatrixGroup, members: Sequence[int],
 
 def fixed_subspace(h: Subgroup) -> Subspace:
     """{v : g v = v for all g in h}, the image of the Reynolds projector R_h."""
-    r = reynolds(h.parent, h.members)
-    return Subspace.from_vectors(r.rows, r.transpose().entries)
+    return Subspace.column_space(reynolds(h.parent, h.members))
 
 
 def intertwiners(g: FiniteMatrixGroup,
@@ -553,15 +552,14 @@ def find_invariant_subspace(group: FiniteMatrixGroup, dim_wanted: int) -> Invari
                 return InvariantSubspaceResult(
                     "certified_none", None,
                     "no common eigenvector: all 2^k sign patterns have zero intersection")
-            image = Subspace.from_vectors(n, r.transpose().entries)
-            line = Subspace.from_vectors(n, image.basis[:1])
+            line = Subspace.from_vectors(n, Subspace.column_space(r).basis[:1])
             assert _verify_invariant(group, line)
             return InvariantSubspaceResult("found", line, "sign-pattern line")
         if r is None:
             return InvariantSubspaceResult(
                 "certified_none", None,
                 "no invariant hyperplane: transpose group has no common eigenvector")
-        phi = Matrix(Subspace.from_vectors(n, r.entries).basis[:1])
+        phi = Matrix(Subspace.row_space(r).basis[:1])
         hyp = kernel(phi)
         assert _verify_invariant(group, hyp)
         return InvariantSubspaceResult("found", hyp, "dual sign-pattern hyperplane")

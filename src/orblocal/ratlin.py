@@ -9,10 +9,10 @@ enters any code path here.  The three value types are
                    terms: products, sums, scaling, elimination, equality and
                    hashing run on ints, and ``entries`` is its ``Fraction``
                    view,
-* ``Subspace``  -- a linear subspace of Q^n stored by its reduced row-echelon
-                   basis, so equality of subspaces is syntactic; the same
-                   rows are kept as integers over one denominator, and
-                   membership, invariance and intersection run on those,
+* ``Subspace``  -- a linear subspace of Q^n stored as the ``Matrix`` of its
+                   reduced row-echelon rows, so equality of subspaces is
+                   integer comparison, and membership, invariance and
+                   intersection run on those integer rows,
 * ``MultiPoly`` -- a polynomial map Q^n -> Q^m with exact coefficients.
 
 Elimination (rref, rank, det, inverse, solve, kernels) is fraction-free
@@ -345,21 +345,24 @@ class Matrix:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace of Q^n with a canonical reduced-echelon basis.
+    """A linear subspace of Q^n, kept as the Matrix of its reduced echelon rows.
 
-    Two Subspace values are equal exactly when they are the same subspace;
-    the basis rows are the nonzero rows of the RREF of any spanning set.
-    Beside them it keeps the same rows as integers over one positive common
-    denominator, with the pivot column of each row, and membership,
-    invariance and intersection work on those; they take no part in
-    equality, hashing or repr.
+    The echelon matrix is the nonzero rows of the RREF of any spanning set,
+    an integer Matrix in lowest terms, so two Subspace values are equal
+    exactly when they are the same subspace, and equality and hashing
+    compare integers.  pivots[i] is the column of the leading 1 of row i; it
+    takes no part in equality, hashing or repr.  Membership, invariance and
+    intersection work on the integer rows, and ``basis`` is the rows as
+    Fractions, built on first read.
     """
 
     ambient_dim: int
-    basis: tuple[tuple[Fraction, ...], ...]
-    # (num, den, pivots): basis[i][j] == num[i][j] / den, and basis[i] has
-    # its leading 1 in column pivots[i]
-    _echelon: tuple = field(compare=False, repr=False)
+    echelon: Matrix
+    pivots: tuple[int, ...] = field(compare=False, repr=False)
+
+    @property
+    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        return self.echelon.entries
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -371,31 +374,35 @@ class Subspace:
         return cls._from_rows(ambient_dim, rows)
 
     @classmethod
+    def row_space(cls, m: Matrix) -> "Subspace":
+        """The span of the rows of m."""
+        return cls._from_rows(m.cols, [list(row) for row in m._num])
+
+    @classmethod
+    def column_space(cls, m: Matrix) -> "Subspace":
+        """The span of the columns of m."""
+        return cls._from_rows(m.rows, [list(col) for col in zip(*m._num)])
+
+    @classmethod
     def _from_rows(cls, n: int, rows: list[list[int]]) -> "Subspace":
         """The span of integer rows of length n (the list is reduced in place)."""
         pivots, d, _ = _eliminate(rows, n)
-        return cls._from_echelon(n, rows[:len(pivots)], d, pivots)
-
-    @classmethod
-    def _from_echelon(cls, n: int, rows, d: int, pivots) -> "Subspace":
-        """The subspace whose reduced echelon basis is rows / d."""
-        red = _over(rows, d)
-        return cls(n, red.entries, (red._num, red._den, tuple(pivots)))
+        return cls(n, _over(rows[:len(pivots)], d), tuple(pivots))
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
-        return cls._from_rows(n, [[int(i == j) for j in range(n)] for i in range(n)])
+        return cls(n, Matrix.identity(n), tuple(range(n)))
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
-        return cls(n, (), ((), 1, ()))
+        return cls(n, Matrix.zero(0, n), ())
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.pivots)
 
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.pivots
 
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
@@ -412,9 +419,9 @@ class Subspace:
         With the echelon basis b_i = num_i / den, v is in the span exactly
         when v = sum v[pivot_i] b_i, that is den v = sum v[pivot_i] num_i.
         """
-        num, den, pivots = self._echelon
-        acc = [den * x for x in v]
-        for row, c in zip(num, pivots):
+        e = self.echelon
+        acc = [e._den * x for x in v]
+        for row, c in zip(e._num, self.pivots):
             f = v[c]
             if f:
                 acc = [a - f * b for a, b in zip(acc, row)]
@@ -423,7 +430,7 @@ class Subspace:
     def sum_with(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
         return Subspace._from_rows(
-            self.ambient_dim, [list(r) for r in self._echelon[0] + other._echelon[0]])
+            self.ambient_dim, [list(r) for r in self.echelon._num + other.echelon._num])
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: row reduce [A|A; B|0], read intersection off rows [0|D]."""
@@ -434,26 +441,26 @@ class Subspace:
             return other
         n = self.ambient_dim
         zero = (0,) * n
-        block = ([list(r + r) for r in self._echelon[0]]
-                 + [list(r + zero) for r in other._echelon[0]])
+        block = ([list(r + r) for r in self.echelon._num]
+                 + [list(r + zero) for r in other.echelon._num])
         pivots, d, _ = _eliminate(block, 2 * n)
         # the rows with pivots in the right half are d times the reduced
         # echelon basis of the intersection
         k = next((i for i, c in enumerate(pivots) if c >= n), len(pivots))
-        return Subspace._from_echelon(n, [row[n:] for row in block[k:len(pivots)]],
-                                      d, [c - n for c in pivots[k:]])
+        return Subspace(n, _over([row[n:] for row in block[k:len(pivots)]], d),
+                        tuple(c - n for c in pivots[k:]))
 
     def is_invariant_under(self, m: Matrix) -> bool:
         """True iff m maps this subspace into itself."""
         self._same_shape(m)
         return all(self._spans([sum(map(mul, r, b)) for r in m._num])
-                   for b in self._echelon[0])
+                   for b in self.echelon._num)
 
     def fixed_pointwise_by(self, m: Matrix) -> bool:
         self._same_shape(m)
         md = m._den
         return all([sum(map(mul, r, b)) for r in m._num] == [md * x for x in b]
-                   for b in self._echelon[0])
+                   for b in self.echelon._num)
 
     def _same_ambient(self, other):
         if self.ambient_dim != other.ambient_dim:
@@ -484,7 +491,7 @@ def kernel(m: Matrix) -> Subspace:
 
 def kernel_image_rank(m: Matrix) -> tuple[Subspace, Subspace, int]:
     """Exact kernel, column space, and rank of a rational matrix."""
-    image = Subspace._from_rows(m.rows, [list(col) for col in zip(*m._num)])
+    image = Subspace.column_space(m)
     return kernel(m), image, image.dim
 
 
@@ -497,7 +504,7 @@ def restrict_to_subspace(m: Matrix, s: Subspace) -> Matrix:
     k = s.dim
     if k == 0:
         return Matrix.identity(0)
-    bt = Matrix(s.basis).transpose()
+    bt = s.echelon.transpose()
     cols = []
     for b in s.basis:
         mb = m.apply(b)

@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from orblocal.ratlin import Matrix, Subspace
-from orblocal.groups import Subgroup, verify_homomorphism
+from orblocal.ratlin import Matrix, Subspace, vec
+from orblocal.groups import GroupHom, NotAHomomorphism, Subgroup, verify_homomorphism
 from orblocal.charts import (
     BoundaryViolation,
     ChartEmbedding,
@@ -117,6 +118,44 @@ class TestIsotropy:
                 conj = {c.group.mul(c.group.mul(gi, h), c.group.inv(gi))
                         for h in iso}
                 assert set(moved.members) == conj
+
+
+def reference_isotropy(chart, p):
+    return tuple(i for i, g in enumerate(chart.group.elements) if g.apply(p) == p)
+
+
+def b3_conjugate():
+    """The signed permutations of three coordinates, conjugated by P."""
+    p = m([[1, F(1, 2), 0], [0, 1, F(-1, 3)], [2, 0, 1]])
+    pinv = p.inverse()
+    gens = ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+            [[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    return build_chart(3, [p * m(g) * pinv for g in gens]), p
+
+
+class TestIsotropyReference:
+    """isotropy_at against the stabilizer read off every element."""
+
+    def test_d4(self):
+        chart = build_chart(2, [m([[0, -1], [1, 0]]), m([[1, 0], [0, -1]])])
+        assert chart.group.order == 8
+        for p in itertools.product(range(-2, 3), repeat=2):
+            assert isotropy_at(chart, p).members == reference_isotropy(chart, vec(p))
+
+    def test_b3_conjugate(self):
+        chart, conj = b3_conjugate()
+        assert chart.group.order == 48
+        for v in itertools.product((-1, 0, 1, 2), repeat=3):
+            p = conj.apply(v)
+            assert isotropy_at(chart, p).members == reference_isotropy(chart, p)
+        assert isotropy_at(chart, [0, 0, 0]).order == 48
+
+    def test_boundary_chart(self):
+        chart = build_chart(3, [m([[-1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                                m([[0, 1, 0], [1, 0, 0], [0, 0, 1]])], boundary=True)
+        for p in itertools.product(range(-1, 2), range(-1, 2), range(0, 2)):
+            assert isotropy_at(chart, p).members == reference_isotropy(chart, vec(p))
+        assert isotropy_at(chart, [0, 0, 0]).is_full()
 
 
 class TestStrata:
@@ -249,4 +288,57 @@ class TestEmbedding:
         theta = verify_homomorphism(triv1.group, triv2.group, [])
         with pytest.raises(EmbeddingError):
             verify_embedding(ChartEmbedding(triv1, triv2, Matrix([[0], [0]]),
+                                            (F(0), F(0)), theta))
+
+
+def reference_embedding_failure(e):
+    """(message, witness) of the first element failing equivariance, or None."""
+    for gi in range(e.source.group.order):
+        g = e.source.group.element(gi)
+        tg = e.target.group.element(e.theta.apply(gi))
+        if e.linear * g != tg * e.linear:
+            return "equivariance fails on linear parts at element %d" % gi, (g, tg)
+        if tg.apply(e.translate) != e.translate:
+            return ("equivariance fails on the translation at element %d" % gi,
+                    (tg, e.translate))
+    return None
+
+
+class TestEmbeddingOnGenerators:
+    """verify_embedding on generators against the all-element loop."""
+
+    def _self_embedding(self, second_image, translate):
+        qp = quarter_plane()
+        first = qp.group.generators[0]
+        theta = verify_homomorphism(qp.group, qp.group, [first, second_image])
+        return ChartEmbedding(qp, qp, Matrix.identity(2), translate, theta)
+
+    def _outcome(self, e):
+        try:
+            verify_embedding(e)
+        except EmbeddingError as exc:
+            return str(exc), exc.witness
+        return None
+
+    def test_translation_moved_by_second_generator(self):
+        # (0, 1) is fixed by the first reflection and moved by the second
+        qp = quarter_plane()
+        e = self._self_embedding(qp.group.generators[1], (F(0), F(1)))
+        want = reference_embedding_failure(e)
+        assert want[0] == "equivariance fails on the translation at element 2"
+        assert self._outcome(e) == want
+
+    def test_linear_part_fails(self):
+        # theta sends the second reflection to the point reflection
+        e = self._self_embedding(Matrix.diagonal([-1, -1]), (F(0), F(0)))
+        want = reference_embedding_failure(e)
+        assert want[0] == "equivariance fails on linear parts at element 2"
+        assert self._outcome(e) == want
+
+    def test_theta_not_multiplicative(self):
+        qp = quarter_plane()
+        mapping = (1, 0, 2, 3)  # injective, but the identity goes to a reflection
+        theta = GroupHom(qp.group, qp.group, mapping)
+        with pytest.raises(NotAHomomorphism):
+            verify_embedding(ChartEmbedding(qp, qp, Matrix.identity(2),
                                             (F(0), F(0)), theta))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from orblocal import __version__
+from orblocal import __version__, corpus
 from orblocal.cli import build_parser, main
 from orblocal.corpus import builtin_documents
 from orblocal.serialize import parse_matrix
@@ -186,6 +186,15 @@ class TestRetraction:
         assert report["derived"]["status"] == "hypothesis not met"
 
 
+@pytest.mark.parametrize("command", ["strata", "obstruct", "classify1", "retraction"])
+@pytest.mark.parametrize("text", ["3", "null", "true"])
+def test_scalar_document_input_error(tmp_path, capsys, command, text):
+    path = tmp_path / "scalar.json"
+    path.write_text(text)
+    assert main([command, str(path)]) == 1
+    assert "input error" in capsys.readouterr().err
+
+
 class TestParserReuse:
     def test_calls_do_not_share_arguments(self, tmp_path, docs, capsys):
         strata_out = tmp_path / "s.json"
@@ -228,8 +237,14 @@ class TestCorpus:
         names = [l.split()[1] for l in out.splitlines() if l.startswith("PASS")]
         assert names and all("obstruction" in n for n in names)
 
-    def test_corrupt_mode_nonzero_exit(self, capsys):
-        assert main(["corpus", "run", "--corrupt"]) == 2
+    def test_corrupt_mode_nonzero_exit(self, capsys, monkeypatch):
+        def fail():
+            raise AssertionError("intentional failure")
+
+        builtin = corpus.scenarios()
+        monkeypatch.setattr(corpus, "scenarios", lambda: builtin + (
+            corpus.Scenario("corrupted-self-test", "self-test", fail),))
+        assert main(["corpus", "run"]) == 2
         assert "FAIL corrupted-self-test" in capsys.readouterr().out
 
     def test_sard_report_byte_reproducible(self, tmp_path):

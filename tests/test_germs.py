@@ -589,6 +589,33 @@ class TestRealTarget:
         with pytest.raises(ValueError):
             real_target_structure(case.germ, model)
 
+    def test_checks_raise_under_optimize(self):
+        # a projection kernel the mirror moves; with asserts stripped the
+        # fixed-line check must still fire, on the mirror generator
+        script = "\n".join([
+            "import dataclasses, sys",
+            "from orblocal import germs",
+            "from orblocal.corpus import germ_case",
+            "from orblocal.ratlin import Subspace",
+            "germ = germ_case('mirror-line').germ",
+            "model = germs.preimage_model(germ, [0], [0, 0])",
+            "honest = germs.invariant_projection",
+            "germs.invariant_projection = lambda g: dataclasses.replace(",
+            "    honest(g), proj_kernel=Subspace.from_vectors(2, [[0, 1]]))",
+            "try:",
+            "    germs.real_target_structure(germ, model)",
+            "except AssertionError as e:",
+            "    print(sys.flags.optimize, e)",
+            "else:",
+            "    print(sys.flags.optimize, 'no error')",
+        ])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(orblocal.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "1 fixed line is moved by element 1"
+
 
 class TestObstruction:
     def test_z2_to_line_impossible(self, c):

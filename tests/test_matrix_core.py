@@ -220,10 +220,11 @@ def subspaces(n):
 
 
 def assert_echelon(s):
-    """The integer rows of a Subspace are its basis over one denominator."""
-    num, den, pivots = s._echelon
+    """The echelon Matrix of a Subspace is its basis over one denominator."""
+    num, den, pivots = s.echelon._num, s.echelon._den, s.pivots
     assert den > 0 and gcd(den, *(x for row in num for x in row)) == 1
     assert s.basis == tuple(tuple(F(x, den) for x in row) for row in num)
+    assert len(pivots) == s.dim == len(s.basis)
     for row, c in zip(s.basis, pivots):
         assert row[c] == 1 and not any(row[:c])
 
@@ -329,6 +330,27 @@ def test_kernel_and_image(a):
     assert k == ker
     assert image.basis == ref_span(m.rows, [list(c) for c in zip(*a)])
     assert rank == image.dim == len(ref_rref(a)[1]) == m.cols - ker.dim
+
+
+@SETTINGS
+@given(matrices(), st.sampled_from((F(-1), F(3, 2), F(-7, 3))))
+def test_row_and_column_spaces(a, c):
+    # the reference is from_vectors over the Fraction rows and columns
+    m = Matrix(a)
+    rows, cols = Subspace.row_space(m), Subspace.column_space(m)
+    assert rows == Subspace.from_vectors(m.cols, m.entries)
+    assert cols == Subspace.from_vectors(m.rows, [m.column(j) for j in range(m.cols)])
+    assert_echelon(rows)
+    assert_echelon(cols)
+    assert rows.dim == cols.dim == m.rank()
+    # other spanning sets of the same spaces: scaled, reversed, padded
+    others = [(Subspace.from_vectors(m.cols, [[c * x for x in row] for row in a[::-1]]
+                                     + [[0] * m.cols]), rows)]
+    if m.cols:  # a matrix without columns transposes to one without rows
+        others += [(Subspace.column_space(m.transpose()), rows),
+                   (Subspace.row_space(m.transpose()), cols)]
+    for same, space in others:
+        assert same == space and hash(same) == hash(space)
 
 
 def test_negative_final_pivot():
