@@ -194,28 +194,43 @@ def stratify(chart: LocalChart) -> StrataReport:
     fixed subspace Fix(H) of some subgroup H.  Since Fix(<S>) is the
     intersection of the element fixed spaces ker(s - I) over s in S, the
     spaces Fix(H) are exactly the intersection closure of the element fixed
-    spaces: it is built here from the full space by intersecting with one
-    element fixed space at a time, and the full stabilizer is attached to
-    each space found.
+    spaces.  That closure is a union of G-orbits, because
+    g Fix(h) = Fix(g h g^-1) and g maps an intersection to the intersection
+    of the images; and for a member t R of the orbit of R, the meet of t R
+    and Fix(h) is t times the meet of R and Fix(t^-1 h t).  So the
+    closure is grown from one representative R per orbit, starting from
+    the full space: one scan of the elements gives Stab(R), the pointwise
+    stabilizer, and R is intersected only with the distinct element fixed
+    spaces of elements outside Stab(R) (the others contain R).  Each new
+    space's orbit is then walked (_orbit).
     """
     n = chart.dim
+    group = chart.group
     ident = Matrix.identity(n)
-    element_spaces = list(dict.fromkeys(
-        kernel(m - ident) for m in chart.group.elements))
-    spaces = [Subspace.full(n)]
-    seen = set(spaces)
-    for space in spaces:  # grows while it is walked
-        for fixed in element_spaces:
-            meet = space.intersect(fixed)
-            if meet not in seen:
-                seen.add(meet)
-                spaces.append(meet)
+    # each distinct element fixed space, with the first element it is the
+    # fixed space of
+    element_spaces: dict[Subspace, int] = {}
+    for i, m in enumerate(group.elements):
+        element_spaces.setdefault(kernel(m - ident), i)
+    full = Subspace.full(n)
+    isotropy = {full: pointwise_stabilizer(group, full)}
+    reps = [full]
+    for rep in reps:  # grows while it is walked
+        stab = set(isotropy[rep].members)
+        for fixed, i in element_spaces.items():
+            if i in stab:
+                continue
+            meet = rep.intersect(fixed)
+            if meet not in isotropy:
+                reps.append(meet)
+                isotropy.update(_orbit(group, meet,
+                                       pointwise_stabilizer(group, meet)))
     strata = []
-    for space in spaces:
+    for space, iso in isotropy.items():
         in_bdy = (chart.boundary
                   and all(b[-1] == 0 for b in space.basis))
         strata.append(Stratum(
-            isotropy=pointwise_stabilizer(chart.group, space),
+            isotropy=iso,
             fixed_space=space,
             dimension=space.dim,
             codimension=n - space.dim,
@@ -223,6 +238,39 @@ def stratify(chart: LocalChart) -> StrataReport:
         ))
     strata.sort(key=lambda s: (-s.dimension, s.fixed_space.basis))
     return StrataReport(chart, tuple(strata))
+
+
+def _orbit(group: FiniteMatrixGroup, space: Subspace,
+           stab: Subgroup) -> dict[Subspace, Subgroup]:
+    """The G-orbit of a subspace, each member with its pointwise stabilizer.
+
+    The orbit algorithm with a Schreier vector (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 4.1): each member S = t space
+    keeps its transporting element t and t^-1, and a generator s moves it to
+    s S = (s t) space, the span of s applied to the echelon rows of S.  The
+    pointwise stabilizer of S is t stab t^-1, so a generator in it fixes S
+    and needs no image.  The zero and full spaces are their own orbits.
+    """
+    if space.is_zero() or space.is_full():
+        return {space: stab}
+    mul = group.mul
+    gens = [(s, group.inv(s), group.element(s).transpose())
+            for s in dict.fromkeys(group.generator_indices)]
+    found = {space: stab}
+    walk = [(space, 0, 0)]
+    for member, t, t_inv in walk:  # grows while it is walked
+        iso = set(found[member].members)
+        for s, s_inv, s_t in gens:
+            if s in iso:
+                continue
+            image = Subspace.row_space(member.echelon * s_t)
+            if image in found:
+                continue
+            u, u_inv = mul(s, t), mul(t_inv, s_inv)
+            found[image] = Subgroup(group, tuple(sorted(
+                mul(mul(u, h), u_inv) for h in stab.members)))
+            walk.append((image, u, u_inv))
+    return found
 
 
 def has_interior_codim1_stratum(chart: LocalChart) -> bool:
@@ -262,18 +310,21 @@ def suborbifold_model(chart: LocalChart, subspace: Subspace,
                       lambda_group: Subgroup) -> SuborbifoldLocalModel:
     """Build the local model of a suborbifold from its invariant subspace.
 
-    Verifies invariance of the subspace under every member of lambda
-    (raising NotInvariant with a witness element and vector otherwise),
-    takes the members fixing it pointwise as omega, and forms the intrinsic
-    isotropy quotient(lambda, omega) in the chart group's indices, checking
-    that no coset but omega's own fixes the subspace pointwise.  The model
-    is full when lambda is the whole chart group.
+    Verifies invariance of the subspace under lambda on its generators, in
+    ascending order, raising NotInvariant with a witness element and vector
+    otherwise.  The witness is the smallest member that fails: the members
+    below it generate a group that leaves the subspace invariant, so it is
+    not in that group, and Subgroup keeps such a member as a generator.  It
+    then takes the members fixing the subspace pointwise as omega, and forms
+    the intrinsic isotropy quotient(lambda, omega) in the chart group's
+    indices, checking that no coset but omega's own fixes the subspace
+    pointwise.  The model is full when lambda is the whole chart group.
     """
     if lambda_group.parent is not chart.group:
         raise ValueError("lambda subgroup belongs to a different group")
     if subspace.ambient_dim != chart.dim:
         raise ValueError("subspace ambient dimension mismatch")
-    for i in lambda_group.members:
+    for i in lambda_group.generators:
         m = chart.group.element(i)
         if not subspace.is_invariant_under(m):
             b = next(b for b in subspace.basis if not subspace.contains(m.apply(b)))

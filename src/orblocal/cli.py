@@ -63,16 +63,17 @@ def _base_report(meta: dict) -> dict:
 
 
 def _payload(path: str, kind: str, default_name: str) -> tuple:
-    """(payload, name) of a document: a scenario wrapper of the given kind,
-    or a bare payload object named default_name."""
+    """(payload, name, where) of a document: a scenario wrapper of the given
+    kind, or a bare payload object named default_name.  where is the path
+    of the payload in the document, "$.payload" or "$", for input errors."""
     doc = _load(path)
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected a JSON object")
     if "kind" not in doc:
-        return doc, default_name
+        return doc, default_name, "$"
     meta = serialize.parse_scenario(doc)
     _expect_kind(meta, kind)
-    return meta["payload"], meta["name"]
+    return meta["payload"], meta["name"], "$.payload"
 
 
 def _expect_kind(meta: dict, kind: str):
@@ -108,7 +109,12 @@ def cmd_analyze(args) -> int:
     cc = cocycle_identities(proj)
     checks.append({"name": "cocycle-identities", "passed": cc.ok,
                    "pairs_checked": cc.pairs_checked})
-    faith = faithfulness_check(germ)
+    # at a regular value, the model at the base point (when it is a lift
+    # point and needs no re-centering) already holds the kernel split that
+    # the faithfulness check reads
+    built = [preimage_model_at(germ, p, pt) for pt in lifts] if reg.regular else []
+    faith = faithfulness_check(germ, next(
+        (m for m in built if m.germ is germ and m.lift_point == germ.base_point), None))
     checks.append({"name": "faithfulness", "passed": True,
                    "n_order": faith.n_order, "g_order": faith.g_order})
     if not reg.regular:
@@ -116,8 +122,7 @@ def cmd_analyze(args) -> int:
         _emit(report, args.out, summary)
         return EXIT_MATH
     models = []
-    for pt in lifts:
-        model = preimage_model_at(germ, p, pt)
+    for pt, model in zip(lifts, built):
         models.append({
             "lift_point": serialize.vector_json(pt),
             "recentered": model.germ is not germ,
@@ -164,8 +169,8 @@ def cmd_sard(args) -> int:
 
 
 def cmd_strata(args) -> int:
-    payload, name = _payload(args.file, "chart", "chart")
-    chart = serialize.parse_chart(payload, "$.payload")
+    payload, name, where = _payload(args.file, "chart", "chart")
+    chart = serialize.parse_chart(payload, where)
     rep = stratify(chart)
     strata = [{
         "dimension": s.dimension,
@@ -186,8 +191,8 @@ def cmd_strata(args) -> int:
 
 
 def cmd_obstruct(args) -> int:
-    payload, name = _payload(args.file, "obstruction", "obstruction")
-    source, target, theta = serialize.parse_obstruction_payload(payload, "$.payload")
+    payload, name, where = _payload(args.file, "obstruction", "obstruction")
+    source, target, theta = serialize.parse_obstruction_payload(payload, where)
     cert = obstruction_certificate(source, target, theta)
     derived = {"verdict": cert.verdict, "reason": cert.reason_code,
                "detail": cert.detail}
@@ -204,10 +209,10 @@ def cmd_obstruct(args) -> int:
 
 
 def cmd_classify1(args) -> int:
-    payload, name = _payload(args.file, "component-list", "components")
+    payload, name, where = _payload(args.file, "component-list", "components")
     if not isinstance(payload, dict) or "components" not in payload:
-        raise SchemaError("$.payload.components", "missing required field")
-    comps = [serialize.parse_component(cj, "$.payload.components[%d]" % i)
+        raise SchemaError(where + ".components", "missing required field")
+    comps = [serialize.parse_component(cj, "%s.components[%d]" % (where, i))
              for i, cj in enumerate(payload["components"])]
     types = [classify_1_orbifold(c) for c in comps]
     derived = {"types": types}
@@ -224,8 +229,8 @@ def cmd_classify1(args) -> int:
 
 
 def cmd_retraction(args) -> int:
-    payload, name = _payload(args.file, "atlas", "atlas")
-    scenario = serialize.parse_atlas_payload(payload, "$.payload")
+    payload, name, where = _payload(args.file, "atlas", "atlas")
+    scenario = serialize.parse_atlas_payload(payload, where)
     rep = retraction_contradiction(scenario)
     derived = {
         "status": rep.status,

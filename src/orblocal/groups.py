@@ -411,7 +411,9 @@ def quotient(h: Subgroup, n: Subgroup) -> QuotientGroup:
             seen[m] = len(cosets)
         cosets.append(coset)
     q = QuotientGroup(h, n, tuple(cosets), seen)
-    assert q.order * n.order == h.order
+    if q.order * n.order != h.order:
+        raise AssertionError("%d cosets of a subgroup of order %d do not fill "
+                             "a group of order %d" % (q.order, n.order, h.order))
     return q
 
 
@@ -520,7 +522,9 @@ def _is_scalar(m: Matrix) -> bool:
 
 
 def _verify_invariant(group: FiniteMatrixGroup, s: Subspace) -> bool:
-    return all(s.is_invariant_under(m) for m in group.elements)
+    """Whether s is invariant under the group: under its generators, whose
+    products are the other elements."""
+    return all(s.is_invariant_under(m) for m in group.generators)
 
 
 def find_invariant_subspace(group: FiniteMatrixGroup, dim_wanted: int) -> InvariantSubspaceResult:
@@ -532,37 +536,39 @@ def find_invariant_subspace(group: FiniteMatrixGroup, dim_wanted: int) -> Invari
     chi, and the lines of that kind are those in the image of R_chi.  Its
     row space is the chi-eigenspace of the transposed action, so the kernel
     of a nonzero row of R_chi is an invariant hyperplane, and there is none
-    when every R_chi is zero.  Intermediate dimensions use the commutant:
-    kernels of irreducible characteristic factors of commutant elements are
-    invariant, and their sums/intersections are searched.  There
-    'certified_none' is issued only when the commutant is one-dimensional
-    (scalars alone); a search that finds nothing otherwise returns
-    'none_found', as no sound certificate of nonexistence is known for it.
+    when every R_chi is zero.  R_chi is idempotent, so its trace is its
+    rank: R_chi is zero exactly when sum chi(g) tr(g) is, and only the
+    first R_chi with a nonzero trace sum is built.  Intermediate dimensions
+    use the commutant: kernels of irreducible characteristic factors of
+    commutant elements are invariant, and their sums/intersections are
+    searched.  There 'certified_none' is issued only when the commutant is
+    one-dimensional (scalars alone); a search that finds nothing otherwise
+    returns 'none_found', as no sound certificate of nonexistence is known
+    for it.
     """
     n = group.dim
     if not (0 < dim_wanted < n):
         raise ValueError("requested dimension %d out of range (0, %d)"
                          % (dim_wanted, n))
     if dim_wanted in (1, n - 1):
-        projectors = (reynolds(group, range(group.order), chi)
-                      for chi in sign_characters(group))
-        r = next((p for p in projectors if not p.is_zero()), None)
+        traces = [m.trace() for m in group.elements]
+        chi = next((chi for chi in sign_characters(group)
+                    if sum(t if c == 1 else -t for c, t in zip(chi, traces))), None)
+        if chi is None:
+            return InvariantSubspaceResult("certified_none", None, (
+                "no common eigenvector: all 2^k sign patterns have zero intersection"
+                if dim_wanted == 1 else
+                "no invariant hyperplane: transpose group has no common eigenvector"))
+        r = reynolds(group, range(group.order), chi)
         if dim_wanted == 1:
-            if r is None:
-                return InvariantSubspaceResult(
-                    "certified_none", None,
-                    "no common eigenvector: all 2^k sign patterns have zero intersection")
-            line = Subspace.from_vectors(n, Subspace.column_space(r).basis[:1])
-            assert _verify_invariant(group, line)
-            return InvariantSubspaceResult("found", line, "sign-pattern line")
-        if r is None:
-            return InvariantSubspaceResult(
-                "certified_none", None,
-                "no invariant hyperplane: transpose group has no common eigenvector")
-        phi = Matrix(Subspace.row_space(r).basis[:1])
-        hyp = kernel(phi)
-        assert _verify_invariant(group, hyp)
-        return InvariantSubspaceResult("found", hyp, "dual sign-pattern hyperplane")
+            s = Subspace.from_vectors(n, Subspace.column_space(r).basis[:1])
+            how = "sign-pattern line"
+        else:
+            s = kernel(Matrix(Subspace.row_space(r).basis[:1]))
+            how = "dual sign-pattern hyperplane"
+        if not _verify_invariant(group, s):
+            raise AssertionError("the %s is not invariant under the group" % how)
+        return InvariantSubspaceResult("found", s, how)
 
     basis = commutant(group)
     if len(basis) == 1:

@@ -110,11 +110,12 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
     return pivots, prev, sign
 
 
-def _over(rows: Sequence[Sequence[int]], d: int) -> "Matrix":
-    """The matrix rows / d, for a nonzero integer d of either sign."""
+def _over(rows: Sequence[Sequence[int]], d: int, cols: int) -> "Matrix":
+    """The matrix rows / d with cols columns, for a nonzero integer d of
+    either sign."""
     if d < 0:
         rows, d = [[-x for x in row] for row in rows], -d
-    return Matrix._make(tuple(map(tuple, rows)), d)
+    return Matrix._make(tuple(map(tuple, rows)), d, cols)
 
 
 class Matrix:
@@ -150,8 +151,11 @@ class Matrix:
         self._hash = None
 
     @classmethod
-    def _make(cls, num: tuple[tuple[int, ...], ...], den: int) -> "Matrix":
-        """The matrix num / den (den > 0), brought to lowest terms."""
+    def _make(cls, num: tuple[tuple[int, ...], ...], den: int,
+              cols: int) -> "Matrix":
+        """The matrix num / den (den > 0) with cols columns, brought to
+        lowest terms.  cols is passed because num has no row to read it
+        from when the matrix has no rows."""
         if den != 1:
             g = gcd(den, *itertools.chain.from_iterable(num))
             if g != 1:
@@ -162,7 +166,7 @@ class Matrix:
         m._den = den
         m._entries = None
         m.rows = len(num)
-        m.cols = len(num[0]) if num else 0
+        m.cols = cols
         m._hash = None
         return m
 
@@ -176,11 +180,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls._make(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
+        return cls._make(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1, n)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls._make(((0,) * cols,) * rows, 1)
+        return cls._make(((0,) * cols,) * rows, 1, cols)
 
     @classmethod
     def diagonal(cls, diag: Sequence) -> "Matrix":
@@ -206,12 +210,13 @@ class Matrix:
         return tuple(r[j] for r in self.entries)
 
     def __eq__(self, other):
-        return (isinstance(other, Matrix) and self._den == other._den
-                and self._num == other._num)
+        return (isinstance(other, Matrix) and self.cols == other.cols
+                and self._den == other._den and self._num == other._num)
 
     def __hash__(self):
+        # num fixes the row count; cols is the shape's only other part
         if self._hash is None:
-            self._hash = hash((self._den, self._num))
+            self._hash = hash((self.cols, self._den, self._num))
         return self._hash
 
     def __repr__(self):
@@ -233,11 +238,11 @@ class Matrix:
         return Matrix._make(
             tuple([tuple(a * fa + b * fb for a, b in zip(ra, rb))
                    for ra, rb in zip(self._num, other._num)]),
-            den)
+            den, self.cols)
 
     def __neg__(self):
         return Matrix._make(tuple([tuple(-a for a in row) for row in self._num]),
-                            self._den)
+                            self._den, self.cols)
 
     def _same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -249,11 +254,11 @@ class Matrix:
             if self.cols != other.rows:
                 raise ValueError("cannot multiply %dx%d by %dx%d"
                                  % (self.rows, self.cols, other.rows, other.cols))
-            bt = tuple(zip(*other._num))
+            bt = tuple(zip(*other._num)) if other._num else ((),) * other.cols
             return Matrix._make(
                 tuple([tuple(sum(map(mul, row, col)) for col in bt)
                        for row in self._num]),
-                self._den * other._den)
+                self._den * other._den, other.cols)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -263,10 +268,11 @@ class Matrix:
         c = rat(c)
         k = c.numerator
         return Matrix._make(tuple([tuple(k * a for a in row) for row in self._num]),
-                            self._den * c.denominator)
+                            self._den * c.denominator, self.cols)
 
     def transpose(self) -> "Matrix":
-        return Matrix._make(tuple(zip(*self._num)), self._den)
+        num = tuple(zip(*self._num)) if self._num else ((),) * self.cols
+        return Matrix._make(num, self._den, self.rows)
 
     def apply(self, v: Sequence) -> tuple[Fraction, ...]:
         """Matrix times column vector, returned as a tuple."""
@@ -294,7 +300,7 @@ class Matrix:
         """Reduced row-echelon form and pivot columns."""
         rows = [list(row) for row in self._num]
         pivots, d, _ = _eliminate(rows, self.cols)
-        return _over(rows, d), tuple(pivots)
+        return _over(rows, d, self.cols), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -318,7 +324,7 @@ class Matrix:
         if len(pivots) < n:
             raise ValueError("matrix is singular")
         # rows = [d I | d num^-1], and the inverse of num / den is den num^-1
-        return _over([[self._den * x for x in row[n:]] for row in rows], d)
+        return _over([[self._den * x for x in row[n:]] for row in rows], d, n)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -387,7 +393,7 @@ class Subspace:
     def _from_rows(cls, n: int, rows: list[list[int]]) -> "Subspace":
         """The span of integer rows of length n (the list is reduced in place)."""
         pivots, d, _ = _eliminate(rows, n)
-        return cls(n, _over(rows[:len(pivots)], d), tuple(pivots))
+        return cls(n, _over(rows[:len(pivots)], d, n), tuple(pivots))
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
@@ -447,7 +453,7 @@ class Subspace:
         # the rows with pivots in the right half are d times the reduced
         # echelon basis of the intersection
         k = next((i for i, c in enumerate(pivots) if c >= n), len(pivots))
-        return Subspace(n, _over([row[n:] for row in block[k:len(pivots)]], d),
+        return Subspace(n, _over([row[n:] for row in block[k:len(pivots)]], d, n),
                         tuple(c - n for c in pivots[k:]))
 
     def is_invariant_under(self, m: Matrix) -> bool:

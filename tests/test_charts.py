@@ -3,17 +3,21 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from orblocal.ratlin import Matrix, Subspace, vec
+from orblocal.ratlin import Matrix, Subspace, kernel, vec
 from orblocal.groups import GroupHom, NotAHomomorphism, Subgroup, verify_homomorphism
 from orblocal.charts import (
     BoundaryViolation,
     ChartEmbedding,
     EmbeddingError,
     NotInvariant,
+    StrataReport,
+    Stratum,
     build_chart,
     has_interior_codim1_stratum,
     isotropy_at,
+    pointwise_stabilizer,
     product_chart,
     stratify,
     suborbifold_model,
@@ -199,6 +203,93 @@ class TestStrata:
         assert sing[0].codimension == 1 and not sing[0].in_boundary
 
 
+def reference_stratify(chart):
+    """stratify as the plain intersection closure: every stratum met with
+    every element fixed space, each stabilizer read off every element."""
+    n = chart.dim
+    ident = Matrix.identity(n)
+    element_spaces = list(dict.fromkeys(kernel(g - ident) for g in chart.group.elements))
+    spaces = [Subspace.full(n)]
+    seen = set(spaces)
+    for space in spaces:  # grows while it is walked
+        for fixed in element_spaces:
+            meet = space.intersect(fixed)
+            if meet not in seen:
+                seen.add(meet)
+                spaces.append(meet)
+    strata = sorted((Stratum(pointwise_stabilizer(chart.group, s), s, s.dim, n - s.dim,
+                             chart.boundary and all(b[-1] == 0 for b in s.basis))
+                     for s in spaces),
+                    key=lambda s: (-s.dimension, s.fixed_space.basis))
+    return StrataReport(chart, tuple(strata))
+
+
+def signed_permutations(n):
+    """The generators of B_n: an n-cycle, a transposition and a sign flip."""
+    cycle = [[int(j == (i - 1) % n) for j in range(n)] for i in range(n)]
+    swap = [[int(j == (1 - i if i < 2 else i)) for j in range(n)] for i in range(n)]
+    flip = [[(-1 if i == 0 else 1) * int(i == j) for j in range(n)] for i in range(n)]
+    return [m(cycle), m(swap), m(flip)]
+
+
+def conjugated(gens, p):
+    pinv = p.inverse()
+    return [p * g * pinv for g in gens]
+
+
+class TestStrataReference:
+    """stratify by G-orbits against the plain intersection closure."""
+
+    def test_b4_conjugate(self):
+        p = m([[1, F(1, 2), 0, 0], [0, 1, F(-1, 3), 0], [0, 0, 1, 2], [F(1, 5), 0, 0, 1]])
+        chart = build_chart(4, conjugated(signed_permutations(4), p))
+        assert chart.group.order == 384
+        rep = stratify(chart)
+        assert len(rep.strata) == 116
+        assert rep == reference_stratify(chart)
+
+    def test_boundary_charts(self):
+        # B2 on the first two coordinates of a half-space, conjugated in
+        # them, and a product with a half-line
+        p = m([[2, F(1, 3), 0], [-1, 1, 0], [0, 0, 1]])
+        b2 = [m([list(r) + [0] for r in g.entries] + [[0, 0, 1]])
+              for g in signed_permutations(2)]
+        charts = [build_chart(3, conjugated(b2, p), boundary=True),
+                  product_chart(build_chart(2, [m([[0, -1], [1, 0]])]),
+                                build_chart(1, [], boundary=True))]
+        for chart in charts:
+            assert chart.boundary
+            assert stratify(chart) == reference_stratify(chart)
+
+    def test_repeated_and_identity_generators(self):
+        rot, flip = m([[0, -1], [1, 0]]), m([[1, 0], [0, -1]])
+        for gens in ([rot, rot, flip], [Matrix.identity(2), flip, Matrix.identity(2)],
+                     [Matrix.identity(2)], [flip, flip * rot, rot, flip]):
+            chart = build_chart(2, gens)
+            assert stratify(chart) == reference_stratify(chart)
+
+    def test_trivial_group(self):
+        for dim in (1, 3):
+            chart = build_chart(dim, [])
+            rep = stratify(chart)
+            assert rep == reference_stratify(chart)
+            assert len(rep.strata) == 1 and rep.strata[0].isotropy.is_trivial()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_conjugates_of_b3_subgroups(self, data):
+        # random generating sets of subgroups of B3, conjugated by a random
+        # invertible rational matrix
+        b3 = build_chart(3, signed_permutations(3)).group
+        picks = data.draw(st.lists(st.integers(0, b3.order - 1), max_size=3))
+        entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        p = data.draw(st.lists(st.lists(entries, min_size=3, max_size=3),
+                               min_size=3, max_size=3).map(m).filter(
+                                   lambda a: a.is_invertible()))
+        chart = build_chart(3, conjugated([b3.element(i) for i in picks], p))
+        assert stratify(chart) == reference_stratify(chart)
+
+
 class TestCodimOne:
     def test_mirror_true(self):
         assert has_interior_codim1_stratum(build_chart(2, [m([[1, 0], [0, -1]])]))
@@ -251,6 +342,29 @@ class TestSuborbifold:
             suborbifold_model(c, diag, c.group.full_subgroup())
         witness_matrix, witness_vec = exc.value.witness
         assert not diag.contains(witness_matrix.apply(witness_vec))
+
+    def test_witness_is_first_failing_member(self):
+        # invariance is checked on lambda's generators; the witness must be
+        # the one an all-member loop finds
+        chart, p = b3_conjugate()
+        group = chart.group
+        lambdas = [group.full_subgroup(), isotropy_at(chart, p.apply([1, 0, 0])),
+                   isotropy_at(chart, p.apply([1, 1, 0]))]
+        for vectors in itertools.product(((1, 0, 0), (1, 2, 0), (0, 1, -1), (1, 1, 1)),
+                                         repeat=2):
+            space = Subspace.from_vectors(3, [p.apply(v) for v in vectors])
+            for lam in lambdas:
+                want = next(((group.element(i), b) for i in lam.members
+                             for b in space.basis
+                             if not space.contains(group.element(i).apply(b))), None)
+                if want is None:
+                    assert suborbifold_model(chart, space, lam).subspace == space
+                    continue
+                with pytest.raises(NotInvariant) as exc:
+                    suborbifold_model(chart, space, lam)
+                assert exc.value.witness == want
+                assert str(exc.value) == ("subspace is not invariant under element %d"
+                                          % group.index_of(want[0]))
 
     def test_intrinsic_action_effective(self):
         c = quarter_plane()

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from orblocal import __version__, corpus
+from orblocal import __version__, corpus, germs
 from orblocal.cli import build_parser, main
 from orblocal.corpus import builtin_documents
 from orblocal.serialize import parse_matrix
@@ -59,6 +59,30 @@ class TestAnalyze:
         doc["payload"]["lift"] = [[{"coef": "1", "exps": [0, 1]}]]
         path = write(tmp_path, doc)
         assert main(["analyze", path]) == 2
+
+    @pytest.mark.parametrize("name", sorted(
+        n for n, d in builtin_documents().items() if d["kind"] == "germ"))
+    def test_base_point_split_once(self, tmp_path, docs, name, monkeypatch):
+        # at a regular value whose base point is a lift point, the
+        # faithfulness check reads that point's preimage model instead of
+        # splitting the group on the same kernel again
+        built = []
+        real = germs.suborbifold_model
+
+        def counting(chart, subspace, lam):
+            built.append(subspace)
+            return real(chart, subspace, lam)
+
+        monkeypatch.setattr(germs, "suborbifold_model", counting)
+        out = str(tmp_path / "r.json")
+        code = main(["analyze", write(tmp_path, docs[name]), "--out", out])
+        if code != 0:
+            return
+        payload = docs[name]["payload"]
+        models = json.loads(open(out).read())["derived"]["preimage_models"]
+        shared = any(not m["recentered"] and m["lift_point"] == payload["base_point"]
+                     for m in models)
+        assert len(built) == len(models) + (not shared)
 
     def test_recentering_reported(self, tmp_path, docs):
         path = write(tmp_path, docs["germ-z2-square"])
@@ -193,6 +217,29 @@ def test_scalar_document_input_error(tmp_path, capsys, command, text):
     path.write_text(text)
     assert main([command, str(path)]) == 1
     assert "input error" in capsys.readouterr().err
+
+
+BAD_CHART = {"dim": 2, "boundary": False, "generators": [[["1", "0"], ["0", "x"]]]}
+
+
+@pytest.mark.parametrize("command, payload, where", [
+    ("strata", BAD_CHART, ".generators[0][1][1]: bad rational 'x'"),
+    ("obstruct", {"source": BAD_CHART, "target": {"dim": 1, "boundary": False,
+                                                  "generators": []},
+                  "theta_gen_images": [[["1"]]]},
+     ".source.generators[0][1][1]: bad rational 'x'"),
+    ("classify1", {"comps": []}, ".components: missing required field"),
+    ("retraction", {}, ".charts: expected a nonempty array of charts"),
+])
+def test_input_error_paths(tmp_path, capsys, command, payload, where):
+    # a bare payload is the document itself; a scenario wrapper holds it
+    # under $.payload
+    kind = {"strata": "chart", "obstruct": "obstruction",
+            "classify1": "component-list", "retraction": "atlas"}[command]
+    wrapped = {"kind": kind, "name": "bad", "anchor": "test", "payload": payload}
+    for doc, prefix in ((payload, "$"), (wrapped, "$.payload")):
+        assert main([command, write(tmp_path, doc, "doc.json")]) == 1
+        assert "input error: at %s%s" % (prefix, where) in capsys.readouterr().err
 
 
 class TestParserReuse:

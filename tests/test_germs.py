@@ -34,6 +34,7 @@ from orblocal.germs import (
     lift_replacement_invariance,
     obstruction_certificate,
     preimage_model,
+    preimage_model_at,
     preimage_model_boundary,
     pull_back_germ,
     real_target_structure,
@@ -526,6 +527,19 @@ class TestFaithfulness:
         for case in germ_cases():
             rep = faithfulness_check(case.germ)
             assert rep.intersection_trivial and rep.injective
+
+    def test_base_point_model_gives_the_same_report(self):
+        # analyze passes the preimage model at the base point; the report
+        # must be the one kernel_split_at_base gives
+        compared = 0
+        for case in germ_cases():
+            if not case.regular or case.germ.base_point not in case.lifts:
+                continue
+            model = preimage_model_at(case.germ, case.p, case.germ.base_point)
+            if model.germ is case.germ:
+                compared += 1
+                assert faithfulness_check(case.germ, model) == faithfulness_check(case.germ)
+        assert compared >= 5
 
     def test_model_from_other_germ_rejected(self):
         a = germ_case("mirror-line")

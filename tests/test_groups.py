@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import orblocal
+
 from orblocal.charts import LocalChart, pointwise_stabilizer, stratify, suborbifold_model
-from orblocal.ratlin import Matrix, Subspace, kernel_image_rank
+from orblocal.ratlin import Matrix, Subspace, kernel, kernel_image_rank
 from orblocal.groups import (
     ClosureBoundExceeded,
     GroupHom,
@@ -18,6 +23,7 @@ from orblocal.groups import (
     index2_subgroups,
     kernel_of,
     quotient,
+    reynolds,
     sign_characters,
     verify_homomorphism,
 )
@@ -545,6 +551,67 @@ class TestInvariantSubspaces:
         assert g.order == 8
         res = find_invariant_subspace(g, 2)
         assert res.status == "none_found"
+
+
+def reference_sign_search(grp, d):
+    """The dimension-1 and n-1 search with every R_chi built and tested for
+    zero, as (status, subspace)."""
+    n = grp.dim
+    r = next((p for p in (reynolds(grp, range(grp.order), chi)
+                          for chi in sign_characters(grp)) if not p.is_zero()), None)
+    if r is None:
+        return "certified_none", None
+    if d == 1:
+        return "found", Subspace.from_vectors(n, Subspace.column_space(r).basis[:1])
+    return "found", kernel(Matrix(Subspace.row_space(r).basis[:1]))
+
+
+class TestSignPatternTraces:
+    """find_invariant_subspace in dimensions 1 and n-1 picks its sign
+    character by trace sums; the reference builds every projector."""
+
+    @pytest.mark.parametrize("make", [
+        z2z2, lambda: generate_closure(2, [ROT3]), lambda: generate_closure(2, [ROT3, SWAP]),
+        lambda: generate_closure(2, [ROT4, FLIP_Y]), lambda: generate_closure(2, []),
+        lambda: generate_closure(3, [m([[0, 0, 1], [1, 0, 0], [0, 1, 0]])]),
+        lambda: generate_closure(3, [m([[-1, 0, 0], [0, -1, 0], [0, 0, 1]]),
+                                     m([[0, 1, 0], [1, 0, 0], [0, 0, -1]])]),
+        b3_conjugate])
+    def test_matches_projector_reference(self, make):
+        grp = make()
+        for d in sorted({1, grp.dim - 1}):
+            res = find_invariant_subspace(grp, d)
+            assert (res.status, res.subspace) == reference_sign_search(grp, d)
+
+    def test_checks_raise_under_optimize(self):
+        # python -O strips asserts; the invariance and coset-count checks
+        # must still fire
+        script = "\n".join([
+            "import sys",
+            "from orblocal import groups",
+            "from orblocal.ratlin import Matrix, Subspace",
+            "g = groups.generate_closure(2, [Matrix([[1, 0], [0, -1]])])",
+            "Subspace.is_invariant_under = lambda self, m: False",
+            "try:",
+            "    groups.find_invariant_subspace(g, 1)",
+            "except AssertionError as e:",
+            "    print(sys.flags.optimize, e)",
+            "h, n = g.full_subgroup(), g.full_subgroup()",
+            "groups.Subgroup.is_normalized_by = lambda self, elements: True",
+            "g.mul = lambda i, j: i",
+            "try:",
+            "    groups.quotient(h, n)",
+            "except AssertionError as e:",
+            "    print(sys.flags.optimize, e)",
+        ])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(orblocal.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [
+            "1 the sign-pattern line is not invariant under the group",
+            "1 2 cosets of a subgroup of order 2 do not fill a group of order 2"]
 
 
 class TestIndexTwo:

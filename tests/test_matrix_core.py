@@ -73,7 +73,11 @@ def test_add_sub(pair):
 def test_neg_transpose_and_scale(a, c):
     m = Matrix(a)
     assert_matches(-m, [[-x for x in row] for row in a])
-    assert_matches(m.transpose(), [list(col) for col in zip(*a)])
+    if m.cols:
+        assert_matches(m.transpose(), [list(col) for col in zip(*a)])
+    else:  # the transpose has no rows to list its entries by
+        assert m.transpose() == Matrix.zero(0, m.rows)
+    assert m.transpose().transpose() == m
     scaled = [[F(c) * x for x in row] for row in a]
     assert_matches(m.scale(c), scaled)
     assert_matches(m * c, scaled)
@@ -345,12 +349,27 @@ def test_row_and_column_spaces(a, c):
     assert rows.dim == cols.dim == m.rank()
     # other spanning sets of the same spaces: scaled, reversed, padded
     others = [(Subspace.from_vectors(m.cols, [[c * x for x in row] for row in a[::-1]]
-                                     + [[0] * m.cols]), rows)]
-    if m.cols:  # a matrix without columns transposes to one without rows
-        others += [(Subspace.column_space(m.transpose()), rows),
-                   (Subspace.row_space(m.transpose()), cols)]
+                                     + [[0] * m.cols]), rows),
+              (Subspace.column_space(m.transpose()), rows),
+              (Subspace.row_space(m.transpose()), cols)]
     for same, space in others:
         assert same == space and hash(same) == hash(space)
+
+
+def test_shapes_without_rows():
+    # a matrix without rows keeps its column count, and the shape is part
+    # of equality and hashing
+    assert (Matrix.zero(0, 3).rows, Matrix.zero(0, 3).cols) == (0, 3)
+    t = Matrix([[]]).transpose()
+    assert (t.rows, t.cols) == (0, 1) and t.transpose() == Matrix([[]])
+    assert Matrix.zero(0, 3) != Matrix.zero(0, 5) and Matrix.zero(0, 3) != Matrix([])
+    assert len({Matrix.zero(0, 3), Matrix.zero(0, 5), Matrix.zero(0, 3)}) == 2
+    zero = Subspace.zero(3)
+    assert (zero.echelon.rows, zero.echelon.cols) == (0, 3)
+    assert Subspace.row_space(zero.echelon) == zero == Subspace.from_vectors(3, [])
+    assert Subspace.column_space(zero.echelon.transpose()) == zero
+    assert Matrix.zero(2, 0).transpose() == Matrix.zero(0, 2)
+    assert Matrix.zero(2, 0) * Matrix.zero(0, 3) == Matrix.zero(2, 3)
 
 
 def test_negative_final_pivot():
