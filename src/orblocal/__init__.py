@@ -23,7 +23,6 @@ from .charts import (
     ChartEmbedding,
     LocalChart,
     build_chart,
-    has_interior_codim1_stratum,
     isotropy_at,
     product_chart,
     stratify,
@@ -61,9 +60,8 @@ __all__ = [
     "Matrix", "MultiPoly", "Rational", "Subspace", "kernel", "kernel_image_rank",
     "FiniteMatrixGroup", "GroupHom", "Subgroup", "find_invariant_subspace",
     "generate_closure", "index2_subgroups", "verify_homomorphism",
-    "ChartEmbedding", "LocalChart", "build_chart",
-    "has_interior_codim1_stratum", "isotropy_at", "product_chart",
-    "stratify", "suborbifold_model", "verify_embedding",
+    "ChartEmbedding", "LocalChart", "build_chart", "isotropy_at",
+    "product_chart", "stratify", "suborbifold_model", "verify_embedding",
     "MapGerm", "PreimageModel", "build_germ", "cocycle_identities",
     "faithfulness_check", "invariant_projection", "is_regular_value",
     "lift_replacement_invariance", "obstruction_certificate",

@@ -273,14 +273,6 @@ def _orbit(group: FiniteMatrixGroup, space: Subspace,
     return found
 
 
-def has_interior_codim1_stratum(chart: LocalChart) -> bool:
-    """True iff some singular stratum of codimension 1 is not in the boundary."""
-    for s in stratify(chart).singular_strata():
-        if s.codimension == 1 and not s.in_boundary:
-            return True
-    return False
-
-
 @dataclass(frozen=True)
 class SuborbifoldLocalModel:
     """A local suborbifold model: an invariant subspace with its isotropy data.

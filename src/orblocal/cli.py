@@ -6,7 +6,9 @@ certificates), classify1 (compact 1-orbifold components), retraction
 (no-retraction argument on an atlas), corpus (built-in regression
 scenarios).  Outputs are UTF-8 JSON with a human summary on stdout.
 
-Exit codes: 0 success, 1 input/schema error, 2 failed mathematical check.
+Exit codes: 0 success, 1 input/schema error, 2 failed mathematical check,
+3 budget exceeded (a resource limit such as the group-order bound, not a
+mathematical failure).
 """
 
 from __future__ import annotations
@@ -29,11 +31,13 @@ from .germs import (
     sard_sample,
 )
 from .onedim import boundary_parity, classify_1_orbifold, retraction_contradiction
+from .ratlin import BudgetExceeded
 from .serialize import SchemaError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_MATH = 2
+EXIT_BUDGET = 3
 
 
 def _load(path: str) -> dict:
@@ -251,11 +255,14 @@ def cmd_corpus(args) -> int:
     results = list(corpus.run_corpus(anchor=args.anchor))
     failures = 0
     for name, anchor, ok, detail in results:
-        status = "PASS" if ok else "FAIL"
-        if not ok:
-            failures += 1
-        print("%s %-34s [%s]%s" % (status, name, anchor,
-                                   "" if ok else " " + str(detail.get("error"))))
+        if ok:
+            print("PASS %-34s [%s]" % (name, anchor))
+            continue
+        failures += 1
+        print("FAIL %-34s [%s] %s" % (name, anchor, detail["error"]))
+        for key, want, got in detail.get("mismatches", []):
+            print("    %s: expected %s, got %s"
+                  % (key, json.dumps(want, default=str), json.dumps(got, default=str)))
     print("corpus: %d/%d passed" % (len(results) - failures, len(results)))
     if args.out:
         blob = {
@@ -328,6 +335,9 @@ def main(argv=None) -> int:
     except SchemaError as e:
         print("input error: %s" % e, file=sys.stderr)
         return EXIT_INPUT
+    except BudgetExceeded as e:
+        print("budget exceeded: %s: %s" % (type(e).__name__, e), file=sys.stderr)
+        return EXIT_BUDGET
     except (ValueError, ArithmeticError, AssertionError, RuntimeError) as e:
         print("check failed: %s: %s" % (type(e).__name__, e), file=sys.stderr)
         return EXIT_MATH

@@ -1,15 +1,17 @@
 """Built-in scenario corpus: every worked example as a runnable regression.
 
 Each scenario has a name, a topic anchor for filtering (strata, preimage,
-projection, obstruction, retraction, ...), and a run() callable that raises
-on any failed check and returns a JSON-able summary of derived data.  The
-germ roster is shared with the acceptance suite: group orders 1 through 8,
-chart dimensions 1 through 4, with and without boundary.
+projection, obstruction, retraction, ...), a compute() callable that returns
+a JSON-able summary of derived data, and the summary values it expects.
+Scenario.run() compares them and raises on any failed check, with explicit
+raises only, so the corpus decides the same under python -O.  The germ
+roster is shared with the acceptance suite: group orders 1 through 8, chart
+dimensions 1 through 4, with and without boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as F
 from functools import lru_cache
 from typing import Callable
@@ -67,31 +69,29 @@ from . import serialize
 SARD_SEED = 20240
 
 
-def _m(rows):
-    return Matrix(rows)
-
-
 @lru_cache(maxsize=1)
 def charts() -> dict[str, LocalChart]:
     """The shared chart roster."""
     return {
         "line-trivial": build_chart(1, []),
-        "line-z2": build_chart(1, [_m([[-1]])]),
+        "line-z2": build_chart(1, [Matrix([[-1]])]),
         "half-line": build_chart(1, [], boundary=True),
         "plane-trivial": build_chart(2, []),
-        "quarter-plane": build_chart(2, [_m([[-1, 0], [0, 1]]), _m([[1, 0], [0, -1]])]),
-        "mirror-plane": build_chart(2, [_m([[1, 0], [0, -1]])]),
-        "point-reflection": build_chart(2, [_m([[-1, 0], [0, -1]])]),
-        "rotation-3": build_chart(2, [_m([[0, -1], [1, -1]])]),
-        "rotation-4": build_chart(2, [_m([[0, -1], [1, 0]])]),
-        "dihedral-8": build_chart(2, [_m([[0, -1], [1, 0]]), _m([[1, 0], [0, -1]])]),
-        "cycle-3": build_chart(3, [_m([[0, 0, 1], [1, 0, 0], [0, 1, 0]])]),
-        "sym-3": build_chart(3, [_m([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
-                                 _m([[0, 1, 0], [1, 0, 0], [0, 0, 1]])]),
+        "quarter-plane": build_chart(2, [Matrix([[-1, 0], [0, 1]]),
+                                         Matrix([[1, 0], [0, -1]])]),
+        "mirror-plane": build_chart(2, [Matrix([[1, 0], [0, -1]])]),
+        "point-reflection": build_chart(2, [Matrix([[-1, 0], [0, -1]])]),
+        "rotation-3": build_chart(2, [Matrix([[0, -1], [1, -1]])]),
+        "rotation-4": build_chart(2, [Matrix([[0, -1], [1, 0]])]),
+        "dihedral-8": build_chart(2, [Matrix([[0, -1], [1, 0]]),
+                                      Matrix([[1, 0], [0, -1]])]),
+        "cycle-3": build_chart(3, [Matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])]),
+        "sym-3": build_chart(3, [Matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
+                                 Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])]),
         "four-dim": build_chart(4, [Matrix.diagonal([-1, -1, 1, 1]),
                                     Matrix.diagonal([1, 1, -1, -1])]),
         "half-plane": build_chart(2, [], boundary=True),
-        "half-plane-mirror": build_chart(2, [_m([[-1, 0], [0, 1]])], boundary=True),
+        "half-plane-mirror": build_chart(2, [Matrix([[-1, 0], [0, 1]])], boundary=True),
     }
 
 
@@ -134,7 +134,7 @@ def germ_cases() -> tuple[GermCase, ...]:
     add("z2-square", qline, line, sq, _trivial_theta(qline, line),
         [1], [[1], [-1]])
     add("z2-identity", qline, qline, x0(1, 0),
-        verify_homomorphism(qline.group, qline.group, [_m([[-1]])]),
+        verify_homomorphism(qline.group, qline.group, [Matrix([[-1]])]),
         [0], [[0]])
     sumsq = MultiPoly(2, [{(2, 0): F(1), (0, 2): F(1)}])
     add("sum-squares", c["quarter-plane"], line, sumsq,
@@ -151,7 +151,7 @@ def germ_cases() -> tuple[GermCase, ...]:
         _trivial_theta(c["sym-3"], line), [0], [[0, 0, 0]])
     saddle = MultiPoly(2, [{(2, 0): F(1), (0, 2): F(-1)}])
     add("rotation-saddle", c["rotation-4"], qline, saddle,
-        verify_homomorphism(c["rotation-4"].group, qline.group, [_m([[-1]])]),
+        verify_homomorphism(c["rotation-4"].group, qline.group, [Matrix([[-1]])]),
         [1], [[1, 0], [-1, 0]])
     add("dihedral-radial", c["dihedral-8"], line, sumsq,
         _trivial_theta(c["dihedral-8"], line), [1], [[1, 0], [0, 1]])
@@ -182,11 +182,37 @@ def case_preimage_models(case: GermCase):
     return [preimage_model_at(case.germ, case.p, pt) for pt in case.lifts]
 
 
+class ExpectationMismatch(AssertionError):
+    """A scenario's summary differs from its expected values.
+
+    mismatches lists [field, expected, got] for each differing field; got
+    is None for a field the summary lacks.
+    """
+
+    def __init__(self, mismatches: list[list]):
+        super().__init__("expected values differ: %s"
+                         % ", ".join(m[0] for m in mismatches))
+        self.mismatches = mismatches
+
+
 @dataclass(frozen=True)
 class Scenario:
+    """A named worked example: compute() gives its summary, expect the
+    values that summary must hold, field by field."""
+
     name: str
     anchor: str
-    run: Callable[[], dict]
+    compute: Callable[[], dict]
+    expect: dict = field(default_factory=dict)
+
+    def run(self) -> dict:
+        """The summary, after checking every expected field against it."""
+        summary = self.compute()
+        wrong = [[k, v, summary.get(k)] for k, v in self.expect.items()
+                 if k not in summary or summary[k] != v]
+        if wrong:
+            raise ExpectationMismatch(wrong)
+        return summary
 
 
 def _expect_error(exc_type, fn):
@@ -209,16 +235,8 @@ def _strata_summary(chart: LocalChart) -> dict:
     }
 
 
-def _run_strata(chart_name: str, dims: list[int]) -> dict:
-    summary = _strata_summary(charts()[chart_name])
-    assert summary["singular_dims"] == dims, summary
-    return summary
-
-
 def _run_germ_case(case: GermCase) -> dict:
     report = is_regular_value(case.germ, case.p, case.lifts)
-    assert report.regular == case.regular, \
-        "expected regular=%s, got %s" % (case.regular, report.regular)
     out = {
         "regular": report.regular,
         "ranks": [r for _, r in report.point_ranks],
@@ -228,65 +246,43 @@ def _run_germ_case(case: GermCase) -> dict:
     out["n_order"] = proj.n_group.order
     out["projection"] = serialize.matrix_json(proj.projection)
     cc = cocycle_identities(proj)
-    assert cc.ok
+    if not cc.ok:
+        raise AssertionError("cocycle identities fail on %d pair(s)" % len(cc.failures))
     out["cocycle_pairs"] = cc.pairs_checked
     faith = faithfulness_check(case.germ)
     out["g_order_at_base"] = faith.g_order
     if case.regular:
-        models = case_preimage_models(case)
-        out["models"] = []
-        for model in models:
-            grp = model.germ.source.group
-            assert model.dim == model.germ.source.dim - model.germ.target.dim
-            assert model.gamma_s.order * model.g_group.order == grp.order
-            assert model.suborbifold.full
-            out["models"].append({
-                "gamma_s_order": model.gamma_s.order,
-                "g_order": model.g_group.order,
-                "dim": model.dim,
-                "boundary_kind": model.boundary_kind,
-            })
-    return out
-
-
-def _germ_scenarios() -> list[Scenario]:
-    out = []
-    for case in germ_cases():
-        out.append(Scenario("germ-%s" % case.name, "preimage",
-                            lambda case=case: _run_germ_case(case)))
+        out["models"] = [{
+            "gamma_s_order": model.gamma_s.order,
+            "g_order": model.g_group.order,
+            "dim": model.dim,
+            "boundary_kind": model.boundary_kind,
+        } for model in case_preimage_models(case)]
     return out
 
 
 def _run_square_critical() -> dict:
-    case = germ_case("z2-square")
-    report = is_regular_value(case.germ, [F(0)], [[F(0)]])
-    assert not report.regular
-    assert report.point_ranks[0][1] == 0
-    return {"regular": False, "rank_at_origin": 0}
+    report = is_regular_value(germ_case("z2-square").germ, [F(0)], [[F(0)]])
+    return {"regular": report.regular, "rank_at_origin": report.point_ranks[0][1]}
 
 
 def _run_projection_examples() -> dict:
-    mirror = germ_case("mirror-line")
-    proj = invariant_projection(mirror.germ)
-    expected = Matrix([[0, 0], [0, 1]])
-    assert proj.projection == expected
-    assert proj.proj_kernel == Subspace.from_vectors(2, [[1, 0]])
-    qx = germ_case("x-squared-plane")
-    proj2 = invariant_projection(qx.germ)
-    assert proj2.n_group.order == 4
-    assert proj2.projection == Matrix.identity(2)
+    proj = invariant_projection(germ_case("mirror-line").germ)
+    if proj.proj_kernel != Subspace.from_vectors(2, [[1, 0]]):
+        raise AssertionError("the mirror projection's kernel is not the x-axis")
+    proj2 = invariant_projection(germ_case("x-squared-plane").germ)
+    if proj2.n_group.order != 4:
+        raise AssertionError("x-squared N has order %d, not 4" % proj2.n_group.order)
     return {
         "mirror_projection": serialize.matrix_json(proj.projection),
         "x_squared_projection": serialize.matrix_json(proj2.projection),
     }
 
 
-def _run_real_target(case_name: str, expect_dim: int) -> dict:
+def _run_real_target(case_name: str) -> dict:
     case = germ_case(case_name)
     model = preimage_model(case.germ, case.p, case.lifts[0])
     report = real_target_structure(case.germ, model)
-    assert report.stratum_dimension == expect_dim
-    assert report.g_trivial and report.image_equals_kernel
     return {
         "gamma_order": report.gamma_order,
         "stratum_dimension": report.stratum_dimension,
@@ -298,9 +294,6 @@ def _run_suborb_axis() -> dict:
     qp = charts()["quarter-plane"]
     axis = Subspace.from_vectors(2, [[1, 0]])
     model = suborbifold_model(qp, axis, qp.group.full_subgroup())
-    assert model.full
-    assert model.omega.order == 2
-    assert model.intrinsic_isotropy.order == 2
     return {"omega_order": model.omega.order,
             "intrinsic_order": model.intrinsic_isotropy.order,
             "full": model.full}
@@ -312,10 +305,9 @@ def _run_suborb_diagonal() -> dict:
     minus = qp.group.index_of(Matrix.diagonal([-1, -1]))
     lam = Subgroup(qp.group, (0, minus))
     model = suborbifold_model(qp, diag, lam)
-    assert not model.full
-    assert model.omega.is_trivial()
-    assert model.intrinsic_isotropy.order == 2
-    return {"intrinsic_order": 2, "full": False}
+    if not model.omega.is_trivial():
+        raise AssertionError("-I fixes the diagonal pointwise")
+    return {"intrinsic_order": model.intrinsic_isotropy.order, "full": model.full}
 
 
 def _run_suborb_diagonal_error() -> dict:
@@ -329,7 +321,7 @@ def _run_suborb_diagonal_error() -> dict:
 def _axis_embedding() -> ChartEmbedding:
     mirror = charts()["mirror-plane"]
     qp = charts()["quarter-plane"]
-    theta = verify_homomorphism(mirror.group, qp.group, [_m([[1, 0], [0, -1]])])
+    theta = verify_homomorphism(mirror.group, qp.group, [Matrix([[1, 0], [0, -1]])])
     emb = ChartEmbedding(mirror, qp, Matrix.identity(2), (F(1), F(0)), theta)
     return verify_embedding(emb)
 
@@ -349,7 +341,7 @@ def _run_embedding_identity() -> dict:
 def _run_embedding_error() -> dict:
     mirror = charts()["mirror-plane"]
     qp = charts()["quarter-plane"]
-    theta = verify_homomorphism(mirror.group, qp.group, [_m([[-1, 0], [0, 1]])])
+    theta = verify_homomorphism(mirror.group, qp.group, [Matrix([[-1, 0], [0, 1]])])
     return _expect_error(
         EmbeddingError,
         lambda: verify_embedding(ChartEmbedding(
@@ -357,53 +349,28 @@ def _run_embedding_error() -> dict:
 
 
 def _run_embedding_pullback() -> dict:
-    emb = _axis_embedding()
-    case = germ_case("sum-squares")
-    pulled = pull_back_germ(case.germ, emb)
-    assert pulled.lift.eval([0, 0]) == (F(1),)
-    assert pulled.jacobian_at([0, 0]) == Matrix([[2, 0]])
-    return {"value_at_origin": "1", "jacobian": [["2", "0"]]}
+    pulled = pull_back_germ(germ_case("sum-squares").germ, _axis_embedding())
+    (value,) = pulled.lift.eval([0, 0])
+    return {"value_at_origin": serialize.rat_str(value),
+            "jacobian": serialize.matrix_json(pulled.jacobian_at([0, 0]))}
 
 
 def _run_product() -> dict:
     q = charts()["line-z2"]
-    prod = product_chart(q, q)
-    assert prod.group.order == 4
-    summary = _strata_summary(prod)
-    assert summary["singular_dims"] == [1, 1, 0]
-    return summary
+    return _strata_summary(product_chart(q, q))
 
 
-def _run_obstruction(name: str, verdict: str, reason: str) -> dict:
-    c = charts()
-    line = c["line-trivial"]
-    if name == "z2-line":
-        cert = obstruction_certificate(c["line-z2"], line,
-                                       _trivial_theta(c["line-z2"], line))
-    elif name == "quarter-plane":
-        plane = c["plane-trivial"]
-        cert = obstruction_certificate(c["quarter-plane"], plane,
-                                       _trivial_theta(c["quarter-plane"], plane))
-    elif name == "rotation-drop":
-        cert = obstruction_certificate(c["rotation-3"], line,
-                                       _trivial_theta(c["rotation-3"], line))
-    elif name == "mirror-witness":
-        cert = obstruction_certificate(c["mirror-plane"], line,
-                                       _trivial_theta(c["mirror-plane"], line))
-    else:
-        raise KeyError(name)
-    assert cert.verdict == verdict, cert
-    assert cert.reason_code == reason, cert
+def _run_obstruction(source: str, target: str) -> dict:
+    src, tgt = charts()[source], charts()[target]
+    cert = obstruction_certificate(src, tgt, _trivial_theta(src, tgt))
     out = {"verdict": cert.verdict, "reason": cert.reason_code}
     if cert.witness_lift is not None:
         out["witness_lift"] = serialize.poly_json(cert.witness_lift)
     return out
 
 
-def _run_sard(case_name: str, box, min_fraction: F) -> dict:
-    case = germ_case(case_name)
-    report = sard_sample(case.germ, box, 10000, SARD_SEED)
-    assert report.regular_fraction >= min_fraction, report.regular_fraction
+def _run_sard(case_name: str) -> dict:
+    report = sard_sample(germ_case(case_name).germ, [(-2, 2)], 10000, SARD_SEED)
     return report.to_jsonable()
 
 
@@ -414,9 +381,7 @@ def _run_classify_types() -> dict:
         OneOrbifoldComponent(INTERVAL, (BOUNDARY, MIRROR)),
         OneOrbifoldComponent(INTERVAL, (MIRROR, MIRROR)),
     ]
-    types = [classify_1_orbifold(c) for c in comps]
-    assert types == ["a", "b", "c", "d"]
-    return {"types": types}
+    return {"types": [classify_1_orbifold(c) for c in comps]}
 
 
 def _boundary_piece(name: str, token: str, base=False, chart=None) -> AssemblyPiece:
@@ -425,15 +390,20 @@ def _boundary_piece(name: str, token: str, base=False, chart=None) -> AssemblyPi
         AssemblyEnd(GLUE, token=token, chart_index=chart)))
 
 
+def _single_component(pieces):
+    comps = assemble_components(pieces)
+    if len(comps) != 1:
+        raise AssertionError("the pieces assemble into %d components, not 1" % len(comps))
+    return comps[0]
+
+
 def _run_assembly_interval() -> dict:
     case = germ_case("half-plane-edge")
     model = preimage_model_boundary(case.germ, case.p, case.lifts[0])
     p1 = piece_from_model("west-edge", model, ["t"], chart_index=0)
     p2 = piece_from_model("east-edge", model, ["t"], chart_index=1)
-    comps = assemble_components([p1, p2])
-    assert len(comps) == 1
-    assert classify_1_orbifold(comps[0].component) == "b"
-    return {"type": "b", "pieces": list(comps[0].piece_names)}
+    comp = _single_component([p1, p2])
+    return {"type": classify_1_orbifold(comp.component), "pieces": list(comp.piece_names)}
 
 
 def _run_assembly_mirror() -> dict:
@@ -442,10 +412,7 @@ def _run_assembly_mirror() -> dict:
         germ_case("half-plane-edge").germ, (F(0),), (F(0), F(0)))
     pm = piece_from_model("mirror-arc", mirror_model, ["t"], chart_index=0)
     pb = piece_from_model("edge-arc", edge_model, ["t"], chart_index=1)
-    comps = assemble_components([pm, pb])
-    assert len(comps) == 1
-    assert classify_1_orbifold(comps[0].component) == "c"
-    return {"type": "c"}
+    return {"type": classify_1_orbifold(_single_component([pm, pb]).component)}
 
 
 def _run_assembly_loop() -> dict:
@@ -453,10 +420,7 @@ def _run_assembly_loop() -> dict:
                                 AssemblyEnd(GLUE, token="w")))
     b = AssemblyPiece("south", (AssemblyEnd(GLUE, token="w"),
                                 AssemblyEnd(GLUE, token="e")))
-    comps = assemble_components([a, b])
-    assert len(comps) == 1
-    assert classify_1_orbifold(comps[0].component) == "a"
-    return {"type": "a"}
+    return {"type": classify_1_orbifold(_single_component([a, b]).component)}
 
 
 def _run_assembly_token_error() -> dict:
@@ -482,7 +446,6 @@ def _run_retraction_type_c() -> dict:
     atlas = [charts()["line-z2"], charts()["half-line"]]
     s = RetractionScenario(atlas=atlas, p=(F(0),), germs=[], pieces=[])
     report = retraction_contradiction(s)
-    assert report.status == "hypothesis not met"
     return {"status": report.status, "detail": report.detail}
 
 
@@ -499,9 +462,8 @@ def _run_retraction_disk() -> dict:
     s = RetractionScenario(atlas=atlas, p=(F(0),),
                            germs=[(1, germ, lifts)], pieces=pieces)
     report = retraction_contradiction(s)
-    assert report.status == "contradiction"
-    assert report.contradiction_kind == "forced_codim1_mirror"
-    assert report.mirror_site is not None and report.mirror_site[3] == 0
+    if report.mirror_site is None or report.mirror_site[3] != 0:
+        raise AssertionError("the mirror site's fixed space is not the origin")
     return {"status": report.status, "kind": report.contradiction_kind,
             "detail": report.detail}
 
@@ -519,16 +481,14 @@ def _run_retraction_manifold() -> dict:
                            germs=[(1, germ, lifts), (2, germ, lifts)],
                            pieces=pieces)
     report = retraction_contradiction(s)
-    assert report.status == "contradiction"
-    assert report.contradiction_kind == "extra_boundary_point"
     return {"status": report.status, "kind": report.contradiction_kind,
             "detail": report.detail}
 
 
 def _run_parity_cone() -> dict:
     atlas = [charts()["rotation-3"], charts()["half-plane"], charts()["half-plane"]]
-    checks = [forbidden_index2_check(c) for c in atlas]
-    assert all(not r.found for r in checks)
+    if any(forbidden_index2_check(c).found for c in atlas):
+        raise AssertionError("an atlas chart has an index-2 subgroup fixing a line")
     pieces = [
         _boundary_piece("west", "a", base=True, chart=1),
         AssemblyPiece("chord", (AssemblyEnd(GLUE, token="a", chart_index=0),
@@ -541,9 +501,7 @@ def _run_parity_cone() -> dict:
     ]
     comps = assemble_components(pieces)
     types = sorted(classify_1_orbifold(c.component) for c in comps)
-    assert types == ["a", "b"], types
     parity = boundary_parity([c.component for c in comps])
-    assert parity.even and parity.boundary_points == 2
     return {"types": types, "boundary_points": parity.boundary_points,
             "even": parity.even}
 
@@ -555,11 +513,9 @@ def _run_parity_mirror_error() -> dict:
 
 def _run_forbidden_index2() -> dict:
     mirror = forbidden_index2_check(charts()["mirror-plane"])
-    assert mirror.found and mirror.witness.order == 1
     rot = forbidden_index2_check(charts()["rotation-3"])
-    assert not rot.found
-    triv = forbidden_index2_check(charts()["line-trivial"])
-    assert not triv.found
+    if forbidden_index2_check(charts()["line-trivial"]).found:
+        raise AssertionError("the trivial group has an index-2 subgroup")
     return {
         "mirror_plane_found": mirror.found,
         "witness_order": mirror.witness.order,
@@ -569,78 +525,105 @@ def _run_forbidden_index2() -> dict:
 
 
 def _run_lift_replacement() -> dict:
-    case = germ_case("z2-identity")
-    idrep = lift_replacement_invariance(case.germ, Matrix.identity(1))
-    negrep = lift_replacement_invariance(case.germ, _m([[-1]]))
-    assert idrep.kernels_equal and negrep.kernels_equal
-    assert idrep.n_unchanged and negrep.n_unchanged
-    return {"etas_checked": 2}
+    germ = germ_case("z2-identity").germ
+    reports = [lift_replacement_invariance(germ, eta)
+               for eta in (Matrix.identity(1), Matrix([[-1]]))]
+    return {"etas_checked": len(reports)}
 
 
 @lru_cache(maxsize=1)
 def scenarios() -> tuple[Scenario, ...]:
+    def strata(name):
+        return lambda: _strata_summary(charts()[name])
+
     out = [
-        Scenario("strata-line-z2", "strata", lambda: _run_strata("line-z2", [0])),
-        Scenario("strata-quarter-plane", "strata",
-                 lambda: _run_strata("quarter-plane", [1, 1, 0])),
-        Scenario("strata-point-reflection", "strata",
-                 lambda: _run_strata("point-reflection", [0])),
-        Scenario("strata-rotation-3", "strata", lambda: _run_strata("rotation-3", [0])),
-        Scenario("strata-dihedral-8", "strata",
-                 lambda: _run_strata("dihedral-8", [1, 1, 1, 1, 0])),
-        Scenario("product-line-z2-squared", "product", _run_product),
-        Scenario("suborbifold-axis", "suborbifold", _run_suborb_axis),
-        Scenario("suborbifold-diagonal", "suborbifold", _run_suborb_diagonal),
+        Scenario("strata-line-z2", "strata", strata("line-z2"), {"singular_dims": [0]}),
+        Scenario("strata-quarter-plane", "strata", strata("quarter-plane"),
+                 {"singular_dims": [1, 1, 0]}),
+        Scenario("strata-point-reflection", "strata", strata("point-reflection"),
+                 {"singular_dims": [0]}),
+        Scenario("strata-rotation-3", "strata", strata("rotation-3"),
+                 {"singular_dims": [0]}),
+        Scenario("strata-dihedral-8", "strata", strata("dihedral-8"),
+                 {"singular_dims": [1, 1, 1, 1, 0]}),
+        Scenario("product-line-z2-squared", "product",
+                 _run_product,
+                 {"group_order": 4, "singular_dims": [1, 1, 0]}),
+        Scenario("suborbifold-axis", "suborbifold", _run_suborb_axis,
+                 {"omega_order": 2, "intrinsic_order": 2, "full": True}),
+        Scenario("suborbifold-diagonal", "suborbifold", _run_suborb_diagonal,
+                 {"intrinsic_order": 2, "full": False}),
         Scenario("suborbifold-diagonal-rejected", "suborbifold",
                  _run_suborb_diagonal_error),
         Scenario("embedding-axis-chart", "embedding", _run_embedding_axis),
         Scenario("embedding-identity", "embedding", _run_embedding_identity),
         Scenario("embedding-equivariance-rejected", "embedding", _run_embedding_error),
-        Scenario("embedding-germ-pullback", "embedding", _run_embedding_pullback),
-        Scenario("germ-z2-square-critical", "regular-value", _run_square_critical),
-        Scenario("projection-worked-examples", "projection", _run_projection_examples),
+        Scenario("embedding-germ-pullback", "embedding", _run_embedding_pullback,
+                 {"value_at_origin": "1", "jacobian": [["2", "0"]]}),
+        Scenario("germ-z2-square-critical", "regular-value", _run_square_critical,
+                 {"regular": False, "rank_at_origin": 0}),
+        Scenario("projection-worked-examples", "projection", _run_projection_examples,
+                 {"mirror_projection": [["0", "0"], ["0", "1"]],
+                  "x_squared_projection": [["1", "0"], ["0", "1"]]}),
         Scenario("real-target-mirror-line", "real-target",
-                 lambda: _run_real_target("mirror-line", 1)),
+                 lambda: _run_real_target("mirror-line"), {"stratum_dimension": 1}),
         Scenario("real-target-cycle-sum", "real-target",
-                 lambda: _run_real_target("cycle-sum", 1)),
+                 lambda: _run_real_target("cycle-sum"), {"stratum_dimension": 1}),
         Scenario("obstruction-z2-line", "obstruction",
-                 lambda: _run_obstruction("z2-line", "impossible", "kernel_on_point")),
+                 lambda: _run_obstruction("line-z2", "line-trivial"),
+                 {"verdict": "impossible", "reason": "kernel_on_point"}),
         Scenario("obstruction-quarter-plane", "obstruction",
-                 lambda: _run_obstruction("quarter-plane", "impossible",
-                                          "kernel_on_point")),
+                 lambda: _run_obstruction("quarter-plane", "plane-trivial"),
+                 {"verdict": "impossible", "reason": "kernel_on_point"}),
         Scenario("obstruction-rotation-drop", "obstruction",
-                 lambda: _run_obstruction("rotation-drop", "impossible",
-                                          "no_invariant_kernel")),
+                 lambda: _run_obstruction("rotation-3", "line-trivial"),
+                 {"verdict": "impossible", "reason": "no_invariant_kernel"}),
         Scenario("obstruction-mirror-witness", "obstruction",
-                 lambda: _run_obstruction("mirror-witness", "possible",
-                                          "linear_witness")),
-        Scenario("sard-z2-square", "sard",
-                 lambda: _run_sard("z2-square", [(-2, 2)], F(999, 1000))),
-        Scenario("sard-mirror-linear", "sard",
-                 lambda: _run_sard("mirror-line", [(-2, 2)], F(1))),
-        Scenario("sard-constant", "sard",
-                 lambda: _run_sard("z2-constant", [(-2, 2)], F(999, 1000))),
-        Scenario("one-orbifold-types", "one-orbifold", _run_classify_types),
-        Scenario("assembly-interval", "one-orbifold", _run_assembly_interval),
-        Scenario("assembly-mirror-interval", "one-orbifold", _run_assembly_mirror),
-        Scenario("assembly-loop", "one-orbifold", _run_assembly_loop),
+                 lambda: _run_obstruction("mirror-plane", "line-trivial"),
+                 {"verdict": "possible", "reason": "linear_witness"}),
+        Scenario("sard-z2-square", "sard", lambda: _run_sard("z2-square"),
+                 {"regular_fraction": "1"}),
+        Scenario("sard-mirror-linear", "sard", lambda: _run_sard("mirror-line"),
+                 {"regular_fraction": "1"}),
+        Scenario("sard-constant", "sard", lambda: _run_sard("z2-constant"),
+                 {"regular_fraction": "1"}),
+        Scenario("one-orbifold-types", "one-orbifold", _run_classify_types,
+                 {"types": ["a", "b", "c", "d"]}),
+        Scenario("assembly-interval", "one-orbifold", _run_assembly_interval,
+                 {"type": "b"}),
+        Scenario("assembly-mirror-interval", "one-orbifold", _run_assembly_mirror,
+                 {"type": "c"}),
+        Scenario("assembly-loop", "one-orbifold", _run_assembly_loop, {"type": "a"}),
         Scenario("assembly-dangling-token", "one-orbifold", _run_assembly_token_error),
         Scenario("assembly-isotropy-mismatch", "one-orbifold",
                  _run_assembly_mismatch_error),
-        Scenario("retraction-type-c", "retraction", _run_retraction_type_c),
-        Scenario("retraction-disk-reflection", "retraction", _run_retraction_disk),
-        Scenario("retraction-manifold-disk", "retraction", _run_retraction_manifold),
-        Scenario("parity-cone", "parity", _run_parity_cone),
+        Scenario("retraction-type-c", "retraction", _run_retraction_type_c,
+                 {"status": "hypothesis not met"}),
+        Scenario("retraction-disk-reflection", "retraction", _run_retraction_disk,
+                 {"status": "contradiction", "kind": "forced_codim1_mirror"}),
+        Scenario("retraction-manifold-disk", "retraction", _run_retraction_manifold,
+                 {"status": "contradiction", "kind": "extra_boundary_point"}),
+        Scenario("parity-cone", "parity", _run_parity_cone,
+                 {"types": ["a", "b"], "boundary_points": 2, "even": True}),
         Scenario("parity-mirror-rejected", "parity", _run_parity_mirror_error),
-        Scenario("forbidden-index2", "parity", _run_forbidden_index2),
-        Scenario("lift-replacement-z2", "lift-replacement", _run_lift_replacement),
+        Scenario("forbidden-index2", "parity", _run_forbidden_index2,
+                 {"mirror_plane_found": True, "witness_order": 1,
+                  "rotation_3_found": False}),
+        Scenario("lift-replacement-z2", "lift-replacement", _run_lift_replacement,
+                 {"etas_checked": 2}),
     ]
-    out.extend(_germ_scenarios())
+    out.extend(Scenario("germ-%s" % case.name, "preimage",
+                        lambda case=case: _run_germ_case(case), {"regular": case.regular})
+               for case in germ_cases())
     return tuple(sorted(out, key=lambda s: s.name))
 
 
 def run_corpus(anchor: str | None = None):
-    """Run (a filter of) the corpus; yields (name, anchor, ok, detail)."""
+    """Run (a filter of) the corpus; yields (name, anchor, ok, detail).
+
+    A failing scenario's detail holds its error and, when its summary
+    differed from the expected values, the [field, expected, got] mismatches.
+    """
     for sc in scenarios():
         if anchor and anchor not in sc.anchor and anchor not in sc.name:
             continue
@@ -648,7 +631,10 @@ def run_corpus(anchor: str | None = None):
             detail = sc.run()
             yield sc.name, sc.anchor, True, detail
         except Exception as e:  # noqa: BLE001 - report any failure per scenario
-            yield sc.name, sc.anchor, False, {"error": "%s: %s" % (type(e).__name__, e)}
+            detail = {"error": "%s: %s" % (type(e).__name__, e)}
+            if isinstance(e, ExpectationMismatch):
+                detail["mismatches"] = e.mismatches
+            yield sc.name, sc.anchor, False, detail
 
 
 # JSON documents for the file-driven CLI commands

@@ -536,29 +536,20 @@ def _pack(digits, step: int) -> int:
     return sum(x << (step * j) for j, x in enumerate(digits))
 
 
-@dataclass(frozen=True)
-class KernelSplit:
-    """Kernel subspace with the trivially-acting subgroup and quotient at a point."""
+def kernel_split_at_base(germ: MapGerm) -> SuborbifoldLocalModel:
+    """The full suborbifold model of the kernel at the base point.
 
-    kernel: Subspace
-    g_group: Subgroup
-    gamma_s: QuotientGroup
-
-
-def kernel_split_at_base(germ: MapGerm) -> KernelSplit:
-    """The (kernel, pointwise stabilizer, quotient) data at the base point.
-
-    Unlike preimage_model this does not require the base point to be a
-    regular point, only group-fixed; the split is the full suborbifold
-    model of the kernel, and it is what the faithfulness argument consumes.
+    Its omega is the pointwise stabilizer G of the kernel and its intrinsic
+    isotropy the quotient Gamma/G.  Unlike preimage_model this does not
+    require the base point to be a regular point, only group-fixed; the
+    split is what the faithfulness argument consumes.
     """
     pt = germ.base_point
     for m in germ.source.group.generators:
         if m.apply(pt) != pt:
             raise NotCentered("base point is not fixed by the chart group")
-    sub = suborbifold_model(germ.source, germ.kernel_at(pt),
-                            germ.source.group.full_subgroup())
-    return KernelSplit(sub.subspace, sub.omega, sub.intrinsic_isotropy)
+    return suborbifold_model(germ.source, germ.kernel_at(pt),
+                             germ.source.group.full_subgroup())
 
 
 @dataclass(frozen=True)
@@ -580,16 +571,16 @@ def faithfulness_check(germ: MapGerm, model: PreimageModel | None = None) -> Fai
     if model is not None:
         if model.germ is not germ:
             raise ValueError("model was built from a different germ")
-        split = KernelSplit(model.kernel, model.g_group, model.gamma_s)
+        split = model.suborbifold
     else:
         split = kernel_split_at_base(germ)
     ngrp = germ.n_subgroup()
-    inter = set(ngrp.members) & set(split.g_group.members)
-    images = tuple((i, split.gamma_s.coset_of(i)) for i in ngrp.members)
+    inter = set(ngrp.members) & set(split.omega.members)
+    images = tuple((i, split.intrinsic_isotropy.coset_of(i)) for i in ngrp.members)
     injective = len({c for _, c in images}) == ngrp.order
     report = FaithfulnessReport(
         n_order=ngrp.order,
-        g_order=split.g_group.order,
+        g_order=split.omega.order,
         intersection_trivial=inter == {0},
         injective=injective,
         coset_images=images,

@@ -26,6 +26,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .ratlin import (
+    BudgetExceeded,
     Matrix,
     Subspace,
     kernel,
@@ -40,7 +41,7 @@ DEFAULT_ORDER_BOUND = 10000
 _SEARCH_SEED = 811607  # fixed seed for the random commutant combinations
 
 
-class ClosureBoundExceeded(RuntimeError):
+class ClosureBoundExceeded(BudgetExceeded):
     """Generator closure grew past the order bound (group infinite or too big)."""
 
 

@@ -361,8 +361,8 @@ def retraction_contradiction(s: RetractionScenario) -> RetractionReport:
 
     pc = next(c for c in components
               if any(e.kind == BOUNDARY for e in c.terminal_ends))
-    assert classify_1_orbifold(pc.component) == "c", \
-        "single-boundary interval must carry a mirror end"
+    if classify_1_orbifold(pc.component) != "c":
+        raise AssertionError("single-boundary interval must carry a mirror end")
     mirror = next(e for e in pc.terminal_ends if e.kind == MIRROR)
     n = s.atlas[0].dim
     detail = ("the component of p is a type (c) interval; its interior mirror "

@@ -42,6 +42,10 @@ QZERO = Fraction(0)
 QONE = Fraction(1)
 
 
+class BudgetExceeded(RuntimeError):
+    """A computation passed a resource limit; no mathematical check failed."""
+
+
 def rat(x) -> Fraction:
     """Coerce ints, strings like '3/4', and Fractions to Fraction."""
     if isinstance(x, Fraction):
@@ -766,7 +770,7 @@ def _kronecker_find_factor(p: list[Fraction]) -> list[Fraction] | None:
         for dl in divisor_lists:
             total *= len(dl)
         if total > _KRONECKER_COMBO_CAP:
-            raise RuntimeError("factor search space too large at degree %d" % d)
+            raise BudgetExceeded("factor search space too large at degree %d" % d)
         # sign symmetry: q and -q divide together, so pin the first value > 0
         first = [v for v in divisor_lists[0] if v > 0]
         for values in itertools.product(first, *divisor_lists[1:]):

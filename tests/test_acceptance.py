@@ -137,8 +137,8 @@ def test_criterion_04_faithfulness_suite():
     for case in germ_cases():
         split = kernel_split_at_base(case.germ)
         ngrp = case.germ.n_subgroup()
-        assert set(ngrp.members) & set(split.g_group.members) == {0}
-        cosets = [split.gamma_s.coset_of(i) for i in ngrp.members]
+        assert set(ngrp.members) & set(split.omega.members) == {0}
+        cosets = [split.intrinsic_isotropy.coset_of(i) for i in ngrp.members]
         assert len(set(cosets)) == ngrp.order
     report(4, "kernel of the homomorphism embeds in the quotient on %d germs"
            % len(germ_cases()))

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from orblocal.ratlin import Matrix, Subspace, kernel, vec
 from orblocal.groups import GroupHom, NotAHomomorphism, Subgroup, verify_homomorphism
+from orblocal.onedim import no_retraction_hypothesis
 from orblocal.charts import (
     BoundaryViolation,
     ChartEmbedding,
@@ -15,7 +16,6 @@ from orblocal.charts import (
     StrataReport,
     Stratum,
     build_chart,
-    has_interior_codim1_stratum,
     isotropy_at,
     pointwise_stabilizer,
     product_chart,
@@ -292,13 +292,13 @@ class TestStrataReference:
 
 class TestCodimOne:
     def test_mirror_true(self):
-        assert has_interior_codim1_stratum(build_chart(2, [m([[1, 0], [0, -1]])]))
+        assert not no_retraction_hypothesis([build_chart(2, [m([[1, 0], [0, -1]])])]).holds
 
     def test_point_reflection_false(self):
-        assert not has_interior_codim1_stratum(build_chart(2, [m([[-1, 0], [0, -1]])]))
+        assert no_retraction_hypothesis([build_chart(2, [m([[-1, 0], [0, -1]])])]).holds
 
     def test_trivial_false(self):
-        assert not has_interior_codim1_stratum(build_chart(2, []))
+        assert no_retraction_hypothesis([build_chart(2, [])]).holds
 
     def test_boundary_wall_excluded(self):
         # product of a mirror line with a half-line: the wall is the boundary

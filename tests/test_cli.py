@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import orblocal
 
 from orblocal import __version__, corpus, germs
 from orblocal.cli import build_parser, main
@@ -160,6 +165,15 @@ class TestStrata:
         path = write(tmp_path, docs["chart-quarter-plane"]["payload"])
         assert main(["strata", path]) == 0
 
+    def test_infinite_group_exits_as_budget(self, tmp_path, capsys):
+        # a shear generates an infinite group: closure stops at the order
+        # bound, a resource limit and not a failed check
+        shear = {"dim": 2, "boundary": False,
+                 "generators": [[["1", "1"], ["0", "1"]]]}
+        assert main(["strata", write(tmp_path, shear)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "budget exceeded: ClosureBoundExceeded: ")
+
 
 class TestObstruct:
     def test_impossible(self, tmp_path, docs):
@@ -293,6 +307,32 @@ class TestCorpus:
             corpus.Scenario("corrupted-self-test", "self-test", fail),))
         assert main(["corpus", "run"]) == 2
         assert "FAIL corrupted-self-test" in capsys.readouterr().out
+
+    def test_wrong_expectation_fails_under_optimize(self, tmp_path):
+        # the corpus compares expected values with explicit raises, so a
+        # wrong expectation fails with asserts stripped, and --out lists it
+        out_path = str(tmp_path / "corpus.json")
+        script = "\n".join([
+            "import dataclasses, sys",
+            "from orblocal import corpus",
+            "from orblocal.cli import main",
+            "sc = next(s for s in corpus.scenarios() if s.name == 'strata-quarter-plane')",
+            "wrong = dataclasses.replace(sc, expect={'singular_dims': [1, 0]})",
+            "corpus.scenarios = lambda: (wrong,)",
+            "print(sys.flags.optimize, main(['corpus', 'run', '--out', sys.argv[1]]))",
+        ])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(orblocal.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", script, out_path], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        assert lines[0].startswith("FAIL strata-quarter-plane")
+        assert lines[1] == "    singular_dims: expected [1, 0], got [1, 1, 0]"
+        assert lines[-1] == "1 2"
+        (result,) = json.loads(open(out_path).read())["results"]
+        assert result["passed"] is False
+        assert result["detail"]["mismatches"] == [["singular_dims", [1, 0], [1, 1, 0]]]
 
     def test_sard_report_byte_reproducible(self, tmp_path):
         o1, o2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")

@@ -552,14 +552,13 @@ class TestFaithfulness:
         # a split whose trivially-acting subgroup is the whole group meets N
         # beyond the identity; the check must raise with asserts stripped
         script = "\n".join([
-            "import sys",
+            "import dataclasses, sys",
             "from orblocal import germs",
             "from orblocal.corpus import germ_case",
             "germ = germ_case('mirror-line').germ",
             "split = germs.kernel_split_at_base(germ)",
             "full = germ.source.group.full_subgroup()",
-            "germs.kernel_split_at_base = lambda g: germs.KernelSplit(",
-            "    split.kernel, full, split.gamma_s)",
+            "germs.kernel_split_at_base = lambda g: dataclasses.replace(split, omega=full)",
             "try:",
             "    germs.faithfulness_check(germ)",
             "except AssertionError as e:",
@@ -897,8 +896,8 @@ class TestKernelSplit:
     def test_g_normal_and_effective(self):
         for case in germ_cases():
             split = kernel_split_at_base(case.germ)
-            assert split.g_group.is_normal()
+            assert split.omega.is_normal()
             grp = case.germ.source.group
-            for coset in range(1, split.gamma_s.order):
-                rep = grp.element(split.gamma_s.representative(coset))
-                assert not split.kernel.fixed_pointwise_by(rep) or split.kernel.is_zero()
+            for coset in range(1, split.intrinsic_isotropy.order):
+                rep = grp.element(split.intrinsic_isotropy.representative(coset))
+                assert not split.subspace.fixed_pointwise_by(rep) or split.subspace.is_zero()

@@ -9,7 +9,7 @@ import pytest
 import orblocal
 
 from orblocal.charts import LocalChart, pointwise_stabilizer, stratify, suborbifold_model
-from orblocal.ratlin import Matrix, Subspace, kernel, kernel_image_rank
+from orblocal.ratlin import BudgetExceeded, Matrix, Subspace, kernel, kernel_image_rank
 from orblocal.groups import (
     ClosureBoundExceeded,
     GroupHom,
@@ -76,8 +76,9 @@ class TestClosure:
 
     def test_bound_exceeded(self):
         shear = m([[1, 1], [0, 1]])  # infinite order
-        with pytest.raises(ClosureBoundExceeded):
+        with pytest.raises(ClosureBoundExceeded) as exc:
             generate_closure(2, [shear], max_order=64)
+        assert isinstance(exc.value, BudgetExceeded)
 
     def test_idempotence(self):
         g = generate_closure(2, [ROT3, SWAP])

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import orblocal
 from orblocal.germs import preimage_model, preimage_model_boundary
 from orblocal.corpus import charts, germ_case
 from orblocal.onedim import (
@@ -289,3 +293,27 @@ class TestRetraction:
                 AssemblyEnd(BOUNDARY), AssemblyEnd(BOUNDARY)))])
         with pytest.raises(AssemblyError):
             retraction_contradiction(s)
+
+    def test_type_c_check_raises_under_optimize(self):
+        # a classifier that calls the disk's component of p type (b): the
+        # type (c) check must still fire with asserts stripped
+        script = "\n".join([
+            "import sys",
+            "from orblocal import onedim, serialize",
+            "from orblocal.corpus import builtin_documents",
+            "doc = builtin_documents()['atlas-disk-reflection']",
+            "s = serialize.parse_atlas_payload(doc['payload'], '$.payload')",
+            "onedim.classify_1_orbifold = lambda c: 'b'",
+            "try:",
+            "    onedim.retraction_contradiction(s)",
+            "except AssertionError as e:",
+            "    print(sys.flags.optimize, e)",
+            "else:",
+            "    print(sys.flags.optimize, 'no error')",
+        ])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(orblocal.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "1 single-boundary interval must carry a mirror end"

@@ -3,7 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from orblocal import ratlin
 from orblocal.ratlin import (
+    BudgetExceeded,
     Matrix,
     MultiPoly,
     Subspace,
@@ -174,6 +176,12 @@ class TestFactorization:
     def test_known_factorizations(self, poly, expect):
         fs = factor_rational_poly([F(c) for c in poly])
         assert [[int(c) for c in f] for f, _ in fs] == expect
+
+    def test_search_cap_is_a_budget(self, monkeypatch):
+        # x^4 + 1 has no rational root, so its degree-2 factor search runs
+        monkeypatch.setattr(ratlin, "_KRONECKER_COMBO_CAP", 1)
+        with pytest.raises(BudgetExceeded):
+            factor_rational_poly([F(1), F(0), F(0), F(0), F(1)])
 
     def test_reexpansion_random(self):
         rng = random.Random(31337)
