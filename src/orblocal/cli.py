@@ -28,6 +28,7 @@ from .germs import (
     is_regular_value,
     obstruction_certificate,
     preimage_model_at,
+    sampling_interval,
     sard_sample,
 )
 from .onedim import boundary_parity, classify_1_orbifold, retraction_contradiction
@@ -154,9 +155,15 @@ def cmd_sard(args) -> int:
                           % (germ.target.dim, len(args.box)))
     box = []
     for i, (lo, hi) in enumerate(args.box):
-        lo, hi = Fraction(lo), Fraction(hi)
-        if not lo < hi:
-            raise SchemaError("$.box[%d]" % i, "empty interval")
+        where = "$.box[%d]" % i
+        try:
+            lo, hi = Fraction(lo), Fraction(hi)
+        except (ValueError, ZeroDivisionError):
+            raise SchemaError(where, "not a rational number: %s %s" % (lo, hi)) from None
+        try:
+            sampling_interval(lo, hi)
+        except ValueError as e:
+            raise SchemaError(where, str(e)) from None
         box.append((lo, hi))
     if args.samples < 1:
         raise SchemaError("$.samples", "need at least 1 sample, got %d" % args.samples)

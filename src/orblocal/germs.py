@@ -73,6 +73,9 @@ from .charts import (
 )
 
 SNAP_DENOMINATOR = 10 ** 6
+# samples per chunk of sard_sample: its draws and integer filter work on
+# columns of this many samples, so memory stays bounded for any count
+SARD_CHUNK = 256
 
 
 class EquivarianceError(ValueError):
@@ -801,26 +804,34 @@ def _separable_coordinates(lift: MultiPoly) -> list[tuple]:
     return out
 
 
-def _regular_on_numerators(coords, ns) -> bool:
-    """True when the snapped sample (n / D for n in ns) is proven regular on ints.
+def _undecided_samples(coords, cols, m) -> list[int]:
+    """The indices of a chunk's m samples that the integer filter cannot decide.
 
-    These are the early exits of ``_classify_sample`` without a Fraction: a
-    constant coordinate a/b misses n/D (n*b != a*D), so the preimage is
-    empty; or there is no constant coordinate and no critical-value
-    resultant vanishes.  False leaves the sample to ``_classify_sample``.
+    cols[j] lists the snapped numerators n (the sample is n / D) of target
+    coordinate j.  These are the early exits of ``_classify_sample`` on whole
+    columns, without a Fraction: a constant coordinate a/b keeps only the
+    samples with n*b == a*D, since any other has an empty preimage; with no
+    constant coordinate, a sample stays only when some coordinate's
+    homogenized critical-value resultant vanishes at n.  Every other sample
+    is regular; the kept ones go to ``_classify_sample``.
     """
-    undecided = False
-    for coord, n in zip(coords, ns):
-        if coord[0] == "const":
-            if n * coord[1].denominator != coord[1].numerator * SNAP_DENOMINATOR:
-                return True
-            undecided = True
-        elif not undecided:
-            acc = 0
-            for c in coord[5]:
-                acc = acc * n + c
-            undecided = acc == 0
-    return not undecided
+    consts = [(coord[1], col) for coord, col in zip(coords, cols) if coord[0] == "const"]
+    if consts:
+        rows = range(m)
+        for value, col in consts:
+            n, r = divmod(value.numerator * SNAP_DENOMINATOR, value.denominator)
+            if r:
+                return []
+            rows = [i for i in rows if col[i] == n]
+        return rows
+    hits: set[int] = set()
+    for coord, col in zip(coords, cols):
+        head, *rest = coord[5]
+        acc = [head] * m
+        for c in rest:
+            acc = [a * n + c for a, n in zip(acc, col)]
+        hits.update(i for i, a in enumerate(acc) if not a)
+    return sorted(hits)
 
 
 def _classify_sample(coords, p) -> bool:
@@ -831,7 +842,7 @@ def _classify_sample(coords, p) -> bool:
     The resultant filter rules out most points; the gcd and Sturm checks
     only run for resultant roots and matched constant coordinates.
     ``sard_sample`` calls it only for the samples that
-    ``_regular_on_numerators`` leaves undecided.
+    ``_undecided_samples`` leaves undecided.
     """
     capable = []
     for coord, pj in zip(coords, p):
@@ -895,36 +906,65 @@ class SardReport:
         }
 
 
+def sampling_interval(lo: Fraction, hi: Fraction) -> tuple[float, float]:
+    """The float ends of one ``sard_sample`` interval [lo, hi].
+
+    Raises ValueError unless lo < hi and each end, as a float times
+    SNAP_DENOMINATOR, is a finite float, so that every draw snaps to an
+    integer numerator.
+    """
+    if not lo < hi:
+        raise ValueError("empty interval")
+    try:
+        ends = float(lo), float(hi)
+    except OverflowError:
+        ends = math.inf, math.inf
+    if not all(math.isfinite(e * SNAP_DENOMINATOR) for e in ends):
+        raise ValueError("interval end times %d is not a finite float"
+                         % SNAP_DENOMINATOR)
+    return ends
+
+
 def sard_sample(germ: MapGerm, box, samples: int, seed: int) -> SardReport:
     """Sample target points and classify each regular/critical exactly.
 
-    Floats are used only to draw the samples; each coordinate is snapped to
-    n / SNAP_DENOMINATOR with integer n and classified with exact arithmetic
-    (empty preimages are regular by convention).  The integer filter
-    ``_regular_on_numerators`` proves almost every sample regular on n; only
-    the rest become Fractions and go through ``_classify_sample`` over Q.
-    Deterministic per seed.  Raises ValueError unless samples >= 1.
+    Floats are used only to draw the samples.  Draws come from
+    ``random.Random(seed).random()`` in sample-major order, k per sample for
+    a target of dimension k; coordinate j of a sample is
+    lo_j + (hi_j - lo_j) * random(), the same float as
+    ``random.uniform(lo_j, hi_j)``.  Each coordinate is snapped to
+    n / SNAP_DENOMINATOR with n = round(coordinate * SNAP_DENOMINATOR) and
+    classified with exact arithmetic (empty preimages are regular by
+    convention).  Samples go in chunks of SARD_CHUNK: the integer filter
+    ``_undecided_samples`` proves almost every sample regular on the columns
+    of numerators, and only the rest become Fractions and go through
+    ``_classify_sample`` over Q.  Deterministic per seed.  Raises ValueError
+    unless samples >= 1 and each interval passes ``sampling_interval``.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1, got %d" % samples)
     box = tuple((Fraction(lo), Fraction(hi)) for lo, hi in box)
     if len(box) != germ.target.dim:
         raise ValueError("box must give one interval per target coordinate")
+    spans = [(lo, hi - lo) for lo, hi in (sampling_interval(*iv) for iv in box)]
     coords = _separable_coordinates(germ.lift)
-    fbox = [(float(lo), float(hi)) for lo, hi in box]
-    uniform = random.Random(seed).uniform
+    rnd = random.Random(seed).random
+    k = len(spans)
     regular_count = 0
     critical: set[tuple[Fraction, ...]] = set()
-    for _ in range(samples):
-        ns = [round(uniform(lo, hi) * SNAP_DENOMINATOR) for lo, hi in fbox]
-        if _regular_on_numerators(coords, ns):
-            regular_count += 1
-            continue
-        p = tuple(Fraction(n, SNAP_DENOMINATOR) for n in ns)
-        if _classify_sample(coords, p):
-            regular_count += 1
-        else:
-            critical.add(p)
+    for start in range(0, samples, SARD_CHUNK):
+        m = min(SARD_CHUNK, samples - start)
+        xs = [rnd() for _ in range(m * k)]
+        cols = [[round((lo + width * x) * SNAP_DENOMINATOR) for x in xs[j::k]]
+                for j, (lo, width) in enumerate(spans)]
+        undecided = _undecided_samples(coords, cols, m)
+        regular_count += m - len(undecided)
+        for i in undecided:
+            p = tuple(Fraction(col[i], SNAP_DENOMINATOR) for col in cols)
+            if _classify_sample(coords, p):
+                regular_count += 1
+            else:
+                critical.add(p)
     return SardReport(
         samples=samples, seed=seed, box=box,
         regular_count=regular_count,

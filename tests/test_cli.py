@@ -144,6 +144,24 @@ class TestSard:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("box, reason", [
+        (["a", "1"], "not a rational number"),
+        (["1/0", "1"], "not a rational number"),
+        (["inf", "1"], "not a rational number"),
+        (["0", "nan"], "not a rational number"),
+        (["2", "-2"], "empty interval"),
+        (["1e308", "1.7e308"], "not a finite float"),
+    ])
+    def test_bad_box_input_error(self, tmp_path, docs, capsys, box, reason):
+        path = write(tmp_path, docs["germ-z2-square"])
+        out = tmp_path / "report.json"
+        assert main(["sard", path, "--samples", "5", "--seed", "1",
+                     "--box", *box, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "input error: at $.box[0]: " in captured.err and reason in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_unsupported_lift_exit_two(self, tmp_path, docs):
         path = write(tmp_path, docs["germ-sum-squares"])
         assert main(["sard", path, "--samples", "10", "--seed", "1",

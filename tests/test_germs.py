@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from orblocal.germs import (
     NotCentered,
     NotInPreimage,
     NotRegularPoint,
+    SARD_CHUNK,
     SNAP_DENOMINATOR,
     SardReport,
     UnsupportedLift,
@@ -730,6 +732,38 @@ class TestSard:
         with pytest.raises(ValueError, match="at least 1"):
             sard_sample(case.germ, [(-2, 2)], samples, 0)
 
+    @pytest.mark.parametrize("box, reason", [
+        ([(2, -2)], "empty interval"),
+        ([(1, 1)], "empty interval"),
+        # finite floats, infinite once snapped
+        ([(F("1e308"), F("1.7e308"))], "not a finite float"),
+        # too large for a float at all
+        ([(F(-(10 ** 400)), F(0))], "not a finite float"),
+    ])
+    def test_bad_interval_rejected(self, box, reason):
+        case = germ_case("z2-square")
+        with pytest.raises(ValueError, match=reason):
+            sard_sample(case.germ, box, 5, 1)
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_chunks_match_fraction_loop(self, dims, data):
+        """Sample counts that end on, just before and just after a chunk
+        boundary, several chunks in, for the real chunk size and tiny ones."""
+        chunk = data.draw(st.sampled_from([1, 3, SARD_CHUNK]))
+        coords = data.draw(st.lists(sard_coordinates(), min_size=dims, max_size=dims))
+        box = [data.draw(sard_interval(centre)) for _, centre in coords]
+        germ = separable_germ([terms for terms, _ in coords])
+        samples = data.draw(st.one_of(
+            st.sampled_from([q * chunk + d for q in (1, 2, 3) for d in (-1, 0, 1)
+                             if q * chunk + d >= 1]),
+            st.integers(chunk + 1, 3 * chunk + 1)))
+        seed = data.draw(st.integers(0, 2 ** 16))
+        with mock.patch.object(germs, "SARD_CHUNK", chunk):
+            got = sard_sample(germ, box, samples, seed)
+        assert got == sard_reference(germ, box, samples, seed)
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_integer_filter_matches_fraction_loop(self, data):
@@ -744,8 +778,8 @@ class TestSard:
 
 def sard_reference(germ, box, samples, seed):
     """The per-sample Fraction loop that sard_sample ran before its integer
-    filter: every sample becomes a Fraction tuple and goes through
-    _classify_sample."""
+    filter: every sample is drawn with random.uniform, becomes a Fraction
+    tuple and goes through _classify_sample."""
     box = tuple((F(lo), F(hi)) for lo, hi in box)
     coords = _separable_coordinates(germ.lift)
     fbox = [(float(lo), float(hi)) for lo, hi in box]
