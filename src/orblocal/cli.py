@@ -6,9 +6,9 @@ certificates), classify1 (compact 1-orbifold components), retraction
 (no-retraction argument on an atlas), corpus (built-in regression
 scenarios).  Outputs are UTF-8 JSON with a human summary on stdout.
 
-Exit codes: 0 success, 1 input/schema error, 2 failed mathematical check,
-3 budget exceeded (a resource limit such as the group-order bound, not a
-mathematical failure).
+Exit codes: 0 success, 1 input/schema or usage error, 2 failed mathematical
+check, 3 budget exceeded (a resource limit such as the group-order bound,
+not a mathematical failure).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -283,10 +284,27 @@ def cmd_corpus(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_MATH
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, the code of input
+    errors (argparse exits 2, the code of a failed mathematical check here),
+    and which reads any word that starts with '-' and a digit or '.digit',
+    such as the rational '-1/3', as a value rather than an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes a word for a value when this matches it and no
+        # option of the parser looks like a negative number
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, "%s: error: %s\n" % (self.prog, message))
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once; each parse returns a fresh namespace."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="orblocal",
         description="exact local calculus of smooth orbifold charts and germs")
     ap.add_argument("--version", action="version", version=__version__)

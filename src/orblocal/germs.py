@@ -27,11 +27,13 @@ On top of germs this module builds:
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul
+from typing import Iterator, Sequence
 
 from .ratlin import (
     Matrix,
@@ -683,12 +685,14 @@ def obstruction_certificate(source: LocalChart, target: LocalChart,
         return ObstructionCertificate(
             "impossible", "target_dim_exceeds_source",
             "no %d->%d differential can be surjective" % (n, k))
-    if n == k and not kernel_of(theta).is_trivial():
-        return ObstructionCertificate(
-            "impossible", "kernel_on_point",
-            "equal dimensions force a 0-dimensional kernel, but the "
-            "homomorphism kernel of order %d would have to act effectively "
-            "and faithfully on it" % kernel_of(theta).order)
+    if n == k:
+        ker = kernel_of(theta)
+        if not ker.is_trivial():
+            return ObstructionCertificate(
+                "impossible", "kernel_on_point",
+                "equal dimensions force a 0-dimensional kernel, but the "
+                "homomorphism kernel of order %d would have to act effectively "
+                "and faithfully on it" % ker.order)
     search = None
     if n > k:
         search = find_invariant_subspace(source.group, n - k)
@@ -700,17 +704,7 @@ def obstruction_certificate(source: LocalChart, target: LocalChart,
                 invariant_search=search)
     basis = intertwiners(source.group,
                          lambda gi: target.group.element(theta.apply(gi)))
-    candidates = list(basis)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            candidates.append(basis[i] + basis[j])
-    rng = random.Random(271828)
-    for _ in range(50):
-        m = Matrix.zero(k, n)
-        for b in basis:
-            m = m + b.scale(Fraction(rng.randint(-3, 3)))
-        candidates.append(m)
-    for cand in candidates:
+    for cand in _linear_candidates(basis, k, n):
         if cand.rank() == k:
             lift = MultiPoly.from_linear(cand)
             germ = build_germ(source, target, lift, theta)
@@ -722,6 +716,21 @@ def obstruction_certificate(source: LocalChart, target: LocalChart,
         "unknown", "inconclusive",
         "no obstruction fired and no linear witness was found",
         invariant_search=search)
+
+
+def _linear_candidates(basis: Sequence[Matrix], k: int, n: int) -> Iterator[Matrix]:
+    """Candidate k x n linear lifts, built as they are asked for: the basis,
+    then the sums of two basis elements, then 50 combinations with
+    coefficients in -3..3 drawn from random.Random(271828)."""
+    yield from basis
+    for a, b in itertools.combinations(basis, 2):
+        yield a + b
+    rng = random.Random(271828)
+    for _ in range(50):
+        m = Matrix.zero(k, n)
+        for b in basis:
+            m = m + b.scale(Fraction(rng.randint(-3, 3)))
+        yield m
 
 
 # ---------------------------------------------------------------------------

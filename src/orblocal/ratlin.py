@@ -13,13 +13,18 @@ enters any code path here.  The three value types are
                    reduced row-echelon rows, so equality of subspaces is
                    integer comparison, and membership, invariance and
                    intersection run on those integer rows,
-* ``MultiPoly`` -- a polynomial map Q^n -> Q^m with exact coefficients.
+* ``MultiPoly`` -- a polynomial map Q^n -> Q^m, stored the same way: per
+                   output coordinate a sorted tuple of (exponent vector,
+                   integer numerator) terms, over one positive denominator
+                   in lowest terms; evaluation, Jacobians, affine
+                   substitution and composition with a Matrix run on ints,
+                   and ``coords`` is its ``Fraction`` view.
 
 Elimination (rref, rank, det, inverse, solve, kernels) is fraction-free
 Gauss-Jordan elimination (Bareiss) on the integer rows: every intermediate
 entry is a minor of the input, every division is exact, and the reduced
-form is read off at the end over the last pivot.  Vectors and polynomials
-work on ``fractions.Fraction``.  On top of those it provides
+form is read off at the end over the last pivot.  Vectors and univariate
+polynomials work on ``fractions.Fraction``.  On top of those it provides
 kernels/images/rank, characteristic polynomials with full factorization
 into irreducibles over Q (Yun square-free split plus Kronecker's finite
 interpolation method; fine at the degrees <= 8 this library works with),
@@ -29,11 +34,12 @@ sampler.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
-from operator import mul
+from math import gcd, lcm, prod
+from operator import add, mul
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -64,11 +70,17 @@ def vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _int_vec(v: Sequence) -> list[int]:
-    """A rational vector scaled to integers by the lcm of its denominators."""
+def _scaled_vec(v: Sequence) -> tuple[list[int], int]:
+    """A rational vector as integers over the lcm d of its denominators:
+    (ints, d) with v = ints / d."""
     v = vec(v)
     d = lcm(*(x.denominator for x in v))
-    return [x.numerator * (d // x.denominator) for x in v]
+    return [x.numerator * (d // x.denominator) for x in v], d
+
+
+def _int_vec(v: Sequence) -> list[int]:
+    """A rational vector scaled to integers by the lcm of its denominators."""
+    return _scaled_vec(v)[0]
 
 
 def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
@@ -280,12 +292,10 @@ class Matrix:
 
     def apply(self, v: Sequence) -> tuple[Fraction, ...]:
         """Matrix times column vector, returned as a tuple."""
-        v = vec(v)
-        if len(v) != self.cols:
+        iv, d = _scaled_vec(v)
+        if len(iv) != self.cols:
             raise ValueError("vector length %d does not match %d columns"
-                             % (len(v), self.cols))
-        d = lcm(*(x.denominator for x in v))
-        iv = [x.numerator * (d // x.denominator) for x in v]
+                             % (len(iv), self.cols))
         den = self._den * d
         return tuple(Fraction(sum(map(mul, row, iv)), den) for row in self._num)
 
@@ -838,118 +848,125 @@ def poly_apply_matrix(p: Sequence[Fraction], m: Matrix) -> Matrix:
 # multivariate polynomial maps
 
 TermDict = dict[tuple[int, ...], Fraction]
+Terms = tuple[tuple[tuple[int, ...], int], ...]
 
 
-def _t_canon(d: TermDict) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    return tuple(sorted((e, c) for e, c in d.items() if c != 0))
+def _combine(pairs: Iterable[tuple[int, Iterable]]) -> Terms:
+    """The sum of w * terms over (w, terms) pairs of an integer weight and
+    (exponent, integer) terms, as sorted terms without a zero numerator."""
+    acc: dict[tuple[int, ...], int] = {}
+    for w, terms in pairs:
+        if w:
+            for e, c in terms:
+                acc[e] = acc.get(e, 0) + w * c
+    return tuple(sorted([(e, c) for e, c in acc.items() if c]))
 
 
-def _t_add(a: TermDict, b: TermDict) -> TermDict:
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, QZERO) + c
-    return {e: c for e, c in out.items() if c != 0}
-
-
-def _t_scale(a: TermDict, f: Fraction) -> TermDict:
-    if f == 0:
-        return {}
-    return {e: f * c for e, c in a.items()}
-
-
-def _t_mul(a: TermDict, b: TermDict) -> TermDict:
-    out: TermDict = {}
+def _t_mul(a: dict, b: dict) -> dict:
+    """The product of two integer term dictionaries."""
+    out: dict[tuple[int, ...], int] = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, QZERO) + ca * cb
-    return {e: c for e, c in out.items() if c != 0}
-
-
-def _t_eval(a: TermDict, point: Sequence[Fraction]) -> Fraction:
-    total = QZERO
-    for e, c in a.items():
-        term = c
-        for x, k in zip(point, e):
-            if k:
-                term *= x ** k
-        total += term
-    return total
-
-
-def _t_partial(a: TermDict, var: int) -> TermDict:
-    out: TermDict = {}
-    for e, c in a.items():
-        if e[var]:
-            ne = e[:var] + (e[var] - 1,) + e[var + 1:]
-            out[ne] = out.get(ne, QZERO) + c * e[var]
+            e = tuple(map(add, ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
     return out
+
+
+def _top_degree(rows: Iterable[Terms]) -> int:
+    """The largest total degree of a term in rows of terms, 0 without terms."""
+    return max([sum(e) for terms in rows for e, _ in terms], default=0)
+
+
+@functools.cache
+def _units(n: int) -> tuple[tuple[int, ...], ...]:
+    """The exponent vectors of the n variables x_0, ..., x_{n-1}."""
+    return tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
 
 
 class MultiPoly:
     """A polynomial map Q^num_vars -> Q^out_dim with exact coefficients.
 
-    Each output coordinate is stored as a canonical term dictionary
-    (exponent vector -> coefficient); no zero coefficients, no duplicate
-    exponent vectors.
+    Stored like a Matrix: per output coordinate a tuple of (exponent vector,
+    integer numerator) terms, sorted by exponent vector, with no zero
+    numerator, over one positive denominator for all coordinates, in lowest
+    terms.  The form is canonical, so equality and hashing compare integers,
+    and every operation runs on integers.  ``coords`` is the Fraction view,
+    one sorted tuple of (exponent, coefficient) terms per coordinate, built
+    on first read.
     """
 
-    __slots__ = ("num_vars", "coords", "_hash")
+    __slots__ = ("num_vars", "_num", "_den", "_coords", "_hash")
 
     def __init__(self, num_vars: int, coords: Sequence[TermDict]):
-        self.num_vars = num_vars
-        canon = []
+        terms = []
         for d in coords:
             for e in d:
                 if len(e) != num_vars:
                     raise ValueError("exponent vector %r in %d variables" % (e, num_vars))
                 if any(k < 0 for k in e):
                     raise ValueError("negative exponent in %r" % (e,))
-            canon.append(_t_canon(d))
-        self.coords = tuple(canon)
+            terms.append([(e, rat(c)) for e, c in d.items() if c != 0])
+        den = lcm(*(c.denominator for t in terms for _, c in t))
+        self.num_vars = num_vars
+        self._num = tuple(tuple(sorted([(e, c.numerator * (den // c.denominator))
+                                        for e, c in t])) for t in terms)
+        self._den = den
+        self._coords = None
         self._hash = None
+
+    @classmethod
+    def _make(cls, num_vars: int, num: tuple[Terms, ...], den: int) -> "MultiPoly":
+        """The map num / den (den > 0, canonical terms), in lowest terms."""
+        if den != 1:
+            g = gcd(den, *(c for terms in num for _, c in terms))
+            if g != 1:
+                num = tuple([tuple([(e, c // g) for e, c in terms]) for terms in num])
+                den //= g
+        p = object.__new__(cls)
+        p.num_vars = num_vars
+        p._num = num
+        p._den = den
+        p._coords = None
+        p._hash = None
+        return p
+
+    @property
+    def coords(self) -> tuple[tuple[tuple[tuple[int, ...], Fraction], ...], ...]:
+        if self._coords is None:
+            den = self._den
+            self._coords = tuple(tuple([(e, Fraction(c, den)) for e, c in terms])
+                                 for terms in self._num)
+        return self._coords
 
     @property
     def out_dim(self) -> int:
-        return len(self.coords)
+        return len(self._num)
 
     def coord_dict(self, i: int) -> TermDict:
         return dict(self.coords[i])
 
     @classmethod
     def zero_map(cls, num_vars: int, out_dim: int) -> "MultiPoly":
-        return cls(num_vars, [{} for _ in range(out_dim)])
-
-    @classmethod
-    def constant(cls, num_vars: int, values: Sequence) -> "MultiPoly":
-        z = (0,) * num_vars
-        return cls(num_vars, [{z: rat(v)} if rat(v) != 0 else {} for v in values])
+        return cls._make(num_vars, ((),) * out_dim, 1)
 
     @classmethod
     def coordinate(cls, num_vars: int, var: int) -> "MultiPoly":
-        e = tuple(1 if i == var else 0 for i in range(num_vars))
-        return cls(num_vars, [{e: QONE}])
+        return cls._make(num_vars, (((_units(num_vars)[var], 1),),), 1)
 
     @classmethod
     def from_linear(cls, m: Matrix) -> "MultiPoly":
         """The linear map x -> m x as a polynomial map."""
-        coords = []
-        for row in m.entries:
-            d: TermDict = {}
-            for j, c in enumerate(row):
-                if c != 0:
-                    e = tuple(1 if i == j else 0 for i in range(m.cols))
-                    d[e] = c
-            coords.append(d)
-        return cls(m.cols, coords)
+        units = [((u, 1),) for u in _units(m.cols)]
+        return cls._make(m.cols, tuple([_combine(zip(row, units)) for row in m._num]),
+                         m._den)
 
     def __eq__(self, other):
         return (isinstance(other, MultiPoly) and self.num_vars == other.num_vars
-                and self.coords == other.coords)
+                and self._den == other._den and self._num == other._num)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.num_vars, self.coords))
+            self._hash = hash((self.num_vars, self._den, self._num))
         return self._hash
 
     def __repr__(self):
@@ -958,88 +975,86 @@ class MultiPoly:
     def __sub__(self, other):
         if self.num_vars != other.num_vars or self.out_dim != other.out_dim:
             raise ValueError("polynomial map shape mismatch")
-        return MultiPoly(
-            self.num_vars,
-            [_t_add(dict(a), _t_scale(dict(b), Fraction(-1)))
-             for a, b in zip(self.coords, other.coords)],
-        )
+        den = lcm(self._den, other._den)
+        fa, fb = den // self._den, -(den // other._den)
+        return MultiPoly._make(self.num_vars, tuple([
+            _combine(((fa, a), (fb, b))) for a, b in zip(self._num, other._num)]), den)
 
     def is_zero(self) -> bool:
-        return all(not c for c in self.coords)
+        return not any(self._num)
+
+    def _values(self, rows: Sequence[Terms], point: Sequence) -> tuple[list[int], int]:
+        """The values of rows of terms (over this map's denominator) at a
+        point, as integer numerators over one denominator.
+
+        With point = v / d for integers v, a term c x^e of degree |e| <= top
+        is c v^e d^(top - |e|) / d^top.
+        """
+        v, d = _scaled_vec(point)
+        if len(v) != self.num_vars:
+            raise ValueError("point length %d, expected %d arguments"
+                             % (len(v), self.num_vars))
+        top = _top_degree(rows)
+        dp = [d ** k for k in range(top + 1)]
+        return ([sum([c * prod(map(pow, v, e)) * dp[top - sum(e)] for e, c in terms])
+                 for terms in rows], self._den * dp[top])
 
     def eval(self, point: Sequence) -> tuple[Fraction, ...]:
-        point = vec(point)
-        if len(point) != self.num_vars:
-            raise ValueError("point length %d, expected %d arguments"
-                             % (len(point), self.num_vars))
-        return tuple(_t_eval(dict(c), point) for c in self.coords)
-
-    def partial(self, var: int) -> "MultiPoly":
-        """Coordinatewise partial derivative with respect to one variable."""
-        return MultiPoly(self.num_vars,
-                         [_t_partial(dict(c), var) for c in self.coords])
+        nums, den = self._values(self._num, point)
+        return tuple([Fraction(x, den) for x in nums])
 
     def jacobian_at(self, point: Sequence) -> Matrix:
         """Exact out_dim x num_vars Jacobian matrix at a rational point."""
-        point = vec(point)
-        if len(point) != self.num_vars:
-            raise ValueError("point length %d, expected %d arguments"
-                             % (len(point), self.num_vars))
-        rows = []
-        for c in self.coords:
-            d = dict(c)
-            rows.append([_t_eval(_t_partial(d, j), point)
-                         for j in range(self.num_vars)])
-        return Matrix(rows)
+        n = self.num_vars
+        # d/dx_j of c x^e is c e_j x^(e - u_j)
+        partials = [[(e[:j] + (e[j] - 1,) + e[j + 1:], c * e[j]) for e, c in terms if e[j]]
+                    for terms in self._num for j in range(n)]
+        nums, den = self._values(partials, point)
+        return _over([nums[i * n:(i + 1) * n] for i in range(self.out_dim)], den, n)
 
     def compose_affine(self, linear: Matrix, translate: Sequence | None = None) -> "MultiPoly":
         """Substitute x = linear*y + translate; result is a map in linear.cols vars."""
         if linear.rows != self.num_vars:
             raise ValueError("linear part has %d rows, map has %d variables"
                              % (linear.rows, self.num_vars))
-        t = vec(translate) if translate is not None else (QZERO,) * self.num_vars
+        t, td = _scaled_vec(translate) if translate is not None else (None, 1)
+        s = lcm(linear._den, td)
+        fl, ft = s // linear._den, s // td
         nv = linear.cols
         zero_e = (0,) * nv
-        subs: list[TermDict] = []
-        for i in range(self.num_vars):
-            d: TermDict = {}
-            for j in range(nv):
-                if linear.entries[i][j] != 0:
-                    e = tuple(1 if k == j else 0 for k in range(nv))
-                    d[e] = linear.entries[i][j]
-            if t[i] != 0:
-                d[zero_e] = d.get(zero_e, QZERO) + t[i]
-            subs.append(d)
+        one = {zero_e: 1}
+        # x_i = subs[i](y) / s, with integer term dictionaries subs[i];
         # powers[i][k] is subs[i] ** k, extended as higher powers are needed
-        powers: list[list[TermDict]] = [[{zero_e: QONE}] for _ in subs]
-        coords_out = []
-        for c in self.coords:
-            acc: TermDict = {}
-            for e, coef in c:
-                term = {zero_e: coef}
-                for i, k in enumerate(e):
-                    if k:
-                        pw = powers[i]
-                        while len(pw) <= k:
-                            pw.append(_t_mul(pw[-1], subs[i]))
-                        term = _t_mul(term, pw[k])
-                acc = _t_add(acc, term)
-            coords_out.append(acc)
-        return MultiPoly(nv, coords_out)
+        powers = []
+        for i, row in enumerate(linear._num):
+            sub = {u: fl * a for u, a in zip(_units(nv), row) if a}
+            if t is not None and t[i]:
+                sub[zero_e] = ft * t[i]
+            powers.append([one, sub])
+
+        def substituted(e):
+            term = one
+            for pw, k in zip(powers, e):
+                if k:
+                    while len(pw) <= k:
+                        pw.append(_t_mul(pw[-1], pw[1]))
+                    term = pw[k] if term is one else _t_mul(term, pw[k])
+            return term.items()
+
+        # over s^top a term c x^e is c subs^e s^(top - |e|)
+        top = _top_degree(self._num)
+        sp = [s ** k for k in range(top + 1)]
+        return MultiPoly._make(nv, tuple([
+            _combine([(c * sp[top - sum(e)], substituted(e)) for e, c in terms])
+            for terms in self._num]), self._den * sp[top])
 
     def apply_matrix(self, m: Matrix) -> "MultiPoly":
         """Post-compose with a linear map: returns m o self."""
         if m.cols != self.out_dim:
             raise ValueError("matrix has %d columns, map has %d outputs"
                              % (m.cols, self.out_dim))
-        coords = []
-        for row in m.entries:
-            acc: TermDict = {}
-            for c, d in zip(row, self.coords):
-                if c != 0:
-                    acc = _t_add(acc, _t_scale(dict(d), c))
-            coords.append(acc)
-        return MultiPoly(self.num_vars, coords)
+        return MultiPoly._make(self.num_vars, tuple([
+            _combine(zip(row, self._num)) for row in m._num]), self._den * m._den)
 
     def variables_used(self, coord: int) -> set[int]:
-        return {i for e, _ in self.coords[coord] for i, k in enumerate(e) if k}
+        return {i for e, _ in self._num[coord] for i, k in enumerate(e) if k}

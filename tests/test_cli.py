@@ -162,10 +162,60 @@ class TestSard:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("box", [
+        ["-1/100000000", "1/100000000"], ["-1e-8", "1e-8"], ["-.5", "-1/3"]])
+    def test_negative_rational_box_ends(self, tmp_path, docs, box):
+        path = write(tmp_path, docs["germ-z2-square"])
+        out = tmp_path / "report.json"
+        assert main(["sard", path, "--samples", "10", "--seed", "1",
+                     "--box", *box, "--out", str(out)]) == 0
+        sard = json.loads(out.read_text())["derived"]["sard"]
+        assert sard["samples"] == 10
+
+    def test_negative_box_end_not_rational(self, tmp_path, docs, capsys):
+        path = write(tmp_path, docs["germ-z2-square"])
+        assert main(["sard", path, "--samples", "5", "--seed", "1",
+                     "--box", "-1/0", "1"]) == 1
+        assert "at $.box[0]: not a rational number" in capsys.readouterr().err
+
     def test_unsupported_lift_exit_two(self, tmp_path, docs):
         path = write(tmp_path, docs["germ-sum-squares"])
         assert main(["sard", path, "--samples", "10", "--seed", "1",
                      "--box", "-2", "2"]) == 2
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["analyze"],
+        ["frobnicate", "x.json"],
+        [],
+        ["sard", "x.json", "--samples", "5", "--seed", "1", "--box", "1"],
+        ["sard", "x.json", "--samples", "five", "--seed", "1", "--box", "0", "1"],
+        ["strata", "x.json", "--bogus"],
+        ["corpus", "walk"],
+    ])
+    def test_usage_error_exits_one(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage: orblocal" in captured.err and "error: " in captured.err
+
+    def test_module_usage_error_exits_one(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(orblocal.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-m", "orblocal", "strata"], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 1
+        assert "the following arguments are required: file" in out.stderr
+
+    @pytest.mark.parametrize("argv", [["--version"], ["sard", "--help"]])
+    def test_version_and_help_exit_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
 
 
 class TestStrata:

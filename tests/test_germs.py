@@ -672,6 +672,41 @@ class TestObstruction:
         cert = obstruction_certificate(qline, qline, theta)
         assert cert.verdict == "possible"
 
+    def test_kernel_computed_once(self, c):
+        line = c["line-trivial"]
+        with mock.patch.object(germs, "kernel_of", wraps=germs.kernel_of) as spy:
+            cert = obstruction_certificate(c["line-z2"], line,
+                                           trivial_theta(c["line-z2"], line))
+        assert cert.detail.endswith("kernel of order 2 would have to act "
+                                    "effectively and faithfully on it")
+        assert spy.call_count == 1
+
+    def test_candidates_in_eager_order(self):
+        rng = random.Random(5)
+        basis = [Matrix([[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
+                         for _ in range(2)]) for _ in range(3)]
+        want = list(basis)
+        for i in range(len(basis)):
+            for j in range(i + 1, len(basis)):
+                want.append(basis[i] + basis[j])
+        draws = random.Random(271828)
+        for _ in range(50):
+            comb = Matrix.zero(2, 3)
+            for b in basis:
+                comb = comb + b.scale(F(draws.randint(-3, 3)))
+            want.append(comb)
+        assert list(germs._linear_candidates(basis, 2, 3)) == want
+
+    def test_basis_witness_draws_no_combination(self, c):
+        # the first basis element is already surjective, so no random
+        # combination is built
+        line = c["line-trivial"]
+        with mock.patch.object(germs.random, "Random",
+                               side_effect=AssertionError("combination drawn")):
+            cert = obstruction_certificate(c["mirror-plane"], line,
+                                           trivial_theta(c["mirror-plane"], line))
+        assert cert.verdict == "possible"
+
 
 class TestSard:
     def test_square_density(self):
