@@ -40,7 +40,6 @@ from .germs import (
     lift_replacement_invariance,
     obstruction_certificate,
     preimage_model,
-    preimage_model_boundary,
     real_target_structure,
     recenter_germ,
     sard_sample,
@@ -65,7 +64,7 @@ __all__ = [
     "MapGerm", "PreimageModel", "build_germ", "cocycle_identities",
     "faithfulness_check", "invariant_projection", "is_regular_value",
     "lift_replacement_invariance", "obstruction_certificate",
-    "preimage_model", "preimage_model_boundary", "real_target_structure",
+    "preimage_model", "real_target_structure",
     "recenter_germ", "sard_sample",
     "OneOrbifoldComponent", "assemble_components", "boundary_parity",
     "classify_1_orbifold", "forbidden_index2_check",

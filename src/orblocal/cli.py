@@ -28,7 +28,7 @@ from .germs import (
     invariant_projection,
     is_regular_value,
     obstruction_certificate,
-    preimage_model_at,
+    preimage_model,
     sampling_interval,
     sard_sample,
 )
@@ -115,12 +115,8 @@ def cmd_analyze(args) -> int:
     cc = cocycle_identities(proj)
     checks.append({"name": "cocycle-identities", "passed": cc.ok,
                    "pairs_checked": cc.pairs_checked})
-    # at a regular value, the model at the base point (when it is a lift
-    # point and needs no re-centering) already holds the kernel split that
-    # the faithfulness check reads
-    built = [preimage_model_at(germ, p, pt) for pt in lifts] if reg.regular else []
-    faith = faithfulness_check(germ, next(
-        (m for m in built if m.germ is germ and m.lift_point == germ.base_point), None))
+    built = [preimage_model(germ, p, pt) for pt in lifts] if reg.regular else []
+    faith = faithfulness_check(germ)
     checks.append({"name": "faithfulness", "passed": True,
                    "n_order": faith.n_order, "g_order": faith.g_order})
     if not reg.regular:

@@ -39,8 +39,6 @@ from .germs import (
     lift_replacement_invariance,
     obstruction_certificate,
     preimage_model,
-    preimage_model_boundary,
-    preimage_model_at,
     pull_back_germ,
     real_target_structure,
     sard_sample,
@@ -177,9 +175,9 @@ def germ_case(name: str) -> GermCase:
 
 
 def case_preimage_models(case: GermCase):
-    """Preimage models for every supplied lift point (preimage_model_at
+    """Preimage models for every supplied lift point (preimage_model
     re-centers the points the chart group does not fix)."""
-    return [preimage_model_at(case.germ, case.p, pt) for pt in case.lifts]
+    return [preimage_model(case.germ, case.p, pt) for pt in case.lifts]
 
 
 class ExpectationMismatch(AssertionError):
@@ -351,8 +349,8 @@ def _run_embedding_error() -> dict:
 def _run_embedding_pullback() -> dict:
     pulled = pull_back_germ(germ_case("sum-squares").germ, _axis_embedding())
     (value,) = pulled.lift.eval([0, 0])
-    return {"value_at_origin": serialize.rat_str(value),
-            "jacobian": serialize.matrix_json(pulled.jacobian_at([0, 0]))}
+    return {"value_at_origin": str(value),
+            "jacobian": serialize.matrix_json(pulled.lift.jacobian_at([0, 0]))}
 
 
 def _run_product() -> dict:
@@ -399,7 +397,7 @@ def _single_component(pieces):
 
 def _run_assembly_interval() -> dict:
     case = germ_case("half-plane-edge")
-    model = preimage_model_boundary(case.germ, case.p, case.lifts[0])
+    model = preimage_model(case.germ, case.p, case.lifts[0])
     p1 = piece_from_model("west-edge", model, ["t"], chart_index=0)
     p2 = piece_from_model("east-edge", model, ["t"], chart_index=1)
     comp = _single_component([p1, p2])
@@ -408,8 +406,7 @@ def _run_assembly_interval() -> dict:
 
 def _run_assembly_mirror() -> dict:
     mirror_model = preimage_model(germ_case("mirror-line").germ, (F(0),), (F(0), F(0)))
-    edge_model = preimage_model_boundary(
-        germ_case("half-plane-edge").germ, (F(0),), (F(0), F(0)))
+    edge_model = preimage_model(germ_case("half-plane-edge").germ, (F(0),), (F(0), F(0)))
     pm = piece_from_model("mirror-arc", mirror_model, ["t"], chart_index=0)
     pb = piece_from_model("edge-arc", edge_model, ["t"], chart_index=1)
     return {"type": classify_1_orbifold(_single_component([pm, pb]).component)}

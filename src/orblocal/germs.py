@@ -4,15 +4,19 @@ A germ couples a polynomial lift between two chart models with a group
 homomorphism between their isotropy groups; the commuting-diagram condition
 (lift of the action equals the action of the lift) is verified as an exact
 polynomial identity on the generators of the source group, which together
-with the homomorphism property gives it for every element.
+with the homomorphism property gives it for every element.  A germ computes
+its base-point differential kernel, that kernel's split by the chart group
+and the homomorphism kernel N once, on first use, and keeps them.
 
 On top of germs this module builds:
 
 * regular-value tests (exact Jacobian rank at supplied preimage lifts,
   empty preimage regular by convention),
-* the preimage model at a centered regular point: the kernel subspace, the
-  part of the group acting trivially on it, and the effective quotient that
-  becomes the intrinsic isotropy of the preimage suborbifold,
+* the preimage model at a regular lift point, re-centered first when the
+  group moves the point and with the boundary data on a boundary chart:
+  the kernel subspace, the part of the group acting trivially on it, and
+  the effective quotient that becomes the intrinsic isotropy of the
+  preimage suborbifold,
 * the kernel-averaging invariant projection (gamma - I averaged over the
   kernel of the homomorphism, negated), with its algebraic identity suite:
   the composition identities of gamma -> gamma - I are checked on every
@@ -27,6 +31,7 @@ On top of germs this module builds:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -107,7 +112,12 @@ class UnsupportedLift(ValueError):
 
 @dataclass(frozen=True)
 class MapGerm:
-    """A complete local map germ: charts, polynomial lift, homomorphism."""
+    """A complete local map germ: charts, polynomial lift, homomorphism.
+
+    base_kernel, base_split and n_group are derived from the fields on first
+    use and kept on the germ, which is frozen, so each is computed once and
+    is the same value on every later read.
+    """
 
     source: LocalChart
     target: LocalChart
@@ -115,15 +125,42 @@ class MapGerm:
     theta: GroupHom
     base_point: tuple[Fraction, ...]
 
-    def jacobian_at(self, point) -> Matrix:
-        return self.lift.jacobian_at(point)
+    @functools.cached_property
+    def base_kernel(self) -> Subspace:
+        """The kernel K of the differential at the base point."""
+        return kernel(self.lift.jacobian_at(self.base_point))
+
+    @functools.cached_property
+    def base_split(self) -> SuborbifoldLocalModel:
+        """The full suborbifold model of base_kernel.
+
+        Its omega is the pointwise stabilizer G of K and its intrinsic
+        isotropy the quotient Gamma/G.  Unlike preimage_model this does not
+        require the base point to be a regular point, only group-fixed
+        (NotCentered otherwise); the split is what the faithfulness argument
+        consumes.
+        """
+        if not _is_centered(self, self.base_point):
+            raise NotCentered("base point is not fixed by the chart group")
+        return suborbifold_model(self.source, self.base_kernel,
+                                 self.source.group.full_subgroup())
+
+    @functools.cached_property
+    def n_group(self) -> Subgroup:
+        """The kernel N of the homomorphism, a normal subgroup of the source group."""
+        return kernel_of(self.theta)
 
     def kernel_at(self, point) -> Subspace:
+        """The kernel of the differential at point; base_kernel at the base point."""
+        point = vec(point)
+        if point == self.base_point:
+            return self.base_kernel
         return kernel(self.lift.jacobian_at(point))
 
-    def n_subgroup(self) -> Subgroup:
-        """The kernel of the homomorphism, a normal subgroup of the source group."""
-        return kernel_of(self.theta)
+
+def _is_centered(germ: MapGerm, point) -> bool:
+    """True when every element of the source chart group fixes point."""
+    return all(m.apply(point) == point for m in germ.source.group.generators)
 
 
 def build_germ(source: LocalChart, target: LocalChart, lift: MultiPoly,
@@ -194,7 +231,7 @@ def is_regular_value(germ: MapGerm, p, preimage_lifts) -> RegularValueReport:
             raise NotInPreimage(
                 "point %s does not map to %s"
                 % (tuple(str(x) for x in pt), tuple(str(x) for x in p)))
-        rank = germ.jacobian_at(pt).rank()
+        rank = germ.source.dim - germ.kernel_at(pt).dim
         entries.append((pt, rank))
         if rank != k:
             regular = False
@@ -247,41 +284,53 @@ class PreimageModel:
                 and self.boundary_kind == "interior")
 
 
-def _check_centered_regular(germ: MapGerm, p, lift_point):
-    p = vec(p)
-    pt = vec(lift_point)
+def preimage_model(germ: MapGerm, p, lift_point) -> PreimageModel:
+    """The preimage suborbifold model at a regular lift point.
+
+    A point the chart group does not fix is first made the center by
+    recenter_germ, which cuts the group down to the point's isotropy; the
+    model's germ is then the re-centered one.  The kernel K of the
+    differential is the local linear model, and suborbifold_model splits
+    the whole chart group on it: the pointwise stabilizer G and the
+    quotient Gamma/G, which acts effectively on K and is the intrinsic
+    isotropy.  The resulting model is full; at the base point it is the
+    germ's base_split.
+
+    A boundary chart needs source dimension > target dimension (ValueError
+    otherwise).  At a point on its boundary the restriction of the lift to
+    the boundary hyperplane must be regular too, and K meets the hyperplane
+    in one dimension less.
+    """
+    p, pt = vec(p), vec(lift_point)
+    if not _is_centered(germ, pt):
+        germ = recenter_germ(germ, pt)
+        pt = (QZERO,) * germ.source.dim
+    n, k = germ.source.dim, germ.target.dim
+    if germ.source.boundary and n <= k:
+        raise ValueError("boundary preimages need source dimension > target dimension")
     if germ.lift.eval(pt) != p:
         raise NotInPreimage("lift point does not map to the target point")
-    for m in germ.source.group.generators:
-        if m.apply(pt) != pt:
-            raise NotCentered(
-                "lift point is not fixed by the chart group; re-center the germ")
-    jac = germ.jacobian_at(pt)
-    if jac.rank() != germ.target.dim:
+    kernel = germ.kernel_at(pt)
+    if kernel.dim != n - k:
         raise NotRegularPoint(
             "Jacobian rank %d < target dimension %d at the lift point"
-            % (jac.rank(), germ.target.dim))
-    return p, pt
-
-
-def preimage_model(germ: MapGerm, p, lift_point) -> PreimageModel:
-    """The preimage suborbifold model at a group-fixed regular lift point.
-
-    The kernel of the differential is the local linear model, and
-    suborbifold_model splits the whole chart group on it: the pointwise
-    stabilizer G and the quotient Gamma/G, which acts effectively on the
-    kernel and is the intrinsic isotropy.  The resulting model is full.
-    """
-    p, pt = _check_centered_regular(germ, p, lift_point)
-    kernel = germ.kernel_at(pt)
-    sub = suborbifold_model(germ.source, kernel,
-                            germ.source.group.full_subgroup())
-    dim = germ.source.dim - germ.target.dim
-    if kernel.dim != dim:
-        raise AssertionError("kernel dimension %d differs from %d"
-                             % (kernel.dim, dim))
-    return PreimageModel(germ=germ, target_point=p, lift_point=pt,
-                         suborbifold=sub, dim=dim)
+            % (n - kernel.dim, k))
+    if pt == germ.base_point:
+        sub = germ.base_split
+    else:
+        sub = suborbifold_model(germ.source, kernel, germ.source.group.full_subgroup())
+    model = PreimageModel(germ=germ, target_point=p, lift_point=pt,
+                          suborbifold=sub, dim=n - k)
+    if not (germ.source.boundary and germ.source.on_boundary(pt)):
+        return model
+    restricted = _boundary_restriction(germ.lift)
+    if restricted.jacobian_at(pt[:-1]).rank() != k:
+        raise NotRegularPoint(
+            "restriction to the boundary hyperplane is not regular at the point")
+    meet = kernel.intersect(germ.source.boundary_hyperplane())
+    if meet.dim != kernel.dim - 1:
+        raise AssertionError("kernel does not meet the boundary in codimension 1")
+    return replace(model, boundary_kind="boundary-point", boundary_kernel_dim=meet.dim)
 
 
 def _boundary_restriction(lift: MultiPoly) -> MultiPoly:
@@ -290,50 +339,6 @@ def _boundary_restriction(lift: MultiPoly) -> MultiPoly:
     incl = Matrix([[QONE if i == j else QZERO for j in range(n - 1)]
                    for i in range(n)])
     return lift.compose_affine(incl)
-
-
-def preimage_model_boundary(germ: MapGerm, p, lift_point) -> PreimageModel:
-    """Preimage model on a boundary chart, with the boundary intersection data.
-
-    Requires regularity of the boundary restriction at boundary lift points
-    and records whether the model sits on the boundary; at a boundary point
-    the kernel meets the boundary hyperplane in one dimension less.
-    """
-    if not germ.source.boundary:
-        raise ValueError("source chart has no boundary")
-    if germ.source.dim <= germ.target.dim:
-        raise ValueError("boundary preimages need source dimension > target dimension")
-    base = preimage_model(germ, p, lift_point)
-    pt = base.lift_point
-    if germ.source.on_boundary(pt):
-        restricted = _boundary_restriction(germ.lift)
-        jac_b = restricted.jacobian_at(pt[:-1])
-        if jac_b.rank() != germ.target.dim:
-            raise NotRegularPoint(
-                "restriction to the boundary hyperplane is not regular at the point")
-        bdy = germ.source.boundary_hyperplane()
-        meet = base.kernel.intersect(bdy)
-        if meet.dim != base.kernel.dim - 1:
-            raise AssertionError("kernel does not meet the boundary in codimension 1")
-        return replace(base, boundary_kind="boundary-point",
-                       boundary_kernel_dim=meet.dim)
-    return base
-
-
-def preimage_model_at(germ: MapGerm, p, lift_point) -> PreimageModel:
-    """The preimage model at any supplied lift point.
-
-    A point the chart group does not fix is first made the center by
-    recenter_germ, which cuts the group down to the point's isotropy; the
-    model's germ is then the re-centered one.  Boundary charts go through
-    preimage_model_boundary, others through preimage_model.
-    """
-    pt = vec(lift_point)
-    if any(m.apply(pt) != pt for m in germ.source.group.generators):
-        germ = recenter_germ(germ, pt)
-        pt = (QZERO,) * germ.source.dim
-    build = preimage_model_boundary if germ.source.boundary else preimage_model
-    return build(germ, p, pt)
 
 
 @dataclass(frozen=True)
@@ -379,8 +384,8 @@ def invariant_projection(germ: MapGerm) -> InvariantProjection:
     n = germ.source.dim
     grp = germ.source.group
     ident = Matrix.identity(n)
-    ngrp = germ.n_subgroup()
-    kernel = germ.kernel_at(germ.base_point)
+    ngrp = germ.n_group
+    kernel = germ.base_kernel
     gens = [grp.element(i) for i in ngrp.generators]
     for m in gens:
         a = m - ident
@@ -541,22 +546,6 @@ def _pack(digits, step: int) -> int:
     return sum(x << (step * j) for j, x in enumerate(digits))
 
 
-def kernel_split_at_base(germ: MapGerm) -> SuborbifoldLocalModel:
-    """The full suborbifold model of the kernel at the base point.
-
-    Its omega is the pointwise stabilizer G of the kernel and its intrinsic
-    isotropy the quotient Gamma/G.  Unlike preimage_model this does not
-    require the base point to be a regular point, only group-fixed; the
-    split is what the faithfulness argument consumes.
-    """
-    pt = germ.base_point
-    for m in germ.source.group.generators:
-        if m.apply(pt) != pt:
-            raise NotCentered("base point is not fixed by the chart group")
-    return suborbifold_model(germ.source, germ.kernel_at(pt),
-                             germ.source.group.full_subgroup())
-
-
 @dataclass(frozen=True)
 class FaithfulnessReport:
     n_order: int
@@ -566,20 +555,17 @@ class FaithfulnessReport:
     coset_images: tuple[tuple[int, int], ...]
 
 
-def faithfulness_check(germ: MapGerm, model: PreimageModel | None = None) -> FaithfulnessReport:
+def faithfulness_check(germ: MapGerm) -> FaithfulnessReport:
     """Verify N meets the trivially-acting subgroup only in the identity.
 
     The composite of N into the quotient by that subgroup is then checked
     for injectivity element by element.  Either failure raises
-    AssertionError explicitly, so the check also runs under python -O.
+    AssertionError explicitly, so the check also runs under python -O.  The
+    split is the germ's base_split (NotCentered unless the chart group fixes
+    the base point).
     """
-    if model is not None:
-        if model.germ is not germ:
-            raise ValueError("model was built from a different germ")
-        split = model.suborbifold
-    else:
-        split = kernel_split_at_base(germ)
-    ngrp = germ.n_subgroup()
+    split = germ.base_split
+    ngrp = germ.n_group
     inter = set(ngrp.members) & set(split.omega.members)
     images = tuple((i, split.intrinsic_isotropy.coset_of(i)) for i in ngrp.members)
     injective = len({c for _, c in images}) == ngrp.order
@@ -1006,14 +992,10 @@ def lift_replacement_invariance(germ: MapGerm, eta: Matrix) -> LiftReplacementRe
         germ.theta.conjugated_by(eta),
         germ.base_point,
     )
-    k0 = germ.kernel_at(germ.base_point)
-    k1 = companion.kernel_at(companion.base_point)
-    n0 = germ.n_subgroup().members
-    n1 = companion.n_subgroup().members
     report = LiftReplacementReport(
         eta_index=ei,
-        kernels_equal=k0 == k1,
-        n_unchanged=n0 == n1,
+        kernels_equal=germ.base_kernel == companion.base_kernel,
+        n_unchanged=germ.n_group.members == companion.n_group.members,
         companion=companion,
     )
     if not report.kernels_equal:

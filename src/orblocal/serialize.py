@@ -38,10 +38,6 @@ class SchemaError(ValueError):
         self.reason = message
 
 
-def rat_str(x: Fraction) -> str:
-    return str(x)
-
-
 def parse_rational(v, path: str) -> Fraction:
     if isinstance(v, bool) or not isinstance(v, (str, int)):
         raise SchemaError(path, "expected a rational string or integer, got %r" % (v,))
@@ -59,7 +55,7 @@ def parse_vector(v, path: str) -> tuple[Fraction, ...]:
 
 
 def vector_json(v) -> list[str]:
-    return [rat_str(x) for x in v]
+    return [str(x) for x in v]
 
 
 def parse_matrix(v, path: str) -> Matrix:
@@ -72,7 +68,7 @@ def parse_matrix(v, path: str) -> Matrix:
 
 
 def matrix_json(m: Matrix) -> list[list[str]]:
-    return [[rat_str(x) for x in row] for row in m.entries]
+    return [[str(x) for x in row] for row in m.entries]
 
 
 def parse_poly(v, num_vars: int, path: str) -> MultiPoly:
@@ -107,7 +103,7 @@ def parse_poly(v, num_vars: int, path: str) -> MultiPoly:
 
 def poly_json(p: MultiPoly) -> list[list[dict]]:
     return [
-        [{"coef": rat_str(c), "exps": list(e)} for e, c in coord]
+        [{"coef": str(c), "exps": list(e)} for e, c in coord]
         for coord in p.coords
     ]
 
@@ -319,28 +315,6 @@ def parse_embedding(v, charts: list[LocalChart], path: str) -> ChartEmbedding:
                         path + ".theta_gen_images")
     emb = ChartEmbedding(charts[si], charts[ti], linear, translate, theta)
     return verify_embedding(emb)
-
-
-def end_json(e: AssemblyEnd) -> dict:
-    out: dict = {"kind": e.kind}
-    if e.token is not None:
-        out["token"] = e.token
-    if e.isotropy_order != (2 if e.kind == MIRROR else 1):
-        out["isotropy_order"] = e.isotropy_order
-    if e.chart_index is not None:
-        out["chart"] = e.chart_index
-    if e.point is not None:
-        out["point"] = vector_json(e.point)
-    if e.is_base:
-        out["is_base"] = True
-    return out
-
-
-def piece_json(p: AssemblyPiece) -> dict:
-    out: dict = {"name": p.name, "ends": [end_json(e) for e in p.ends]}
-    if p.chart_index is not None:
-        out["chart"] = p.chart_index
-    return out
 
 
 KNOWN_KINDS = ("chart", "germ", "obstruction", "atlas", "component-list")

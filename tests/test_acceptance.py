@@ -25,7 +25,6 @@ from orblocal.charts import stratify
 from orblocal.germs import (
     cocycle_identities,
     invariant_projection,
-    kernel_split_at_base,
     lift_replacement_invariance,
     obstruction_certificate,
     sard_sample,
@@ -135,8 +134,8 @@ def test_criterion_03_preimage_suite():
 
 def test_criterion_04_faithfulness_suite():
     for case in germ_cases():
-        split = kernel_split_at_base(case.germ)
-        ngrp = case.germ.n_subgroup()
+        split = case.germ.base_split
+        ngrp = case.germ.n_group
         assert set(ngrp.members) & set(split.omega.members) == {0}
         cosets = [split.intrinsic_isotropy.coset_of(i) for i in ngrp.members]
         assert len(set(cosets)) == ngrp.order

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
@@ -10,6 +11,7 @@ import orblocal
 from orblocal import __version__, corpus, germs
 from orblocal.cli import build_parser, main
 from orblocal.corpus import builtin_documents
+from orblocal.ratlin import MultiPoly
 from orblocal.serialize import parse_matrix
 
 
@@ -34,6 +36,16 @@ class TestAnalyze:
         assert report["derived"]["projection"] == [["0", "0"], ["0", "1"]]
         models = report["derived"]["preimage_models"]
         assert models[0]["gamma_s_order"] == 2
+
+    def test_base_point_jacobian_evaluated_once(self, tmp_path, docs):
+        # regularity, projection, preimage model and faithfulness all read
+        # the germ's one base-point kernel
+        path = write(tmp_path, docs["germ-mirror-line"])
+        with mock.patch.object(MultiPoly, "jacobian_at", autospec=True,
+                               side_effect=MultiPoly.jacobian_at) as jac:
+            assert main(["analyze", path, "--out", str(tmp_path / "r.json")]) == 0
+        at_base = [c for c in jac.call_args_list if tuple(c.args[1]) == (0, 0)]
+        assert len(at_base) == 1
 
     @pytest.mark.parametrize("name,count", [
         ("germ-dihedral-radial", 2), ("germ-trivial-line", 1)])

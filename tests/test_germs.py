@@ -32,12 +32,9 @@ from orblocal.germs import (
     faithfulness_check,
     invariant_projection,
     is_regular_value,
-    kernel_split_at_base,
     lift_replacement_invariance,
     obstruction_certificate,
     preimage_model,
-    preimage_model_at,
-    preimage_model_boundary,
     pull_back_germ,
     real_target_structure,
     recenter_germ,
@@ -81,7 +78,7 @@ class TestBuildGerm:
         line = c["line-trivial"]
         germ = build_germ(c["mirror-plane"], line, MultiPoly.coordinate(2, 0),
                           trivial_theta(c["mirror-plane"], line))
-        assert germ.jacobian_at([0, 0]) == m([[1, 0]])
+        assert germ.lift.jacobian_at([0, 0]) == m([[1, 0]])
 
     def test_dim_mismatch(self, c):
         line = c["line-trivial"]
@@ -199,10 +196,19 @@ class TestPreimageModel:
         assert model.gamma_s.order == 2
         assert model.dim == 1
 
-    def test_off_center_point_rejected(self):
+    def test_off_center_point_rejected(self, c):
+        # a base point the group moves has no split for faithfulness to
+        # read; the model at that point is built on the germ re-centered there
         case = germ_case("sum-squares")
+        germ = build_germ(c["quarter-plane"], case.germ.target, case.germ.lift,
+                          case.germ.theta, base_point=[1, 0])
         with pytest.raises(NotCentered):
-            preimage_model(case.germ, [1], [1, 0])
+            faithfulness_check(germ)
+        model = preimage_model(germ, [1], [1, 0])
+        assert model.germ is not germ
+        assert model.germ.source.group.order == 2
+        assert model.lift_point == (0, 0)
+        assert model.gamma_s.order == 2 and model.dim == 1
 
     def test_critical_point_rejected(self):
         case = germ_case("z2-square")
@@ -237,22 +243,25 @@ class TestPreimageModel:
 class TestBoundaryPreimage:
     def test_edge_point(self):
         case = germ_case("half-plane-edge")
-        model = preimage_model_boundary(case.germ, [0], [0, 0])
+        model = preimage_model(case.germ, [0], [0, 0])
         assert model.boundary_kind == "boundary-point"
         assert model.kernel == Subspace.from_vectors(2, [[0, 1]])
         assert model.boundary_kernel_dim == 0
 
     def test_interior_point_of_boundary_chart(self):
         case = germ_case("half-plane-mirror-height")
-        model = preimage_model_boundary(case.germ, [1], [0, 1])
+        model = preimage_model(case.germ, [1], [0, 1])
         assert model.boundary_kind == "interior"
         assert model.kernel == Subspace.from_vectors(2, [[1, 0]])
         assert model.gamma_s.order == 2
 
-    def test_source_without_boundary_rejected(self):
-        case = germ_case("mirror-line")
-        with pytest.raises(ValueError):
-            preimage_model_boundary(case.germ, [0], [0, 0])
+    def test_no_excess_source_dimension_rejected(self, c):
+        # half-line -> line by x: the boundary point 0 is regular, but a
+        # boundary preimage needs the source to have more dimensions
+        half, line = c["half-line"], c["line-trivial"]
+        germ = build_germ(half, line, MultiPoly.coordinate(1, 0), trivial_theta(half, line))
+        with pytest.raises(ValueError, match="source dimension > target dimension"):
+            preimage_model(germ, [0], [0])
 
     def test_boundary_restriction_regularity_enforced(self, c):
         # lift y: on the boundary y=0 the restriction is constant 0, not regular
@@ -261,7 +270,7 @@ class TestBoundaryPreimage:
         germ = build_germ(half, line, MultiPoly.coordinate(2, 1),
                           trivial_theta(half, line))
         with pytest.raises(NotRegularPoint):
-            preimage_model_boundary(germ, [0], [0, 0])
+            preimage_model(germ, [0], [0, 0])
 
 
 class TestInvariantProjection:
@@ -510,8 +519,7 @@ def bn_germ(n):
 class TestFaithfulness:
     def test_mirror_line(self):
         case = germ_case("mirror-line")
-        model = preimage_model(case.germ, [0], [0, 0])
-        rep = faithfulness_check(case.germ, model)
+        rep = faithfulness_check(case.germ)
         assert rep.n_order == 2 and rep.intersection_trivial and rep.injective
 
     def test_injective_theta_vacuous(self):
@@ -521,8 +529,7 @@ class TestFaithfulness:
     def test_recentered_sum_squares(self):
         case = germ_case("sum-squares")
         rg = recenter_germ(case.germ, [1, 0])
-        model = preimage_model(rg, [1], [0, 0])
-        rep = faithfulness_check(rg, model)
+        rep = faithfulness_check(rg)
         assert rep.n_order == 2 and rep.injective
 
     def test_all_corpus(self):
@@ -531,24 +538,21 @@ class TestFaithfulness:
             assert rep.intersection_trivial and rep.injective
 
     def test_base_point_model_gives_the_same_report(self):
-        # analyze passes the preimage model at the base point; the report
-        # must be the one kernel_split_at_base gives
+        # the model at the base point holds the germ's own split, and a
+        # fresh copy of the germ, which computes its split anew, gives the
+        # same faithfulness report
         compared = 0
         for case in germ_cases():
             if not case.regular or case.germ.base_point not in case.lifts:
                 continue
-            model = preimage_model_at(case.germ, case.p, case.germ.base_point)
+            model = preimage_model(case.germ, case.p, case.germ.base_point)
             if model.germ is case.germ:
                 compared += 1
-                assert faithfulness_check(case.germ, model) == faithfulness_check(case.germ)
+                assert model.suborbifold is case.germ.base_split
+                fresh = dataclasses.replace(case.germ)
+                assert "base_split" not in vars(fresh)
+                assert faithfulness_check(fresh) == faithfulness_check(case.germ)
         assert compared >= 5
-
-    def test_model_from_other_germ_rejected(self):
-        a = germ_case("mirror-line")
-        b = germ_case("z2-identity")
-        model = preimage_model(a.germ, [0], [0, 0])
-        with pytest.raises(ValueError):
-            faithfulness_check(b.germ, model)
 
     def test_checks_raise_under_optimize(self):
         # a split whose trivially-acting subgroup is the whole group meets N
@@ -558,9 +562,8 @@ class TestFaithfulness:
             "from orblocal import germs",
             "from orblocal.corpus import germ_case",
             "germ = germ_case('mirror-line').germ",
-            "split = germs.kernel_split_at_base(germ)",
             "full = germ.source.group.full_subgroup()",
-            "germs.kernel_split_at_base = lambda g: dataclasses.replace(split, omega=full)",
+            "germ.__dict__['base_split'] = dataclasses.replace(germ.base_split, omega=full)",
             "try:",
             "    germs.faithfulness_check(germ)",
             "except AssertionError as e:",
@@ -664,7 +667,7 @@ class TestObstruction:
         # the witness is a verified germ with surjective differential at 0
         germ = build_germ(c["mirror-plane"], line, cert.witness_lift,
                           trivial_theta(c["mirror-plane"], line))
-        assert germ.jacobian_at([0, 0]).rank() == 1
+        assert germ.lift.jacobian_at([0, 0]).rank() == 1
 
     def test_equal_dims_injective_theta_possible(self, c):
         qline = c["line-z2"]
@@ -964,7 +967,7 @@ class TestRecenterAndPullback:
 class TestKernelSplit:
     def test_g_normal_and_effective(self):
         for case in germ_cases():
-            split = kernel_split_at_base(case.germ)
+            split = case.germ.base_split
             assert split.omega.is_normal()
             grp = case.germ.source.group
             for coset in range(1, split.intrinsic_isotropy.order):

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 import orblocal
-from orblocal.germs import preimage_model, preimage_model_boundary
+from orblocal.germs import preimage_model
 from orblocal.corpus import charts, germ_case
 from orblocal.onedim import (
     BOUNDARY,
@@ -52,7 +52,7 @@ class TestClassify:
 class TestPieces:
     def test_boundary_model_piece(self):
         case = germ_case("half-plane-edge")
-        model = preimage_model_boundary(case.germ, case.p, case.lifts[0])
+        model = preimage_model(case.germ, case.p, case.lifts[0])
         piece = piece_from_model("edge", model, ["t"], chart_index=1)
         kinds = sorted(e.kind for e in piece.ends)
         assert kinds == [BOUNDARY, GLUE]

@@ -12,7 +12,7 @@ class TestRationals:
     def test_roundtrip(self):
         for s in ("3/4", "-2", "0", "7/3"):
             q = serialize.parse_rational(s, "$")
-            assert serialize.parse_rational(serialize.rat_str(q), "$") == q
+            assert serialize.parse_rational(str(q), "$") == q
 
     def test_integer_accepted(self):
         assert serialize.parse_rational(5, "$") == 5
@@ -194,12 +194,13 @@ class TestComponents:
 class TestPieces:
     def test_roundtrip(self):
         from orblocal.onedim import AssemblyEnd, AssemblyPiece
+        blob = {"name": "arc", "chart": 1, "ends": [
+            {"kind": "boundary", "chart": 1, "point": ["0", "0"], "is_base": True},
+            {"kind": "glue", "token": "t"}]}
         piece = AssemblyPiece("arc", (
             AssemblyEnd("boundary", chart_index=1, point=(F(0), F(0)), is_base=True),
             AssemblyEnd("glue", token="t")), chart_index=1)
-        blob = serialize.piece_json(piece)
-        parsed = serialize.parse_piece(blob, "$")
-        assert parsed == piece
+        assert serialize.parse_piece(blob, "$") == piece
 
     def test_glue_without_token(self):
         with pytest.raises(SchemaError):
