@@ -183,9 +183,6 @@ class StrataReport:
     def singular_strata(self) -> tuple[Stratum, ...]:
         return tuple(s for s in self.strata if s.singular)
 
-    def regular_stratum(self) -> Stratum:
-        return next(s for s in self.strata if not s.singular)
-
 
 def stratify(chart: LocalChart) -> StrataReport:
     """All isotropy strata of a chart, in decreasing dimension.
@@ -288,9 +285,6 @@ class SuborbifoldLocalModel:
     omega: Subgroup
     intrinsic_isotropy: QuotientGroup
     full: bool
-
-    def intrinsic_order(self) -> int:
-        return self.intrinsic_isotropy.order
 
     def restricted_action(self, coset: int) -> Matrix:
         """The matrix of a coset acting on the subspace, in basis coordinates."""

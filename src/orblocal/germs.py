@@ -46,8 +46,10 @@ from .ratlin import (
     Subspace,
     kernel,
     kernel_image_rank,
+    poly_apply_matrix,
     poly_gcd,
     poly_derivative,
+    poly_monic,
     poly_trim,
     poly_deg,
     poly_eval_at,
@@ -55,7 +57,6 @@ from .ratlin import (
     vec,
     QONE,
     QZERO,
-    _lagrange_interpolate,
 )
 from .groups import (
     GroupHom,
@@ -275,14 +276,6 @@ class PreimageModel:
     def gamma_s(self) -> QuotientGroup:
         return self.suborbifold.intrinsic_isotropy
 
-    def gamma_s_order(self) -> int:
-        return self.gamma_s.order
-
-    def is_mirror(self) -> bool:
-        """True when the preimage is a 1-dimensional half-line mirror model."""
-        return (self.dim == 1 and self.gamma_s.order == 2
-                and self.boundary_kind == "interior")
-
 
 def preimage_model(germ: MapGerm, p, lift_point) -> PreimageModel:
     """The preimage suborbifold model at a regular lift point.
@@ -360,12 +353,6 @@ class InvariantProjection:
     projection: Matrix
     proj_kernel: Subspace
     proj_image: Subspace
-
-    def a_of(self, member: int) -> Matrix:
-        for i, m in self.a_gamma:
-            if i == member:
-                return m
-        raise KeyError(member)
 
 
 def invariant_projection(germ: MapGerm) -> InvariantProjection:
@@ -723,44 +710,31 @@ def _linear_candidates(basis: Sequence[Matrix], k: int, n: int) -> Iterator[Matr
 # Monte Carlo density sampling of regular values
 
 
-def _sylvester_resultant(a: list[Fraction], b: list[Fraction]) -> Fraction:
-    m, n = poly_deg(a), poly_deg(b)
-    size = m + n
-    rows = []
-    ra, rb = list(reversed(a)), list(reversed(b))
-    for i in range(n):
-        rows.append([QZERO] * i + ra + [QZERO] * (size - m - 1 - i))
-    for j in range(m):
-        rows.append([QZERO] * j + rb + [QZERO] * (size - n - 1 - j))
-    return Matrix(rows).det()
+def _critical_value_poly(coeffs: list[Fraction]) -> list[Fraction]:
+    """A polynomial in p that vanishes exactly at the complex critical values
+    of f, low degree first.
 
-
-def _critical_value_resultant(coeffs: list[Fraction]) -> list[Fraction]:
-    """Res_x(f - p, f') as a polynomial in p.
-
-    Vanishes exactly at the (possibly complex) critical values of f, so a
+    By Stickelberger's theorem the characteristic polynomial of
+    multiplication by f on Q[x]/(f') is the product of p - f(a) over the
+    roots a of f', with multiplicity: Res_x(f - p, f') up to a nonzero
+    scalar.  On the basis 1, x, ..., x^(d-1) multiplication by x is the
+    companion matrix C of the monic f', so multiplication by f is f(C).  A
     nonzero evaluation rules a sample out as a critical value cheaply.
-    Computed by interpolation: the product formula makes it degree deg(f')
-    in p.
     """
-    deriv = poly_derivative(coeffs)
-    if poly_deg(deriv) < 1:
+    deriv = poly_monic(poly_derivative(coeffs))
+    d = poly_deg(deriv)
+    if d < 1:
         return [QONE]
-    npts = poly_deg(deriv) + 1
-    xs = list(range(npts))
-    ys = []
-    for t in xs:
-        shifted = list(coeffs)
-        shifted[0] = shifted[0] - t
-        ys.append(_sylvester_resultant(poly_trim(shifted), deriv))
-    return _lagrange_interpolate(xs, ys) or [QZERO]
+    companion = Matrix([[QONE if i == j + 1 else QZERO for j in range(d - 1)]
+                        + [-deriv[i]] for i in range(d)])
+    return list(poly_apply_matrix(coeffs, companion).charpoly())
 
 
 def _separable_coordinates(lift: MultiPoly) -> list[tuple]:
     """Per output coordinate: ('const', value) or
     ('poly', var, coeffs, deriv, res, snapped_res).
 
-    ``res`` is the critical-value resultant and ``snapped_res`` the same
+    ``res`` is the critical-value polynomial and ``snapped_res`` the same
     polynomial homogenized to the snap denominator D: with L the lcm of the
     denominators of res = sum c_i p^i of degree d, it lists the integers
     c_i * L * D^(d - i) from i = d down to 0, so their integer Horner sum at
@@ -789,7 +763,7 @@ def _separable_coordinates(lift: MultiPoly) -> list[tuple]:
             for e, c in d.items():
                 coeffs[e[v]] = c
             coeffs = poly_trim(coeffs)
-            res = _critical_value_resultant(coeffs)
+            res = _critical_value_poly(coeffs)
             lcm = math.lcm(*(c.denominator for c in res))
             top = len(res) - 1
             snapped = tuple(res[i].numerator * (lcm // res[i].denominator)
@@ -807,7 +781,7 @@ def _undecided_samples(coords, cols, m) -> list[int]:
     columns, without a Fraction: a constant coordinate a/b keeps only the
     samples with n*b == a*D, since any other has an empty preimage; with no
     constant coordinate, a sample stays only when some coordinate's
-    homogenized critical-value resultant vanishes at n.  Every other sample
+    homogenized critical-value polynomial vanishes at n.  Every other sample
     is regular; the kept ones go to ``_classify_sample``.
     """
     consts = [(coord[1], col) for coord, col in zip(coords, cols) if coord[0] == "const"]
@@ -833,49 +807,31 @@ def _classify_sample(coords, p) -> bool:
     """True iff p is a regular value of a separable lift; exact over Q.
 
     p is critical exactly when every coordinate equation has a real
-    solution and some coordinate shares a real root with its derivative.
-    The resultant filter rules out most points; the gcd and Sturm checks
-    only run for resultant roots and matched constant coordinates.
+    solution and some coordinate has a critical one: a constant coordinate
+    equal to p_j, or a real root of gcd(f - p_j, f').  A coordinate whose
+    critical-value polynomial does not vanish at p_j has no critical
+    solution, so with no constant coordinate and no vanishing polynomial p
+    is regular at once; the gcd and Sturm checks only run for the rest, and
+    the real-solution checks only once a critical solution is found.
     ``sard_sample`` calls it only for the samples that
     ``_undecided_samples`` leaves undecided.
     """
-    capable = []
+    critical, unchecked = False, []
     for coord, pj in zip(coords, p):
         if coord[0] == "const":
             if coord[1] != pj:
                 return True  # constant coordinate misses pj: empty preimage
-            capable.append((coord, pj, True))
-        elif poly_eval_at(coord[4], pj) == 0:
-            capable.append((coord, pj, False))
-    if not capable:
-        return True
-    # some coordinate may be critical at pj: confirm over the reals
-    critical_real = False
-    nonempty_checks = []
-    for coord, pj, is_const in capable:
-        if is_const:
-            critical_real = True  # zero Jacobian row on a full solution set
+            critical = True  # zero Jacobian row on a full solution set
             continue
-        _, _, coeffs, deriv, _, _ = coord
-        shifted = list(coeffs)
-        shifted[0] = shifted[0] - pj
-        poly_trim(shifted)
-        g = poly_gcd(shifted, deriv)
-        if poly_deg(g) >= 1 and has_real_root(g):
-            critical_real = True
-        else:
-            nonempty_checks.append(shifted)
-    if not critical_real:
-        return True
-    # remaining coordinates must all have real solutions for pj to be a value
-    for coord, pj in zip(coords, p):
-        if coord[0] == "poly" and poly_eval_at(coord[4], pj) != 0:
-            shifted = list(coord[2])
-            shifted[0] = shifted[0] - pj
-            poly_trim(shifted)
-            if poly_deg(shifted) < 1 or not has_real_root(shifted):
-                return True
-    return any(poly_deg(s) < 1 or not has_real_root(s) for s in nonempty_checks)
+        _, _, coeffs, deriv, res, _ = coord
+        shifted = [coeffs[0] - pj, *coeffs[1:]]
+        if poly_eval_at(res, pj) == 0:
+            g = poly_gcd(shifted, deriv)
+            if poly_deg(g) >= 1 and has_real_root(g):
+                critical = True  # a real root of g solves the equation too
+                continue
+        unchecked.append(shifted)
+    return not (critical and all(map(has_real_root, unchecked)))
 
 
 @dataclass(frozen=True)

@@ -121,9 +121,6 @@ class FiniteMatrixGroup:
     def is_trivial(self) -> bool:
         return self.order == 1
 
-    def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(self, (0,))
-
     def full_subgroup(self) -> "Subgroup":
         return Subgroup(self, tuple(range(self.order)))
 
@@ -221,20 +218,11 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    def contains(self, i: int) -> bool:
-        return i in set(self.members)
-
-    def matrices(self) -> list[Matrix]:
-        return [self.parent.element(i) for i in self.members]
-
     def is_trivial(self) -> bool:
         return self.members == (0,)
 
     def is_full(self) -> bool:
         return self.order == self.parent.order
-
-    def index_in_parent(self) -> int:
-        return self.parent.order // self.order
 
     def is_normal(self) -> bool:
         """Whether H is normal in its parent: is_normalized_by the parent's
@@ -282,9 +270,6 @@ class GroupHom:
 
     def is_injective(self) -> bool:
         return len(set(self.mapping)) == self.source.order
-
-    def is_surjective(self) -> bool:
-        return len(set(self.mapping)) == self.target.order
 
     def conjugated_by(self, eta: Matrix) -> "GroupHom":
         """The homomorphism g -> eta theta(g) eta^{-1}."""

@@ -219,9 +219,6 @@ class Matrix:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
     def column(self, j) -> tuple[Fraction, ...]:
         return tuple(r[j] for r in self.entries)
 
@@ -298,9 +295,6 @@ class Matrix:
                              % (len(iv), self.cols))
         den = self._den * d
         return tuple(Fraction(sum(map(mul, row, iv)), den) for row in self._num)
-
-    def is_identity(self) -> bool:
-        return self.rows == self.cols and self == Matrix.identity(self.rows)
 
     def is_zero(self) -> bool:
         return not any(map(any, self._num))
@@ -825,11 +819,6 @@ def factor_rational_poly(p: Sequence[Fraction]) -> list[tuple[tuple[Fraction, ..
     for f, m in found:
         merged[f] = merged.get(f, 0) + m
     return sorted(merged.items(), key=lambda fm: (len(fm[0]), fm[0]))
-
-
-def charpoly_factor(m: Matrix) -> list[tuple[tuple[Fraction, ...], int]]:
-    """Irreducible factorization over Q of the characteristic polynomial of m."""
-    return factor_rational_poly(m.charpoly())
 
 
 def poly_apply_matrix(p: Sequence[Fraction], m: Matrix) -> Matrix:

@@ -38,8 +38,13 @@ class SchemaError(ValueError):
         self.reason = message
 
 
+def _is_int(v) -> bool:
+    """Whether v is a JSON integer; Python's bool is an int, JSON's is not."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def parse_rational(v, path: str) -> Fraction:
-    if isinstance(v, bool) or not isinstance(v, (str, int)):
+    if not (isinstance(v, str) or _is_int(v)):
         raise SchemaError(path, "expected a rational string or integer, got %r" % (v,))
     try:
         q = Fraction(v)
@@ -87,8 +92,7 @@ def parse_poly(v, num_vars: int, path: str) -> MultiPoly:
             coef = parse_rational(term["coef"], tpath + ".coef")
             exps = term["exps"]
             if (not isinstance(exps, list)
-                    or any(not isinstance(e, int) or isinstance(e, bool) or e < 0
-                           for e in exps)):
+                    or any(not _is_int(e) or e < 0 for e in exps)):
                 raise SchemaError(tpath + ".exps", "expected nonnegative integers")
             if len(exps) != num_vars:
                 raise SchemaError(tpath + ".exps",
@@ -111,7 +115,7 @@ def poly_json(p: MultiPoly) -> list[list[dict]]:
 def parse_chart(v, path: str) -> LocalChart:
     if not isinstance(v, dict):
         raise SchemaError(path, "expected a chart object")
-    if "dim" not in v or not isinstance(v["dim"], int) or v["dim"] < 1:
+    if "dim" not in v or not _is_int(v["dim"]) or v["dim"] < 1:
         raise SchemaError(path + ".dim", "expected a positive integer")
     boundary = v.get("boundary", False)
     if not isinstance(boundary, bool):
@@ -226,10 +230,10 @@ def parse_end(v, path: str) -> AssemblyEnd:
     if token is not None and not isinstance(token, str):
         raise SchemaError(path + ".token", "expected a string")
     order = v.get("isotropy_order", 2 if kind == MIRROR else 1)
-    if not isinstance(order, int) or order < 1:
+    if not _is_int(order) or order < 1:
         raise SchemaError(path + ".isotropy_order", "expected a positive integer")
     chart_index = v.get("chart")
-    if chart_index is not None and not isinstance(chart_index, int):
+    if chart_index is not None and not _is_int(chart_index):
         raise SchemaError(path + ".chart", "expected an integer chart index")
     point = parse_vector(v["point"], path + ".point") if "point" in v else None
     is_base = v.get("is_base", False)
@@ -252,7 +256,7 @@ def parse_piece(v, path: str) -> AssemblyPiece:
     if not isinstance(ends, list) or len(ends) != 2:
         raise SchemaError(path + ".ends", "expected exactly two ends")
     chart_index = v.get("chart")
-    if chart_index is not None and not isinstance(chart_index, int):
+    if chart_index is not None and not _is_int(chart_index):
         raise SchemaError(path + ".chart", "expected an integer chart index")
     e0 = parse_end(ends[0], path + ".ends[0]")
     e1 = parse_end(ends[1], path + ".ends[1]")
@@ -280,7 +284,7 @@ def parse_atlas_payload(v, path: str) -> RetractionScenario:
         if not isinstance(g, dict) or "chart" not in g:
             raise SchemaError(gpath, 'expected {"chart": index, "lift": ...}')
         ci = g["chart"]
-        if not isinstance(ci, int) or not (0 <= ci < len(charts)):
+        if not _is_int(ci) or not (0 <= ci < len(charts)):
             raise SchemaError(gpath + ".chart", "chart index out of range")
         source = charts[ci]
         theta = parse_theta(g.get("theta_gen_images", []), source, target,
@@ -307,7 +311,7 @@ def parse_embedding(v, charts: list[LocalChart], path: str) -> ChartEmbedding:
             raise SchemaError("%s.%s" % (path, key), "missing required field")
     si, ti = v["source"], v["target"]
     for label, idx in (("source", si), ("target", ti)):
-        if not isinstance(idx, int) or not (0 <= idx < len(charts)):
+        if not _is_int(idx) or not (0 <= idx < len(charts)):
             raise SchemaError("%s.%s" % (path, label), "chart index out of range")
     linear = parse_matrix(v["linear"], path + ".linear")
     translate = parse_vector(v["translate"], path + ".translate")

@@ -16,7 +16,7 @@ import pytest
 from orblocal.ratlin import (
     Matrix,
     Subspace,
-    charpoly_factor,
+    factor_rational_poly,
     kernel_image_rank,
     poly_apply_matrix,
 )
@@ -333,7 +333,7 @@ def oracle_invariant_subspace_exists(elements, d):
             basis = [[1 if j == c else 0 for j in range(n)] for c in cols]
             candidates.add(Subspace.from_vectors(n, basis))
     for g in elements:
-        for factor, mult in charpoly_factor(g):
+        for factor, mult in factor_rational_poly(g.charpoly()):
             fm = poly_apply_matrix(list(factor), g)
             power = fm
             for _ in range(mult):
@@ -372,8 +372,9 @@ def test_criterion_10_oracle_equivalence(dim):
     mats = signed_permutation_matrices(dim)
     groups = subgroups_up_to_order(mats, max_order=8)
     checked = 0
+    ident = Matrix.identity(dim)
     for members in groups:
-        gens = [g for g in members if not g.is_identity()] or [Matrix.identity(dim)]
+        gens = [g for g in members if g != ident] or [ident]
         grp = generate_closure(dim, gens)
         assert grp.order == len(members)
         for d in range(1, dim):

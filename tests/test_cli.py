@@ -372,6 +372,15 @@ class TestCorpus:
         assert "FAIL" not in out
         assert "corpus:" in out
 
+    def test_full_run_passes_under_optimize(self):
+        # every corpus scenario, checked by explicit raises with asserts stripped
+        src = os.path.dirname(os.path.dirname(os.path.abspath(orblocal.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-m", "orblocal", "corpus", "run"],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stdout + out.stderr
+        assert out.stdout.splitlines()[-1] == "corpus: 52/52 passed"
+
     def test_anchor_filter(self, capsys):
         assert main(["corpus", "run", "--anchor", "obstruction"]) == 0
         out = capsys.readouterr().out

@@ -12,7 +12,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import orblocal
-from orblocal.ratlin import Matrix, MultiPoly, Subspace, poly_add, poly_mul, poly_trim
+from orblocal.ratlin import (
+    Matrix,
+    MultiPoly,
+    Subspace,
+    has_real_root,
+    poly_add,
+    poly_derivative,
+    poly_deg,
+    poly_eval_at,
+    poly_gcd,
+    poly_mul,
+    poly_trim,
+)
 from orblocal.groups import GroupHom, NotAHomomorphism, verify_homomorphism
 from orblocal.charts import ChartEmbedding, build_chart, isotropy_at, verify_embedding
 from orblocal import germs
@@ -25,7 +37,7 @@ from orblocal.germs import (
     SNAP_DENOMINATOR,
     SardReport,
     UnsupportedLift,
-    _classify_sample,
+    _critical_value_poly,
     _separable_coordinates,
     build_germ,
     cocycle_identities,
@@ -179,7 +191,7 @@ class TestPreimageModel:
         assert model.gamma_s.order == 2
         assert model.dim == 1
         assert model.suborbifold.full
-        assert model.is_mirror()
+        assert model.boundary_kind == "interior"
 
     def test_identity_on_z2_line(self):
         case = germ_case("z2-identity")
@@ -277,7 +289,7 @@ class TestInvariantProjection:
     def test_mirror_line_worked_example(self):
         proj = invariant_projection(germ_case("mirror-line").germ)
         assert proj.n_group.order == 2
-        assert proj.a_of(1) == Matrix.diagonal([0, -2])
+        assert dict(proj.a_gamma)[1] == Matrix.diagonal([0, -2])
         assert proj.average == Matrix.diagonal([0, -1])
         assert proj.projection == Matrix.diagonal([0, 1])
         assert proj.proj_kernel == Subspace.from_vectors(2, [[1, 0]])
@@ -813,13 +825,29 @@ class TestSard:
         assert sard_sample(germ, box, samples, seed) == \
             sard_reference(germ, box, samples, seed)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=7),
+                    min_size=2, max_size=9).filter(lambda cs: cs[-1] != 0))
+    def test_critical_value_poly_is_a_multiple_of_the_resultant(self, coeffs):
+        """Stickelberger: for f of degree 1 to 8, the characteristic
+        polynomial of multiplication by f on Q[x]/(f') is a nonzero multiple
+        of Res_x(f - p, f')."""
+        got = _critical_value_poly(coeffs)
+        want = reference_critical_value_resultant(coeffs)
+        assert len(got) == len(want) and want[-1] != 0
+        scale = got[-1] / want[-1]
+        assert scale != 0 and got == [scale * c for c in want]
+
 
 def sard_reference(germ, box, samples, seed):
     """The per-sample Fraction loop that sard_sample ran before its integer
     filter: every sample is drawn with random.uniform, becomes a Fraction
-    tuple and goes through _classify_sample."""
+    tuple and goes through reference_classify_sample, with each coordinate's
+    critical values from reference_critical_value_resultant."""
     box = tuple((F(lo), F(hi)) for lo, hi in box)
-    coords = _separable_coordinates(germ.lift)
+    coords = [coord if coord[0] == "const"
+              else (*coord[:4], reference_critical_value_resultant(coord[2]), None)
+              for coord in _separable_coordinates(germ.lift)]
     fbox = [(float(lo), float(hi)) for lo, hi in box]
     rng = random.Random(seed)
     regular_count = 0
@@ -827,12 +855,94 @@ def sard_reference(germ, box, samples, seed):
     for _ in range(samples):
         p = tuple(F(round(rng.uniform(lo, hi) * SNAP_DENOMINATOR), SNAP_DENOMINATOR)
                   for lo, hi in fbox)
-        if _classify_sample(coords, p):
+        if reference_classify_sample(coords, p):
             regular_count += 1
         else:
             critical.add(p)
     return SardReport(samples=samples, seed=seed, box=box, regular_count=regular_count,
                       critical_values=tuple(sorted(critical)))
+
+
+def reference_sylvester_resultant(a, b):
+    """Res(a, b) as the determinant of the Sylvester matrix."""
+    m, n = poly_deg(a), poly_deg(b)
+    size = m + n
+    rows = []
+    ra, rb = list(reversed(a)), list(reversed(b))
+    for i in range(n):
+        rows.append([F(0)] * i + ra + [F(0)] * (size - m - 1 - i))
+    for j in range(m):
+        rows.append([F(0)] * j + rb + [F(0)] * (size - n - 1 - j))
+    return Matrix(rows).det()
+
+
+def reference_critical_value_resultant(coeffs):
+    """Res_x(f - p, f') as a polynomial in p, by Sylvester determinants at
+    deg f' + 1 integer points and Lagrange interpolation."""
+    deriv = poly_derivative(coeffs)
+    if poly_deg(deriv) < 1:
+        return [F(1)]
+    xs = list(range(poly_deg(deriv) + 1))
+    ys = []
+    for t in xs:
+        shifted = list(coeffs)
+        shifted[0] = shifted[0] - t
+        ys.append(reference_sylvester_resultant(poly_trim(shifted), deriv))
+    return reference_lagrange_interpolate(xs, ys) or [F(0)]
+
+
+def reference_lagrange_interpolate(xs, ys):
+    """The polynomial of degree < len(xs) through the points (xs[i], ys[i])."""
+    out = []
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        term = [F(yi)]
+        for j, xj in enumerate(xs):
+            if j != i:
+                term = [c / (xi - xj) for c in poly_mul(term, [F(-xj), F(1)])]
+        out = poly_add(out, term)
+    return out
+
+
+def reference_classify_sample(coords, p):
+    """True iff p is a regular value of a separable lift, decided in three
+    passes: the resultant filter, the gcd and Sturm check for a real
+    critical point, then the real-solution checks of the other
+    coordinates."""
+    capable = []
+    for coord, pj in zip(coords, p):
+        if coord[0] == "const":
+            if coord[1] != pj:
+                return True  # constant coordinate misses pj: empty preimage
+            capable.append((coord, pj, True))
+        elif poly_eval_at(coord[4], pj) == 0:
+            capable.append((coord, pj, False))
+    if not capable:
+        return True
+    critical_real = False
+    nonempty_checks = []
+    for coord, pj, is_const in capable:
+        if is_const:
+            critical_real = True  # zero Jacobian row on a full solution set
+            continue
+        _, _, coeffs, deriv, _, _ = coord
+        shifted = list(coeffs)
+        shifted[0] = shifted[0] - pj
+        poly_trim(shifted)
+        g = poly_gcd(shifted, deriv)
+        if poly_deg(g) >= 1 and has_real_root(g):
+            critical_real = True
+        else:
+            nonempty_checks.append(shifted)
+    if not critical_real:
+        return True
+    for coord, pj in zip(coords, p):
+        if coord[0] == "poly" and poly_eval_at(coord[4], pj) != 0:
+            shifted = list(coord[2])
+            shifted[0] = shifted[0] - pj
+            poly_trim(shifted)
+            if poly_deg(shifted) < 1 or not has_real_root(shifted):
+                return True
+    return any(poly_deg(s) < 1 or not has_real_root(s) for s in nonempty_checks)
 
 
 small_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=7)
@@ -939,7 +1049,8 @@ class TestRecenterAndPullback:
         germ = bn_germ(3) if name == "b3" else germ_case(name).germ
         iso = isotropy_at(germ.source, point)
         rg = recenter_germ(germ, point)
-        assert set(rg.source.group.elements) == set(iso.matrices())
+        members = {iso.parent.element(i) for i in iso.members}
+        assert set(rg.source.group.elements) == members
         assert rg.source.group.order == iso.order
 
     def test_pullback_through_embedding(self, c):

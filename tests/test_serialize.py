@@ -165,6 +165,51 @@ class TestAtlasEmbeddings:
             serialize.parse_atlas_payload(payload, "$")
 
 
+def _line_chart():
+    return {"dim": 1, "generators": [[["-1"]]]}
+
+
+def _atlas(**extra):
+    return dict({"charts": [_line_chart(), _line_chart()], "target": _line_chart(),
+                 "p": ["0"]}, **extra)
+
+
+def _embedding(source, target):
+    return {"source": source, "target": target, "linear": [["1"]],
+            "translate": ["0"], "theta_gen_images": [[["-1"]]]}
+
+
+class TestBooleansAreNotIntegers:
+    """JSON true is not an integer, though Python's bool is an int: each
+    integer field given true is a schema error at its own path."""
+
+    @pytest.mark.parametrize("parse, doc, path", [
+        (serialize.parse_chart, {"dim": True, "generators": [[["-1"]]]}, "$.dim"),
+        (serialize.parse_end, {"kind": "mirror", "isotropy_order": True},
+         "$.isotropy_order"),
+        (serialize.parse_end, {"kind": "boundary", "chart": True}, "$.chart"),
+        (serialize.parse_piece, {"chart": True, "ends": [
+            {"kind": "boundary"}, {"kind": "boundary"}]}, "$.chart"),
+        (serialize.parse_atlas_payload, _atlas(germs=[{"chart": True, "lift": [[]]}]),
+         "$.germs[0].chart"),
+        (serialize.parse_atlas_payload, _atlas(embeddings=[_embedding(True, 0)]),
+         "$.embeddings[0].source"),
+        (serialize.parse_atlas_payload, _atlas(embeddings=[_embedding(0, True)]),
+         "$.embeddings[0].target"),
+    ])
+    def test_true_rejected_at_its_path(self, parse, doc, path):
+        with pytest.raises(SchemaError) as exc:
+            parse(doc, "$")
+        assert exc.value.path == path
+
+    def test_cli_exits_one(self, tmp_path, capsys):
+        from orblocal.cli import main
+        path = tmp_path / "chart.json"
+        path.write_text('{"dim": true, "generators": [[["-1"]]]}')
+        assert main(["strata", str(path)]) == 1
+        assert "$.dim" in capsys.readouterr().err
+
+
 class TestScenarioWrapper:
     def test_unknown_kind(self):
         with pytest.raises(SchemaError):
