@@ -35,6 +35,7 @@ import functools
 import itertools
 import math
 import random
+import struct
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul
@@ -54,6 +55,8 @@ from .ratlin import (
     poly_deg,
     poly_eval_at,
     has_real_root,
+    sign_variations,
+    sturm_chain,
     vec,
     QONE,
     QZERO,
@@ -81,8 +84,8 @@ from .charts import (
 )
 
 SNAP_DENOMINATOR = 10 ** 6
-# samples per chunk of sard_sample: its draws and integer filter work on
-# columns of this many samples, so memory stays bounded for any count
+# samples per chunk of sard_sample: its draws and window comparisons work on
+# this many samples at a time, so memory stays bounded for any count
 SARD_CHUNK = 256
 
 
@@ -732,13 +735,8 @@ def _critical_value_poly(coeffs: list[Fraction]) -> list[Fraction]:
 
 def _separable_coordinates(lift: MultiPoly) -> list[tuple]:
     """Per output coordinate: ('const', value) or
-    ('poly', var, coeffs, deriv, res, snapped_res).
-
-    ``res`` is the critical-value polynomial and ``snapped_res`` the same
-    polynomial homogenized to the snap denominator D: with L the lcm of the
-    denominators of res = sum c_i p^i of degree d, it lists the integers
-    c_i * L * D^(d - i) from i = d down to 0, so their integer Horner sum at
-    n is L * D^d * res(n / D), zero exactly when res(n / D) is.
+    ('poly', var, coeffs, deriv, res), with ``res`` the critical-value
+    polynomial of ``_critical_value_poly``.
 
     Raises UnsupportedLift unless each output uses at most one variable and
     no two outputs share one.
@@ -763,44 +761,97 @@ def _separable_coordinates(lift: MultiPoly) -> list[tuple]:
             for e, c in d.items():
                 coeffs[e[v]] = c
             coeffs = poly_trim(coeffs)
-            res = _critical_value_poly(coeffs)
-            lcm = math.lcm(*(c.denominator for c in res))
-            top = len(res) - 1
-            snapped = tuple(res[i].numerator * (lcm // res[i].denominator)
-                            * SNAP_DENOMINATOR ** (top - i)
-                            for i in range(top, -1, -1))
-            out.append(("poly", v, coeffs, poly_derivative(coeffs), res, snapped))
+            out.append(("poly", v, coeffs, poly_derivative(coeffs),
+                        _critical_value_poly(coeffs)))
     return out
 
 
-def _undecided_samples(coords, cols, m) -> list[int]:
-    """The indices of a chunk's m samples that the integer filter cannot decide.
+def _grid_roots(res: list[Fraction], n_lo: int, n_hi: int) -> list[int]:
+    """The integers n in [n_lo, n_hi] with res(n / D) = 0, ascending, for a
+    nonzero res and D = SNAP_DENOMINATOR.
 
-    cols[j] lists the snapped numerators n (the sample is n / D) of target
-    coordinate j.  These are the early exits of ``_classify_sample`` on whole
-    columns, without a Fraction: a constant coordinate a/b keeps only the
-    samples with n*b == a*D, since any other has an empty preimage; with no
-    constant coordinate, a sample stays only when some coordinate's
-    homogenized critical-value polynomial vanishes at n.  Every other sample
-    is regular; the kept ones go to ``_classify_sample``.
+    Degree 1 is solved in closed form.  Otherwise the range is cut to the
+    Cauchy bound D * (1 + max |c_i / c_d|) on the real roots of res(t / D),
+    and the Sturm chain of that polynomial, counted on ints at the ends of
+    (l, r], bisects the range to unit steps (l, l + 1], where an exact
+    evaluation at l + 1 decides.
     """
-    consts = [(coord[1], col) for coord, col in zip(coords, cols) if coord[0] == "const"]
-    if consts:
-        rows = range(m)
-        for value, col in consts:
-            n, r = divmod(value.numerator * SNAP_DENOMINATOR, value.denominator)
-            if r:
-                return []
-            rows = [i for i in rows if col[i] == n]
-        return rows
+    D = SNAP_DENOMINATOR
+    if poly_deg(res) < 1:
+        return []
+    if poly_deg(res) == 1:
+        n = -res[0] * D / res[1]
+        return [n.numerator] if n.denominator == 1 and n_lo <= n <= n_hi else []
+    bound = (1 + max(abs(c / res[-1]) for c in res[:-1])) * D
+    n_lo, n_hi = max(n_lo, math.floor(-bound)), min(n_hi, math.ceil(bound))
+    if n_lo > n_hi:
+        return []
+    chain = sturm_chain([c / D ** i for i, c in enumerate(res)])
+    roots = []
+    todo = [(n_lo - 1, n_hi, sign_variations(chain, n_lo - 1), sign_variations(chain, n_hi))]
+    while todo:
+        l, r, vl, vr = todo.pop()
+        if vl == vr:
+            continue
+        if r - l == 1:
+            if poly_eval_at(res, Fraction(r, D)) == 0:
+                roots.append(r)
+            continue
+        mid = (l + r) // 2
+        vm = sign_variations(chain, mid)
+        todo += [(mid, r, vm, vr), (l, mid, vl, vm)]
+    return roots
+
+
+_ONE_BITS = struct.unpack("<Q", struct.pack("<d", 1.0))[0]
+
+
+def _from_bits(u: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", u))[0]
+
+
+def _draw_windows(coord, lo: float, width: float) -> list[tuple[float, float]]:
+    """The draws of one target coordinate that snap to a grid critical value.
+
+    A draw x in [0, 1) snaps to n = round((lo + width * x) * D), with D =
+    SNAP_DENOMINATOR, exactly as ``sard_sample`` computes it.  With width
+    >= 0 every IEEE step and ``round`` are monotone in x, so the draws that
+    snap to n are the doubles [first(n), first(n + 1)), where first(n), the
+    least double in [0, 1) snapping to n or above (1.0 if none), is found by
+    bisecting the bit patterns of the doubles in [0, 1), which are ordered
+    like the doubles.  The grid critical values are, for a constant
+    coordinate, its value when that is some n / D; for a polynomial one,
+    the n / D where its critical-value polynomial vanishes.  Returns the
+    nonempty windows (first(n), first(n + 1)).
+    """
+    def snap(x: float) -> int:
+        return round((lo + width * x) * SNAP_DENOMINATOR)
+
+    def first(n: int) -> float:
+        u, v = 0, _ONE_BITS
+        while u < v:
+            mid = (u + v) // 2
+            if snap(_from_bits(mid)) >= n:
+                v = mid
+            else:
+                u = mid + 1
+        return _from_bits(u)
+
+    n_lo, n_hi = snap(0.0), snap(_from_bits(_ONE_BITS - 1))
+    if coord[0] == "const":
+        n, r = divmod(coord[1].numerator * SNAP_DENOMINATOR, coord[1].denominator)
+        grid = [n] if not r and n_lo <= n <= n_hi else []
+    else:
+        grid = _grid_roots(coord[4], n_lo, n_hi)
+    return [w for w in ((first(n), first(n + 1)) for n in grid) if w[0] < w[1]]
+
+
+def _window_hits(col: list[float], windows: list[tuple[float, float]]) -> set[int]:
+    """The indices of the draws in col that fall in one of the windows."""
     hits: set[int] = set()
-    for coord, col in zip(coords, cols):
-        head, *rest = coord[5]
-        acc = [head] * m
-        for c in rest:
-            acc = [a * n + c for a, n in zip(acc, col)]
-        hits.update(i for i, a in enumerate(acc) if not a)
-    return sorted(hits)
+    for a, b in windows:
+        hits.update([i for i, x in enumerate(col) if x >= a and x < b])
+    return hits
 
 
 def _classify_sample(coords, p) -> bool:
@@ -813,8 +864,8 @@ def _classify_sample(coords, p) -> bool:
     solution, so with no constant coordinate and no vanishing polynomial p
     is regular at once; the gcd and Sturm checks only run for the rest, and
     the real-solution checks only once a critical solution is found.
-    ``sard_sample`` calls it only for the samples that
-    ``_undecided_samples`` leaves undecided.
+    ``sard_sample`` calls it only for the samples whose draws fall in the
+    windows of ``_draw_windows``, once per distinct sample.
     """
     critical, unchecked = False, []
     for coord, pj in zip(coords, p):
@@ -823,7 +874,7 @@ def _classify_sample(coords, p) -> bool:
                 return True  # constant coordinate misses pj: empty preimage
             critical = True  # zero Jacobian row on a full solution set
             continue
-        _, _, coeffs, deriv, res, _ = coord
+        _, _, coeffs, deriv, res = coord
         shifted = [coeffs[0] - pj, *coeffs[1:]]
         if poly_eval_at(res, pj) == 0:
             g = poly_gcd(shifted, deriv)
@@ -886,10 +937,17 @@ def sard_sample(germ: MapGerm, box, samples: int, seed: int) -> SardReport:
     ``random.uniform(lo_j, hi_j)``.  Each coordinate is snapped to
     n / SNAP_DENOMINATOR with n = round(coordinate * SNAP_DENOMINATOR) and
     classified with exact arithmetic (empty preimages are regular by
-    convention).  Samples go in chunks of SARD_CHUNK: the integer filter
-    ``_undecided_samples`` proves almost every sample regular on the columns
-    of numerators, and only the rest become Fractions and go through
-    ``_classify_sample`` over Q.  Deterministic per seed.  Raises ValueError
+    convention).
+
+    A sample can only be critical when every constant coordinate snaps to
+    its value or, with no constant coordinate, some coordinate snaps to a
+    root of its critical-value polynomial.  Those grid critical values are
+    found once, exactly, and turned into windows of draws by
+    ``_draw_windows``; with none the sampler draws nothing.  Otherwise it
+    draws in chunks of SARD_CHUNK and only compares the draws with the
+    windows: a sample whose draws pass becomes a Fraction tuple and goes
+    through ``_classify_sample`` over Q, once per distinct tuple, and every
+    other sample is regular.  Deterministic per seed.  Raises ValueError
     unless samples >= 1 and each interval passes ``sampling_interval``.
     """
     if samples < 1:
@@ -899,27 +957,34 @@ def sard_sample(germ: MapGerm, box, samples: int, seed: int) -> SardReport:
         raise ValueError("box must give one interval per target coordinate")
     spans = [(lo, hi - lo) for lo, hi in (sampling_interval(*iv) for iv in box)]
     coords = _separable_coordinates(germ.lift)
-    rnd = random.Random(seed).random
+    windows = [_draw_windows(coord, *span) for coord, span in zip(coords, spans)]
+    consts = [j for j, coord in enumerate(coords) if coord[0] == "const"]
+    # with a constant coordinate a sample must hit all of their windows,
+    # with none it must hit one window of some coordinate
+    live = [j for j in consts or range(len(coords)) if windows[j]]
+    if not live or len(live) < len(consts):
+        return SardReport(samples=samples, seed=seed, box=box,
+                          regular_count=samples, critical_values=())
     k = len(spans)
-    regular_count = 0
-    critical: set[tuple[Fraction, ...]] = set()
+    regular_count = samples
+    verdicts: dict[tuple[Fraction, ...], bool] = {}
+    rnd = random.Random(seed).random
     for start in range(0, samples, SARD_CHUNK):
         m = min(SARD_CHUNK, samples - start)
         xs = [rnd() for _ in range(m * k)]
-        cols = [[round((lo + width * x) * SNAP_DENOMINATOR) for x in xs[j::k]]
-                for j, (lo, width) in enumerate(spans)]
-        undecided = _undecided_samples(coords, cols, m)
-        regular_count += m - len(undecided)
-        for i in undecided:
-            p = tuple(Fraction(col[i], SNAP_DENOMINATOR) for col in cols)
-            if _classify_sample(coords, p):
-                regular_count += 1
-            else:
-                critical.add(p)
+        hits = [_window_hits(xs[j::k], windows[j]) for j in live]
+        for i in set.intersection(*hits) if consts else set.union(*hits):
+            p = tuple(Fraction(round((lo + width * xs[i * k + j]) * SNAP_DENOMINATOR),
+                               SNAP_DENOMINATOR)
+                      for j, (lo, width) in enumerate(spans))
+            if p not in verdicts:
+                verdicts[p] = _classify_sample(coords, p)
+            regular_count -= not verdicts[p]
     return SardReport(
         samples=samples, seed=seed, box=box,
         regular_count=regular_count,
-        critical_values=tuple(sorted(critical)),
+        critical_values=tuple(sorted(p for p, regular in verdicts.items()
+                                     if not regular)),
     )
 
 

@@ -1,7 +1,7 @@
 """Exact rational linear algebra and polynomial maps.
 
-Everything in this module is computed exactly over Q; no floating point
-enters any code path here.  The three value types are
+Everything in this module is computed exactly over Q; no floating-point
+arithmetic enters any code path here.  The three value types are
 
 * ``Matrix``    -- immutable rational matrix (also used for vectors of group
                    actions and differentials), stored as integer numerator
@@ -38,7 +38,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, inf, lcm, prod
 from operator import add, mul
 from typing import Iterable, Sequence
 
@@ -627,33 +627,56 @@ def poly_gcd(p, q):
     return poly_monic(p)
 
 
-def sturm_real_root_count(p: Sequence[Fraction]) -> int:
-    """Number of distinct real roots of p (any nonzero p)."""
+def sturm_chain(p: Sequence[Fraction]) -> list[list[int]]:
+    """The Sturm chain of the square-free part of a nonzero p, each member
+    scaled by a positive constant to integer coefficients.
+
+    With p0 = p / gcd(p, p'), the chain is p0, p0', and then the negated
+    remainders p(i+1) = -rem(p(i-1), p(i)) down to a nonzero constant; a
+    constant p0 is its own chain.  For any a < b,
+    ``sign_variations(chain, a) - sign_variations(chain, b)`` is the number
+    of distinct real roots of p in (a, b], whether or not a or b is a root.
+    """
     p = poly_trim(list(p))
     if not p:
-        raise ValueError("root count of the zero polynomial")
-    p = poly_divmod(p, poly_gcd(p, poly_derivative(p)))[0] if poly_deg(p) >= 1 else p
-    if poly_deg(p) < 1:
-        return 0
-    chain = [p, poly_derivative(p)]
-    while poly_deg(chain[-1]) >= 1:
-        rem = poly_divmod(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    if not chain[-1]:
-        chain.pop()
+        raise ValueError("Sturm chain of the zero polynomial")
+    if poly_deg(p) >= 1:
+        p = poly_divmod(p, poly_gcd(p, poly_derivative(p)))[0]
+    chain = [p]
+    nxt = poly_derivative(p)
+    while nxt:
+        chain.append(nxt)
+        nxt = [-c for c in poly_divmod(chain[-2], nxt)[1]]
+    return [_int_vec(f) for f in chain]
 
-    def variations(at_plus_inf: bool) -> int:
-        signs = []
-        for f in chain:
-            s = 1 if f[-1] > 0 else -1
-            if not at_plus_inf and poly_deg(f) % 2 == 1:
-                s = -s
-            signs.append(s)
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
-    return variations(False) - variations(True)
+def sign_variations(chain: Sequence[Sequence[int]], x) -> int:
+    """The number of sign changes along ``chain`` at x, zeros dropped.
+
+    x is a rational (an int keeps the evaluation on ints), or ``math.inf``
+    or ``-math.inf`` for the signs of the leading coefficients (flipped in
+    odd degree at -inf); the infinities are only compared, never computed
+    with.
+    """
+    signs = []
+    for f in chain:
+        if x == inf:
+            v = f[-1]
+        elif x == -inf:
+            v = f[-1] if len(f) % 2 else -f[-1]
+        else:
+            v = 0
+            for c in reversed(f):
+                v = v * x + c
+        if v:
+            signs.append(v > 0)
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def sturm_real_root_count(p: Sequence[Fraction]) -> int:
+    """Number of distinct real roots of p (any nonzero p)."""
+    chain = sturm_chain(p)
+    return sign_variations(chain, -inf) - sign_variations(chain, inf)
 
 
 def has_real_root(p: Sequence[Fraction]) -> bool:
@@ -822,14 +845,18 @@ def factor_rational_poly(p: Sequence[Fraction]) -> list[tuple[tuple[Fraction, ..
 
 
 def poly_apply_matrix(p: Sequence[Fraction], m: Matrix) -> Matrix:
-    """Evaluate a univariate polynomial at a square matrix."""
+    """Evaluate a univariate polynomial at a square matrix by Horner's rule,
+    from the top coefficient down: degree d costs d matrix products."""
     n = m.rows
-    acc = Matrix.zero(n, n)
-    power = Matrix.identity(n)
-    for c in p:
+    p = poly_trim(list(p))
+    if not p:
+        return Matrix.zero(n, n)
+    ident = Matrix.identity(n)
+    acc = ident.scale(p[-1])
+    for c in reversed(p[:-1]):
+        acc = acc * m
         if c != 0:
-            acc = acc + power.scale(c)
-        power = power * m
+            acc = acc + ident.scale(c)
     return acc
 
 

@@ -795,6 +795,82 @@ class TestSard:
         with pytest.raises(ValueError, match=reason):
             sard_sample(case.germ, box, 5, 1)
 
+    @pytest.mark.parametrize("coeffs, box", [
+        # float ends equal, so the width is 0.0 and every draw snaps alike
+        ([F(0), F(0), F(1)], (F(0), F(1, 10 ** 400))),
+        ([F(0), F(0), F(1)], (F(1, 3), F(1, 3) + F(1, 10 ** 30))),
+        ([F(0)], (F(-1, 10 ** 400), F(1, 10 ** 400))),
+        # ends at half-grid points (n + 1/2) / D around a critical value n / D
+        ([F(0), F(0), F(1)], (F(-1, 2 * SNAP_DENOMINATOR), F(1, 2 * SNAP_DENOMINATOR))),
+        ([F(1, SNAP_DENOMINATOR), F(0), F(1)],
+         (F(1, 2 * SNAP_DENOMINATOR), F(3, 2 * SNAP_DENOMINATOR))),
+        ([F(2, SNAP_DENOMINATOR), F(0), F(1)],
+         (F(3, 2 * SNAP_DENOMINATOR), F(5, 2 * SNAP_DENOMINATOR))),
+        ([F(1, SNAP_DENOMINATOR)], (F(1, 2 * SNAP_DENOMINATOR), F(3, 2 * SNAP_DENOMINATOR))),
+        # a critical value exactly at lo, at hi, and at both ends (x^3 - 3x)
+        ([F(3, SNAP_DENOMINATOR), F(0), F(1)],
+         (F(3, SNAP_DENOMINATOR), F(3, SNAP_DENOMINATOR) + F(1, 10 ** 4))),
+        ([F(3, SNAP_DENOMINATOR), F(0), F(1)],
+         (F(3, SNAP_DENOMINATOR) - F(1, 10 ** 4), F(3, SNAP_DENOMINATOR))),
+        ([F(1, 4)], (F(1, 4), F(1, 4) + F(1, 10 ** 4))),
+        ([F(1, 4)], (F(1, 4) - F(1, 10 ** 4), F(1, 4))),
+        ([F(0), F(-3), F(0), F(1)], (F(2), F(2) + F(1, 10 ** 4))),
+        ([F(0), F(-3), F(0), F(1)], (F(-2), F(2))),
+    ])
+    @pytest.mark.parametrize("samples, seed", [(7, 1), (600, 5), (2000, 8)])
+    def test_window_edges_match_fraction_loop(self, coeffs, box, samples, seed):
+        germ = separable_germ([coeffs])
+        assert sard_sample(germ, [box], samples, seed) == \
+            sard_reference(germ, [box], samples, seed)
+
+    @pytest.mark.parametrize("coeffs", [[F(0), F(0), F(1)], [F(10 ** 299), F(0), F(1)],
+                                        [F(0), F(-3), F(0), F(1)]])
+    def test_huge_box_matches_fraction_loop(self, coeffs):
+        """A box of +-10^300, far wider than the Cauchy bound on the
+        critical values, with a few samples."""
+        germ = separable_germ([coeffs])
+        box = [(-(10 ** 300), 10 ** 300)]
+        assert sard_sample(germ, box, 9, 2) == sard_reference(germ, box, 9, 2)
+
+    def test_half_grid_box_snaps_to_its_critical_value(self):
+        # +-(1/2) / D times D is +-0.5 and rounds half to even: every draw
+        # snaps to 0, the critical value of x^2
+        half = F(1, 2 * SNAP_DENOMINATOR)
+        rep = sard_sample(separable_germ([[F(0), F(0), F(1)]]), [(-half, half)], 300, 4)
+        assert rep.regular_count == 0 and rep.critical_values == ((F(0),),)
+
+    @pytest.mark.parametrize("coeffs", [None, [F(1, 3)]])
+    def test_no_window_draws_nothing(self, coeffs):
+        """A linear lift has no critical value, and a constant off the snap
+        grid is never sampled: no sample can be critical, so nothing is
+        drawn."""
+        germ = germ_case("mirror-line").germ if coeffs is None else separable_germ([coeffs])
+        with mock.patch.object(germs.random, "Random",
+                               side_effect=AssertionError("drew a sample")):
+            rep = sard_sample(germ, [(-2, 2)], 5000, 3)
+        assert rep.regular_count == 5000 and rep.critical_values == ()
+
+    def test_linear_lift_at_a_billion_samples(self):
+        rep = sard_sample(germ_case("mirror-line").germ, [(-2, 2)], 10 ** 9, 0)
+        assert rep.regular_count == 10 ** 9 and rep.critical_values == ()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-40, 40), max_size=3),
+           st.sampled_from([[F(1)], [F(1), F(0), F(1)], [F(-2), F(0), F(1)],
+                            [F(-1, 3), F(1)], [F(0), F(1)]]),
+           st.integers(-60, 20), st.integers(0, 80))
+    def test_grid_roots_are_the_grid_factors(self, grid, other, n_lo, span):
+        """res = prod (p - n_i / D) * other, with repeated grid roots and a
+        factor that has no grid root (1, p^2 + 1, p^2 - 2, p - 1/3) or the
+        grid root 0: the roots in range, once each."""
+        res = list(other)
+        for n in grid:
+            res = poly_mul(res, [F(-n, SNAP_DENOMINATOR), F(1)])
+        want = {n for n in grid if n_lo <= n <= n_lo + span}
+        if other == [F(0), F(1)] and n_lo <= 0 <= n_lo + span:
+            want.add(0)
+        assert germs._grid_roots(res, n_lo, n_lo + span) == sorted(want)
+
     @pytest.mark.parametrize("dims", [1, 2])
     @settings(max_examples=30, deadline=None)
     @given(st.data())
@@ -840,13 +916,13 @@ class TestSard:
 
 
 def sard_reference(germ, box, samples, seed):
-    """The per-sample Fraction loop that sard_sample ran before its integer
-    filter: every sample is drawn with random.uniform, becomes a Fraction
+    """The per-sample Fraction loop that sard_sample ran before its draw
+    windows: every sample is drawn with random.uniform, becomes a Fraction
     tuple and goes through reference_classify_sample, with each coordinate's
     critical values from reference_critical_value_resultant."""
     box = tuple((F(lo), F(hi)) for lo, hi in box)
     coords = [coord if coord[0] == "const"
-              else (*coord[:4], reference_critical_value_resultant(coord[2]), None)
+              else (*coord[:4], reference_critical_value_resultant(coord[2]))
               for coord in _separable_coordinates(germ.lift)]
     fbox = [(float(lo), float(hi)) for lo, hi in box]
     rng = random.Random(seed)
@@ -924,7 +1000,7 @@ def reference_classify_sample(coords, p):
         if is_const:
             critical_real = True  # zero Jacobian row on a full solution set
             continue
-        _, _, coeffs, deriv, _, _ = coord
+        _, _, coeffs, deriv, _ = coord
         shifted = list(coeffs)
         shifted[0] = shifted[0] - pj
         poly_trim(shifted)
@@ -976,11 +1052,15 @@ def sard_coordinates(draw):
 
 
 def sard_interval(centre):
-    """A wide interval, or a narrow one around centre that the snap grid
-    meets in a few points or only one."""
-    half = st.sampled_from([F(1, 10 ** 8), F(1, SNAP_DENOMINATOR), F(3, SNAP_DENOMINATOR)])
+    """A wide interval, or a narrow one around centre, or around centre
+    moved half a grid step, that the snap grid meets in a few points or
+    only one; half-grid ends are where round-half-even decides."""
+    half_step = F(1, 2 * SNAP_DENOMINATOR)
+    half = st.sampled_from([F(1, 10 ** 8), F(1, SNAP_DENOMINATOR), F(3, SNAP_DENOMINATOR),
+                            half_step, 3 * half_step])
+    shift = st.sampled_from([F(0), half_step, -half_step])
     return st.one_of(st.just((F(-2), F(2))),
-                     half.map(lambda h: (centre - h, centre + h)))
+                     st.builds(lambda h, s: (centre + s - h, centre + s + h), half, shift))
 
 
 def separable_germ(coord_coeffs):

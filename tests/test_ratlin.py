@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -16,7 +17,9 @@ from orblocal.ratlin import (
     poly_gcd,
     poly_mul,
     restrict_to_subspace,
+    sign_variations,
     solve_exact,
+    sturm_chain,
     sturm_real_root_count,
 )
 
@@ -204,6 +207,31 @@ class TestFactorization:
         # Cayley-Hamilton: p(m) = 0 for the characteristic polynomial
         assert poly_apply_matrix(list(m.charpoly()), m).is_zero()
 
+    def test_poly_apply_matrix_matches_power_sum(self):
+        """Horner's rule against the sum of c_i * m^i, on random polynomials
+        (empty, constant, with zero and trailing zero coefficients) and
+        random square matrices."""
+        rng = random.Random(17)
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            mat = random_matrix(rng, n, n)
+            p = [F(rng.choice([0, rng.randint(-5, 5)]), rng.randint(1, 4))
+                 for _ in range(rng.randint(0, 6))]
+            want, power = Matrix.zero(n, n), Matrix.identity(n)
+            for c in p:
+                want = want + power.scale(c)
+                power = power * mat
+            assert poly_apply_matrix(p, mat) == want
+
+    def test_poly_apply_matrix_costs_degree_products(self, monkeypatch):
+        products = []
+        matmul = Matrix.__mul__
+        monkeypatch.setattr(Matrix, "__mul__",
+                            lambda a, b: products.append(1) or matmul(a, b))
+        m = Matrix([[0, -1], [1, -1]])
+        poly_apply_matrix([F(1), F(2), F(0), F(3)], m)
+        assert len(products) == 3
+
 
 class TestSturm:
     @pytest.mark.parametrize("poly,count", [
@@ -216,6 +244,25 @@ class TestSturm:
     def test_root_counts(self, poly, count):
         assert sturm_real_root_count([F(c) for c in poly]) == count
         assert has_real_root([F(c) for c in poly]) == (count > 0)
+
+    def test_variations_count_roots_in_half_open_intervals(self):
+        """(x - 1)^2 (x + 2) (x^2 + 1) (x - 1/3): V(a) - V(b) is the number
+        of distinct real roots in (a, b], roots at the ends included, for
+        ints, Fractions and the infinities."""
+        p = [F(1)]
+        for factor in ([-1, 1], [-1, 1], [2, 1], [1, 0, 1], [F(-1, 3), 1]):
+            p = poly_mul(p, [F(c) for c in factor])
+        roots = [F(-2), F(1, 3), F(1)]
+        chain = sturm_chain(p)
+        assert all(isinstance(c, int) for f in chain for c in f)
+        points = [-math.inf, -3, F(-2), F(-1, 2), 0, F(1, 3), F(1, 2), 1, F(3, 2), math.inf]
+        for i, a in enumerate(points):
+            for b in points[i + 1:]:
+                want = sum(1 for r in roots if a < r <= b)
+                assert sign_variations(chain, a) - sign_variations(chain, b) == want
+        assert sturm_chain([F(5)]) == [[5]]
+        with pytest.raises(ValueError):
+            sturm_chain([F(0)])
 
     def test_gcd(self):
         # gcd(x^2-1, x-1) = x-1 up to normalization
