@@ -348,7 +348,7 @@ def _run_embedding_error() -> dict:
 
 def _run_embedding_pullback() -> dict:
     pulled = pull_back_germ(germ_case("sum-squares").germ, _axis_embedding())
-    (value,) = pulled.lift.eval([0, 0])
+    (value,) = pulled.value_at([0, 0])
     return {"value_at_origin": str(value),
             "jacobian": serialize.matrix_json(pulled.lift.jacobian_at([0, 0]))}
 

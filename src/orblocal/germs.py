@@ -35,10 +35,10 @@ import functools
 import itertools
 import math
 import random
-import struct
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from operator import mul
+from operator import and_, mul, or_
 from typing import Iterator, Sequence
 
 from .ratlin import (
@@ -84,9 +84,9 @@ from .charts import (
 )
 
 SNAP_DENOMINATOR = 10 ** 6
-# samples per chunk of sard_sample: its draws and window comparisons work on
-# this many samples at a time, so memory stays bounded for any count
-SARD_CHUNK = 256
+# samples per chunk of sard_sample: each chunk is one getrandbits integer of
+# 64 bits per draw, so memory stays bounded for any count
+SARD_CHUNK = 1024
 
 
 class EquivarianceError(ValueError):
@@ -118,9 +118,9 @@ class UnsupportedLift(ValueError):
 class MapGerm:
     """A complete local map germ: charts, polynomial lift, homomorphism.
 
-    base_kernel, base_split and n_group are derived from the fields on first
-    use and kept on the germ, which is frozen, so each is computed once and
-    is the same value on every later read.
+    base_kernel, base_split, n_group and the values of value_at are derived
+    from the fields on first use and kept on the germ, which is frozen, so
+    each is computed once and is the same value on every later read.
     """
 
     source: LocalChart
@@ -128,6 +128,7 @@ class MapGerm:
     lift: MultiPoly
     theta: GroupHom
     base_point: tuple[Fraction, ...]
+    _lift_values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @functools.cached_property
     def base_kernel(self) -> Subspace:
@@ -153,6 +154,13 @@ class MapGerm:
     def n_group(self) -> Subgroup:
         """The kernel N of the homomorphism, a normal subgroup of the source group."""
         return kernel_of(self.theta)
+
+    def value_at(self, point) -> tuple[Fraction, ...]:
+        """The lift's value at point, evaluated once per point and germ."""
+        point = vec(point)
+        if point not in self._lift_values:
+            self._lift_values[point] = self.lift.eval(point)
+        return self._lift_values[point]
 
     def kernel_at(self, point) -> Subspace:
         """The kernel of the differential at point; base_kernel at the base point."""
@@ -195,8 +203,8 @@ def build_germ(source: LocalChart, target: LocalChart, lift: MultiPoly,
         raise ValueError("base point length mismatch")
     if not source.contains_point(base):
         raise ValueError("base point outside the source half-space")
-    value = lift.eval(base)
-    if not target.contains_point(value):
+    germ = MapGerm(source, target, lift, theta, base)
+    if not target.contains_point(germ.value_at(base)):
         raise ValueError("lift image of base point outside the target half-space")
     theta.check_multiplicative()
     for gi in sorted(set(source.group.generator_indices or (0,))):
@@ -207,7 +215,7 @@ def build_germ(source: LocalChart, target: LocalChart, lift: MultiPoly,
             raise EquivarianceError(
                 "lift is not equivariant at element %d" % gi,
                 gamma_index=gi, residual=residual)
-    return MapGerm(source, target, lift, theta, base)
+    return germ
 
 
 @dataclass(frozen=True)
@@ -231,7 +239,7 @@ def is_regular_value(germ: MapGerm, p, preimage_lifts) -> RegularValueReport:
     regular = True
     for pt in preimage_lifts:
         pt = vec(pt)
-        if germ.lift.eval(pt) != p:
+        if germ.value_at(pt) != p:
             raise NotInPreimage(
                 "point %s does not map to %s"
                 % (tuple(str(x) for x in pt), tuple(str(x) for x in p)))
@@ -304,7 +312,7 @@ def preimage_model(germ: MapGerm, p, lift_point) -> PreimageModel:
     n, k = germ.source.dim, germ.target.dim
     if germ.source.boundary and n <= k:
         raise ValueError("boundary preimages need source dimension > target dimension")
-    if germ.lift.eval(pt) != p:
+    if germ.value_at(pt) != p:
         raise NotInPreimage("lift point does not map to the target point")
     kernel = germ.kernel_at(pt)
     if kernel.dim != n - k:
@@ -803,41 +811,36 @@ def _grid_roots(res: list[Fraction], n_lo: int, n_hi: int) -> list[int]:
     return roots
 
 
-_ONE_BITS = struct.unpack("<Q", struct.pack("<d", 1.0))[0]
+def _snap(span: tuple[float, float], draw: int) -> int:
+    """round((lo + width * x) * D) for span = (lo, width), D = SNAP_DENOMINATOR
+    and the float x = draw * 2^-53 that ``random()`` returns."""
+    return round((span[0] + span[1] * (draw * 2.0 ** -53)) * SNAP_DENOMINATOR)
 
 
-def _from_bits(u: int) -> float:
-    return struct.unpack("<d", struct.pack("<Q", u))[0]
-
-
-def _draw_windows(coord, lo: float, width: float) -> list[tuple[float, float]]:
+def _draw_windows(coord, span: tuple[float, float]) -> list[tuple[int, int]]:
     """The draws of one target coordinate that snap to a grid critical value.
 
-    A draw x in [0, 1) snaps to n = round((lo + width * x) * D), with D =
-    SNAP_DENOMINATOR, exactly as ``sard_sample`` computes it.  With width
-    >= 0 every IEEE step and ``round`` are monotone in x, so the draws that
-    snap to n are the doubles [first(n), first(n + 1)), where first(n), the
-    least double in [0, 1) snapping to n or above (1.0 if none), is found by
-    bisecting the bit patterns of the doubles in [0, 1), which are ordered
-    like the doubles.  The grid critical values are, for a constant
-    coordinate, its value when that is some n / D; for a polynomial one,
-    the n / D where its critical-value polynomial vanishes.  Returns the
-    nonempty windows (first(n), first(n + 1)).
+    ``random()`` returns N * 2^-53 for an integer N in [0, 2^53), and
+    ``_snap`` maps N to its grid numerator exactly as ``sard_sample`` does.
+    With width >= 0 every IEEE step and ``round`` are monotone in N, so the
+    N that snap to n are [first(n), first(n + 1)), where first(n), the least
+    N snapping to n or above (2^53 if none), is found by bisecting N over
+    [0, 2^53].  The grid critical values are, for a constant coordinate, its
+    value when that is some n / D; for a polynomial one, the n / D where its
+    critical-value polynomial vanishes.  Returns the nonempty windows
+    [first(n), first(n + 1)) on N.
     """
-    def snap(x: float) -> int:
-        return round((lo + width * x) * SNAP_DENOMINATOR)
-
-    def first(n: int) -> float:
-        u, v = 0, _ONE_BITS
+    def first(n: int) -> int:
+        u, v = 0, 1 << 53
         while u < v:
             mid = (u + v) // 2
-            if snap(_from_bits(mid)) >= n:
+            if _snap(span, mid) >= n:
                 v = mid
             else:
                 u = mid + 1
-        return _from_bits(u)
+        return u
 
-    n_lo, n_hi = snap(0.0), snap(_from_bits(_ONE_BITS - 1))
+    n_lo, n_hi = _snap(span, 0), _snap(span, (1 << 53) - 1)
     if coord[0] == "const":
         n, r = divmod(coord[1].numerator * SNAP_DENOMINATOR, coord[1].denominator)
         grid = [n] if not r and n_lo <= n <= n_hi else []
@@ -846,11 +849,49 @@ def _draw_windows(coord, lo: float, width: float) -> list[tuple[float, float]]:
     return [w for w in ((first(n), first(n + 1)) for n in grid) if w[0] < w[1]]
 
 
-def _window_hits(col: list[float], windows: list[tuple[float, float]]) -> set[int]:
-    """The indices of the draws in col that fall in one of the windows."""
-    hits: set[int] = set()
-    for a, b in windows:
-        hits.update([i for i, x in enumerate(col) if x >= a and x < b])
+def _lane_test(size: int, windows, live, every: bool):
+    """The window test of chunks of at most size samples: a function of g =
+    getrandbits(64 * m * k) and m returning the draws N of the samples whose
+    draws fall in the windows of every live coordinate (of some one when not
+    every), in sample order; k = len(windows) is the target dimension.
+
+    Lane t = i * k + j of g, bits 64t to 64t + 63, holds draw j of sample i:
+    ``random()`` returns N * 2^-53, N = (w >> 5) * 2^26 + (w' >> 6) for the
+    lane's low word w and high word w'.  With ONES a 1 at the bottom of each
+    lane of one coordinate and the guard bit 2^b above values x, bit b of a
+    lane of ((x | guard) - lo ONES) & ((hi | 2^b) ONES - x) is set exactly
+    when lo <= x <= hi, and no borrow crosses a lane.  The low words are
+    tested first, against 32 (A >> 26) ... 32 ((B - 1) >> 26) + 31 for a
+    window [A, B); only then are the lanes of N built and tested exactly.
+    """
+    k = len(windows)
+    ones = int.from_bytes((b"\x01" + bytes(8 * k - 1)) * size, "little")
+    words, high, low = ones * 0xFFFFFFFF, ones * 0xFFFFFFE0, ones * 0x3FFFFFF
+
+    def in_windows(b, bound):
+        """The guard bits 2^b set for lanes x in some [lo, hi] = bound(window)."""
+        guard = ones << b
+        ranges = [[(lo * ones - guard, (hi | 1 << b) * ones) for lo, hi in map(bound, windows[j])]
+                  for j in live]
+        return lambda xs: functools.reduce(and_ if every else or_, [
+            functools.reduce(or_, [(x - lo) & (hi - x) for lo, hi in rs])
+            for x, rs in zip(xs, ranges)]) & guard
+
+    coarse = in_windows(32, lambda w: (w[0] >> 26 << 5, (w[1] - 1) >> 26 << 5 | 31))
+    exact = in_windows(53, lambda w: (w[0], w[1] - 1))
+
+    def hits(g: int, m: int) -> list[list[int]]:
+        gs = [g >> 64 * j for j in live]
+        if not coarse([x & words for x in gs]):
+            return []
+        # N: bits 5..31 of the low word move to 26..52, w' >> 6 to 0..25
+        found = exact([(x & high) << 21 | x >> 38 & low for x in gs]) >> 53
+        flags = found.to_bytes(8 * k * size, "little")[::8 * k]  # a byte per sample
+        lanes = memoryview(g.to_bytes(8 * k * size, sys.byteorder)).cast("Q")
+        # lanes past m are zero, not draws
+        return [[(w & 0xFFFFFFFF) >> 5 << 26 | w >> 38 for w in lanes[i * k:i * k + k]]
+                for i in itertools.compress(range(m), flags)]
+
     return hits
 
 
@@ -942,13 +983,15 @@ def sard_sample(germ: MapGerm, box, samples: int, seed: int) -> SardReport:
     A sample can only be critical when every constant coordinate snaps to
     its value or, with no constant coordinate, some coordinate snaps to a
     root of its critical-value polynomial.  Those grid critical values are
-    found once, exactly, and turned into windows of draws by
-    ``_draw_windows``; with none the sampler draws nothing.  Otherwise it
-    draws in chunks of SARD_CHUNK and only compares the draws with the
-    windows: a sample whose draws pass becomes a Fraction tuple and goes
-    through ``_classify_sample`` over Q, once per distinct tuple, and every
-    other sample is regular.  Deterministic per seed.  Raises ValueError
-    unless samples >= 1 and each interval passes ``sampling_interval``.
+    found once, exactly, and turned into windows of integer draws by
+    ``_draw_windows``; with none the sampler draws nothing.  Otherwise each
+    chunk of SARD_CHUNK samples is one ``getrandbits`` integer, the words of
+    the same ``random()`` calls, whose draws ``_lane_test`` compares with
+    the windows all at once, building no float: a sample whose draws pass is
+    snapped and goes through ``_classify_sample`` over Q, once per grid
+    point, and every other sample is regular.  Deterministic per seed.
+    Raises ValueError unless samples >= 1 and each interval passes
+    ``sampling_interval``.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1, got %d" % samples)
@@ -957,7 +1000,7 @@ def sard_sample(germ: MapGerm, box, samples: int, seed: int) -> SardReport:
         raise ValueError("box must give one interval per target coordinate")
     spans = [(lo, hi - lo) for lo, hi in (sampling_interval(*iv) for iv in box)]
     coords = _separable_coordinates(germ.lift)
-    windows = [_draw_windows(coord, *span) for coord, span in zip(coords, spans)]
+    windows = [_draw_windows(coord, span) for coord, span in zip(coords, spans)]
     consts = [j for j, coord in enumerate(coords) if coord[0] == "const"]
     # with a constant coordinate a sample must hit all of their windows,
     # with none it must hit one window of some coordinate
@@ -967,24 +1010,22 @@ def sard_sample(germ: MapGerm, box, samples: int, seed: int) -> SardReport:
                           regular_count=samples, critical_values=())
     k = len(spans)
     regular_count = samples
-    verdicts: dict[tuple[Fraction, ...], bool] = {}
-    rnd = random.Random(seed).random
+    verdicts: dict[tuple[int, ...], tuple] = {}  # grid numerators: (point, regular)
+    rng = random.Random(seed)
+    test = _lane_test(min(SARD_CHUNK, samples), windows, live, bool(consts))
     for start in range(0, samples, SARD_CHUNK):
         m = min(SARD_CHUNK, samples - start)
-        xs = [rnd() for _ in range(m * k)]
-        hits = [_window_hits(xs[j::k], windows[j]) for j in live]
-        for i in set.intersection(*hits) if consts else set.union(*hits):
-            p = tuple(Fraction(round((lo + width * xs[i * k + j]) * SNAP_DENOMINATOR),
-                               SNAP_DENOMINATOR)
-                      for j, (lo, width) in enumerate(spans))
-            if p not in verdicts:
-                verdicts[p] = _classify_sample(coords, p)
-            regular_count -= not verdicts[p]
+        for draws in test(rng.getrandbits(64 * m * k), m):
+            key = tuple(map(_snap, spans, draws))
+            if key not in verdicts:
+                p = tuple(Fraction(n, SNAP_DENOMINATOR) for n in key)
+                verdicts[key] = p, _classify_sample(coords, p)
+            regular_count -= not verdicts[key][1]
     return SardReport(
         samples=samples, seed=seed, box=box,
         regular_count=regular_count,
-        critical_values=tuple(sorted(p for p, regular in verdicts.items()
-                                     if not regular)),
+        critical_values=tuple(p for _, (p, regular) in sorted(verdicts.items())
+                              if not regular),
     )
 
 

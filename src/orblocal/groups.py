@@ -32,6 +32,9 @@ from .ratlin import (
     kernel,
     kernel_image_rank,
     poly_apply_matrix,
+    poly_derivative,
+    poly_divmod,
+    poly_gcd,
     factor_rational_poly,
     QZERO,
 )
@@ -128,6 +131,18 @@ class FiniteMatrixGroup:
         return "FiniteMatrixGroup(dim=%d, order=%d)" % (self.dim, self.order)
 
 
+def _has_infinite_order(g: Matrix) -> bool:
+    """True when g provably has infinite order: a rational matrix of finite
+    order has det +-1, |trace| <= n (a sum of n roots of unity), an integral
+    characteristic polynomial p (its roots are algebraic integers) and is
+    diagonalizable, so the squarefree part p / gcd(p, p') annihilates it."""
+    p = list(g.charpoly())
+    squarefree = poly_divmod(p, poly_gcd(p, poly_derivative(p)))[0]
+    return (abs(g.det()) != 1 or abs(g.trace()) > g.rows
+            or any(c.denominator != 1 for c in p)
+            or not poly_apply_matrix(squarefree, g).is_zero())
+
+
 def generate_closure(dim: int, generators: list[Matrix],
                      max_order: int = DEFAULT_ORDER_BOUND) -> FiniteMatrixGroup:
     """Close a generator list into a finite matrix group.
@@ -137,7 +152,8 @@ def generate_closure(dim: int, generators: list[Matrix],
     product elements[e] * g is kept as an index in the right-multiplication
     table right[e][s] (s the position of g in the list); the search visits
     elements in index order, so right[e] is appended as e is visited.  Raises
-    ClosureBoundExceeded if the closure passes max_order.
+    ClosureBoundExceeded if the closure passes max_order, or once it has 256
+    elements if a generator _has_infinite_order, with the same message.
     """
     for g in generators:
         if g.rows != dim or g.cols != dim:
@@ -159,7 +175,8 @@ def generate_closure(dim: int, generators: list[Matrix],
                 prod = elements[ei] * g
                 j = index.get(prod)
                 if j is None:
-                    if len(elements) >= max_order:
+                    if len(elements) >= max_order or len(elements) == 256 and any(
+                            map(_has_infinite_order, generators)):
                         raise ClosureBoundExceeded(
                             "closure exceeded %d elements" % max_order)
                     j = index[prod] = len(elements)

@@ -181,6 +181,39 @@ class TestRegularValues:
         with pytest.raises(NotInPreimage):
             is_regular_value(case.germ, [1], [[2]])
 
+    def test_each_lift_point_is_evaluated_once(self):
+        """build_germ, is_regular_value and preimage_model read the lift's
+        values from the germ: each corpus germ evaluates its own lift once
+        per distinct point, and the reports are the same."""
+        real = MultiPoly.eval
+        for case in germ_cases():
+            g = case.germ
+            calls = []
+
+            def counted(lift, point):
+                calls.append((lift, tuple(point)))
+                return real(lift, point)
+
+            with mock.patch.object(MultiPoly, "eval", counted):
+                germ = build_germ(g.source, g.target, g.lift, g.theta, g.base_point)
+                rep = is_regular_value(germ, case.p, case.lifts)
+                models = [preimage_model(germ, case.p, pt) for pt in case.lifts] \
+                    if case.regular else []
+            own = [pt for lift, pt in calls if lift is g.lift]
+            assert sorted(own) == sorted(set(own)) and set(own) >= set(case.lifts)
+            assert rep == is_regular_value(g, case.p, case.lifts)
+            assert [(mo.kernel, mo.dim) for mo in models] == \
+                [(mo.kernel, mo.dim) for mo in case_preimage_models(case)]
+
+    def test_not_in_preimage_messages(self):
+        """A point off the preimage fails with NotInPreimage and its message,
+        in preimage_model after re-centering and in is_regular_value."""
+        case = germ_case("z2-square")
+        with pytest.raises(NotInPreimage, match="^lift point does not map to the target point$"):
+            preimage_model(case.germ, [1], [2])
+        with pytest.raises(NotInPreimage, match=r"^point \('2',\) does not map to \('1',\)$"):
+            is_regular_value(case.germ, [1], [[1], [2]])
+
 
 class TestPreimageModel:
     def test_mirror_line(self):
@@ -900,6 +933,63 @@ class TestSard:
         seed = data.draw(st.integers(0, 2 ** 16))
         assert sard_sample(germ, box, samples, seed) == \
             sard_reference(germ, box, samples, seed)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2 ** 32 + 7])
+    def test_lane_decoding_is_random(self, k, seed):
+        """A window holding every draw returns the draws of the first 10^4
+        samples, and N * 2^-53 is random() bit for bit: getrandbits fills
+        its integer with the same Mersenne Twister words, low word first."""
+        m = 10 ** 4 // k
+        test = germs._lane_test(m, [[(0, 1 << 53)]] * k, list(range(k)), False)
+        draws = test(random.Random(seed).getrandbits(64 * m * k), m)
+        rnd = random.Random(seed).random
+        assert [n * 2.0 ** -53 for sample in draws for n in sample] == \
+            [rnd() for _ in range(m * k)]
+
+    @pytest.mark.parametrize("a, b", [
+        (0, 1), (0, 1 << 26), (0, 1 << 53), (1, 2), ((1 << 53) - 1, 1 << 53),
+        (5 << 26, 6 << 26), ((5 << 26) - 1, (6 << 26) + 1), ((7 << 26) + 3, (7 << 26) + 9),
+        (4503598501470590, 4503600753270403), (123456789012345, 987654321098765)])
+    @pytest.mark.parametrize("k, every", [(1, False), (2, False), (2, True)])
+    def test_lane_test_window_edges(self, a, b, k, every):
+        """Draws at N = A - 1, A, B - 1 and B of a window [A, B), with random
+        discarded low bits in both words, written straight into the lanes:
+        only A and B - 1 are hits.  With k = 2, coordinate 1 holds a window
+        that every draw or none hits, and samples past m are padding."""
+        rng = random.Random(a ^ b)
+
+        def lane(n):
+            return (n >> 26 << 5 | rng.getrandbits(5)) | \
+                ((n & (1 << 26) - 1) << 6 | rng.getrandbits(6)) << 32
+
+        edges = [n for n in (a - 1, a, b - 1, b) if 0 <= n < 1 << 53]
+        for other in ([(0, 1 << 53)], [(0, 1)]) if k == 2 else ([],):
+            draws = [[n, (1 << 53) - 1][:k] for n in edges]
+            g = sum(lane(n) << 64 * t for t, n in enumerate(x for d in draws for x in d))
+            windows = [[(a, b)], other][:k]
+            live = [j for j in range(k) if windows[j]]
+            test = germs._lane_test(len(draws) + 3, windows, live, every)
+            want = [d for d in draws
+                    if (all if every else any)(lo <= d[j] < hi for j in live
+                                               for lo, hi in windows[j])]
+            assert test(g, len(draws)) == want
+
+    @pytest.mark.parametrize("chunk", [1, 3, SARD_CHUNK])
+    @pytest.mark.parametrize("const, box", [
+        (F(0), (F(-1, 10 ** 8), F(1, 10 ** 8))),  # every sample snaps to the constant
+        (F(0), (F(-1, SNAP_DENOMINATOR), F(3, SNAP_DENOMINATOR))),  # about one in four
+        (F(1, 3), (F(-2), F(2))),  # off the grid: never sampled
+    ])
+    def test_constant_and_polynomial_coordinates(self, chunk, const, box):
+        """k = 2: a constant coordinate and x^3 - 3x, whose critical values
+        are +-2: a sample is critical when the constant is hit and the cubic
+        coordinate has a real solution."""
+        germ = separable_germ([[const], [F(0), F(-3), F(0), F(1)]])
+        for poly_box in [(F(-3), F(3)), (F(2) - F(1, 10 ** 6), F(2) + F(1, 10 ** 6))]:
+            with mock.patch.object(germs, "SARD_CHUNK", chunk):
+                got = sard_sample(germ, [box, poly_box], 2500, 11)
+            assert got == sard_reference(germ, [box, poly_box], 2500, 11)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=7),

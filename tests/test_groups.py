@@ -2,11 +2,13 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
 
 import orblocal
+from orblocal import groups
 
 from orblocal.charts import LocalChart, pointwise_stabilizer, stratify, suborbifold_model
 from orblocal.ratlin import BudgetExceeded, Matrix, Subspace, kernel, kernel_image_rank
@@ -79,6 +81,53 @@ class TestClosure:
         with pytest.raises(ClosureBoundExceeded) as exc:
             generate_closure(2, [shear], max_order=64)
         assert isinstance(exc.value, BudgetExceeded)
+
+    @pytest.mark.parametrize("gen", [
+        [[1, 1], [0, 1]],  # a shear: charpoly (x - 1)^2, but g - I != 0
+        [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, -1]],  # shear in dimension 4
+        [[2, 0], [0, -1]],  # det -2, trace 1, charpoly (x - 2)(x + 1)
+        [[2, 1], [1, 1]],  # det 1, integral and squarefree charpoly, trace 3 > 2
+        [[0, F(1, 2)], [-2, F(1, 2)]],  # det 1, trace 1/2: charpoly not integral
+    ])
+    def test_infinite_order_fails_fast(self, gen):
+        """Each of the four tests alone proves one generator infinite, so the
+        closure stops at 256 elements, not at the order bound, with the
+        bound's message."""
+        g = m(gen)
+        assert groups._has_infinite_order(g)
+        start = time.perf_counter()
+        with pytest.raises(ClosureBoundExceeded, match="^closure exceeded 10000 elements$"):
+            generate_closure(g.rows, [g])
+        assert time.perf_counter() - start < 0.1
+
+    def test_generators_tested_once_at_256_elements(self, monkeypatch):
+        """The test runs once per closure, when it reaches 256 elements: the
+        shear stops there under a bound of 1000, a group of order 384 (the
+        signed permutations of 4 coordinates, rationally conjugated) tests
+        its three generators and closes, and a small group never tests."""
+        seen = []
+        real = groups._has_infinite_order
+        monkeypatch.setattr(groups, "_has_infinite_order", lambda g: seen.append(g) or real(g))
+        with pytest.raises(ClosureBoundExceeded, match="^closure exceeded 1000 elements$"):
+            generate_closure(2, [m([[1, 1], [0, 1]])], max_order=1000)
+        assert len(seen) == 1
+        p = m([[1, F(1, 2), 0, 0], [0, 1, F(-1, 3), 0], [0, 0, 1, F(1, 2)], [2, 0, 0, 1]])
+        gens = [p * m(g) * p.inverse() for g in (
+            [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+            [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+            [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])]
+        seen.clear()
+        g = generate_closure(4, gens)
+        assert g.order == 384 and seen == gens
+        assert not any(real(e) for e in g.elements)
+        seen.clear()
+        assert generate_closure(2, [ROT4, FLIP_X]).order == 8 and seen == []
+
+    def test_infinite_group_of_finite_order_generators_hits_the_bound(self):
+        """Two reflections whose product is a shear generate an infinite
+        group; each has finite order, so only the order bound stops it."""
+        with pytest.raises(ClosureBoundExceeded, match="closure exceeded 300 elements"):
+            generate_closure(2, [m([[-1, 0], [0, 1]]), m([[-1, 1], [0, 1]])], max_order=300)
 
     def test_idempotence(self):
         g = generate_closure(2, [ROT3, SWAP])
