@@ -66,12 +66,11 @@ from .groups import (
     QuotientGroup,
     Subgroup,
     InvariantSubspaceResult,
+    eigenspace,
     find_invariant_subspace,
-    fixed_subspace,
     generate_closure,
     intertwiners,
     kernel_of,
-    reynolds,
     verify_homomorphism,
 )
 from .charts import (
@@ -350,17 +349,16 @@ class InvariantProjection:
     """The averaged projection onto the differential kernel.
 
     For each gamma in the homomorphism kernel N, a_gamma = gamma - I maps
-    into the kernel subspace K.  Their average is R_N - I, where R_N is the
-    Reynolds projector of N onto its fixed space, so
-    projection = I - R_N = -(1/|N|) sum a_gamma is an idempotent commuting
-    with N whose image lies in K and whose kernel N fixes pointwise.
-    a_gamma lists every member of N, in member order.
+    into the kernel subspace K.  projection = -(1/|N|) sum a_gamma is
+    I - R_N, where R_N = (1/|N|) sum gamma projects onto the fixed space of
+    N, so it is an idempotent commuting with N whose image lies in K and
+    whose kernel N fixes pointwise.  a_gamma lists every member of N, in
+    member order.
     """
 
     n_group: Subgroup
     kernel_space: Subspace
     a_gamma: tuple[tuple[int, Matrix], ...]
-    average: Matrix
     projection: Matrix
     proj_kernel: Subspace
     proj_image: Subspace
@@ -391,7 +389,8 @@ def invariant_projection(germ: MapGerm) -> InvariantProjection:
             raise AssertionError(
                 "gamma - I does not map into the kernel (broken germ)")
     a_gamma = tuple((i, grp.element(i) - ident) for i in ngrp.members)
-    proj = ident - reynolds(grp, ngrp.members)
+    proj = sum((a for _, a in a_gamma), Matrix.zero(n, n)).scale(
+        Fraction(-1, ngrp.order))
     if proj * proj != proj:
         raise AssertionError("projection is not idempotent")
     if any(m * proj != proj * m for m in gens):
@@ -405,7 +404,7 @@ def invariant_projection(germ: MapGerm) -> InvariantProjection:
         raise AssertionError("projection kernel and image do not split the space")
     return InvariantProjection(
         n_group=ngrp, kernel_space=kernel,
-        a_gamma=a_gamma, average=-proj, projection=proj,
+        a_gamma=a_gamma, projection=proj,
         proj_kernel=pk, proj_image=pi,
     )
 
@@ -622,9 +621,9 @@ def real_target_structure(germ: MapGerm, model: PreimageModel) -> RealTargetRepo
                 raise AssertionError("fixed line is moved by element %d" % i)
         if proj.proj_image != model.kernel:
             raise AssertionError("projection image differs from kernel")
-    fix = fixed_subspace(grp.full_subgroup())
     stratum_dim = None
     if not grp.is_trivial():
+        fix = eigenspace(grp.dim, [(m, 1) for m in grp.generators])
         report = stratify(germ.source)
         stratum = next(s for s in report.strata if s.fixed_space == fix)
         stratum_dim = stratum.dimension

@@ -7,12 +7,13 @@ ARE the action, so effectiveness is automatic.
 
 Besides the group/subgroup/homomorphism/quotient plumbing this module
 provides the representation-theoretic searches the chart calculus needs.
-They rest on one averaging primitive, the Reynolds projector
-R_chi = (1/|H|) sum chi(h) h of a subgroup H and a sign character chi
-(``reynolds``), and on the list of sign characters G -> {+-1}
-(``sign_characters``): fixed subspaces are images of R_H, index-2 subgroups
-are kernels of the nontrivial sign characters, and invariant lines and
-hyperplanes are the column and row spaces of a nonzero R_chi.  The commutant
+They rest on one kernel primitive, the generator eigenspace
+{v : m v = c v for every generator m} of a list of signs c (``eigenspace``),
+and on the list of sign characters G -> {+-1} (``sign_characters``): fixed
+subspaces are the eigenspaces of a subgroup's generators with every sign +1,
+index-2 subgroups are kernels of the nontrivial sign characters, and
+invariant lines and hyperplanes come from the nonzero eigenspaces of the
+generators, and of their transposes, under a sign character.  The commutant
 algebra drives the invariant-subspace search in the other dimensions, with
 sound "certified none" verdicts.
 """
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -153,7 +153,9 @@ def generate_closure(dim: int, generators: list[Matrix],
     table right[e][s] (s the position of g in the list); the search visits
     elements in index order, so right[e] is appended as e is visited.  Raises
     ClosureBoundExceeded if the closure passes max_order, or once it has 256
-    elements if a generator _has_infinite_order, with the same message.
+    elements if an element of word length at most 2 (a generator or a
+    product of two, like the shear that two reflections can make)
+    _has_infinite_order, with the same message.
     """
     for g in generators:
         if g.rows != dim or g.cols != dim:
@@ -176,7 +178,8 @@ def generate_closure(dim: int, generators: list[Matrix],
                 j = index.get(prod)
                 if j is None:
                     if len(elements) >= max_order or len(elements) == 256 and any(
-                            map(_has_infinite_order, generators)):
+                            _has_infinite_order(e)
+                            for e, w in zip(elements, words) if 0 < len(w) <= 2):
                         raise ClosureBoundExceeded(
                             "closure exceeded %d elements" % max_order)
                     j = index[prod] = len(elements)
@@ -380,14 +383,6 @@ class QuotientGroup:
     def is_trivial(self) -> bool:
         return self.order == 1
 
-    @cached_property
-    def table(self) -> tuple[tuple[int, ...], ...]:
-        """The coset product table, built on first read: table[a][b] is the
-        coset of representative(a) * representative(b)."""
-        mul = self.group.parent.mul
-        reps = [c[0] for c in self.cosets]
-        return tuple(tuple(self.coset_of(mul(a, b)) for b in reps) for a in reps)
-
 
 def quotient(h: Subgroup, n: Subgroup) -> QuotientGroup:
     """Form h / n in the parent's indices; g.full_subgroup() divides all of g.
@@ -444,26 +439,20 @@ def sign_characters(g: FiniteMatrixGroup) -> list[tuple[int, ...]]:
     return out
 
 
-def reynolds(g: FiniteMatrixGroup, members: Sequence[int],
-             char: Sequence[int] | None = None) -> Matrix:
-    """The Reynolds projector (1/|H|) sum chi(h) h over the members of H.
-
-    char is a sign character of g (values over all elements, as listed by
-    sign_characters); None means the trivial character.  The result is the
-    projection onto the chi-eigenspace {v : h v = chi(h) v for all h in H}.
-    """
-    acc = Matrix.zero(g.dim, g.dim)
-    for i in members:
-        if char is None or char[i] == 1:
-            acc = acc + g.element(i)
-        else:
-            acc = acc - g.element(i)
-    return acc.scale(Fraction(1, len(members)))
+def eigenspace(n: int, pairs: Sequence[tuple[Matrix, int]]) -> Subspace:
+    """{v in Q^n : m v = c v for every (m, c) in pairs}, the whole space when
+    there are none: the kernel of the integer blocks den(m) (m - c I),
+    stacked."""
+    rows = tuple([tuple(x - c * m._den * (i == j) for j, x in enumerate(row))
+                  for m, c in pairs for i, row in enumerate(m._num)])
+    return kernel(Matrix._make(rows, 1, n))
 
 
 def fixed_subspace(h: Subgroup) -> Subspace:
-    """{v : g v = v for all g in h}, the image of the Reynolds projector R_h."""
-    return Subspace.column_space(reynolds(h.parent, h.members))
+    """{v : g v = v for all g in h}: the vectors fixed by h's generators,
+    hence by their products."""
+    p = h.parent
+    return eigenspace(p.dim, [(p.element(i), 1) for i in h.generators])
 
 
 def intertwiners(g: FiniteMatrixGroup,
@@ -504,8 +493,8 @@ class InvariantSubspaceResult:
     """Outcome of an invariant-subspace search.
 
     status is one of 'found', 'none_found', 'certified_none'; certified_none
-    is only issued by a sound argument (every sign character's Reynolds
-    projector is zero in dimensions 1 and n-1, or the commutant is
+    is only issued by a sound argument (every sign character's generator
+    eigenspace is zero in dimensions 1 and n-1, or the commutant is
     one-dimensional).
     """
 
@@ -536,38 +525,42 @@ def find_invariant_subspace(group: FiniteMatrixGroup, dim_wanted: int) -> Invari
     Dimensions 1 and n-1 are decided completely by the sign characters.  A
     real eigenvalue of a finite-order real matrix is +-1, so a common
     eigenvector spans a line on which the group acts by a sign character
-    chi, and the lines of that kind are those in the image of R_chi.  Its
-    row space is the chi-eigenspace of the transposed action, so the kernel
-    of a nonzero row of R_chi is an invariant hyperplane, and there is none
-    when every R_chi is zero.  R_chi is idempotent, so its trace is its
-    rank: R_chi is zero exactly when sum chi(g) tr(g) is, and only the
-    first R_chi with a nonzero trace sum is built.  Intermediate dimensions
-    use the commutant: kernels of irreducible characteristic factors of
-    commutant elements are invariant, and their sums/intersections are
-    searched.  There 'certified_none' is issued only when the commutant is
-    one-dimensional (scalars alone); a search that finds nothing otherwise
-    returns 'none_found', as no sound certificate of nonexistence is known
-    for it.
+    chi, and the lines of that kind are those in the chi-eigenspace
+    {v : s v = chi(s) v} of the generators s.  An invariant hyperplane is
+    the kernel of a common eigenvector of the transposed action, so of a
+    nonzero vector of the chi-eigenspace of the transposed generators, and
+    there is none when every such eigenspace is zero.  The first sign
+    character with a nonzero eigenspace gives the first vector of its
+    reduced echelon basis, so the answer is canonical.  Intermediate
+    dimensions use the commutant: kernels of irreducible characteristic
+    factors of commutant elements are invariant, and their
+    sums/intersections are searched.  There 'certified_none' is issued only
+    when the commutant is one-dimensional (scalars alone); a search that
+    finds nothing otherwise returns 'none_found', as no sound certificate
+    of nonexistence is known for it.
     """
     n = group.dim
     if not (0 < dim_wanted < n):
         raise ValueError("requested dimension %d out of range (0, %d)"
                          % (dim_wanted, n))
     if dim_wanted in (1, n - 1):
-        traces = [m.trace() for m in group.elements]
-        chi = next((chi for chi in sign_characters(group)
-                    if sum(t if c == 1 else -t for c, t in zip(chi, traces))), None)
-        if chi is None:
+        line = dim_wanted == 1
+        gens = [(i, m if line else m.transpose())
+                for i, m in zip(group.generator_indices, group.generators)]
+        for chi in sign_characters(group):
+            space = eigenspace(n, [(m, chi[i]) for i, m in gens])
+            if not space.is_zero():
+                break
+        else:
             return InvariantSubspaceResult("certified_none", None, (
                 "no common eigenvector: all 2^k sign patterns have zero intersection"
-                if dim_wanted == 1 else
+                if line else
                 "no invariant hyperplane: transpose group has no common eigenvector"))
-        r = reynolds(group, range(group.order), chi)
-        if dim_wanted == 1:
-            s = Subspace.from_vectors(n, Subspace.column_space(r).basis[:1])
+        if line:
+            s = Subspace.from_vectors(n, space.basis[:1])
             how = "sign-pattern line"
         else:
-            s = kernel(Matrix(Subspace.row_space(r).basis[:1]))
+            s = kernel(Matrix(space.basis[:1]))
             how = "dual sign-pattern hyperplane"
         if not _verify_invariant(group, s):
             raise AssertionError("the %s is not invariant under the group" % how)

@@ -229,11 +229,11 @@ class Index2Report:
     """Outcome of the forbidden index-2 configuration test on one chart.
 
     found means some index-2 subgroup (the kernel H of a nontrivial sign
-    character) fixes a nonzero vector, that is, its Reynolds projector R_H
-    is nonzero; witness is the first such H in sign-character order and
-    fixed_line the first basis line of its fixed space.  An invariant
-    complement to the fixed line always exists by averaging an inner
-    product over the group, so the fixed-vector test decides the
+    character) fixes a nonzero vector, that is, the common +1-eigenspace of
+    its generators is nonzero; witness is the first such H in sign-character
+    order and fixed_line the first basis line of its fixed space.  An
+    invariant complement to the fixed line always exists by averaging an
+    inner product over the group, so the fixed-vector test decides the
     'acts as a product with trivial line factor' condition.
     """
 

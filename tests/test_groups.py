@@ -6,6 +6,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import orblocal
 from orblocal import groups
@@ -25,7 +26,6 @@ from orblocal.groups import (
     index2_subgroups,
     kernel_of,
     quotient,
-    reynolds,
     sign_characters,
     verify_homomorphism,
 )
@@ -101,33 +101,38 @@ class TestClosure:
         assert time.perf_counter() - start < 0.1
 
     def test_generators_tested_once_at_256_elements(self, monkeypatch):
-        """The test runs once per closure, when it reaches 256 elements: the
-        shear stops there under a bound of 1000, a group of order 384 (the
-        signed permutations of 4 coordinates, rationally conjugated) tests
-        its three generators and closes, and a small group never tests."""
+        """The test runs once per closure, when it reaches 256 elements, on
+        the generators and the products of two: the shear stops there under
+        a bound of 1000, a group of order 384 (the signed permutations of 4
+        coordinates, rationally conjugated) tests its three generators and
+        their products of two and closes, and a small group never tests."""
         seen = []
         real = groups._has_infinite_order
         monkeypatch.setattr(groups, "_has_infinite_order", lambda g: seen.append(g) or real(g))
         with pytest.raises(ClosureBoundExceeded, match="^closure exceeded 1000 elements$"):
             generate_closure(2, [m([[1, 1], [0, 1]])], max_order=1000)
         assert len(seen) == 1
-        p = m([[1, F(1, 2), 0, 0], [0, 1, F(-1, 3), 0], [0, 0, 1, F(1, 2)], [2, 0, 0, 1]])
-        gens = [p * m(g) * p.inverse() for g in (
-            [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
-            [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
-            [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])]
         seen.clear()
-        g = generate_closure(4, gens)
-        assert g.order == 384 and seen == gens
+        g = b4_conjugate()
+        assert g.order == 384
+        assert seen == [e for e, w in zip(g.elements, g.words) if 0 < len(w) <= 2]
+        assert len(seen) == 3 + 7  # the transposition and the flip square to 1
         assert not any(real(e) for e in g.elements)
         seen.clear()
         assert generate_closure(2, [ROT4, FLIP_X]).order == 8 and seen == []
 
-    def test_infinite_group_of_finite_order_generators_hits_the_bound(self):
+    def test_infinite_group_of_finite_order_generators_hits_the_bound(self, monkeypatch):
         """Two reflections whose product is a shear generate an infinite
-        group; each has finite order, so only the order bound stops it."""
-        with pytest.raises(ClosureBoundExceeded, match="closure exceeded 300 elements"):
-            generate_closure(2, [m([[-1, 0], [0, 1]]), m([[-1, 1], [0, 1]])], max_order=300)
+        group; each has finite order, but the shear, a product of two
+        generators, is tested at 256 elements and stops the closure there
+        with the message of the order bound.  Running to the bound of
+        10,000 elements would take 20,005 matrix products."""
+        products = []
+        real = Matrix.__mul__
+        monkeypatch.setattr(Matrix, "__mul__", lambda a, b: products.append(1) or real(a, b))
+        with pytest.raises(ClosureBoundExceeded, match="^closure exceeded 10000 elements$"):
+            generate_closure(2, [m([[-1, 0], [0, 1]]), m([[-1, 1], [0, 1]])])
+        assert len(products) < 600
 
     def test_idempotence(self):
         g = generate_closure(2, [ROT3, SWAP])
@@ -207,15 +212,31 @@ def subgroups_by_joins(grp):
     return list(gens_of)
 
 
+B3_GENS = [m([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+           m([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
+           m([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])]
+
+
+def conjugated(p, gens):
+    pinv = p.inverse()
+    return [p * g * pinv for g in gens]
+
+
 def b3_conjugate():
     """The signed permutations of three coordinates (order 48), conjugated
     by a rational matrix so that elements have denominators."""
     p = m([[1, F(1, 2), 0], [0, 1, F(-1, 3)], [2, 0, 1]])
-    pinv = p.inverse()
-    gens = [m([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
-            m([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
-            m([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])]
-    return generate_closure(3, [p * g * pinv for g in gens])
+    return generate_closure(3, conjugated(p, B3_GENS))
+
+
+def b4_conjugate():
+    """The signed permutations of four coordinates (order 384), conjugated
+    by a rational matrix."""
+    p = m([[1, F(1, 2), 0, 0], [0, 1, F(-1, 3), 0], [0, 0, 1, F(1, 2)], [2, 0, 0, 1]])
+    return generate_closure(4, conjugated(p, [m(g) for g in (
+        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+        [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])]))
 
 
 def closed_by_pairs(grp, members):
@@ -460,7 +481,7 @@ class TestQuotients:
         q = quotient(g.full_subgroup(), n)
         for a, ca in enumerate(q.cosets):
             for b, cb in enumerate(q.cosets):
-                expect = q.table[a][b]
+                expect = q.coset_of(g.mul(q.representative(a), q.representative(b)))
                 for ra in ca:
                     for rb in cb:
                         assert q.coset_of(g.mul(ra, rb)) == expect
@@ -603,12 +624,23 @@ class TestInvariantSubspaces:
         assert res.status == "none_found"
 
 
+def reynolds(grp, chi):
+    """The Reynolds projector R_chi = (1/|G|) sum chi(g) g over every
+    element, onto the chi-eigenspace of the group."""
+    acc = Matrix.zero(grp.dim, grp.dim)
+    for c, e in zip(chi, grp.elements):
+        acc = acc + e.scale(c)
+    return acc.scale(F(1, grp.order))
+
+
 def reference_sign_search(grp, d):
     """The dimension-1 and n-1 search with every R_chi built and tested for
-    zero, as (status, subspace)."""
+    zero, as (status, subspace): a line is in the column space of the first
+    nonzero R_chi, and a hyperplane is the kernel of a vector of its row
+    space."""
     n = grp.dim
-    r = next((p for p in (reynolds(grp, range(grp.order), chi)
-                          for chi in sign_characters(grp)) if not p.is_zero()), None)
+    r = next((p for p in (reynolds(grp, chi) for chi in sign_characters(grp))
+              if not p.is_zero()), None)
     if r is None:
         return "certified_none", None
     if d == 1:
@@ -617,8 +649,8 @@ def reference_sign_search(grp, d):
 
 
 class TestSignPatternTraces:
-    """find_invariant_subspace in dimensions 1 and n-1 picks its sign
-    character by trace sums; the reference builds every projector."""
+    """find_invariant_subspace in dimensions 1 and n-1 against the
+    reference that builds every projector."""
 
     @pytest.mark.parametrize("make", [
         z2z2, lambda: generate_closure(2, [ROT3]), lambda: generate_closure(2, [ROT3, SWAP]),
@@ -721,6 +753,9 @@ def fixed_by_kernels(h):
 
 
 class TestReynolds:
+    """Sign characters, fixed spaces and the sign-eigenspace searches
+    against references that multiply every pair or sum every element."""
+
     def test_sign_characters_match_pairwise_reference(self):
         groups = (generate_closure(2, [ROT4, FLIP_Y]),
                   generate_closure(2, [ROT3, SWAP]),
@@ -738,6 +773,40 @@ class TestReynolds:
         assert len(subgroups) == 4
         for h in subgroups:
             assert fixed_subspace(h) == fixed_by_kernels(h)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_conjugates_of_b3_subgroups(self, data):
+        # random generating sets of subgroups of B3, conjugated by a random
+        # invertible rational matrix
+        b3 = generate_closure(3, B3_GENS)
+        picks = data.draw(st.lists(st.integers(0, b3.order - 1), max_size=3))
+        entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        p = data.draw(st.lists(st.lists(entries, min_size=3, max_size=3),
+                               min_size=3, max_size=3).map(m).filter(
+                                   lambda a: a.is_invertible()))
+        grp = generate_closure(3, conjugated(p, [b3.element(i) for i in picks]))
+        for h in index2_subgroups(grp) + [grp.full_subgroup()]:
+            assert fixed_subspace(h) == fixed_by_kernels(h)
+        for d in (1, 2):
+            res = find_invariant_subspace(grp, d)
+            assert (res.status, res.subspace) == reference_sign_search(grp, d)
+
+    def test_order_384_makes_no_matrix_sum(self, monkeypatch):
+        """Fixed spaces and the searches in dimensions 1 and n-1 solve
+        generator equations: on B4 and on B3 plus a trivial line, both
+        rationally conjugated, they add no two matrices."""
+        p = m([[1, F(1, 2), 0, 0], [0, 1, F(-1, 3), 0], [0, 0, 1, 2], [F(1, 5), 0, 0, 1]])
+        b3_line = generate_closure(4, conjugated(p, [
+            m([list(r) + [0] for r in g.entries] + [[0, 0, 0, 1]]) for g in B3_GENS]))
+        fulls = [b4_conjugate().full_subgroup(), b3_line.full_subgroup()]
+        adds = []
+        real = Matrix.__add__
+        monkeypatch.setattr(Matrix, "__add__", lambda a, b: adds.append(1) or real(a, b))
+        got = [(fixed_subspace(h).dim, find_invariant_subspace(h.parent, 1).status,
+                find_invariant_subspace(h.parent, 3).status) for h in fulls]
+        assert adds == []
+        assert got == [(0, "certified_none", "certified_none"), (1, "found", "found")]
 
     def test_repeated_generator_keeps_index2_order(self):
         g = generate_closure(2, [FLIP_X, FLIP_Y, FLIP_X])
