@@ -153,6 +153,8 @@ def cmd_sard(args) -> int:
     box = []
     for i, (lo, hi) in enumerate(args.box):
         where = "$.box[%d]" % i
+        serialize.check_exponent(lo, where)
+        serialize.check_exponent(hi, where)
         try:
             lo, hi = Fraction(lo), Fraction(hi)
         except (ValueError, ZeroDivisionError):

@@ -66,9 +66,9 @@ from .groups import (
     QuotientGroup,
     Subgroup,
     InvariantSubspaceResult,
+    close_in,
     eigenspace,
     find_invariant_subspace,
-    generate_closure,
     intertwiners,
     kernel_of,
     verify_homomorphism,
@@ -374,8 +374,10 @@ def invariant_projection(germ: MapGerm) -> InvariantProjection:
     when both terms do, and commuting with or fixing a vector under two
     matrices gives the same under their product.  The projection is checked
     to be idempotent with its image in K and its kernel and image splitting
-    the space.  Every check raises AssertionError explicitly, so it also
-    runs under python -O.
+    the space.  Kernel membership is tested on integer rows (the columns of
+    gamma - I and the echelon rows of the image, each up to a scale), and
+    the projection is one integer sum (_negated_mean).  Every check raises
+    AssertionError explicitly, so it also runs under python -O.
     """
     n = germ.source.dim
     grp = germ.source.group
@@ -384,19 +386,18 @@ def invariant_projection(germ: MapGerm) -> InvariantProjection:
     kernel = germ.base_kernel
     gens = [grp.element(i) for i in ngrp.generators]
     for m in gens:
-        a = m - ident
-        if not all(kernel.contains(a.column(col)) for col in range(n)):
+        # a = num / den maps into K exactly when each integer column of num does
+        if not all(map(kernel._spans, zip(*(m - ident)._num))):
             raise AssertionError(
                 "gamma - I does not map into the kernel (broken germ)")
     a_gamma = tuple((i, grp.element(i) - ident) for i in ngrp.members)
-    proj = sum((a for _, a in a_gamma), Matrix.zero(n, n)).scale(
-        Fraction(-1, ngrp.order))
+    proj = _negated_mean([a for _, a in a_gamma])
     if proj * proj != proj:
         raise AssertionError("projection is not idempotent")
     if any(m * proj != proj * m for m in gens):
         raise AssertionError("projection does not commute with N")
     pk, pi, _ = kernel_image_rank(proj)
-    if not all(kernel.contains(b) for b in pi.basis):
+    if not all(map(kernel._spans, pi.echelon._num)):
         raise AssertionError("projection image escapes the kernel")
     if not all(pk.fixed_pointwise_by(m) for m in gens):
         raise AssertionError("N moves the projection kernel")
@@ -407,6 +408,18 @@ def invariant_projection(germ: MapGerm) -> InvariantProjection:
         a_gamma=a_gamma, projection=proj,
         proj_kernel=pk, proj_image=pi,
     )
+
+
+def _negated_mean(mats: Sequence[Matrix]) -> Matrix:
+    """-(1/k) times the sum of k square matrices of one size, as one integer
+    sum of their numerators over the lcm of their denominators."""
+    den = math.lcm(*[m._den for m in mats])
+    nums = [(den // m._den, m._num) for m in mats]
+    n = mats[0].rows
+    return Matrix._make(
+        tuple([tuple([-sum([f * num[i][j] for f, num in nums]) for j in range(n)])
+               for i in range(n)]),
+        len(mats) * den, n)
 
 
 @dataclass(frozen=True)
@@ -1071,16 +1084,14 @@ def recenter_germ(germ: MapGerm, point) -> MapGerm:
 
     The chart group shrinks to the isotropy group of the point, closed as a
     group of its own from the isotropy's generating set (Subgroup.generators,
-    at most log2 of its order); the lift is precomposed with the
+    at most log2 of its order, or the identity when it is trivial) on the
+    chart group's table (close_in); the lift is precomposed with the
     translation; a boundary flag survives only when the point lies on the
     boundary hyperplane.
     """
     pt = vec(point)
     iso = isotropy_at(germ.source, pt)
-    gens = [germ.source.group.element(i) for i in iso.generators]
-    if not gens:
-        gens = [Matrix.identity(germ.source.dim)]
-    new_group = generate_closure(germ.source.dim, gens, max_order=iso.order + 1)
+    new_group = close_in(germ.source.group, iso.generators or (0,))
     boundary = germ.source.boundary and germ.source.on_boundary(pt)
     new_chart = LocalChart(germ.source.dim, new_group, boundary)
     gen_images = [germ.theta.apply_matrix(g) for g in new_group.generators]

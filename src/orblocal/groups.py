@@ -143,45 +143,33 @@ def _has_infinite_order(g: Matrix) -> bool:
             or not poly_apply_matrix(squarefree, g).is_zero())
 
 
-def generate_closure(dim: int, generators: list[Matrix],
-                     max_order: int = DEFAULT_ORDER_BOUND) -> FiniteMatrixGroup:
-    """Close a generator list into a finite matrix group.
+def _closure(one, generators: Sequence, product: Callable,
+             before_new: Callable | None = None):
+    """Breadth-first closure of generators from one under product.
 
-    Breadth-first from the identity, multiplying on the right by generators
-    in the given order, so the element ordering is deterministic.  Every
-    product elements[e] * g is kept as an index in the right-multiplication
-    table right[e][s] (s the position of g in the list); the search visits
-    elements in index order, so right[e] is appended as e is visited.  Raises
-    ClosureBoundExceeded if the closure passes max_order, or once it has 256
-    elements if an element of word length at most 2 (a generator or a
-    product of two, like the shear that two reflections can make)
-    _has_infinite_order, with the same message.
+    Returns (elements, words, right, generator indices): elements in the
+    order they are reached, words[j] the generator positions that spell
+    element j, right[e] the indices of elements[e] times each generator, and
+    the index of each generator among the elements.  The search visits elements in index order, so right[e] is
+    appended as e is visited.  before_new(elements, words) runs before each
+    new element is added; it may raise to stop the closure.
     """
-    for g in generators:
-        if g.rows != dim or g.cols != dim:
-            raise ValueError("generator is %dx%d, chart dimension is %d"
-                             % (g.rows, g.cols, dim))
-        if not g.is_invertible():
-            raise ValueError("generator is not invertible: %r" % (g,))
-    ident = Matrix.identity(dim)
-    elements = [ident]
+    elements = [one]
     words: list[tuple[int, ...]] = [()]
     right: list[tuple[int, ...]] = []
-    index = {ident: 0}
+    index = {one: 0}
     frontier = [0]
     while frontier:
         nxt = []
         for ei in frontier:
+            e = elements[ei]
             row = []
             for gi, g in enumerate(generators):
-                prod = elements[ei] * g
+                prod = product(e, g)
                 j = index.get(prod)
                 if j is None:
-                    if len(elements) >= max_order or len(elements) == 256 and any(
-                            _has_infinite_order(e)
-                            for e, w in zip(elements, words) if 0 < len(w) <= 2):
-                        raise ClosureBoundExceeded(
-                            "closure exceeded %d elements" % max_order)
+                    if before_new is not None:
+                        before_new(elements, words)
                     j = index[prod] = len(elements)
                     words.append(words[ei] + (gi,))
                     nxt.append(j)
@@ -189,8 +177,49 @@ def generate_closure(dim: int, generators: list[Matrix],
                 row.append(j)
             right.append(tuple(row))
         frontier = nxt
-    gen_indices = tuple(index[g] for g in generators)
+    return elements, words, right, tuple(index[g] for g in generators)
+
+
+def generate_closure(dim: int, generators: list[Matrix],
+                     max_order: int = DEFAULT_ORDER_BOUND) -> FiniteMatrixGroup:
+    """Close a generator list into a finite matrix group.
+
+    Breadth-first from the identity, multiplying on the right by generators
+    in the given order (_closure), so the element ordering is
+    deterministic.  Every product elements[e] * g is kept as an index in the
+    right-multiplication table right[e][s] (s the position of g in the
+    list).  Raises ClosureBoundExceeded if the closure passes max_order, or
+    once it has 256 elements if an element of word length at most 2 (a
+    generator or a product of two, like the shear that two reflections can
+    make) _has_infinite_order, with the same message.
+    """
+    for g in generators:
+        if g.rows != dim or g.cols != dim:
+            raise ValueError("generator is %dx%d, chart dimension is %d"
+                             % (g.rows, g.cols, dim))
+        if not g.is_invertible():
+            raise ValueError("generator is not invertible: %r" % (g,))
+
+    def bound(elements, words):
+        if len(elements) >= max_order or len(elements) == 256 and any(
+                _has_infinite_order(e)
+                for e, w in zip(elements, words) if 0 < len(w) <= 2):
+            raise ClosureBoundExceeded("closure exceeded %d elements" % max_order)
+
+    elements, words, right, gen_indices = _closure(
+        Matrix.identity(dim), generators, Matrix.__mul__, bound)
     return FiniteMatrixGroup(dim, elements, gen_indices, words, right)
+
+
+def close_in(parent: FiniteMatrixGroup, generators: Sequence[int]) -> FiniteMatrixGroup:
+    """The subgroup of parent generated by the elements at the given indices,
+    as a group of its own: generate_closure on their matrices, with the
+    products read off the parent's table (FiniteMatrixGroup.mul) instead of
+    multiplied.  Elements, words, table and generator indices are those
+    generate_closure gives."""
+    members, words, right, gen_indices = _closure(0, generators, parent.mul)
+    return FiniteMatrixGroup(parent.dim, [parent.elements[i] for i in members],
+                             gen_indices, words, right)
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,20 @@ arrays (one per output coordinate) of {"coef": rational, "exps": [int,...]}
 terms.  Schema violations raise SchemaError carrying the JSON path of the
 offending field; mathematical failures (non-invertible generators, broken
 equivariance, ...) propagate as the library's own exceptions.
+
+Entries of the form str(Fraction) writes ("-?[0-9]+(/[0-9]+)?" or a JSON
+integer) are read with int(), and a matrix is built as integer rows over
+the lcm of its denominators; any other entry goes through parse_rational
+and Fraction.  Lengths are checked against their charts, and a literal
+whose decimal exponent is too large to write is rejected (check_exponent).
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
+from math import lcm
 
 from .ratlin import Matrix, MultiPoly
 from .groups import GroupHom, verify_homomorphism
@@ -28,6 +37,13 @@ from .onedim import (
     INTERVAL,
 )
 
+# an integer or a fraction of integers, in the ASCII form str(Fraction) writes
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# a decimal literal with an exponent, in the syntax of fractions.Fraction
+_EXPONENT_LITERAL = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?"
+    r"[eE]([-+]?\d+(?:_\d+)*)\s*")
+
 
 class SchemaError(ValueError):
     """Input does not match the schema; carries the JSON path."""
@@ -43,9 +59,36 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def check_exponent(text: str, path: str) -> None:
+    """Raise SchemaError at path when text is a decimal literal whose
+    exponent would make Fraction build an integer of more digits than
+    sys.get_int_max_str_digits() (no bound when that is 0).
+
+    Fraction reads "a.be" + "x" as (ab * 10^x) / 10^len(b), building the
+    power of ten first, so "1e999999999" would never finish, and "1e5000"
+    would give a value that str() cannot write.
+    """
+    limit = sys.get_int_max_str_digits()
+    m = _EXPONENT_LITERAL.fullmatch(text)
+    if not limit or m is None:
+        return
+    whole, frac, exp = m.groups()
+    frac = len((frac or "").replace("_", ""))
+    try:
+        e = int(exp)
+    except ValueError:  # the exponent itself is past the limit
+        e = limit + 1
+    # digits of the numerator and the denominator before reduction
+    if max(len(whole.replace("_", "")) + frac + max(e, 0), 1 + frac + max(-e, 0)) > limit:
+        raise SchemaError(path, "bad rational %r (its exponent gives more than "
+                          "%d digits)" % (text, limit))
+
+
 def parse_rational(v, path: str) -> Fraction:
     if not (isinstance(v, str) or _is_int(v)):
         raise SchemaError(path, "expected a rational string or integer, got %r" % (v,))
+    if isinstance(v, str):
+        check_exponent(v, path)
     try:
         q = Fraction(v)
     except (ValueError, ZeroDivisionError) as e:
@@ -53,32 +96,75 @@ def parse_rational(v, path: str) -> Fraction:
     return q
 
 
-def parse_vector(v, path: str) -> tuple[Fraction, ...]:
+def _parts(v: list, path: str, row: int | None = None) -> list[tuple[int, int]]:
+    """(numerator, denominator > 0) of each entry of the array v at path, or
+    at path[row]; an entry that is not plain, or whose int() fails (past
+    the int max str digits) or whose denominator is 0, goes through
+    parse_rational, which reports it.  The pairs need not be in lowest terms."""
+    out = []
+    plain = _PLAIN_RATIONAL.fullmatch
+    for i, x in enumerate(v):
+        if type(x) is int:
+            out.append((x, 1))
+            continue
+        m = plain(x) if type(x) is str else None
+        if m is not None:
+            num, den = m.groups()
+            try:
+                num, den = int(num), int(den or 1)
+            except ValueError:
+                den = 0
+            if den:
+                out.append((num, den))
+                continue
+        where = "%s[%d]" % (path, i) if row is None else "%s[%d][%d]" % (path, row, i)
+        q = parse_rational(x, where)
+        out.append((q.numerator, q.denominator))
+    return out
+
+
+def parse_vector(v, path: str, dim: int | None = None) -> tuple[Fraction, ...]:
+    """An array of rationals, of dim entries when dim is given."""
     if not isinstance(v, list):
         raise SchemaError(path, "expected an array of rationals")
-    return tuple(parse_rational(x, "%s[%d]" % (path, i)) for i, x in enumerate(v))
+    out = tuple([Fraction(n, d) for n, d in _parts(v, path)])
+    if dim is not None and len(out) != dim:
+        raise SchemaError(path, "expected %d coordinates, got %d" % (dim, len(out)))
+    return out
 
 
 def vector_json(v) -> list[str]:
     return [str(x) for x in v]
 
 
-def parse_matrix(v, path: str) -> Matrix:
+def parse_matrix(v, path: str, dim: int | None = None) -> Matrix:
+    """A matrix from nested arrays of rationals, dim x dim when dim is given."""
     if not isinstance(v, list) or not v or not all(isinstance(r, list) for r in v):
         raise SchemaError(path, "expected a nested array of rationals (rows)")
-    rows = [parse_vector(r, "%s[%d]" % (path, i)) for i, r in enumerate(v)]
-    if any(len(r) != len(rows[0]) for r in rows):
+    rows = [_parts(r, path, i) for i, r in enumerate(v)]
+    cols = len(rows[0])
+    if any(len(r) != cols for r in rows):
         raise SchemaError(path, "rows have unequal lengths")
-    return Matrix(rows)
+    if dim is not None and (len(rows) != dim or cols != dim):
+        raise SchemaError(path, "expected a %dx%d matrix, got %dx%d"
+                          % (dim, dim, len(rows), cols))
+    den = lcm(*[d for row in rows for _, d in row])
+    return Matrix._make(tuple([tuple([n * (den // d) for n, d in row]) for row in rows]),
+                        den, cols)
 
 
 def matrix_json(m: Matrix) -> list[list[str]]:
     return [[str(x) for x in row] for row in m.entries]
 
 
-def parse_poly(v, num_vars: int, path: str) -> MultiPoly:
+def parse_poly(v, num_vars: int, path: str, out_dim: int | None = None) -> MultiPoly:
+    """A polynomial map in num_vars variables, with out_dim output
+    coordinates when out_dim is given."""
     if not isinstance(v, list):
         raise SchemaError(path, "expected an array of output coordinates")
+    if out_dim is not None and len(v) != out_dim:
+        raise SchemaError(path, "expected %d output coordinates, got %d"
+                          % (out_dim, len(v)))
     coords = []
     for i, coord in enumerate(v):
         cpath = "%s[%d]" % (path, i)
@@ -123,7 +209,7 @@ def parse_chart(v, path: str) -> LocalChart:
     gens_json = v.get("generators", [])
     if not isinstance(gens_json, list):
         raise SchemaError(path + ".generators", "expected an array of matrices")
-    gens = [parse_matrix(g, "%s.generators[%d]" % (path, i))
+    gens = [parse_matrix(g, "%s.generators[%d]" % (path, i), v["dim"])
             for i, g in enumerate(gens_json)]
     return build_chart(v["dim"], gens, boundary=boundary)
 
@@ -139,7 +225,8 @@ def chart_json(c: LocalChart) -> dict:
 def parse_theta(v, source: LocalChart, target: LocalChart, path: str) -> GroupHom:
     if not isinstance(v, list):
         raise SchemaError(path, "expected an array of target element matrices")
-    images = [parse_matrix(m, "%s[%d]" % (path, i)) for i, m in enumerate(v)]
+    images = [parse_matrix(m, "%s[%d]" % (path, i), target.dim)
+              for i, m in enumerate(v)]
     if len(images) != len(source.group.generator_indices):
         raise SchemaError(path, "expected %d generator images, got %d"
                           % (len(source.group.generator_indices), len(images)))
@@ -157,15 +244,15 @@ def parse_germ_payload(v, path: str) -> tuple[MapGerm, tuple, list]:
     target = parse_chart(v["target"], path + ".target")
     theta = parse_theta(v["theta_gen_images"], source, target,
                         path + ".theta_gen_images")
-    lift = parse_poly(v["lift"], source.dim, path + ".lift")
-    base = parse_vector(v["base_point"], path + ".base_point") \
+    lift = parse_poly(v["lift"], source.dim, path + ".lift", target.dim)
+    base = parse_vector(v["base_point"], path + ".base_point", source.dim) \
         if "base_point" in v else None
     germ = build_germ(source, target, lift, theta, base)
-    p = parse_vector(v["p"], path + ".p")
+    p = parse_vector(v["p"], path + ".p", target.dim)
     lifts_json = v.get("preimage_lifts", [])
     if not isinstance(lifts_json, list):
         raise SchemaError(path + ".preimage_lifts", "expected an array of points")
-    lifts = [parse_vector(x, "%s.preimage_lifts[%d]" % (path, i))
+    lifts = [parse_vector(x, "%s.preimage_lifts[%d]" % (path, i), source.dim)
              for i, x in enumerate(lifts_json)]
     return germ, p, lifts
 
@@ -277,7 +364,7 @@ def parse_atlas_payload(v, path: str) -> RetractionScenario:
     target = parse_chart(v["target"], path + ".target")
     if "p" not in v:
         raise SchemaError(path + ".p", "missing required field")
-    p = parse_vector(v["p"], path + ".p")
+    p = parse_vector(v["p"], path + ".p", target.dim)
     germs = []
     for i, g in enumerate(v.get("germs", [])):
         gpath = "%s.germs[%d]" % (path, i)
@@ -289,9 +376,9 @@ def parse_atlas_payload(v, path: str) -> RetractionScenario:
         source = charts[ci]
         theta = parse_theta(g.get("theta_gen_images", []), source, target,
                             gpath + ".theta_gen_images")
-        lift = parse_poly(g.get("lift"), source.dim, gpath + ".lift")
+        lift = parse_poly(g.get("lift"), source.dim, gpath + ".lift", target.dim)
         germ = build_germ(source, target, lift, theta)
-        lifts = [parse_vector(x, "%s.preimage_lifts[%d]" % (gpath, j))
+        lifts = [parse_vector(x, "%s.preimage_lifts[%d]" % (gpath, j), source.dim)
                  for j, x in enumerate(g.get("preimage_lifts", []))]
         germs.append((ci, germ, lifts))
     pieces = [parse_piece(pc, "%s.pieces[%d]" % (path, i))

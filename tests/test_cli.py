@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import pytest
@@ -314,26 +315,84 @@ def test_scalar_document_input_error(tmp_path, capsys, command, text):
 
 
 BAD_CHART = {"dim": 2, "boundary": False, "generators": [[["1", "0"], ["0", "x"]]]}
+LINE = {"dim": 1, "boundary": False, "generators": []}
+MIRROR_LINE = {
+    "source": {"dim": 2, "boundary": False, "generators": [[["1", "0"], ["0", "-1"]]]},
+    "target": LINE, "theta_gen_images": [[["1"]]],
+    "lift": [[{"coef": "1", "exps": [1, 0]}]],
+    "base_point": ["0", "0"], "p": ["0"], "preimage_lifts": [["0", "0"]]}
+X_AND_Y = [[{"coef": "1", "exps": [1, 0]}], [{"coef": "1", "exps": [0, 1]}]]
+
+
+def germ_with(**fields):
+    return dict(MIRROR_LINE, **fields)
 
 
 @pytest.mark.parametrize("command, payload, where", [
     ("strata", BAD_CHART, ".generators[0][1][1]: bad rational 'x'"),
-    ("obstruct", {"source": BAD_CHART, "target": {"dim": 1, "boundary": False,
-                                                  "generators": []},
+    ("obstruct", {"source": BAD_CHART, "target": LINE,
                   "theta_gen_images": [[["1"]]]},
      ".source.generators[0][1][1]: bad rational 'x'"),
     ("classify1", {"comps": []}, ".components: missing required field"),
     ("retraction", {}, ".charts: expected a nonempty array of charts"),
+    # a length that does not fit its chart is an input error at its field
+    ("strata", {"dim": 2, "generators": [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]]},
+     ".generators[0]: expected a 2x2 matrix, got 3x3"),
+    ("obstruct", {"source": {"dim": 1, "generators": [[["-1"]]]}, "target": LINE,
+                  "theta_gen_images": [[["1", "0"], ["0", "1"]]]},
+     ".theta_gen_images[0]: expected a 1x1 matrix, got 2x2"),
+    ("analyze", germ_with(lift=X_AND_Y), ".lift: expected 1 output coordinates, got 2"),
+    ("sard", germ_with(lift=X_AND_Y), ".lift: expected 1 output coordinates, got 2"),
+    ("analyze", germ_with(p=["0", "0"]), ".p: expected 1 coordinates, got 2"),
+    ("analyze", germ_with(base_point=["0"]), ".base_point: expected 2 coordinates, got 1"),
+    ("analyze", germ_with(preimage_lifts=[["0", "0"], ["0"]]),
+     ".preimage_lifts[1]: expected 2 coordinates, got 1"),
 ])
 def test_input_error_paths(tmp_path, capsys, command, payload, where):
     # a bare payload is the document itself; a scenario wrapper holds it
-    # under $.payload
-    kind = {"strata": "chart", "obstruct": "obstruction",
-            "classify1": "component-list", "retraction": "atlas"}[command]
+    # under $.payload.  analyze and sard read wrapped germ documents only.
+    kind = {"strata": "chart", "obstruct": "obstruction", "analyze": "germ",
+            "sard": "germ", "classify1": "component-list", "retraction": "atlas"}[command]
+    extra = ["--samples", "5", "--seed", "1", "--box", "-1", "1"] if command == "sard" else []
     wrapped = {"kind": kind, "name": "bad", "anchor": "test", "payload": payload}
-    for doc, prefix in ((payload, "$"), (wrapped, "$.payload")):
-        assert main([command, write(tmp_path, doc, "doc.json")]) == 1
+    cases = [(wrapped, "$.payload")]
+    if kind != "germ":
+        cases.insert(0, (payload, "$"))
+    for doc, prefix in cases:
+        assert main([command, write(tmp_path, doc, "doc.json"), *extra]) == 1
         assert "input error: at %s%s" % (prefix, where) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal", [
+    "1e999999999", "-1E-999999999", "0e+999999999", "1e5000", "1.5e4299", "1e-4300",
+    pytest.param("1e" + "9" * 5000, id="5000-digit-exponent")])
+def test_exponent_literals_rejected_quickly(tmp_path, capsys, literal):
+    # Fraction would build 10^exponent first: past sys.get_int_max_str_digits()
+    # digits that never finishes, or gives a value that str() cannot write
+    reason = "bad rational %r (its exponent gives more than %d digits)" % (
+        literal, sys.get_int_max_str_digits())
+    chart = {"dim": 1, "generators": [[[literal]]]}
+    germ_p = {"kind": "germ", "payload": germ_with(p=[literal])}
+    runs = [(["strata", write(tmp_path, chart, "chart.json")], "$.generators[0][0][0]"),
+            (["analyze", write(tmp_path, germ_p, "p.json")], "$.payload.p[0]")]
+    germ = write(tmp_path, {"kind": "germ", "payload": MIRROR_LINE}, "germ.json")
+    for box in ([literal, "1"], ["-1", literal]):
+        runs.append((["sard", germ, "--samples", "5", "--seed", "1", "--box", *box],
+                     "$.box[0]"))
+    for argv, where in runs:
+        start = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 0.1
+        assert "input error: at %s: %s" % (where, reason) in capsys.readouterr().err
+
+
+def test_exponent_literal_within_the_limit(tmp_path):
+    # 10^4299 has 4300 digits, which str() still writes
+    lift = [[{"coef": "1e4299", "exps": [1, 0]}]]
+    path = write(tmp_path, {"kind": "germ", "payload": germ_with(lift=lift)})
+    out = tmp_path / "report.json"
+    assert main(["analyze", path, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["derived"]["preimage_models"][0]["dim"] == 1
 
 
 class TestParserReuse:

@@ -25,8 +25,10 @@ from orblocal.ratlin import (
     poly_mul,
     poly_trim,
 )
-from orblocal.groups import GroupHom, NotAHomomorphism, verify_homomorphism
-from orblocal.charts import ChartEmbedding, build_chart, isotropy_at, verify_embedding
+from orblocal.groups import (
+    GroupHom, NotAHomomorphism, close_in, generate_closure, verify_homomorphism)
+from orblocal.charts import (
+    ChartEmbedding, build_chart, isotropy_at, stratify, verify_embedding)
 from orblocal import germs
 from orblocal.germs import (
     EquivarianceError,
@@ -52,7 +54,9 @@ from orblocal.germs import (
     recenter_germ,
     sard_sample,
 )
-from orblocal.corpus import charts, germ_case, germ_cases, case_preimage_models
+from orblocal.corpus import (
+    builtin_documents, charts, germ_case, germ_cases, case_preimage_models)
+from orblocal.serialize import parse_germ_payload
 
 
 def m(rows):
@@ -359,10 +363,9 @@ class TestInvariantProjection:
             "import sys",
             "from orblocal import germs",
             "from orblocal.corpus import germ_case",
-            "from orblocal.ratlin import Matrix",
             "germ = germ_case('mirror-line').germ",
-            "scale = Matrix.scale",
-            "Matrix.scale = lambda self, c: scale(self, 2 * c)",
+            "mean = germs._negated_mean",
+            "germs._negated_mean = lambda mats: mean(mats).scale(2)",
             "try:",
             "    germs.invariant_projection(germ)",
             "except AssertionError as e:",
@@ -1224,6 +1227,38 @@ class TestRecenterAndPullback:
         members = {iso.parent.element(i) for i in iso.members}
         assert set(rg.source.group.elements) == members
         assert rg.source.group.order == iso.order
+
+    def test_recentered_group_matches_generate_closure(self):
+        # the isotropy group closed on the chart group's table is the group
+        # generate_closure builds from the same generator matrices
+        def same_closure(chart, point):
+            iso = isotropy_at(chart, point)
+            gens = iso.generators or (0,)
+            got = close_in(chart.group, gens)
+            want = generate_closure(chart.dim, [chart.group.element(i) for i in gens])
+            assert got.elements == want.elements
+            assert got.words == want.words
+            assert got.right == want.right
+            assert got.generator_indices == want.generator_indices
+            return iso.order
+
+        orders = []
+        for doc in builtin_documents().values():
+            if doc["kind"] == "germ":
+                germ, _, lifts = parse_germ_payload(doc["payload"], "$")
+                orders += [same_closure(germ.source, pt)
+                           for pt in lifts if pt != germ.base_point]
+        assert len(orders) >= 5 and max(orders) > 1
+        # points on the strata of a rational conjugate of B3 (+) a line: the
+        # sum of each fixed space's basis, and a combination with other weights
+        chart = bn_germ(3).source
+        orders = set()
+        for s in stratify(chart).strata:
+            for weights in ((1, 1, 1, 1), (F(1, 2), -3, F(7, 5), 2)):
+                point = [sum(w * b[j] for w, b in zip(weights, s.fixed_space.basis))
+                         for j in range(chart.dim)]
+                orders.add(same_closure(chart, point))
+        assert orders == {1, 2, 4, 6, 8, 48}
 
     def test_pullback_through_embedding(self, c):
         mirror, qp = c["mirror-plane"], c["quarter-plane"]

@@ -1,6 +1,8 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orblocal.ratlin import Matrix, MultiPoly
 from orblocal import serialize
@@ -43,6 +45,99 @@ class TestMatrixVector:
     def test_vector_roundtrip(self):
         v = (F(1), F(-2, 3))
         assert serialize.parse_vector(serialize.vector_json(v), "$") == v
+
+
+def reference_rational(v, path):
+    """parse_rational as it was before integer parsing: Fraction(v)."""
+    if not (isinstance(v, str) or serialize._is_int(v)):
+        raise SchemaError(path, "expected a rational string or integer, got %r" % (v,))
+    try:
+        return F(v)
+    except (ValueError, ZeroDivisionError) as e:
+        raise SchemaError(path, "bad rational %r (%s)" % (v, e)) from None
+
+
+def reference_vector(v, path):
+    if not isinstance(v, list):
+        raise SchemaError(path, "expected an array of rationals")
+    return tuple(reference_rational(x, "%s[%d]" % (path, i)) for i, x in enumerate(v))
+
+
+def reference_matrix(v, path):
+    """parse_matrix as it was: Fraction rows, then Matrix(rows)."""
+    if not isinstance(v, list) or not v or not all(isinstance(r, list) for r in v):
+        raise SchemaError(path, "expected a nested array of rationals (rows)")
+    rows = [reference_vector(r, "%s[%d]" % (path, i)) for i, r in enumerate(v)]
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise SchemaError(path, "rows have unequal lengths")
+    return Matrix(rows)
+
+
+def outcome(parse, v):
+    try:
+        return "value", parse(v, "$.m")
+    except SchemaError as e:
+        return "error", e.path, e.reason
+
+
+LIMIT = sys.get_int_max_str_digits()
+positive = st.one_of(st.integers(0, 10 ** 6), st.integers(10 ** 30, 10 ** 60))
+big = st.one_of(positive, positive.map(lambda n: -n))
+valid = st.one_of(
+    big,                                          # JSON integers
+    big.map(str),
+    st.tuples(big, positive.map(lambda n: n + 1)).map(lambda t: "%d/%d" % t),
+    # reducible fractions: both parts times a common factor
+    st.tuples(big, positive.map(lambda n: n + 1), positive.map(lambda n: n + 2)).map(
+        lambda t: "%d/%d" % (t[0] * t[2], t[1] * t[2])),
+    # forms only Fraction reads
+    st.sampled_from(["+3", " 3 ", "1_000", "1.5", "-.5", "2e3", "\u0663", "-1.5E-2",
+                     "3/4\n", "007/014", "-0", "0/5"]),
+)
+entries = st.one_of(
+    valid,
+    # digit strings around the int max str digits
+    st.tuples(st.integers(LIMIT - 3, LIMIT + 3), st.sampled_from("0123456789")).flatmap(
+        lambda t: st.sampled_from([
+            "1" + t[1] * t[0], "-" + "7" * t[0], "1/" + "3" * t[0], "3" * t[0] + "/2"])),
+    # invalid entries
+    st.sampled_from(["3/0", "-0/0", "1/-2", "", " ", "-", "/", "1/", "pi", "0x10",
+                     "1 /2", "1e", "inf", "nan"]),
+    st.text(alphabet="0123456789-+/._ \u0663", max_size=8),
+    st.booleans(), st.floats(allow_nan=False), st.none(), st.just([1]), st.just({}),
+)
+
+
+def matrices(entry):
+    """Rectangular arrays of entries, with a row now and then not a list."""
+    return st.integers(1, 3).flatmap(lambda cols: st.lists(
+        st.one_of(st.lists(entry, min_size=cols, max_size=cols), entry),
+        min_size=1, max_size=3))
+
+
+class TestIntegerParsing:
+    """parse_matrix and parse_vector read plain entries with int() and the
+    rest with Fraction; either way they give the values, or the errors, of
+    the Fraction-only parsers."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.lists(valid, max_size=4), st.lists(entries, max_size=4), entries))
+    def test_vector_matches_fraction_reference(self, v):
+        assert outcome(serialize.parse_vector, v) == outcome(reference_vector, v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(matrices(valid), matrices(entries),
+                     st.lists(st.lists(entries, max_size=3), max_size=3), entries))
+    def test_matrix_matches_fraction_reference(self, v):
+        got, want = outcome(serialize.parse_matrix, v), outcome(reference_matrix, v)
+        assert got == want
+        if got[0] == "value":
+            assert got[1].entries == want[1].entries
+
+    def test_exponent_within_the_limit(self):
+        q = serialize.parse_rational("1e%d" % (LIMIT - 1), "$")
+        assert q == 10 ** (LIMIT - 1) and len(str(q)) == LIMIT
+        assert serialize.parse_rational("-25e-%d" % (LIMIT - 1), "$") == F(-25, 10 ** (LIMIT - 1))
 
 
 class TestPoly:
