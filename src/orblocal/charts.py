@@ -15,11 +15,11 @@ chart embeddings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .ratlin import (
     Matrix,
+    Record,
     Subspace,
     kernel,
     restrict_to_subspace,
@@ -27,6 +27,7 @@ from .ratlin import (
     vec_add,
     QONE,
     QZERO,
+    _set,
 )
 from .groups import (
     FiniteMatrixGroup,
@@ -65,23 +66,23 @@ def _fixes_last_coordinate(m: Matrix) -> bool:
     return m.entries[n - 1] == want
 
 
-@dataclass(frozen=True)
-class LocalChart:
+class LocalChart(Record):
     """A linear local model (R^n or R^n_+, finite group, linear action)."""
 
-    dim: int
-    group: FiniteMatrixGroup
-    boundary: bool = False
+    __slots__ = _fields = ("dim", "group", "boundary")
 
-    def __post_init__(self):
-        if self.group.dim != self.dim:
+    def __init__(self, dim: int, group: FiniteMatrixGroup, boundary: bool = False):
+        if group.dim != dim:
             raise ValueError("group dimension %d != chart dimension %d"
-                             % (self.group.dim, self.dim))
-        if self.boundary:
-            for m in self.group.elements:
+                             % (group.dim, dim))
+        if boundary:
+            for m in group.elements:
                 if not _fixes_last_coordinate(m):
                     raise BoundaryViolation(
                         "element does not fix the boundary functional: %r" % (m,))
+        _set(self, "dim", dim)
+        _set(self, "group", group)
+        _set(self, "boundary", boundary)
 
     def contains_point(self, point) -> bool:
         p = vec(point)
@@ -156,29 +157,35 @@ def pointwise_stabilizer(group: FiniteMatrixGroup, s: Subspace) -> Subgroup:
     return Subgroup(group, members)
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(Record):
     """One isotropy stratum: the generic points of a fixed subspace.
 
     The actual stratum is fixed_space minus every strictly smaller fixed
     subspace contained in it; its dimension is dim(fixed_space).
     """
 
-    isotropy: Subgroup
-    fixed_space: Subspace
-    dimension: int
-    codimension: int
-    in_boundary: bool
+    __slots__ = _fields = ("isotropy", "fixed_space", "dimension", "codimension",
+                           "in_boundary")
+
+    def __init__(self, isotropy: Subgroup, fixed_space: Subspace, dimension: int,
+                 codimension: int, in_boundary: bool):
+        _set(self, "isotropy", isotropy)
+        _set(self, "fixed_space", fixed_space)
+        _set(self, "dimension", dimension)
+        _set(self, "codimension", codimension)
+        _set(self, "in_boundary", in_boundary)
 
     @property
     def singular(self) -> bool:
         return not self.isotropy.is_trivial()
 
 
-@dataclass(frozen=True)
-class StrataReport:
-    chart: LocalChart
-    strata: tuple[Stratum, ...]
+class StrataReport(Record):
+    __slots__ = _fields = ("chart", "strata")
+
+    def __init__(self, chart: LocalChart, strata: tuple[Stratum, ...]):
+        _set(self, "chart", chart)
+        _set(self, "strata", strata)
 
     def singular_strata(self) -> tuple[Stratum, ...]:
         return tuple(s for s in self.strata if s.singular)
@@ -270,8 +277,7 @@ def _orbit(group: FiniteMatrixGroup, space: Subspace,
     return found
 
 
-@dataclass(frozen=True)
-class SuborbifoldLocalModel:
+class SuborbifoldLocalModel(Record):
     """A local suborbifold model: an invariant subspace with its isotropy data.
 
     lambda_group acts on the subspace; omega is the part acting trivially on
@@ -279,12 +285,17 @@ class SuborbifoldLocalModel:
     All three are in the chart group's indices.
     """
 
-    chart: LocalChart
-    subspace: Subspace
-    lambda_group: Subgroup
-    omega: Subgroup
-    intrinsic_isotropy: QuotientGroup
-    full: bool
+    __slots__ = _fields = ("chart", "subspace", "lambda_group", "omega",
+                           "intrinsic_isotropy", "full")
+
+    def __init__(self, chart: LocalChart, subspace: Subspace, lambda_group: Subgroup,
+                 omega: Subgroup, intrinsic_isotropy: QuotientGroup, full: bool):
+        _set(self, "chart", chart)
+        _set(self, "subspace", subspace)
+        _set(self, "lambda_group", lambda_group)
+        _set(self, "omega", omega)
+        _set(self, "intrinsic_isotropy", intrinsic_isotropy)
+        _set(self, "full", full)
 
     def restricted_action(self, coset: int) -> Matrix:
         """The matrix of a coset acting on the subspace, in basis coordinates."""
@@ -335,15 +346,18 @@ def suborbifold_model(chart: LocalChart, subspace: Subspace,
     )
 
 
-@dataclass(frozen=True)
-class ChartEmbedding:
+class ChartEmbedding(Record):
     """An affine equivariant embedding of one chart into another."""
 
-    source: LocalChart
-    target: LocalChart
-    linear: Matrix
-    translate: tuple[Fraction, ...]
-    theta: GroupHom
+    __slots__ = _fields = ("source", "target", "linear", "translate", "theta")
+
+    def __init__(self, source: LocalChart, target: LocalChart, linear: Matrix,
+                 translate: tuple[Fraction, ...], theta: GroupHom):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "linear", linear)
+        _set(self, "translate", translate)
+        _set(self, "theta", theta)
 
     def apply(self, point) -> tuple[Fraction, ...]:
         return vec_add(self.linear.apply(point), self.translate)

@@ -11,12 +11,11 @@ dimensions 1 through 4, with and without boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction as F
 from functools import lru_cache
 from typing import Callable
 
-from .ratlin import Matrix, MultiPoly, Subspace
+from .ratlin import Matrix, MultiPoly, Record, Subspace, _set
 from .groups import Subgroup, verify_homomorphism
 from .charts import (
     ChartEmbedding,
@@ -99,15 +98,17 @@ def _trivial_theta(src: LocalChart, tgt: LocalChart):
                                [ident] * len(src.group.generator_indices))
 
 
-@dataclass(frozen=True)
-class GermCase:
+class GermCase(Record):
     """One corpus germ with a target point and its known regularity."""
 
-    name: str
-    germ: MapGerm
-    p: tuple
-    lifts: tuple
-    regular: bool
+    __slots__ = _fields = ("name", "germ", "p", "lifts", "regular")
+
+    def __init__(self, name: str, germ: MapGerm, p: tuple, lifts: tuple, regular: bool):
+        _set(self, "name", name)
+        _set(self, "germ", germ)
+        _set(self, "p", p)
+        _set(self, "lifts", lifts)
+        _set(self, "regular", regular)
 
 
 @lru_cache(maxsize=1)
@@ -193,15 +194,18 @@ class ExpectationMismatch(AssertionError):
         self.mismatches = mismatches
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """A named worked example: compute() gives its summary, expect the
-    values that summary must hold, field by field."""
+    values that summary must hold, field by field (none when not given)."""
 
-    name: str
-    anchor: str
-    compute: Callable[[], dict]
-    expect: dict = field(default_factory=dict)
+    __slots__ = _fields = ("name", "anchor", "compute", "expect")
+
+    def __init__(self, name: str, anchor: str, compute: Callable[[], dict],
+                 expect: dict | None = None):
+        _set(self, "name", name)
+        _set(self, "anchor", anchor)
+        _set(self, "compute", compute)
+        _set(self, "expect", {} if expect is None else expect)
 
     def run(self) -> dict:
         """The summary, after checking every expected field against it."""

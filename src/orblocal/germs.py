@@ -36,7 +36,6 @@ import itertools
 import math
 import random
 import sys
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from operator import and_, mul, or_
 from typing import Iterator, Sequence
@@ -44,6 +43,7 @@ from typing import Iterator, Sequence
 from .ratlin import (
     Matrix,
     MultiPoly,
+    Record,
     Subspace,
     kernel,
     kernel_image_rank,
@@ -60,6 +60,7 @@ from .ratlin import (
     vec,
     QONE,
     QZERO,
+    _set,
 )
 from .groups import (
     GroupHom,
@@ -113,21 +114,26 @@ class UnsupportedLift(ValueError):
     """The sampler cannot solve preimages for this lift shape."""
 
 
-@dataclass(frozen=True)
-class MapGerm:
+class MapGerm(Record):
     """A complete local map germ: charts, polynomial lift, homomorphism.
 
     base_kernel, base_split, n_group and the values of value_at are derived
     from the fields on first use and kept on the germ, which is frozen, so
-    each is computed once and is the same value on every later read.
+    each is computed once and is the same value on every later read.  The
+    germ has an instance ``__dict__``, where functools.cached_property keeps
+    its values.
     """
 
-    source: LocalChart
-    target: LocalChart
-    lift: MultiPoly
-    theta: GroupHom
-    base_point: tuple[Fraction, ...]
-    _lift_values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("source", "target", "lift", "theta", "base_point")
+
+    def __init__(self, source: LocalChart, target: LocalChart, lift: MultiPoly,
+                 theta: GroupHom, base_point: tuple[Fraction, ...]):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "lift", lift)
+        _set(self, "theta", theta)
+        _set(self, "base_point", base_point)
+        _set(self, "_lift_values", {})
 
     @functools.cached_property
     def base_kernel(self) -> Subspace:
@@ -217,13 +223,18 @@ def build_germ(source: LocalChart, target: LocalChart, lift: MultiPoly,
     return germ
 
 
-@dataclass(frozen=True)
-class RegularValueReport:
-    target_point: tuple[Fraction, ...]
-    regular: bool
-    point_ranks: tuple[tuple[tuple[Fraction, ...], int], ...]
-    needed_rank: int
-    empty_preimage: bool
+class RegularValueReport(Record):
+    __slots__ = _fields = ("target_point", "regular", "point_ranks", "needed_rank",
+                           "empty_preimage")
+
+    def __init__(self, target_point: tuple[Fraction, ...], regular: bool,
+                 point_ranks: tuple[tuple[tuple[Fraction, ...], int], ...],
+                 needed_rank: int, empty_preimage: bool):
+        _set(self, "target_point", target_point)
+        _set(self, "regular", regular)
+        _set(self, "point_ranks", point_ranks)
+        _set(self, "needed_rank", needed_rank)
+        _set(self, "empty_preimage", empty_preimage)
 
 
 def is_regular_value(germ: MapGerm, p, preimage_lifts) -> RegularValueReport:
@@ -255,8 +266,7 @@ def is_regular_value(germ: MapGerm, p, preimage_lifts) -> RegularValueReport:
     )
 
 
-@dataclass(frozen=True)
-class PreimageModel:
+class PreimageModel(Record):
     """The local structure of a regular-value preimage at a centered point.
 
     suborbifold is the full suborbifold model of the differential kernel K
@@ -266,13 +276,20 @@ class PreimageModel:
     is the dimension of K inside the boundary hyperplane.
     """
 
-    germ: MapGerm
-    target_point: tuple[Fraction, ...]
-    lift_point: tuple[Fraction, ...]
-    suborbifold: SuborbifoldLocalModel
-    dim: int
-    boundary_kind: str = "interior"
-    boundary_kernel_dim: int | None = None
+    __slots__ = _fields = ("germ", "target_point", "lift_point", "suborbifold", "dim",
+                           "boundary_kind", "boundary_kernel_dim")
+
+    def __init__(self, germ: MapGerm, target_point: tuple[Fraction, ...],
+                 lift_point: tuple[Fraction, ...], suborbifold: SuborbifoldLocalModel,
+                 dim: int, boundary_kind: str = "interior",
+                 boundary_kernel_dim: int | None = None):
+        _set(self, "germ", germ)
+        _set(self, "target_point", target_point)
+        _set(self, "lift_point", lift_point)
+        _set(self, "suborbifold", suborbifold)
+        _set(self, "dim", dim)
+        _set(self, "boundary_kind", boundary_kind)
+        _set(self, "boundary_kernel_dim", boundary_kernel_dim)
 
     @property
     def kernel(self) -> Subspace:
@@ -322,18 +339,18 @@ def preimage_model(germ: MapGerm, p, lift_point) -> PreimageModel:
         sub = germ.base_split
     else:
         sub = suborbifold_model(germ.source, kernel, germ.source.group.full_subgroup())
-    model = PreimageModel(germ=germ, target_point=p, lift_point=pt,
-                          suborbifold=sub, dim=n - k)
-    if not (germ.source.boundary and germ.source.on_boundary(pt)):
-        return model
-    restricted = _boundary_restriction(germ.lift)
-    if restricted.jacobian_at(pt[:-1]).rank() != k:
-        raise NotRegularPoint(
-            "restriction to the boundary hyperplane is not regular at the point")
-    meet = kernel.intersect(germ.source.boundary_hyperplane())
-    if meet.dim != kernel.dim - 1:
-        raise AssertionError("kernel does not meet the boundary in codimension 1")
-    return replace(model, boundary_kind="boundary-point", boundary_kernel_dim=meet.dim)
+    kind, kernel_dim = "interior", None
+    if germ.source.boundary and germ.source.on_boundary(pt):
+        restricted = _boundary_restriction(germ.lift)
+        if restricted.jacobian_at(pt[:-1]).rank() != k:
+            raise NotRegularPoint(
+                "restriction to the boundary hyperplane is not regular at the point")
+        meet = kernel.intersect(germ.source.boundary_hyperplane())
+        if meet.dim != kernel.dim - 1:
+            raise AssertionError("kernel does not meet the boundary in codimension 1")
+        kind, kernel_dim = "boundary-point", meet.dim
+    return PreimageModel(germ=germ, target_point=p, lift_point=pt, suborbifold=sub,
+                         dim=n - k, boundary_kind=kind, boundary_kernel_dim=kernel_dim)
 
 
 def _boundary_restriction(lift: MultiPoly) -> MultiPoly:
@@ -344,8 +361,7 @@ def _boundary_restriction(lift: MultiPoly) -> MultiPoly:
     return lift.compose_affine(incl)
 
 
-@dataclass(frozen=True)
-class InvariantProjection:
+class InvariantProjection(Record):
     """The averaged projection onto the differential kernel.
 
     For each gamma in the homomorphism kernel N, a_gamma = gamma - I maps
@@ -356,12 +372,18 @@ class InvariantProjection:
     member order.
     """
 
-    n_group: Subgroup
-    kernel_space: Subspace
-    a_gamma: tuple[tuple[int, Matrix], ...]
-    projection: Matrix
-    proj_kernel: Subspace
-    proj_image: Subspace
+    __slots__ = _fields = ("n_group", "kernel_space", "a_gamma", "projection",
+                           "proj_kernel", "proj_image")
+
+    def __init__(self, n_group: Subgroup, kernel_space: Subspace,
+                 a_gamma: tuple[tuple[int, Matrix], ...], projection: Matrix,
+                 proj_kernel: Subspace, proj_image: Subspace):
+        _set(self, "n_group", n_group)
+        _set(self, "kernel_space", kernel_space)
+        _set(self, "a_gamma", a_gamma)
+        _set(self, "projection", projection)
+        _set(self, "proj_kernel", proj_kernel)
+        _set(self, "proj_image", proj_image)
 
 
 def invariant_projection(germ: MapGerm) -> InvariantProjection:
@@ -422,11 +444,14 @@ def _negated_mean(mats: Sequence[Matrix]) -> Matrix:
         len(mats) * den, n)
 
 
-@dataclass(frozen=True)
-class CocycleReport:
-    pairs_checked: int
-    ok: bool
-    failures: tuple[tuple[int, int, str], ...]
+class CocycleReport(Record):
+    __slots__ = _fields = ("pairs_checked", "ok", "failures")
+
+    def __init__(self, pairs_checked: int, ok: bool,
+                 failures: tuple[tuple[int, int, str], ...]):
+        _set(self, "pairs_checked", pairs_checked)
+        _set(self, "ok", ok)
+        _set(self, "failures", failures)
 
 
 _COCYCLE_IDENTITIES = ("left-twisted", "right-twisted", "product")
@@ -556,13 +581,17 @@ def _pack(digits, step: int) -> int:
     return sum(x << (step * j) for j, x in enumerate(digits))
 
 
-@dataclass(frozen=True)
-class FaithfulnessReport:
-    n_order: int
-    g_order: int
-    intersection_trivial: bool
-    injective: bool
-    coset_images: tuple[tuple[int, int], ...]
+class FaithfulnessReport(Record):
+    __slots__ = _fields = ("n_order", "g_order", "intersection_trivial", "injective",
+                           "coset_images")
+
+    def __init__(self, n_order: int, g_order: int, intersection_trivial: bool,
+                 injective: bool, coset_images: tuple[tuple[int, int], ...]):
+        _set(self, "n_order", n_order)
+        _set(self, "g_order", g_order)
+        _set(self, "intersection_trivial", intersection_trivial)
+        _set(self, "injective", injective)
+        _set(self, "coset_images", coset_images)
 
 
 def faithfulness_check(germ: MapGerm) -> FaithfulnessReport:
@@ -593,17 +622,22 @@ def faithfulness_check(germ: MapGerm) -> FaithfulnessReport:
     return report
 
 
-@dataclass(frozen=True)
-class RealTargetReport:
+class RealTargetReport(Record):
     """Decomposition data for a germ to a 1-dimensional trivial target."""
 
-    gamma_order: int
-    gamma_s_order: int
-    g_trivial: bool
-    fixed_line: Subspace
-    kernel_space: Subspace
-    image_equals_kernel: bool
-    stratum_dimension: int | None
+    __slots__ = _fields = ("gamma_order", "gamma_s_order", "g_trivial", "fixed_line",
+                           "kernel_space", "image_equals_kernel", "stratum_dimension")
+
+    def __init__(self, gamma_order: int, gamma_s_order: int, g_trivial: bool,
+                 fixed_line: Subspace, kernel_space: Subspace,
+                 image_equals_kernel: bool, stratum_dimension: int | None):
+        _set(self, "gamma_order", gamma_order)
+        _set(self, "gamma_s_order", gamma_s_order)
+        _set(self, "g_trivial", g_trivial)
+        _set(self, "fixed_line", fixed_line)
+        _set(self, "kernel_space", kernel_space)
+        _set(self, "image_equals_kernel", image_equals_kernel)
+        _set(self, "stratum_dimension", stratum_dimension)
 
 
 def real_target_structure(germ: MapGerm, model: PreimageModel) -> RealTargetReport:
@@ -653,15 +687,20 @@ def real_target_structure(germ: MapGerm, model: PreimageModel) -> RealTargetRepo
     )
 
 
-@dataclass(frozen=True)
-class ObstructionCertificate:
+class ObstructionCertificate(Record):
     """Whether a germ with a regular center value can exist for given data."""
 
-    verdict: str  # "possible" | "impossible" | "unknown"
-    reason_code: str
-    detail: str
-    witness_lift: MultiPoly | None = None
-    invariant_search: InvariantSubspaceResult | None = None
+    __slots__ = _fields = ("verdict", "reason_code", "detail", "witness_lift",
+                           "invariant_search")
+
+    def __init__(self, verdict: str, reason_code: str, detail: str,
+                 witness_lift: MultiPoly | None = None,
+                 invariant_search: InvariantSubspaceResult | None = None):
+        _set(self, "verdict", verdict)  # "possible" | "impossible" | "unknown"
+        _set(self, "reason_code", reason_code)
+        _set(self, "detail", detail)
+        _set(self, "witness_lift", witness_lift)
+        _set(self, "invariant_search", invariant_search)
 
 
 def obstruction_certificate(source: LocalChart, target: LocalChart,
@@ -938,13 +977,17 @@ def _classify_sample(coords, p) -> bool:
     return not (critical and all(map(has_real_root, unchecked)))
 
 
-@dataclass(frozen=True)
-class SardReport:
-    samples: int
-    seed: int
-    box: tuple[tuple[Fraction, Fraction], ...]
-    regular_count: int
-    critical_values: tuple[tuple[Fraction, ...], ...]
+class SardReport(Record):
+    __slots__ = _fields = ("samples", "seed", "box", "regular_count", "critical_values")
+
+    def __init__(self, samples: int, seed: int,
+                 box: tuple[tuple[Fraction, Fraction], ...], regular_count: int,
+                 critical_values: tuple[tuple[Fraction, ...], ...]):
+        _set(self, "samples", samples)
+        _set(self, "seed", seed)
+        _set(self, "box", box)
+        _set(self, "regular_count", regular_count)
+        _set(self, "critical_values", critical_values)
 
     @property
     def regular_fraction(self) -> Fraction:
@@ -1045,12 +1088,15 @@ def sard_sample(germ: MapGerm, box, samples: int, seed: int) -> SardReport:
 # lift replacement, re-centering, and pulling germs back through embeddings
 
 
-@dataclass(frozen=True)
-class LiftReplacementReport:
-    eta_index: int
-    kernels_equal: bool
-    n_unchanged: bool
-    companion: MapGerm
+class LiftReplacementReport(Record):
+    __slots__ = _fields = ("eta_index", "kernels_equal", "n_unchanged", "companion")
+
+    def __init__(self, eta_index: int, kernels_equal: bool, n_unchanged: bool,
+                 companion: MapGerm):
+        _set(self, "eta_index", eta_index)
+        _set(self, "kernels_equal", kernels_equal)
+        _set(self, "n_unchanged", n_unchanged)
+        _set(self, "companion", companion)
 
 
 def lift_replacement_invariance(germ: MapGerm, eta: Matrix) -> LiftReplacementReport:

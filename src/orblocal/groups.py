@@ -21,13 +21,13 @@ sound "certified none" verdicts.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .ratlin import (
     BudgetExceeded,
     Matrix,
+    Record,
     Subspace,
     kernel,
     kernel_image_rank,
@@ -37,6 +37,7 @@ from .ratlin import (
     poly_gcd,
     factor_rational_poly,
     QZERO,
+    _set,
 )
 
 DEFAULT_ORDER_BOUND = 10000
@@ -189,22 +190,30 @@ def generate_closure(dim: int, generators: list[Matrix],
     deterministic.  Every product elements[e] * g is kept as an index in the
     right-multiplication table right[e][s] (s the position of g in the
     list).  Raises ClosureBoundExceeded if the closure passes max_order, or
-    once it has 256 elements if an element of word length at most 2 (a
-    generator or a product of two, like the shear that two reflections can
-    make) _has_infinite_order, with the same message.
+    with the same message at once if a generator has |det| != 1 (a rational
+    matrix of finite order has det +-1), or once the closure has 256
+    elements if an element of word length at most 2 (a generator or a
+    product of two, like the shear that two reflections can make)
+    _has_infinite_order.
     """
+    finite = True
     for g in generators:
         if g.rows != dim or g.cols != dim:
             raise ValueError("generator is %dx%d, chart dimension is %d"
                              % (g.rows, g.cols, dim))
-        if not g.is_invertible():
+        det = g.det()
+        if not det:
             raise ValueError("generator is not invertible: %r" % (g,))
+        finite = finite and abs(det) == 1
+    exceeded = "closure exceeded %d elements" % max_order
+    if not finite:
+        raise ClosureBoundExceeded(exceeded)
 
     def bound(elements, words):
         if len(elements) >= max_order or len(elements) == 256 and any(
                 _has_infinite_order(e)
                 for e, w in zip(elements, words) if 0 < len(w) <= 2):
-            raise ClosureBoundExceeded("closure exceeded %d elements" % max_order)
+            raise ClosureBoundExceeded(exceeded)
 
     elements, words, right, gen_indices = _closure(
         Matrix.identity(dim), generators, Matrix.__mul__, bound)
@@ -222,8 +231,7 @@ def close_in(parent: FiniteMatrixGroup, generators: Sequence[int]) -> FiniteMatr
                              gen_indices, words, right)
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Record):
     """A subgroup of a FiniteMatrixGroup, as a sorted tuple of member indices.
 
     Construction checks closure on a generating set: starting from the
@@ -236,11 +244,17 @@ class Subgroup:
     ``generators``, which takes no part in equality, hashing or repr.
     """
 
-    parent: FiniteMatrixGroup
-    members: tuple[int, ...]
-    generators: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("parent", "members", "generators")
+    _fields = ("parent", "members")
+
+    def __init__(self, parent: FiniteMatrixGroup, members: tuple[int, ...]):
+        _set(self, "parent", parent)
+        _set(self, "members", members)
+        self.__post_init__()
 
     def __post_init__(self):
+        """The closure check, which sets ``generators``; a method of its own
+        so that a profile or perfbench's tracer times it apart."""
         ms = set(self.members)
         if 0 not in ms:
             raise ValueError("subgroup must contain the identity")
@@ -303,13 +317,16 @@ class Subgroup:
         return hash((id(self.parent), self.members))
 
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(Record):
     """A verified homomorphism between two finite matrix groups."""
 
-    source: FiniteMatrixGroup
-    target: FiniteMatrixGroup
-    mapping: tuple[int, ...]
+    __slots__ = _fields = ("source", "target", "mapping")
+
+    def __init__(self, source: FiniteMatrixGroup, target: FiniteMatrixGroup,
+                 mapping: tuple[int, ...]):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "mapping", mapping)
 
     def apply(self, i: int) -> int:
         return self.mapping[i]
@@ -381,8 +398,7 @@ def kernel_of(hom: GroupHom) -> Subgroup:
     return k
 
 
-@dataclass(frozen=True)
-class QuotientGroup:
+class QuotientGroup(Record):
     """The quotient h / n of a subgroup h by a subgroup n normal in it.
 
     Everything is in the indices of the common parent group.  Cosets are
@@ -391,10 +407,15 @@ class QuotientGroup:
     lies in h.  coset_index maps each member of h to its coset.
     """
 
-    group: Subgroup
-    normal: Subgroup
-    cosets: tuple[tuple[int, ...], ...]
-    coset_index: dict[int, int] = field(repr=False, compare=False)
+    __slots__ = ("group", "normal", "cosets", "coset_index")
+    _fields = ("group", "normal", "cosets")
+
+    def __init__(self, group: Subgroup, normal: Subgroup,
+                 cosets: tuple[tuple[int, ...], ...], coset_index: dict[int, int]):
+        _set(self, "group", group)
+        _set(self, "normal", normal)
+        _set(self, "cosets", cosets)
+        _set(self, "coset_index", coset_index)
 
     @property
     def order(self) -> int:
@@ -517,8 +538,7 @@ def commutant(g: FiniteMatrixGroup) -> list[Matrix]:
     return intertwiners(g, g.element)
 
 
-@dataclass(frozen=True)
-class InvariantSubspaceResult:
+class InvariantSubspaceResult(Record):
     """Outcome of an invariant-subspace search.
 
     status is one of 'found', 'none_found', 'certified_none'; certified_none
@@ -527,9 +547,12 @@ class InvariantSubspaceResult:
     one-dimensional).
     """
 
-    status: str
-    subspace: Subspace | None = None
-    reason: str = ""
+    __slots__ = _fields = ("status", "subspace", "reason")
+
+    def __init__(self, status: str, subspace: Subspace | None = None, reason: str = ""):
+        _set(self, "status", status)
+        _set(self, "subspace", subspace)
+        _set(self, "reason", reason)
 
     @property
     def found(self) -> bool:

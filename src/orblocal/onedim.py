@@ -13,10 +13,9 @@ with an even number of boundary points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratlin import Subspace
+from .ratlin import Record, Subspace, _set
 from .groups import Subgroup, fixed_subspace, index2_subgroups
 from .charts import LocalChart, isotropy_at, stratify
 from .germs import MapGerm, PreimageModel, _boundary_restriction, is_regular_value
@@ -39,22 +38,22 @@ MIRROR = "mirror"
 GLUE = "glue"
 
 
-@dataclass(frozen=True)
-class OneOrbifoldComponent:
+class OneOrbifoldComponent(Record):
     """A compact connected 1-orbifold: a loop, or an interval with two ends."""
 
-    shape: str
-    ends: tuple[str, ...] = ()
+    __slots__ = _fields = ("shape", "ends")
 
-    def __post_init__(self):
-        if self.shape == LOOP:
-            if self.ends:
+    def __init__(self, shape: str, ends: tuple[str, ...] = ()):
+        if shape == LOOP:
+            if ends:
                 raise ValueError("a loop carries no end data")
-        elif self.shape == INTERVAL:
-            if len(self.ends) != 2 or not all(e in (BOUNDARY, MIRROR) for e in self.ends):
+        elif shape == INTERVAL:
+            if len(ends) != 2 or not all(e in (BOUNDARY, MIRROR) for e in ends):
                 raise ValueError("an interval needs exactly two boundary/mirror ends")
         else:
-            raise ValueError("unknown shape %r" % self.shape)
+            raise ValueError("unknown shape %r" % shape)
+        _set(self, "shape", shape)
+        _set(self, "ends", ends)
 
 
 def classify_1_orbifold(c: OneOrbifoldComponent) -> str:
@@ -65,8 +64,7 @@ def classify_1_orbifold(c: OneOrbifoldComponent) -> str:
     return {0: "b", 1: "c", 2: "d"}[mirrors]
 
 
-@dataclass(frozen=True)
-class AssemblyEnd:
+class AssemblyEnd(Record):
     """One end of a chart-level preimage arc.
 
     Terminal ends are boundary points or mirror points; glue ends carry a
@@ -76,29 +74,36 @@ class AssemblyEnd:
     point) so theorem-level checks can inspect the chart there.
     """
 
-    kind: str
-    token: str | None = None
-    isotropy_order: int = 1
-    chart_index: int | None = None
-    point: tuple[Fraction, ...] | None = None
-    is_base: bool = False
+    __slots__ = _fields = ("kind", "token", "isotropy_order", "chart_index", "point",
+                           "is_base")
 
-    def __post_init__(self):
-        if self.kind not in (BOUNDARY, MIRROR, GLUE):
-            raise ValueError("unknown end kind %r" % self.kind)
-        if self.kind == GLUE and not self.token:
+    def __init__(self, kind: str, token: str | None = None, isotropy_order: int = 1,
+                 chart_index: int | None = None, point: tuple[Fraction, ...] | None = None,
+                 is_base: bool = False):
+        if kind not in (BOUNDARY, MIRROR, GLUE):
+            raise ValueError("unknown end kind %r" % kind)
+        if kind == GLUE and not token:
             raise ValueError("glue ends need a token")
-        if self.kind != GLUE and self.token:
+        if kind != GLUE and token:
             raise ValueError("terminal ends cannot carry a glue token")
+        _set(self, "kind", kind)
+        _set(self, "token", token)
+        _set(self, "isotropy_order", isotropy_order)
+        _set(self, "chart_index", chart_index)
+        _set(self, "point", point)
+        _set(self, "is_base", is_base)
 
 
-@dataclass(frozen=True)
-class AssemblyPiece:
+class AssemblyPiece(Record):
     """A 1-dimensional preimage arc inside one chart, with its two ends."""
 
-    name: str
-    ends: tuple[AssemblyEnd, AssemblyEnd]
-    chart_index: int | None = None
+    __slots__ = _fields = ("name", "ends", "chart_index")
+
+    def __init__(self, name: str, ends: tuple[AssemblyEnd, AssemblyEnd],
+                 chart_index: int | None = None):
+        _set(self, "name", name)
+        _set(self, "ends", ends)
+        _set(self, "chart_index", chart_index)
 
 
 def piece_from_model(name: str, model: PreimageModel,
@@ -132,11 +137,14 @@ def piece_from_model(name: str, model: PreimageModel,
     return AssemblyPiece(name, (ends[0], ends[1]), chart_index)
 
 
-@dataclass(frozen=True)
-class AssembledComponent:
-    component: OneOrbifoldComponent
-    piece_names: tuple[str, ...]
-    terminal_ends: tuple[AssemblyEnd, ...]
+class AssembledComponent(Record):
+    __slots__ = _fields = ("component", "piece_names", "terminal_ends")
+
+    def __init__(self, component: OneOrbifoldComponent, piece_names: tuple[str, ...],
+                 terminal_ends: tuple[AssemblyEnd, ...]):
+        _set(self, "component", component)
+        _set(self, "piece_names", piece_names)
+        _set(self, "terminal_ends", terminal_ends)
 
 
 def assemble_components(pieces: list[AssemblyPiece]) -> list[AssembledComponent]:
@@ -197,11 +205,13 @@ def assemble_components(pieces: list[AssemblyPiece]) -> list[AssembledComponent]
     return out
 
 
-@dataclass(frozen=True)
-class ParityReport:
-    boundary_points: int
-    even: bool
-    type_counts: dict
+class ParityReport(Record):
+    __slots__ = _fields = ("boundary_points", "even", "type_counts")
+
+    def __init__(self, boundary_points: int, even: bool, type_counts: dict):
+        _set(self, "boundary_points", boundary_points)
+        _set(self, "even", even)
+        _set(self, "type_counts", type_counts)
 
 
 def boundary_parity(components: list[OneOrbifoldComponent]) -> ParityReport:
@@ -224,8 +234,7 @@ def boundary_parity(components: list[OneOrbifoldComponent]) -> ParityReport:
                         type_counts=counts)
 
 
-@dataclass(frozen=True)
-class Index2Report:
+class Index2Report(Record):
     """Outcome of the forbidden index-2 configuration test on one chart.
 
     found means some index-2 subgroup (the kernel H of a nontrivial sign
@@ -237,9 +246,13 @@ class Index2Report:
     'acts as a product with trivial line factor' condition.
     """
 
-    found: bool
-    witness: Subgroup | None = None
-    fixed_line: Subspace | None = None
+    __slots__ = _fields = ("found", "witness", "fixed_line")
+
+    def __init__(self, found: bool, witness: Subgroup | None = None,
+                 fixed_line: Subspace | None = None):
+        _set(self, "found", found)
+        _set(self, "witness", witness)
+        _set(self, "fixed_line", fixed_line)
 
 
 def forbidden_index2_check(chart: LocalChart) -> Index2Report:
@@ -252,17 +265,22 @@ def forbidden_index2_check(chart: LocalChart) -> Index2Report:
     return Index2Report(found=False)
 
 
-@dataclass(frozen=True)
-class HypothesisEvidence:
-    chart_index: int
-    has_interior_codim1: bool
-    codim1_fixed_spaces: tuple[Subspace, ...]
+class HypothesisEvidence(Record):
+    __slots__ = _fields = ("chart_index", "has_interior_codim1", "codim1_fixed_spaces")
+
+    def __init__(self, chart_index: int, has_interior_codim1: bool,
+                 codim1_fixed_spaces: tuple[Subspace, ...]):
+        _set(self, "chart_index", chart_index)
+        _set(self, "has_interior_codim1", has_interior_codim1)
+        _set(self, "codim1_fixed_spaces", codim1_fixed_spaces)
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
-    holds: bool
-    evidence: tuple[HypothesisEvidence, ...]
+class HypothesisReport(Record):
+    __slots__ = _fields = ("holds", "evidence")
+
+    def __init__(self, holds: bool, evidence: tuple[HypothesisEvidence, ...]):
+        _set(self, "holds", holds)
+        _set(self, "evidence", evidence)
 
 
 def no_retraction_hypothesis(atlas: list[LocalChart]) -> HypothesisReport:
@@ -279,8 +297,7 @@ def no_retraction_hypothesis(atlas: list[LocalChart]) -> HypothesisReport:
     return HypothesisReport(holds, tuple(evidence))
 
 
-@dataclass(frozen=True)
-class RetractionScenario:
+class RetractionScenario(Record):
     """A candidate boundary retraction presented as chart-level data.
 
     germs pair an atlas chart index with the candidate's germ there and the
@@ -289,20 +306,30 @@ class RetractionScenario:
     p itself).
     """
 
-    atlas: list[LocalChart]
-    p: tuple[Fraction, ...]
-    germs: list[tuple[int, MapGerm, list]]
-    pieces: list[AssemblyPiece]
+    __slots__ = _fields = ("atlas", "p", "germs", "pieces")
+
+    def __init__(self, atlas: list[LocalChart], p: tuple[Fraction, ...],
+                 germs: list[tuple[int, MapGerm, list]], pieces: list[AssemblyPiece]):
+        _set(self, "atlas", atlas)
+        _set(self, "p", p)
+        _set(self, "germs", germs)
+        _set(self, "pieces", pieces)
 
 
-@dataclass(frozen=True)
-class RetractionReport:
-    status: str  # "hypothesis not met" | "contradiction"
-    hypothesis: HypothesisReport
-    contradiction_kind: str | None = None
-    detail: str = ""
-    components: tuple[AssembledComponent, ...] = ()
-    mirror_site: tuple | None = None
+class RetractionReport(Record):
+    __slots__ = _fields = ("status", "hypothesis", "contradiction_kind", "detail",
+                           "components", "mirror_site")
+
+    def __init__(self, status: str, hypothesis: HypothesisReport,
+                 contradiction_kind: str | None = None, detail: str = "",
+                 components: tuple[AssembledComponent, ...] = (),
+                 mirror_site: tuple | None = None):
+        _set(self, "status", status)  # "hypothesis not met" | "contradiction"
+        _set(self, "hypothesis", hypothesis)
+        _set(self, "contradiction_kind", contradiction_kind)
+        _set(self, "detail", detail)
+        _set(self, "components", components)
+        _set(self, "mirror_site", mirror_site)
 
 
 def _verify_boundary_identity(germ: MapGerm):

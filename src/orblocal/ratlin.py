@@ -36,10 +36,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, inf, lcm, prod
-from operator import add, mul
+from operator import add, attrgetter, mul
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -50,6 +49,47 @@ QONE = Fraction(1)
 
 class BudgetExceeded(RuntimeError):
     """A computation passed a resource limit; no mathematical check failed."""
+
+
+# stores a field in a Record's __init__, past the record's own __setattr__
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the library's immutable value records.
+
+    A subclass names in ``_fields`` the fields that take part in equality,
+    hashing and repr, and its ``__init__`` stores every field with
+    ``_set``; assigning or deleting an attribute afterwards raises
+    AttributeError.  Two records are equal when they have the same class
+    and equal ``_fields`` values, and a record hashes as the tuple of those
+    values.  A subclass compared in hot loops defines its own ``__eq__`` and
+    ``__hash__`` on the same tuple.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self._fields))
 
 
 def rat(x) -> Fraction:
@@ -357,8 +397,7 @@ class Matrix:
         return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """A linear subspace of Q^n, kept as the Matrix of its reduced echelon rows.
 
     The echelon matrix is the nonzero rows of the RREF of any spanning set,
@@ -370,9 +409,21 @@ class Subspace:
     Fractions, built on first read.
     """
 
-    ambient_dim: int
-    echelon: Matrix
-    pivots: tuple[int, ...] = field(compare=False, repr=False)
+    __slots__ = ("ambient_dim", "echelon", "pivots")
+    _fields = ("ambient_dim", "echelon")
+
+    def __init__(self, ambient_dim: int, echelon: Matrix, pivots: tuple[int, ...]):
+        _set(self, "ambient_dim", ambient_dim)
+        _set(self, "echelon", echelon)
+        _set(self, "pivots", pivots)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ambient_dim, self.echelon) == (other.ambient_dim, other.echelon)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.echelon))
 
     @property
     def basis(self) -> tuple[tuple[Fraction, ...], ...]:

@@ -69,6 +69,18 @@ class TestAnalyze:
         assert main(["analyze", path]) == 1
         assert "payload.p[0]" in capsys.readouterr().err
 
+    def test_generator_determinant_not_one_exits_at_once(self, tmp_path, docs, capsys):
+        # det 10^4299: no power of the generator is the identity, so the
+        # closure stops before its first product, with the order-bound message
+        doc = json.loads(json.dumps(docs["germ-mirror-line"]))
+        doc["payload"]["source"]["generators"][0][0][0] = "1e4299"
+        path = write(tmp_path, doc)
+        start = time.perf_counter()
+        assert main(["analyze", path]) == 3
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr().err == (
+            "budget exceeded: ClosureBoundExceeded: closure exceeded 10000 elements\n")
+
     def test_missing_file_exit_one(self, capsys):
         assert main(["analyze", "/nonexistent/no.json"]) == 1
 
@@ -461,11 +473,11 @@ class TestCorpus:
         # wrong expectation fails with asserts stripped, and --out lists it
         out_path = str(tmp_path / "corpus.json")
         script = "\n".join([
-            "import dataclasses, sys",
+            "import sys",
             "from orblocal import corpus",
             "from orblocal.cli import main",
             "sc = next(s for s in corpus.scenarios() if s.name == 'strata-quarter-plane')",
-            "wrong = dataclasses.replace(sc, expect={'singular_dims': [1, 0]})",
+            "wrong = corpus.Scenario(sc.name, sc.anchor, sc.compute, {'singular_dims': [1, 0]})",
             "corpus.scenarios = lambda: (wrong,)",
             "print(sys.flags.optimize, main(['corpus', 'run', '--out', sys.argv[1]]))",
         ])

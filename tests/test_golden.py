@@ -4,7 +4,8 @@ Each run's (exit code, stdout, stderr) is hashed with sha256 and compared
 with tests/cli_digests.json, so a change that alters any report, summary
 line or error message on these inputs fails here.  The runs are the CLI on
 every built-in document, and strata, obstruct and analyze on rational
-conjugates of D4, A4 and B3.  To regenerate the digests after an intended
+conjugates of D4, A4 and B3.  The same digests must come out of one run
+under python -O, since every check raises explicitly.  To regenerate the digests after an intended
 output change, run this file as a script from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py > tests/cli_digests.json
@@ -15,10 +16,12 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from fractions import Fraction as F
 
+import orblocal
 from orblocal.cli import main
 from orblocal.corpus import builtin_documents
 
@@ -128,14 +131,31 @@ def digests(workdir):
     return out
 
 
-def test_cli_output_matches_digests(tmp_path):
+def pinned():
     with open(DIGESTS, encoding="utf-8") as fh:
-        want = json.load(fh)
+        return json.load(fh)
+
+
+def test_cli_output_matches_digests(tmp_path):
+    want = pinned()
     got = digests(str(tmp_path))
     assert len(got) == 30
     assert sorted(got) == sorted(want)
     changed = [label for label in got if got[label] != want[label]]
     assert not changed, "CLI output changed for %s" % changed
+
+
+def test_cli_output_matches_digests_under_optimize():
+    # this file run as a script prints every digest; run it with asserts stripped
+    src = os.path.dirname(os.path.dirname(os.path.abspath(orblocal.__file__)))
+    out = subprocess.run([sys.executable, "-O", os.path.abspath(__file__)],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    got, want = json.loads(out.stdout), pinned()
+    changed = sorted(label for label in set(got) | set(want)
+                     if got.get(label) != want.get(label))
+    assert not changed, "CLI output under -O changed for %s" % changed
 
 
 if __name__ == "__main__":
