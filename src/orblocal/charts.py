@@ -16,6 +16,7 @@ chart embeddings.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .ratlin import (
     Matrix,
@@ -150,10 +151,12 @@ def isotropy_at(chart: LocalChart, point) -> Subgroup:
     return pointwise_stabilizer(chart.group, Subspace.from_vectors(chart.dim, [p]))
 
 
-def pointwise_stabilizer(group: FiniteMatrixGroup, s: Subspace) -> Subgroup:
-    """{g : g v = v for every v in s}."""
+def pointwise_stabilizer(group: FiniteMatrixGroup, s: Subspace,
+                         known=frozenset()) -> Subgroup:
+    """{g : g v = v for every v in s}; the members of known, element
+    indices known to fix s, are taken without a test."""
     members = tuple(i for i, m in enumerate(group.elements)
-                    if s.fixed_pointwise_by(m))
+                    if i in known or s.fixed_pointwise_by(m))
     return Subgroup(group, members)
 
 
@@ -203,10 +206,13 @@ def stratify(chart: LocalChart) -> StrataReport:
     of the images; and for a member t R of the orbit of R, the meet of t R
     and Fix(h) is t times the meet of R and Fix(t^-1 h t).  So the
     closure is grown from one representative R per orbit, starting from
-    the full space: one scan of the elements gives Stab(R), the pointwise
-    stabilizer, and R is intersected only with the distinct element fixed
-    spaces of elements outside Stab(R) (the others contain R).  Each new
-    space's orbit is then walked (_orbit).
+    the full space: R is intersected only with the distinct element fixed
+    spaces of elements outside Stab(R), its pointwise stabilizer (the others
+    contain R).  A new meet's stabilizer is found by one scan of the
+    elements outside Stab(R), whose members fix the meet, a subspace of R.
+    Each new space's orbit is then walked (_orbit).  The element fixed
+    spaces take one kernel per cyclic subgroup <g>: Fix(g^k) = Fix(g)
+    whenever gcd(k, ord g) = 1, and the powers are read off the table.
     """
     n = chart.dim
     group = chart.group
@@ -214,8 +220,16 @@ def stratify(chart: LocalChart) -> StrataReport:
     # each distinct element fixed space, with the first element it is the
     # fixed space of
     element_spaces: dict[Subspace, int] = {}
+    fixed_of: dict[int, Subspace] = {}
     for i, m in enumerate(group.elements):
-        element_spaces.setdefault(kernel(m - ident), i)
+        if i not in fixed_of:
+            powers = [i]
+            while powers[-1]:
+                powers.append(group.mul(powers[-1], i))
+            fixed = kernel(m - ident)
+            fixed_of.update((p, fixed) for k, p in enumerate(powers, 1)
+                            if gcd(k, len(powers)) == 1)
+        element_spaces.setdefault(fixed_of[i], i)
     full = Subspace.full(n)
     isotropy = {full: pointwise_stabilizer(group, full)}
     reps = [full]
@@ -228,7 +242,7 @@ def stratify(chart: LocalChart) -> StrataReport:
             if meet not in isotropy:
                 reps.append(meet)
                 isotropy.update(_orbit(group, meet,
-                                       pointwise_stabilizer(group, meet)))
+                                       pointwise_stabilizer(group, meet, stab)))
     strata = []
     for space, iso in isotropy.items():
         in_bdy = (chart.boundary

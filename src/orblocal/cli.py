@@ -19,6 +19,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__, corpus, serialize
 from .charts import stratify
@@ -52,10 +53,38 @@ def _load(path: str) -> dict:
         raise SchemaError("$", "invalid JSON in %s (%s)" % (path, e)) from None
 
 
+def _json(v, pad: str = "\n") -> str:
+    """v as json.dumps(v, indent=2, sort_keys=True) writes it, for the types
+    a report holds: str, int, bool, None, lists and tuples, and dicts with
+    str keys; anything else raises TypeError.  pad is the newline and
+    indent of v's own line.  With an indent json.dumps runs its pure-Python
+    encoder, one generator per container; this is one call per value."""
+    if isinstance(v, str):
+        return _quote(v)
+    if v is None or v is True or v is False:
+        return "null" if v is None else "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    inner = pad + "  "
+    if isinstance(v, (list, tuple)):
+        items, ends = [_json(x, inner) for x in v], "[]"
+    elif isinstance(v, dict):
+        # sorted() or _quote raises TypeError on a key that is not a str
+        items, ends = [_quote(k) + ": " + _json(v[k], inner) for k in sorted(v)], "{}"
+    else:
+        raise TypeError("Object of type %s is not JSON serializable" % type(v).__name__)
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1]
+
+
 def _emit(report: dict, out_path: str | None, summary_lines: list[str]):
+    """Print the summary lines, then write the report as
+    json.dumps(report, indent=2, sort_keys=True) does (_json) to out_path,
+    or else to stdout."""
     for line in summary_lines:
         print(line)
-    blob = json.dumps(report, indent=2, sort_keys=True)
+    blob = _json(report)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(blob + "\n")

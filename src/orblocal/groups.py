@@ -22,6 +22,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain
+from math import gcd, prod
+from operator import mul
 from typing import Callable, Sequence
 
 from .ratlin import (
@@ -148,12 +151,13 @@ def _closure(one, generators: Sequence, product: Callable,
              before_new: Callable | None = None):
     """Breadth-first closure of generators from one under product.
 
-    Returns (elements, words, right, generator indices): elements in the
-    order they are reached, words[j] the generator positions that spell
-    element j, right[e] the indices of elements[e] times each generator, and
-    the index of each generator among the elements.  The search visits elements in index order, so right[e] is
-    appended as e is visited.  before_new(elements, words) runs before each
-    new element is added; it may raise to stop the closure.
+    Returns (elements, words, right, index): elements in the order they are
+    reached, words[j] the generator positions that spell element j,
+    right[e] the indices of elements[e] times each generator, and index
+    mapping each element to its position.  The search visits elements in
+    index order, so right[e] is appended as e is visited.
+    before_new(elements, words) runs before each new element is added; it
+    may raise to stop the closure.
     """
     elements = [one]
     words: list[tuple[int, ...]] = [()]
@@ -178,7 +182,27 @@ def _closure(one, generators: Sequence, product: Callable,
                 row.append(j)
             right.append(tuple(row))
         frontier = nxt
-    return elements, words, right, tuple(index[g] for g in generators)
+    return elements, words, right, index
+
+
+def _minkowski_bound(n: int) -> int:
+    """Minkowski's bound M(n) = prod_p p^(sum_k floor(n / (p^k (p - 1)))),
+    which the order of every finite subgroup of GL_n(Q) divides: 2, 24, 48,
+    5760, 11520 for n = 1..5."""
+    return prod(p ** sum(n // (p ** k * (p - 1)) for k in range(n))
+                for p in range(2, n + 2) if all(p % q for q in range(2, p)))
+
+
+def _times(e: tuple, g: tuple) -> tuple:
+    """The product of two matrices given as (den, num) keys in lowest terms,
+    the second one by its columns: the key of the product."""
+    (den, num), (gden, gcols) = e, g
+    num = tuple([tuple([sum(map(mul, row, col)) for col in gcols]) for row in num])
+    den *= gden
+    if den != 1 and (c := gcd(den, *chain.from_iterable(num))) != 1:
+        num = tuple([tuple([x // c for x in row]) for row in num])
+        den //= c
+    return den, num
 
 
 def generate_closure(dim: int, generators: list[Matrix],
@@ -187,14 +211,17 @@ def generate_closure(dim: int, generators: list[Matrix],
 
     Breadth-first from the identity, multiplying on the right by generators
     in the given order (_closure), so the element ordering is
-    deterministic.  Every product elements[e] * g is kept as an index in the
-    right-multiplication table right[e][s] (s the position of g in the
-    list).  Raises ClosureBoundExceeded if the closure passes max_order, or
-    with the same message at once if a generator has |det| != 1 (a rational
-    matrix of finite order has det +-1), or once the closure has 256
-    elements if an element of word length at most 2 (a generator or a
-    product of two, like the shear that two reflections can make)
-    _has_infinite_order.
+    deterministic.  The loop runs on the integer keys (den, num) of the
+    matrices, each generator taken by its columns once (_times), and makes
+    a Matrix only for each element it keeps.  Every product elements[e] * g
+    is kept as an index in the right-multiplication table right[e][s] (s
+    the position of g in the list).  Raises ClosureBoundExceeded if the
+    closure passes max_order or Minkowski's bound M(dim), which the order
+    of a finite rational group divides; with the same message at once if a
+    generator has |det| != 1 (a rational matrix of finite order has det
+    +-1); and once the closure has 256 elements if an element of word
+    length at most 2 (a generator or a product of two, like the shear that
+    two reflections can make) _has_infinite_order.
     """
     finite = True
     for g in generators:
@@ -208,16 +235,20 @@ def generate_closure(dim: int, generators: list[Matrix],
     exceeded = "closure exceeded %d elements" % max_order
     if not finite:
         raise ClosureBoundExceeded(exceeded)
+    limit = min(max_order, _minkowski_bound(dim))
 
     def bound(elements, words):
-        if len(elements) >= max_order or len(elements) == 256 and any(
-                _has_infinite_order(e)
-                for e, w in zip(elements, words) if 0 < len(w) <= 2):
+        if len(elements) >= limit or len(elements) == 256 and any(
+                _has_infinite_order(Matrix._make(num, den, dim))
+                for (den, num), w in zip(elements, words) if 0 < len(w) <= 2):
             raise ClosureBoundExceeded(exceeded)
 
-    elements, words, right, gen_indices = _closure(
-        Matrix.identity(dim), generators, Matrix.__mul__, bound)
-    return FiniteMatrixGroup(dim, elements, gen_indices, words, right)
+    elements, words, right, index = _closure(
+        (1, Matrix.identity(dim)._num),
+        [(g._den, tuple(zip(*g._num))) for g in generators], _times, bound)
+    return FiniteMatrixGroup(dim, [Matrix._make(num, den, dim) for den, num in elements],
+                             tuple(index[g._den, g._num] for g in generators),
+                             words, right)
 
 
 def close_in(parent: FiniteMatrixGroup, generators: Sequence[int]) -> FiniteMatrixGroup:
@@ -226,9 +257,9 @@ def close_in(parent: FiniteMatrixGroup, generators: Sequence[int]) -> FiniteMatr
     products read off the parent's table (FiniteMatrixGroup.mul) instead of
     multiplied.  Elements, words, table and generator indices are those
     generate_closure gives."""
-    members, words, right, gen_indices = _closure(0, generators, parent.mul)
+    members, words, right, index = _closure(0, generators, parent.mul)
     return FiniteMatrixGroup(parent.dim, [parent.elements[i] for i in members],
-                             gen_indices, words, right)
+                             tuple(index[g] for g in generators), words, right)
 
 
 class Subgroup(Record):

@@ -129,9 +129,10 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
     Pivots are sought in the first ncols columns; rows are updated in full.
     At each pivot p (the previous pivot prev starts at 1) every other row
     becomes (p row_i - row_i[c] row_r) // prev; by Sylvester's identity each
-    entry is then a minor of the input, so the division is exact.  Rows
-    with a zero in the pivot column are scaled by p / prev all the same,
-    which keeps later divisions exact.  Afterwards the first len(pivots)
+    entry is then a minor of the input, so the division is exact (and
+    skipped while prev is 1).  Rows with a zero in the pivot column are
+    scaled by p / prev all the same, which keeps later divisions exact.
+    Afterwards the first len(pivots)
     rows are d times the reduced echelon rows, d being the last pivot, and
     the other rows are zero in the first ncols columns.
 
@@ -158,7 +159,8 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
                 continue
             f = row[c]
             if f:
-                rows[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+                rows[i] = ([p * a - f * b for a, b in zip(row, prow)] if prev == 1
+                           else [(p * a - f * b) // prev for a, b in zip(row, prow)])
             elif p != prev:
                 rows[i] = [p * a // prev for a in row]
         pivots.append(c)
@@ -289,7 +291,7 @@ class Matrix:
         den = lcm(self._den, other._den)
         fa, fb = den // self._den, sign * (den // other._den)
         return Matrix._make(
-            tuple([tuple(a * fa + b * fb for a, b in zip(ra, rb))
+            tuple([tuple([a * fa + b * fb for a, b in zip(ra, rb)])
                    for ra, rb in zip(self._num, other._num)]),
             den, self.cols)
 
@@ -309,7 +311,7 @@ class Matrix:
                                  % (self.rows, self.cols, other.rows, other.cols))
             bt = tuple(zip(*other._num)) if other._num else ((),) * other.cols
             return Matrix._make(
-                tuple([tuple(sum(map(mul, row, col)) for col in bt)
+                tuple([tuple([sum(map(mul, row, col)) for col in bt])
                        for row in self._num]),
                 self._den * other._den, other.cols)
         return self.scale(other)
@@ -373,9 +375,6 @@ class Matrix:
             raise ValueError("matrix is singular")
         # rows = [d I | d num^-1], and the inverse of num / den is den num^-1
         return _over([[self._den * x for x in row[n:]] for row in rows], d, n)
-
-    def is_invertible(self) -> bool:
-        return self.rows == self.cols and self.rank() == self.rows
 
     def charpoly(self) -> tuple[Fraction, ...]:
         """Coefficients of det(xI - A), low degree first, monic.

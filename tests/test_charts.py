@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orblocal import charts
 from orblocal.ratlin import Matrix, Subspace, kernel, vec
 from orblocal.groups import GroupHom, NotAHomomorphism, Subgroup, verify_homomorphism
 from orblocal.onedim import no_retraction_hypothesis
@@ -248,6 +249,26 @@ class TestStrataReference:
         assert len(rep.strata) == 116
         assert rep == reference_stratify(chart)
 
+    def test_one_kernel_per_cyclic_subgroup(self, monkeypatch):
+        """stratify takes one element kernel per cyclic subgroup of a B3
+        conjugate, since Fix(g^k) = Fix(g) for k prime to the order of g."""
+        p = m([[1, F(1, 2), 0], [0, 1, F(-1, 3)], [2, 0, 1]])
+        chart = build_chart(3, conjugated(signed_permutations(3), p))
+        g = chart.group
+        cyclic = set()
+        for i in range(g.order):
+            powers, x = {0}, i
+            while x:
+                powers.add(x)
+                x = g.mul(x, i)
+            cyclic.add(frozenset(powers))
+        calls = []
+        monkeypatch.setattr(charts, "kernel", lambda a: calls.append(a) or kernel(a))
+        rep = stratify(chart)
+        monkeypatch.undo()
+        assert len(calls) == len(cyclic) < g.order
+        assert rep == reference_stratify(chart)
+
     def test_boundary_charts(self):
         # B2 on the first two coordinates of a half-space, conjugated in
         # them, and a product with a half-line
@@ -285,7 +306,7 @@ class TestStrataReference:
         entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
         p = data.draw(st.lists(st.lists(entries, min_size=3, max_size=3),
                                min_size=3, max_size=3).map(m).filter(
-                                   lambda a: a.is_invertible()))
+                                   lambda a: a.rank() == a.rows))
         chart = build_chart(3, conjugated([b3.element(i) for i in picks], p))
         assert stratify(chart) == reference_stratify(chart)
 

@@ -3,13 +3,15 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import orblocal
 
-from orblocal import __version__, corpus, germs
+from orblocal import __version__, cli, corpus, germs
 from orblocal.cli import build_parser, main
 from orblocal.corpus import builtin_documents
 from orblocal.ratlin import MultiPoly
@@ -501,3 +503,38 @@ class TestCorpus:
         first = open(o1, "rb").read()
         assert json.loads(first)["results"]
         assert first == open(o2, "rb").read()
+
+
+# the values a report holds: text with non-ASCII, control and escape
+# characters, big and negative ints, bools, None, and containers, empty or
+# nested
+REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 60, 10 ** 60)
+    | st.text(alphabet=st.characters(), max_size=12)
+    | st.sampled_from(["", "\"\\/\b\f\n\r\t", "\x00\x1f\x7f", "é☃\U0001f600", "\ud800"]),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=25)
+
+
+class TestReportWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(REPORT_VALUES)
+    def test_writes_what_json_dumps_writes(self, v):
+        assert cli._json(v) == json.dumps(v, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("v", [
+        1.5, Fraction(1, 2), {1: "a"}, {"a": [0, {None: 1}]}, [{"x": float("nan")}]])
+    def test_other_types_raise(self, v):
+        with pytest.raises(TypeError):
+            cli._json(v)
+
+    def test_out_file_holds_the_stdout_report(self, tmp_path, docs, capsys):
+        path = write(tmp_path, docs["germ-dihedral-radial"])
+        out = tmp_path / "report.json"
+        assert main(["analyze", path]) == 0
+        stdout = capsys.readouterr().out
+        assert main(["analyze", path, "--out", str(out)]) == 0
+        summary = capsys.readouterr().out
+        assert summary.startswith("PASS ") and summary.count("\n") == 1
+        assert stdout.encode() == summary.encode() + out.read_bytes()

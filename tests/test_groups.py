@@ -43,6 +43,32 @@ FLIP_X = m([[-1, 0], [0, 1]])
 FLIP_Y = m([[1, 0], [0, -1]])
 
 
+def closure_sizes(monkeypatch):
+    """A list that gets, each time a closure is about to add an element,
+    the number of elements it holds; its last entry is where a closure that
+    raised stopped."""
+    sizes = []
+    real = groups._closure
+
+    def spy(one, generators, product, before_new=None):
+        def before(elements, words):
+            sizes.append(len(elements))
+            if before_new is not None:
+                before_new(elements, words)
+        return real(one, generators, product, before)
+
+    monkeypatch.setattr(groups, "_closure", spy)
+    return sizes
+
+
+def plus_i2(rows):
+    """rows (+) the 2x2 identity: in dimension 4, where Minkowski's bound
+    5760 lies past 256 elements."""
+    n = len(rows)
+    return m([list(r) + [0, 0] for r in rows]
+             + [[0] * n + [int(i == j) for j in range(2)] for i in range(2)])
+
+
 def z2_line():
     return generate_closure(1, [NEG1])
 
@@ -91,8 +117,8 @@ class TestClosure:
     ])
     def test_infinite_order_fails_fast(self, gen):
         """Each of the four tests alone proves one generator infinite, so the
-        closure stops at 256 elements, not at the order bound, with the
-        bound's message."""
+        closure stops at 256 elements at the latest (at Minkowski's bound 24
+        in dimension 2), not at the order bound, with the bound's message."""
         g = m(gen)
         assert groups._has_infinite_order(g)
         start = time.perf_counter()
@@ -102,15 +128,15 @@ class TestClosure:
 
     def test_generators_tested_once_at_256_elements(self, monkeypatch):
         """The test runs once per closure, when it reaches 256 elements, on
-        the generators and the products of two: the shear stops there under
-        a bound of 1000, a group of order 384 (the signed permutations of 4
-        coordinates, rationally conjugated) tests its three generators and
-        their products of two and closes, and a small group never tests."""
+        the generators and the products of two: the shear (+) I2 stops there
+        under a bound of 1000, a group of order 384 (the signed permutations
+        of 4 coordinates, rationally conjugated) tests its three generators
+        and their products of two and closes, and a small group never tests."""
         seen = []
         real = groups._has_infinite_order
         monkeypatch.setattr(groups, "_has_infinite_order", lambda g: seen.append(g) or real(g))
         with pytest.raises(ClosureBoundExceeded, match="^closure exceeded 1000 elements$"):
-            generate_closure(2, [m([[1, 1], [0, 1]])], max_order=1000)
+            generate_closure(4, [plus_i2([[1, 1], [0, 1]])], max_order=1000)
         assert len(seen) == 1
         seen.clear()
         g = b4_conjugate()
@@ -122,17 +148,48 @@ class TestClosure:
         assert generate_closure(2, [ROT4, FLIP_X]).order == 8 and seen == []
 
     def test_infinite_group_of_finite_order_generators_hits_the_bound(self, monkeypatch):
-        """Two reflections whose product is a shear generate an infinite
-        group; each has finite order, but the shear, a product of two
-        generators, is tested at 256 elements and stops the closure there
-        with the message of the order bound.  Running to the bound of
-        10,000 elements would take 20,005 matrix products."""
+        """Two reflections (+) I2 whose product is a shear (+) I2 generate an
+        infinite group; each has finite order, but the shear, a product of
+        two generators, is tested at 256 elements and stops the closure
+        there with the message of the order bound, not at 10,000."""
+        sizes = closure_sizes(monkeypatch)
+        with pytest.raises(ClosureBoundExceeded, match="^closure exceeded 10000 elements$"):
+            generate_closure(4, [plus_i2([[-1, 0], [0, 1]]), plus_i2([[-1, 1], [0, 1]])])
+        assert sizes[-1] == 256
+
+    def test_minkowski_bound(self):
+        assert [groups._minkowski_bound(n) for n in range(7)] == [
+            1, 2, 24, 48, 5760, 11520, 2903040]
+
+    def test_affine_reflections_stop_at_the_minkowski_bound(self, monkeypatch):
+        """The simple reflections s_i(a_j) = a_j - A_ij a_i of the affine
+        Cartan matrix of type A2 (2 on the diagonal, -1 off it) generate the
+        infinite affine Weyl group, though every word of length at most 2
+        has order 1, 2 or 3.  A finite group in GL_3(Q) has order dividing
+        48, so the closure stops before its 49th element."""
+        cartan = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+        gens = [m([[int(k == j) - cartan[i][j] * (k == i) for j in range(3)]
+                   for k in range(3)]) for i in range(3)]
+        assert all(g * g == Matrix.identity(3) for g in gens)
+        sizes = closure_sizes(monkeypatch)
+        start = time.perf_counter()
+        with pytest.raises(ClosureBoundExceeded, match="^closure exceeded 10000 elements$"):
+            generate_closure(3, gens)
+        assert sizes[-1] == 48
+        assert time.perf_counter() - start < 0.1
+
+    def test_closure_multiplies_no_matrices(self, monkeypatch):
+        """The closure multiplies integer keys, not Matrix objects, and
+        gives the elements, words and table of a Matrix closure."""
+        gens = b3_conjugate().generators
         products = []
         real = Matrix.__mul__
         monkeypatch.setattr(Matrix, "__mul__", lambda a, b: products.append(1) or real(a, b))
-        with pytest.raises(ClosureBoundExceeded, match="^closure exceeded 10000 elements$"):
-            generate_closure(2, [m([[-1, 0], [0, 1]]), m([[-1, 1], [0, 1]])])
-        assert len(products) < 600
+        g = generate_closure(3, list(gens))
+        assert g.order == 48 and products == []
+        monkeypatch.undo()
+        ref = groups._closure(Matrix.identity(3), gens, Matrix.__mul__)
+        assert (list(g.elements), list(g.words), list(g.right)) == ref[:3]
 
     def test_idempotence(self):
         g = generate_closure(2, [ROT3, SWAP])
@@ -784,7 +841,7 @@ class TestReynolds:
         entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
         p = data.draw(st.lists(st.lists(entries, min_size=3, max_size=3),
                                min_size=3, max_size=3).map(m).filter(
-                                   lambda a: a.is_invertible()))
+                                   lambda a: a.rank() == a.rows))
         grp = generate_closure(3, conjugated(p, [b3.element(i) for i in picks]))
         for h in index2_subgroups(grp) + [grp.full_subgroup()]:
             assert fixed_subspace(h) == fixed_by_kernels(h)

@@ -255,7 +255,7 @@ def test_det_and_inverse(a):
     if d == 0:
         with pytest.raises(ValueError):
             m.inverse()
-        assert not m.is_invertible()
+        assert m.rank() != m.rows
     else:
         n = len(a)
         inv, _ = ref_rref([list(row) + [F(int(i == j)) for j in range(n)]
