@@ -16,18 +16,18 @@ chart embeddings.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .ratlin import (
     Matrix,
     Record,
     Subspace,
-    kernel,
     restrict_to_subspace,
     vec,
     vec_add,
     QONE,
     QZERO,
+    _null_space,
     _set,
 )
 from .groups import (
@@ -151,13 +151,10 @@ def isotropy_at(chart: LocalChart, point) -> Subgroup:
     return pointwise_stabilizer(chart.group, Subspace.from_vectors(chart.dim, [p]))
 
 
-def pointwise_stabilizer(group: FiniteMatrixGroup, s: Subspace,
-                         known=frozenset()) -> Subgroup:
-    """{g : g v = v for every v in s}; the members of known, element
-    indices known to fix s, are taken without a test."""
-    members = tuple(i for i, m in enumerate(group.elements)
-                    if i in known or s.fixed_pointwise_by(m))
-    return Subgroup(group, members)
+def pointwise_stabilizer(group: FiniteMatrixGroup, s: Subspace) -> Subgroup:
+    """{g : g v = v for every v in s}."""
+    return Subgroup(group, tuple(i for i, m in enumerate(group.elements)
+                                 if s.fixed_pointwise_by(m)))
 
 
 class Stratum(Record):
@@ -199,75 +196,97 @@ def stratify(chart: LocalChart) -> StrataReport:
 
     Every isotropy group that occurs is the pointwise stabilizer of the
     fixed subspace Fix(H) of some subgroup H.  Since Fix(<S>) is the
-    intersection of the element fixed spaces ker(s - I) over s in S, the
-    spaces Fix(H) are exactly the intersection closure of the element fixed
-    spaces.  That closure is a union of G-orbits, because
-    g Fix(h) = Fix(g h g^-1) and g maps an intersection to the intersection
-    of the images; and for a member t R of the orbit of R, the meet of t R
-    and Fix(h) is t times the meet of R and Fix(t^-1 h t).  So the
-    closure is grown from one representative R per orbit, starting from
-    the full space: R is intersected only with the distinct element fixed
-    spaces of elements outside Stab(R), its pointwise stabilizer (the others
-    contain R).  A new meet's stabilizer is found by one scan of the
-    elements outside Stab(R), whose members fix the meet, a subspace of R.
-    Each new space's orbit is then walked (_orbit).  The element fixed
-    spaces take one kernel per cyclic subgroup <g>: Fix(g^k) = Fix(g)
-    whenever gcd(k, ord g) = 1, and the powers are read off the table.
+    intersection of the element fixed spaces over s in S, the spaces Fix(H)
+    form the lattice of the element fixed spaces (their intersection
+    closure), and the pointwise stabilizer Stab(M) of a space M is the union
+    of the classes of elements whose fixed space contains M.  The fixed
+    spaces take one kernel per cyclic subgroup <g>, of the integer rows
+    num - den I of g = num / den: Fix(g^k) = Fix(g) whenever
+    gcd(k, ord g) = 1, and the powers are read off the table.
+
+    The lattice is a union of G-orbits, since g Fix(h) = Fix(g h g^-1) and
+    t R meets Fix(h) in t times the meet of R and Fix(t^-1 h t).  So it is
+    grown from one representative R per orbit, starting from the full
+    space, and each new space's orbit is walked (_orbit).  R is met with the
+    classes outside Stab(R) (the others contain R) once per orbit of Stab(R)
+    acting on them by conjugation, as h in Stab(R) fixes R pointwise and
+    h Fix(g) = Fix(h g h^-1); a line meets each of them in 0.  A new meet M
+    is fixed by Stab(R) and the orbit it was met with; each other class
+    takes one membership test of M's echelon rows.  Strata are sorted by
+    echelon rows, as integers over the lcm of their denominators.
     """
-    n = chart.dim
-    group = chart.group
-    ident = Matrix.identity(n)
-    # each distinct element fixed space, with the first element it is the
-    # fixed space of
-    element_spaces: dict[Subspace, int] = {}
-    fixed_of: dict[int, Subspace] = {}
+    n, group = chart.dim, chart.group
+    mul = group.mul
+    spaces: dict[Subspace, int] = {}  # each distinct element fixed space, to its class
+    classes: dict[int, list[int]] = {}  # the ascending elements of each class
+    class_of = [-1] * group.order
     for i, m in enumerate(group.elements):
-        if i not in fixed_of:
+        if class_of[i] < 0:
             powers = [i]
             while powers[-1]:
-                powers.append(group.mul(powers[-1], i))
-            fixed = kernel(m - ident)
-            fixed_of.update((p, fixed) for k, p in enumerate(powers, 1)
-                            if gcd(k, len(powers)) == 1)
-        element_spaces.setdefault(fixed_of[i], i)
+                powers.append(mul(powers[-1], i))
+            d = m._den
+            c = spaces.setdefault(_null_space([[x - d * (j == k) for k, x in enumerate(row)]
+                                               for j, row in enumerate(m._num)], n), len(spaces))
+            for k, p in enumerate(powers, 1):
+                if gcd(k, len(powers)) == 1:
+                    class_of[p] = c
+        classes.setdefault(class_of[i], []).append(i)
+    fixed = list(spaces)
     full = Subspace.full(n)
-    isotropy = {full: pointwise_stabilizer(group, full)}
+    isotropy = {full: Subgroup(group, (0,))}
     reps = [full]
     for rep in reps:  # grows while it is walked
-        stab = set(isotropy[rep].members)
-        for fixed, i in element_spaces.items():
-            if i in stab:
+        stab = isotropy[rep]
+        inside = {class_of[i] for i in stab.members}
+        outside = [c for c in classes if c not in inside]
+        if outside and rep.dim == 1:
+            if (zero := Subspace.zero(n)) not in isotropy:
+                isotropy[zero] = group.full_subgroup()
+            continue
+        gens = [(s, group.inv(s)) for s in stab.generators]
+        seen: set[int] = set()
+        for c in outside:
+            if c in seen:
                 continue
-            meet = rep.intersect(fixed)
+            seen.add(c)
+            orbit = [c]
+            for o in orbit:  # grows while it is walked
+                for s, s_inv in gens:
+                    if (e := class_of[mul(mul(s, classes[o][0]), s_inv)]) not in seen:
+                        seen.add(e)
+                        orbit.append(e)
+            meet = rep.intersect(fixed[c])
             if meet not in isotropy:
                 reps.append(meet)
-                isotropy.update(_orbit(group, meet,
-                                       pointwise_stabilizer(group, meet, stab)))
-    strata = []
-    for space, iso in isotropy.items():
-        in_bdy = (chart.boundary
-                  and all(b[-1] == 0 for b in space.basis))
-        strata.append(Stratum(
-            isotropy=iso,
-            fixed_space=space,
-            dimension=space.dim,
-            codimension=n - space.dim,
-            in_boundary=in_bdy,
-        ))
-    strata.sort(key=lambda s: (-s.dimension, s.fixed_space.basis))
-    return StrataReport(chart, tuple(strata))
+                rows, met = meet.echelon._num, set(orbit)
+                members = [i for o in outside if o in met or all(map(fixed[o]._spans, rows))
+                           for i in classes[o]]
+                isotropy.update(_orbit(group, meet, Subgroup(
+                    group, tuple(sorted(stab.members + tuple(members))))))
+    scale = lcm(*(space.echelon._den for space in isotropy))
+    return StrataReport(chart, tuple(sorted(
+        (Stratum(iso, space, space.dim, n - space.dim,
+                 chart.boundary and not any(row[-1] for row in space.echelon._num))
+         for space, iso in isotropy.items()),
+        key=lambda s: (-s.dimension, [[x * (scale // s.fixed_space.echelon._den) for x in row]
+                                      for row in s.fixed_space.echelon._num]))))
 
 
 def _orbit(group: FiniteMatrixGroup, space: Subspace,
            stab: Subgroup) -> dict[Subspace, Subgroup]:
-    """The G-orbit of a subspace, each member with its pointwise stabilizer.
+    """The G-orbit of a space of the lattice, each member with its pointwise
+    stabilizer.
 
     The orbit algorithm with a Schreier vector (Holt, Eick and O'Brien,
     Handbook of Computational Group Theory, 4.1): each member S = t space
     keeps its transporting element t and t^-1, and a generator s moves it to
-    s S = (s t) space, the span of s applied to the echelon rows of S.  The
-    pointwise stabilizer of S is t stab t^-1, so a generator in it fixes S
-    and needs no image.  The zero and full spaces are their own orbits.
+    s S = (s t) space, whose pointwise stabilizer is u stab u^-1 for
+    u = s t, read off the table.  A space of the lattice is the fixed space
+    of its pointwise stabilizer, so that conjugate tells whether s S is new;
+    only then is s S formed, the span of s applied to the echelon rows of S.
+    A generator in the stabilizer of S fixes S and is skipped.  The zero
+    and full spaces are their own orbits.
     """
     if space.is_zero() or space.is_full():
         return {space: stab}
@@ -275,19 +294,20 @@ def _orbit(group: FiniteMatrixGroup, space: Subspace,
     gens = [(s, group.inv(s), group.element(s).transpose())
             for s in dict.fromkeys(group.generator_indices)]
     found = {space: stab}
+    seen = {stab.members}
     walk = [(space, 0, 0)]
     for member, t, t_inv in walk:  # grows while it is walked
         iso = set(found[member].members)
         for s, s_inv, s_t in gens:
             if s in iso:
                 continue
-            image = Subspace.row_space(member.echelon * s_t)
-            if image in found:
-                continue
             u, u_inv = mul(s, t), mul(t_inv, s_inv)
-            found[image] = Subgroup(group, tuple(sorted(
-                mul(mul(u, h), u_inv) for h in stab.members)))
-            walk.append((image, u, u_inv))
+            members = tuple(sorted([mul(mul(u, h), u_inv) for h in stab.members]))
+            if members not in seen:
+                seen.add(members)
+                image = Subspace.row_space(member.echelon * s_t)
+                found[image] = Subgroup(group, members)
+                walk.append((image, u, u_inv))
     return found
 
 

@@ -21,7 +21,7 @@ On top of germs this module builds:
   kernel of the homomorphism, negated), with its algebraic identity suite:
   the composition identities of gamma -> gamma - I are checked on every
   pair of the kernel, each pair as one dot product of integer-packed
-  matrices,
+  matrices (plain products when some A(gamma) is not gamma - I),
 * faithfulness of the homomorphism kernel inside the quotient,
 * obstruction certificates for the existence of germs with a regular center
   value, and
@@ -37,7 +37,7 @@ import math
 import random
 import sys
 from fractions import Fraction
-from operator import and_, mul, or_
+from operator import and_, lshift, mul, or_
 from typing import Iterator, Sequence
 
 from .ratlin import (
@@ -458,66 +458,65 @@ _COCYCLE_IDENTITIES = ("left-twisted", "right-twisted", "product")
 
 
 def cocycle_identities(proj: InvariantProjection) -> CocycleReport:
-    """Check the three composition identities of gamma -> gamma - I on N x N.
+    """Check the three composition identities of gamma -> A(gamma) on N x N.
 
     For all gamma, delta in N:
         A(gamma delta) = A(gamma) + gamma A(delta)
                        = A(delta) + A(gamma) delta
                        = A(delta) + A(gamma) + A(gamma) A(delta)
 
-    Every pair and every identity is checked exactly, with one n-term
-    integer dot product per pair.  With E(gamma) = A(gamma) + I and
-    Delta(gamma) = A(gamma) - gamma + I, the residuals R1, R2, R3 of the
-    three identities (left side minus right side) are, in any ring,
+    Every pair and every identity is checked exactly.  With E(gamma) =
+    A(gamma) + I and Delta(gamma) = A(gamma) - gamma + I, the residuals R1,
+    R2, R3 of the three identities (left side minus right side) are, in any
+    ring,
         R3 = E(gamma delta) - E(gamma) E(delta),
         R2 = R3 + A(gamma) Delta(delta),   R1 = R3 + Delta(gamma) A(delta).
-    Over the common denominator D of every A(gamma) and gamma, the hatted
-    matrices E^ = D E, A^ = D A and Delta^ = D Delta are integer, and so is
-    D^2 R3 = D E^(gamma delta) - E^(gamma) E^(delta), which is zero exactly
-    when R3 is; likewise for R2 and R1.
-
-    Each integer matrix is packed into one integer by Kronecker
-    substitution, key(M) = sum M[i][j] 2^(b (n i + j)).  The key is zero
-    only for the zero matrix as long as every entry has absolute value
-    below 2^(b-1), since each entry is then one signed base-2^b digit; b is
-    chosen from the bound D max|E^| + 2 n max^2 (max over the entries of
-    E^, A^ and Delta^) on every entry of the three scaled residuals.  With
-    the row-packed l(gamma)_k = sum_i E^(gamma)[i][k] 2^(b n i) and the
-    column-packed u(delta)_k = sum_j E^(delta)[k][j] 2^(b j), the key of
-    E^(gamma) E^(delta) is the dot product l(gamma) . u(delta), so the
-    packed D^2 R3 is D key(E^(gamma delta)) - l(gamma) . u(delta).  R2 and
-    R1 add the products of A^ and Delta^ packed the same way, formed only
-    when some Delta is nonzero.  A projection built by invariant_projection
-    has A(gamma) = gamma - I, so Delta is zero, all three residuals are R3,
-    and a pair whose R3 is nonzero fails all three identities.
-
-    For each delta the members gamma delta are read off the parent's
-    generator table all at once, by walking delta's generator word.  The
-    failures name (gamma, delta, identity), ordered gamma first, then
-    delta, then identity as listed above.
+    When some Delta(gamma) is nonzero, every pair is checked on the three
+    identities with plain Matrix products.  A projection built by
+    invariant_projection has A(gamma) = gamma - I (_is_minus_identity), so
+    every Delta vanishes, E(gamma) = gamma, all three residuals are R3, and
+    a pair whose R3 is nonzero fails all three identities.  R3 is checked
+    with one n-term integer dot product per pair: over the common
+    denominator D of the members, E^(gamma) = D gamma is integer, and so is
+    D^2 R3 = D E^(gamma delta) - E^(gamma) E^(delta), zero exactly when R3
+    is.  Each integer matrix is packed into one integer by Kronecker
+    substitution, key(M) = sum M[i][j] 2^(b (n i + j)), which is zero only
+    for the zero matrix while every entry is one signed base-2^b digit
+    (_digit_bits).  With the row-packed l(gamma)_k = sum_i E^(gamma)[i][k]
+    2^(b n i) and the column-packed u(delta)_k = sum_j E^(delta)[k][j]
+    2^(b j), the key of E^(gamma) E^(delta) is the dot product
+    l(gamma) . u(delta), so the packed D^2 R3 is D key(E^(gamma delta)) -
+    l(gamma) . u(delta).  For each delta the members gamma delta are read
+    off the parent's generator table all at once, by walking delta's
+    generator word.  The failures name (gamma, delta, identity), ordered
+    gamma first, then delta, then identity as listed above.
     """
     grp = proj.n_group.parent
     members = proj.n_group.members
+    amap = dict(proj.a_gamma)
+    elements = grp.elements
+    pairs = len(members) ** 2
+    if not all(_is_minus_identity(amap[gi], elements[gi]) for gi in members):
+        failures = []
+        for gi in members:
+            g, a_g = elements[gi], amap[gi]
+            for di in members:
+                a_d, a_gd = amap[di], amap[grp.mul(gi, di)]
+                rights = (a_g + g * a_d, a_d + a_g * elements[di], a_d + a_g + a_g * a_d)
+                failures += [(gi, di, name) for name, r in zip(_COCYCLE_IDENTITIES, rights)
+                             if a_gd != r]
+        return CocycleReport(pairs_checked=pairs, ok=not failures, failures=tuple(failures))
     n = grp.dim
-    den, a_hat, e_hat, d_hat = _hatted(proj)
-    delta_zero = not any(x for d in d_hat for row in d for x in row)
-    b = _digit_bits(den, n, a_hat + e_hat + d_hat)
-    step = b * n
-
-    def row_packed(ms):
-        return [[_pack(col, step) for col in zip(*m)] for m in ms]
-
-    def col_packed(ms):
-        return [[_pack(row, b) for row in m] for m in ms]
-
-    l_e, u_e = row_packed(e_hat), col_packed(e_hat)
+    den = math.lcm(*(elements[gi]._den for gi in members))
+    e_hat = [[[x * (den // elements[gi]._den) for x in row] for row in elements[gi]._num]
+             for gi in members]
+    b = _digit_bits(den, n, e_hat)
+    l_e = [[_pack(col, b * n) for col in zip(*e)] for e in e_hat]
+    u_e = [[_pack(row, b) for row in e] for e in e_hat]
     # D key(E^(gamma)), indexed by the parent's element index
     e_key = [0] * grp.order
     for gi, u in zip(members, u_e):
-        e_key[gi] = den * _pack(u, step)
-    if not delta_zero:
-        l_a, u_a = row_packed(a_hat), col_packed(a_hat)
-        l_d, u_d = row_packed(d_hat), col_packed(d_hat)
+        e_key[gi] = den * _pack(u, b * n)
     right, words = grp.right, grp.words
     bad = []
     for dpos, di in enumerate(members):
@@ -526,59 +525,34 @@ def cocycle_identities(proj: InvariantProjection) -> CocycleReport:
             col = [right[c][s] for c in col]
         ue = u_e[dpos]
         r3 = [e_key[c] - sum(map(mul, lg, ue)) for c, lg in zip(col, l_e)]
-        if delta_zero:
-            if any(r3):
-                bad.extend((gpos, dpos, k) for gpos, r in enumerate(r3) if r
-                           for k in range(3))
-            continue
-        ua, ud = u_a[dpos], u_d[dpos]
-        r2 = [r + sum(map(mul, lg, ud)) for r, lg in zip(r3, l_a)]
-        r1 = [r + sum(map(mul, lg, ua)) for r, lg in zip(r3, l_d)]
-        for k, rs in enumerate((r1, r2, r3)):
-            bad.extend((gpos, dpos, k) for gpos, r in enumerate(rs) if r)
-    failures = tuple((members[g], members[d], _COCYCLE_IDENTITIES[k])
-                     for g, d, k in sorted(bad))
-    return CocycleReport(pairs_checked=len(members) ** 2, ok=not failures,
-                         failures=failures)
+        if any(r3):
+            bad.extend((gpos, dpos) for gpos, r in enumerate(r3) if r)
+    failures = tuple((members[g], members[d], name) for g, d in sorted(bad)
+                     for name in _COCYCLE_IDENTITIES)
+    return CocycleReport(pairs_checked=pairs, ok=not failures, failures=failures)
 
 
-def _hatted(proj: InvariantProjection):
-    """(D, A^, E^, Delta^): the common denominator D of every A(gamma) and
-    gamma in N, and the integer rows of D A(gamma), D E(gamma) and
-    D Delta(gamma), each a list in member order."""
-    grp = proj.n_group.parent
-    members = proj.n_group.members
-    amap = dict(proj.a_gamma)
-    den = math.lcm(*(m._den for gi in members for m in (amap[gi], grp.element(gi))))
-
-    def scaled(m: Matrix) -> list[list[int]]:
-        f = den // m._den
-        return [[x * f for x in row] for row in m._num]
-
-    a_hat = [scaled(amap[gi]) for gi in members]
-    e_hat = [[[x + den * (i == j) for j, x in enumerate(row)]
-              for i, row in enumerate(a)] for a in a_hat]
-    d_hat = [[[x - y for x, y in zip(er, gr)]
-              for er, gr in zip(e, scaled(grp.element(gi)))]
-             for e, gi in zip(e_hat, members)]
-    return den, a_hat, e_hat, d_hat
+def _is_minus_identity(a: Matrix, g: Matrix) -> bool:
+    """Whether a = g - I, on integer rows: g = num / den in lowest terms
+    makes g - I = (num - den I) / den in lowest terms too."""
+    d = g._den
+    return a._den == d and a._num == tuple([
+        tuple([x - d if i == j else x for j, x in enumerate(row)])
+        for i, row in enumerate(g._num)])
 
 
-def _digit_bits(den: int, n: int, mats) -> int:
-    """The digit width b for packing the residuals of n x n integer matrices.
-
-    An entry of D^2 R3 = D E^(gamma delta) - E^(gamma) E^(delta) is at most
-    D t + n t^2 in absolute value, t the largest entry of mats, and R1 and
-    R2 add one more product, n t^2.  So 2^(b-1) > D t + 2 n t^2 keeps every
-    entry one signed digit.
-    """
-    top = max(abs(x) for m in mats for row in m for x in row)
-    return (den * top + 2 * n * top * top).bit_length() + 1
+def _digit_bits(den: int, n: int, e_hat) -> int:
+    """The digit width b for packing D^2 R3 = D E^(gamma delta) -
+    E^(gamma) E^(delta), n x n: each entry is at most D t + n t^2 in
+    absolute value, t the largest entry of e_hat, so 2^(b-1) > D t + n t^2
+    keeps every entry one signed digit."""
+    top = max(max(map(abs, row)) for m in e_hat for row in m)
+    return (den * top + n * top * top).bit_length() + 1
 
 
 def _pack(digits, step: int) -> int:
     """Kronecker substitution: sum digits[j] 2^(step j), one signed digit each."""
-    return sum(x << (step * j) for j, x in enumerate(digits))
+    return sum(map(lshift, digits, range(0, step * len(digits), step)))
 
 
 class FaithfulnessReport(Record):

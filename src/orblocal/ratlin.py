@@ -538,19 +538,24 @@ class Subspace(Record):
 
 def kernel(m: Matrix) -> Subspace:
     """Exact kernel of a rational matrix, read off its integer reduced rows."""
-    rows = [list(row) for row in m._num]
-    pivots, d, _ = _eliminate(rows, m.cols)
+    return _null_space([list(row) for row in m._num], m.cols)
+
+
+def _null_space(rows: list[list[int]], n: int) -> Subspace:
+    """The kernel of the integer rows of length n (the list is reduced in
+    place): the kernel of any matrix num / den with these rows as num."""
+    pivots, d, _ = _eliminate(rows, n)
     pivot_set = set(pivots)
     vecs = []
-    for j in range(m.cols):
+    for j in range(n):
         if j not in pivot_set:
             # d times the kernel vector with a 1 in free column j
-            v = [0] * m.cols
+            v = [0] * n
             v[j] = d
             for row, c in zip(rows, pivots):
                 v[c] = -row[j]
             vecs.append(v)
-    return Subspace._from_rows(m.cols, vecs)
+    return Subspace._from_rows(n, vecs)
 
 
 def kernel_image_rank(m: Matrix) -> tuple[Subspace, Subspace, int]:

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from orblocal import charts
 from orblocal.ratlin import Matrix, Subspace, kernel, vec
-from orblocal.groups import GroupHom, NotAHomomorphism, Subgroup, verify_homomorphism
+from orblocal.groups import (
+    GroupHom, NotAHomomorphism, Subgroup, close_in, verify_homomorphism)
 from orblocal.onedim import no_retraction_hypothesis
 from orblocal.charts import (
     BoundaryViolation,
@@ -249,9 +250,26 @@ class TestStrataReference:
         assert len(rep.strata) == 116
         assert rep == reference_stratify(chart)
 
+    def test_b4_conjugate_meets_once_per_stabilizer_orbit(self, monkeypatch):
+        """On the B4 conjugate, meeting each representative once per orbit of
+        its stabilizer on the element classes takes fewer than the 1,191
+        intersections that meeting every distinct element fixed space outside
+        the stabilizer takes."""
+        p = m([[1, F(1, 2), 0, 0], [0, 1, F(-1, 3), 0], [0, 0, 1, 2], [F(1, 5), 0, 0, 1]])
+        chart = build_chart(4, conjugated(signed_permutations(4), p))
+        calls = []
+        meet = Subspace.intersect
+        monkeypatch.setattr(Subspace, "intersect",
+                            lambda a, b: calls.append(b) or meet(a, b))
+        rep = stratify(chart)
+        monkeypatch.undo()
+        assert len(calls) < 600
+        assert rep == reference_stratify(chart)
+
     def test_one_kernel_per_cyclic_subgroup(self, monkeypatch):
         """stratify takes one element kernel per cyclic subgroup of a B3
-        conjugate, since Fix(g^k) = Fix(g) for k prime to the order of g."""
+        conjugate, since Fix(g^k) = Fix(g) for k prime to the order of g;
+        the kernels are taken on integer rows (charts._null_space)."""
         p = m([[1, F(1, 2), 0], [0, 1, F(-1, 3)], [2, 0, 1]])
         chart = build_chart(3, conjugated(signed_permutations(3), p))
         g = chart.group
@@ -263,7 +281,9 @@ class TestStrataReference:
                 x = g.mul(x, i)
             cyclic.add(frozenset(powers))
         calls = []
-        monkeypatch.setattr(charts, "kernel", lambda a: calls.append(a) or kernel(a))
+        null_space = charts._null_space
+        monkeypatch.setattr(charts, "_null_space",
+                            lambda rows, n: calls.append(rows) or null_space(rows, n))
         rep = stratify(chart)
         monkeypatch.undo()
         assert len(calls) == len(cyclic) < g.order
@@ -309,6 +329,87 @@ class TestStrataReference:
                                    lambda a: a.rank() == a.rows))
         chart = build_chart(3, conjugated([b3.element(i) for i in picks], p))
         assert stratify(chart) == reference_stratify(chart)
+
+
+def cartan_reflections(cartan):
+    """The simple reflections s_i(a_j) = a_j - A[i][j] a_i of a Cartan
+    matrix A, on the basis of simple roots a_j."""
+    n = len(cartan)
+    return [m([[int(r == c) - (cartan[i][c] if r == i else 0) for c in range(n)]
+               for r in range(n)]) for i in range(n)]
+
+
+CARTAN = {
+    "A3": ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], 24),
+    "B3": ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], 48),
+    "D4": ([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]], 192),
+    "F4": ([[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]], 1152),
+}
+
+
+def steinberg_strata(chart):
+    """The strata of a reflection group by Steinberg's theorem, as
+    (space, dimension, isotropy members) in stratify's order: the spaces
+    are the flats of the arrangement of reflection hyperplanes (every
+    intersection of them, the full space included), and the isotropy of a
+    flat is generated by the reflections whose hyperplane contains it."""
+    group, n = chart.group, chart.dim
+    ident = Matrix.identity(n)
+    hyperplanes = {}
+    for i, g in enumerate(group.elements):
+        fixed = kernel(g - ident)
+        if fixed.dim == n - 1:
+            hyperplanes.setdefault(fixed, []).append(i)
+    flats = [Subspace.full(n)]
+    seen = set(flats)
+    for flat in flats:  # grows while it is walked
+        for h in hyperplanes:
+            meet = flat.intersect(h)
+            if meet not in seen:
+                seen.add(meet)
+                flats.append(meet)
+    out = []
+    for flat in flats:
+        reflections = [r for h, rs in hyperplanes.items()
+                       if all(h.contains(b) for b in flat.basis) for r in rs]
+        closed = close_in(group, reflections)
+        out.append((flat, flat.dim, sorted(group.index_of(e) for e in closed.elements)))
+    out.sort(key=lambda s: (-s[1], s[0].basis))
+    return out
+
+
+class TestSteinbergOracle:
+    """stratify on reflection groups against the flats of their reflection
+    arrangements (Steinberg, Trans. AMS 112 (1964))."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from(["A3", "B3", "D4"]), st.data())
+    def test_random_conjugates(self, name, data):
+        cartan, order = CARTAN[name]
+        n = len(cartan)
+        entries = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+        p = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                               min_size=n, max_size=n).map(m).filter(
+                                   lambda a: a.rank() == a.rows))
+        chart = build_chart(n, conjugated(cartan_reflections(cartan), p))
+        assert chart.group.order == order
+        self.check(chart)
+
+    def test_f4_conjugate(self):
+        cartan, order = CARTAN["F4"]
+        p = m([[1, F(1, 2), 0, 0], [0, 1, F(-1, 3), 0], [0, 0, 1, 2], [F(1, 5), 0, 0, 1]])
+        chart = build_chart(4, conjugated(cartan_reflections(cartan), p))
+        assert chart.group.order == order
+        self.check(chart)
+
+    @staticmethod
+    def check(chart):
+        rep = stratify(chart)
+        got = [(s.fixed_space, s.dimension, s.isotropy.order, list(s.isotropy.members))
+               for s in rep.strata]
+        want = [(space, dim, len(members), members)
+                for space, dim, members in steinberg_strata(chart)]
+        assert got == want
 
 
 class TestCodimOne:

@@ -5,10 +5,11 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from math import lcm
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import orblocal
 from orblocal.ratlin import (
@@ -25,7 +26,8 @@ from orblocal.ratlin import (
     poly_trim,
 )
 from orblocal.groups import (
-    GroupHom, NotAHomomorphism, close_in, generate_closure, verify_homomorphism)
+    FiniteMatrixGroup, GroupHom, NotAHomomorphism, Subgroup, close_in, generate_closure,
+    verify_homomorphism)
 from orblocal.charts import (
     ChartEmbedding, build_chart, isotropy_at, stratify, verify_embedding)
 from orblocal import germs
@@ -451,15 +453,39 @@ class TestCocycle:
         assert (rep.pairs_checked, rep.failures) == cocycle_reference(bad)
         assert rep.ok == (not rep.failures)
 
-    @settings(max_examples=8, deadline=None)
-    @given(st.sampled_from(["x-squared-plane", "b3"]), st.data())
-    def test_digit_width_bounds_every_scaled_residual(self, name, data):
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from(["x-squared-plane", "dihedral-radial", "b3"]), st.data())
+    def test_packed_check_matches_reference_on_corrupted_tables(self, name, data):
+        # every A(gamma) is gamma - I, so the packed check runs, but the
+        # table gives some products gamma delta wrong
+        proj = honest_projection(name)
+        bad = swapped_table(proj, data)
+        ident = Matrix.identity(proj.n_group.parent.dim)
+        assert all(a == bad.n_group.parent.element(i) - ident for i, a in bad.a_gamma)
+        rep = cocycle_identities(bad)
+        assert not rep.ok
+        assert (rep.pairs_checked, rep.failures) == cocycle_reference(bad)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.data())
+    def test_digit_width_bounds_the_scaled_residual_on_corrupted_tables(self, data):
         # random residuals never cancel across packed digits, so a too
-        # narrow width would pass the comparison above; check the bound
-        bad = perturbed(honest_projection(name), data, large_rationals, 1, 3)
-        den, a_hat, e_hat, d_hat = germs._hatted(bad)
-        bits = germs._digit_bits(den, bad.n_group.parent.dim, a_hat + e_hat + d_hat)
+        # narrow width would pass the comparison with the reference; check
+        # the bound on conjugates with large denominators
+        p = data.draw(st.lists(st.lists(large_rationals, min_size=2, max_size=2),
+                               min_size=2, max_size=2).map(m).filter(
+                                   lambda a: a.rank() == a.rows))
+        bad = swapped_table(invariant_projection(bn_germ(2, p)), data)
+        grp, members = bad.n_group.parent, bad.n_group.members
+        den = lcm(*(grp.element(i)._den for i in members))
+        assume(den > 10 ** 6)
+        e_hat = [[[x * (den // grp.element(i)._den) for x in row]
+                  for row in grp.element(i)._num] for i in members]
+        bits = germs._digit_bits(den, grp.dim, e_hat)
         assert scaled_residual_peak(bad, den) < 2 ** (bits - 1)
+        rep = cocycle_identities(bad)
+        assert not rep.ok
+        assert (rep.pairs_checked, rep.failures) == cocycle_reference(bad)
 
     @pytest.mark.parametrize("den", [1, 7])
     def test_one_corrupted_member_with_own_or_shared_denominator(self, den):
@@ -491,6 +517,28 @@ def perturbed(proj, data, entries, min_size, max_size):
         i, a = a_gamma[pos]
         a_gamma[pos] = (i, a + Matrix([off[r * n:(r + 1) * n] for r in range(n)]))
     return with_a_gamma(proj, tuple(a_gamma))
+
+
+def swapped_table(proj, data):
+    """proj over a copy of its group whose right-multiplication table has
+    two entries e1, e2 of one generator's column swapped; its A(gamma) are
+    kept, so each is still gamma - I.  The generator is one whose word is its
+    own position, so the product of e1 and that generator is wrong.  N must
+    be the whole group, which keeps the member set closed under the
+    corrupted table."""
+    grp = proj.n_group.parent
+    assert proj.n_group.is_full()
+    s = data.draw(st.sampled_from([s for s, g in enumerate(grp.generator_indices)
+                                   if grp.words[g] == (s,)]))
+    e1, e2 = data.draw(st.lists(st.integers(0, grp.order - 1), min_size=2, max_size=2,
+                                unique=True))
+    right = [list(row) for row in grp.right]
+    right[e1][s], right[e2][s] = right[e2][s], right[e1][s]
+    table = FiniteMatrixGroup(grp.dim, grp.elements, grp.generator_indices, grp.words,
+                              [tuple(row) for row in right])
+    return InvariantProjection(Subgroup(table, proj.n_group.members), proj.kernel_space,
+                               proj.a_gamma, proj.projection, proj.proj_kernel,
+                               proj.proj_image)
 
 
 def with_a_gamma(proj, a_gamma):
@@ -555,13 +603,14 @@ def corruptions(a_gamma):
             tuple(swapped)]
 
 
-def bn_germ(n):
+def bn_germ(n, p=None):
     """The signed permutations of n coordinates, conjugated by a rational
-    matrix, plus a trivial last coordinate, mapped to the trivial line by
-    that coordinate: N is the whole group, of order 2^n n!."""
-    p = m([[1 if j == i else F(1, 2) if j == i + 1 and i % 2 == 0
-            else F(-1, 3) if j == i + 1 else 2 if (i, j) == (n - 1, 0) else 0
-            for j in range(n)] for i in range(n)])
+    matrix (p, or a fixed one), plus a trivial last coordinate, mapped to the
+    trivial line by that coordinate: N is the whole group, of order 2^n n!."""
+    if p is None:
+        p = m([[1 if j == i else F(1, 2) if j == i + 1 and i % 2 == 0
+                else F(-1, 3) if j == i + 1 else 2 if (i, j) == (n - 1, 0) else 0
+                for j in range(n)] for i in range(n)])
     pinv = p.inverse()
     swap = [[int(j == (1 - i if i < 2 else i)) for j in range(n)] for i in range(n)]
     cycle = [[int(j == (i - 1) % n) for j in range(n)] for i in range(n)]
