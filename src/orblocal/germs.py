@@ -20,8 +20,9 @@ On top of germs this module builds:
 * the kernel-averaging invariant projection (gamma - I averaged over the
   kernel of the homomorphism, negated), with its algebraic identity suite:
   the composition identities of gamma -> gamma - I are checked on every
-  pair of the kernel, each pair as one dot product of integer-packed
-  matrices (plain products when some A(gamma) is not gamma - I),
+  pair of the kernel, all pairs with one delta as one dot product of
+  integer-packed matrices (plain products when some A(gamma) is not
+  gamma - I),
 * faithfulness of the homomorphism kernel inside the quotient,
 * obstruction certificates for the existence of germs with a regular center
   value, and
@@ -475,20 +476,28 @@ def cocycle_identities(proj: InvariantProjection) -> CocycleReport:
     identities with plain Matrix products.  A projection built by
     invariant_projection has A(gamma) = gamma - I (_is_minus_identity), so
     every Delta vanishes, E(gamma) = gamma, all three residuals are R3, and
-    a pair whose R3 is nonzero fails all three identities.  R3 is checked
-    with one n-term integer dot product per pair: over the common
-    denominator D of the members, E^(gamma) = D gamma is integer, and so is
-    D^2 R3 = D E^(gamma delta) - E^(gamma) E^(delta), zero exactly when R3
-    is.  Each integer matrix is packed into one integer by Kronecker
-    substitution, key(M) = sum M[i][j] 2^(b (n i + j)), which is zero only
-    for the zero matrix while every entry is one signed base-2^b digit
+    a pair whose R3 is nonzero fails all three identities.  Over the
+    common denominator D of the members, E^(gamma) = D gamma is integer,
+    and so is D^2 R3 = D E^(gamma delta) - E^(gamma) E^(delta), zero
+    exactly when R3 is.  Each integer matrix is packed into one integer by
+    Kronecker substitution, key(M) = sum M[i][j] 2^(b (n i + j)), which
+    determines M while every entry is one signed base-2^b digit
     (_digit_bits).  With the row-packed l(gamma)_k = sum_i E^(gamma)[i][k]
     2^(b n i) and the column-packed u(delta)_k = sum_j E^(delta)[k][j]
     2^(b j), the key of E^(gamma) E^(delta) is the dot product
-    l(gamma) . u(delta), so the packed D^2 R3 is D key(E^(gamma delta)) -
-    l(gamma) . u(delta).  For each delta the members gamma delta are read
-    off the parent's generator table all at once, by walking delta's
-    generator word.  The failures name (gamma, delta, identity), ordered
+    l(gamma) . u(delta).  Every gamma gets a slot of W = b n^2 bits, b
+    rounded up so that a slot is whole bytes, and L_k holds l(gamma)_k in
+    gamma's slot: then sum_k L_k u(delta)_k holds key(E^(gamma) E^(delta))
+    in the slot of every gamma at once.  A key lies strictly between
+    -2^(W-1) and 2^(W-1), so adding 2^(W-1) to every slot makes them
+    nonnegative and free of borrows; the bytes of that integer are
+    compared with those of the biased D key(E^(gamma delta)) of each
+    gamma, joined in slot order, and a pair fails exactly when its slot's
+    bytes differ.  The members gamma delta are read off the parent's
+    generator table along delta's generator word, for all gamma at once;
+    the words are visited in lexicographic order, each prefix's column
+    computed once from its own prefix's column, so only the columns along
+    one word are kept.  The failures name (gamma, delta, identity), ordered
     gamma first, then delta, then identity as listed above.
     """
     grp = proj.n_group.parent
@@ -506,27 +515,45 @@ def cocycle_identities(proj: InvariantProjection) -> CocycleReport:
                 failures += [(gi, di, name) for name, r in zip(_COCYCLE_IDENTITIES, rights)
                              if a_gd != r]
         return CocycleReport(pairs_checked=pairs, ok=not failures, failures=tuple(failures))
-    n = grp.dim
+    n, size = grp.dim, len(members)
     den = math.lcm(*(elements[gi]._den for gi in members))
     e_hat = [[[x * (den // elements[gi]._den) for x in row] for row in elements[gi]._num]
              for gi in members]
     b = _digit_bits(den, n, e_hat)
-    l_e = [[_pack(col, b * n) for col in zip(*e)] for e in e_hat]
-    u_e = [[_pack(row, b) for row in e] for e in e_hat]
-    # D key(E^(gamma)), indexed by the parent's element index
-    e_key = [0] * grp.order
+    b += -b % (8 // math.gcd(8, n * n))  # a slot of W = b n^2 bits is whole bytes
+    w = b * n * n
+    step, half = w // 8, 1 << (w - 1)
+    # the shifts of the entries in u(delta)_k and of the u_k in key(E)
+    by_entry, by_row = range(0, b * n, b), range(0, w, b * n)
+    # L_k = sum E^(gamma)[i][k] 2^(W pos(gamma) + b n i), over gamma and i
+    slots = [sum(map(lshift, col, range(0, w * size, b * n)))
+             for col in zip(*[row for e in e_hat for row in e])]
+    u_e = [[sum(map(lshift, row, by_entry)) for row in e] for e in e_hat]
+    # D key(E^(gamma)) + 2^(W-1) as slot bytes, indexed by the parent's element index
+    zero = half.to_bytes(step, "little")
+    bias = int.from_bytes(zero * size, "little")
+    want = [zero] * grp.order
     for gi, u in zip(members, u_e):
-        e_key[gi] = den * _pack(u, b * n)
+        want[gi] = (den * sum(map(lshift, u, by_row)) + half).to_bytes(step, "little")
     right, words = grp.right, grp.words
+    # cols[k]: gamma times the first k letters of the current delta's word,
+    # for every gamma; the words are visited in lexicographic order
+    path: list[int] = []
+    cols = [members]
     bad = []
-    for dpos, di in enumerate(members):
-        col = members
-        for s in words[di]:
-            col = [right[c][s] for c in col]
-        ue = u_e[dpos]
-        r3 = [e_key[c] - sum(map(mul, lg, ue)) for c, lg in zip(col, l_e)]
-        if any(r3):
-            bad.extend((gpos, dpos) for gpos, r in enumerate(r3) if r)
+    for word, dpos in sorted(zip([words[d] for d in members], range(size))):
+        k = 0
+        while k < len(path) and k < len(word) and path[k] == word[k]:
+            k += 1
+        del path[k:], cols[k + 1:]
+        for s in word[k:]:
+            cols.append([right[c][s] for c in cols[-1]])
+            path.append(s)
+        col = cols[-1]
+        got = (bias + sum(map(mul, slots, u_e[dpos]))).to_bytes(step * size, "little")
+        if got != b"".join([want[c] for c in col]):
+            bad.extend((gpos, dpos) for gpos, c in enumerate(col)
+                       if got[gpos * step:(gpos + 1) * step] != want[c])
     failures = tuple((members[g], members[d], name) for g, d in sorted(bad)
                      for name in _COCYCLE_IDENTITIES)
     return CocycleReport(pairs_checked=pairs, ok=not failures, failures=failures)
@@ -537,8 +564,7 @@ def _is_minus_identity(a: Matrix, g: Matrix) -> bool:
     makes g - I = (num - den I) / den in lowest terms too."""
     d = g._den
     return a._den == d and a._num == tuple([
-        tuple([x - d if i == j else x for j, x in enumerate(row)])
-        for i, row in enumerate(g._num)])
+        row[:i] + (row[i] - d,) + row[i + 1:] for i, row in enumerate(g._num)])
 
 
 def _digit_bits(den: int, n: int, e_hat) -> int:
@@ -546,13 +572,8 @@ def _digit_bits(den: int, n: int, e_hat) -> int:
     E^(gamma) E^(delta), n x n: each entry is at most D t + n t^2 in
     absolute value, t the largest entry of e_hat, so 2^(b-1) > D t + n t^2
     keeps every entry one signed digit."""
-    top = max(max(map(abs, row)) for m in e_hat for row in m)
+    top = max(map(abs, itertools.chain.from_iterable(row for m in e_hat for row in m)))
     return (den * top + n * top * top).bit_length() + 1
-
-
-def _pack(digits, step: int) -> int:
-    """Kronecker substitution: sum digits[j] 2^(step j), one signed digit each."""
-    return sum(map(lshift, digits, range(0, step * len(digits), step)))
 
 
 class FaithfulnessReport(Record):
@@ -730,7 +751,11 @@ def obstruction_certificate(source: LocalChart, target: LocalChart,
 def _linear_candidates(basis: Sequence[Matrix], k: int, n: int) -> Iterator[Matrix]:
     """Candidate k x n linear lifts, built as they are asked for: the basis,
     then the sums of two basis elements, then 50 combinations with
-    coefficients in -3..3 drawn from random.Random(271828)."""
+    coefficients in -3..3 drawn from random.Random(271828).  An empty basis
+    combines to the zero matrix alone, which is yielded once."""
+    if not basis:
+        yield Matrix.zero(k, n)
+        return
     yield from basis
     for a, b in itertools.combinations(basis, 2):
         yield a + b

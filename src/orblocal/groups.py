@@ -20,6 +20,7 @@ sound "certified none" verdicts.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from itertools import chain
@@ -39,7 +40,8 @@ from .ratlin import (
     poly_divmod,
     poly_gcd,
     factor_rational_poly,
-    QZERO,
+    _eliminate,
+    _null_space,
     _set,
 )
 
@@ -148,43 +150,62 @@ def _has_infinite_order(g: Matrix) -> bool:
 
 
 def _closure(one, generators: Sequence, product: Callable,
-             before_new: Callable | None = None):
+             before_new: Callable | None = None, read_rows: bool = True):
     """Breadth-first closure of generators from one under product.
 
     Returns (elements, words, right, index): elements in the order they are
     reached, words[j] the generator positions that spell element j,
     right[e] the indices of elements[e] times each generator, and index
     mapping each element to its position.  The search visits elements in
-    index order, so right[e] is appended as e is visited.
+    index order, so right[e] is filled as e is visited, after the rows of
+    every element before e.
+    With read_rows, a product e s is read off those rows when it can be
+    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 4.1):
+    e = p t, with p the element that reached e and t the last letter of its
+    word, so e s = p (t s), and the word of t s (the element
+    right[right[0][t]][s]) is walked from p.  product(e, s) is formed only
+    when the walk needs a row not yet filled, so elements, words and table
+    are those of forming every product.  The walk pays when a product
+    costs more than a few table reads; with one generator it would pass
+    through e itself, so it is not tried.
     before_new(elements, words) runs before each new element is added; it
     may raise to stop the closure.
     """
     elements = [one]
     words: list[tuple[int, ...]] = [()]
+    parents = [0]  # the element whose product with a generator reached j
     right: list[tuple[int, ...]] = []
     index = {one: 0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for ei in frontier:
-            e = elements[ei]
-            row = []
-            for gi, g in enumerate(generators):
-                prod = product(e, g)
-                j = index.get(prod)
-                if j is None:
-                    if before_new is not None:
-                        before_new(elements, words)
-                    j = index[prod] = len(elements)
-                    words.append(words[ei] + (gi,))
-                    nxt.append(j)
-                    elements.append(prod)
-                row.append(j)
-            right.append(tuple(row))
-        frontier = nxt
+    read_rows = read_rows and len(generators) > 1
+    for ei, e in enumerate(elements):  # runs over the appended elements too
+        row: list[int] = []
+        # walk only where t's own row is filled: ei is past the generators
+        walk = read_rows and ei and (first := right[0][words[ei][-1]]) < ei
+        for gi, g in enumerate(generators):
+            if walk:
+                x = parents[ei]
+                for s in words[right[first][gi]]:
+                    if x >= ei:
+                        break
+                    x = right[x][s]
+                else:
+                    row.append(x)
+                    continue
+            prod = product(e, g)
+            j = index.get(prod)
+            if j is None:
+                if before_new is not None:
+                    before_new(elements, words)
+                j = index[prod] = len(elements)
+                words.append(words[ei] + (gi,))
+                parents.append(ei)
+                elements.append(prod)
+            row.append(j)
+        right.append(tuple(row))
     return elements, words, right, index
 
 
+@functools.cache
 def _minkowski_bound(n: int) -> int:
     """Minkowski's bound M(n) = prod_p p^(sum_k floor(n / (p^k (p - 1)))),
     which the order of every finite subgroup of GL_n(Q) divides: 2, 24, 48,
@@ -194,15 +215,16 @@ def _minkowski_bound(n: int) -> int:
 
 
 def _times(e: tuple, g: tuple) -> tuple:
-    """The product of two matrices given as (den, num) keys in lowest terms,
-    the second one by its columns: the key of the product."""
-    (den, num), (gden, gcols) = e, g
-    num = tuple([tuple([sum(map(mul, row, col)) for col in gcols]) for row in num])
-    den *= gden
-    if den != 1 and (c := gcd(den, *chain.from_iterable(num))) != 1:
-        num = tuple([tuple([x // c for x in row]) for row in num])
-        den //= c
-    return den, num
+    """The product of two n x n matrices in lowest terms, the first as its
+    flat key (den, *entries) row by row, the second as (den, columns, the
+    start of each row in a flat key): the flat key of the product."""
+    gden, gcols, starts = g
+    n = len(gcols)
+    out = [sum(map(mul, e[i:i + n], col)) for i in starts for col in gcols]
+    den = e[0] * gden
+    if den != 1 and (c := gcd(den, *out)) != 1:
+        return (den // c, *[x // c for x in out])
+    return (den, *out)
 
 
 def generate_closure(dim: int, generators: list[Matrix],
@@ -211,43 +233,51 @@ def generate_closure(dim: int, generators: list[Matrix],
 
     Breadth-first from the identity, multiplying on the right by generators
     in the given order (_closure), so the element ordering is
-    deterministic.  The loop runs on the integer keys (den, num) of the
-    matrices, each generator taken by its columns once (_times), and makes
-    a Matrix only for each element it keeps.  Every product elements[e] * g
-    is kept as an index in the right-multiplication table right[e][s] (s
-    the position of g in the list).  Raises ClosureBoundExceeded if the
-    closure passes max_order or Minkowski's bound M(dim), which the order
-    of a finite rational group divides; with the same message at once if a
-    generator has |det| != 1 (a rational matrix of finite order has det
-    +-1); and once the closure has 256 elements if an element of word
-    length at most 2 (a generator or a product of two, like the shear that
-    two reflections can make) _has_infinite_order.
+    deterministic.  The loop runs on the flat integer keys (den, *entries)
+    of the matrices (_flat), each generator taken by its columns once
+    (_times); products that the table already holds are read off it, and a
+    Matrix is made only for each element kept.  Every product
+    elements[e] * g is kept as an index in the right-multiplication table
+    right[e][s] (s the position of g in the list).  Raises
+    ClosureBoundExceeded if the closure passes max_order or Minkowski's
+    bound M(dim), which the order of a finite rational group divides; with
+    the same message at once if a generator has |det| != 1 (a rational
+    matrix of finite order has det +-1); and once the closure has 256
+    elements if an element of word length at most 2 (a generator or a
+    product of two, like the shear that two reflections can make)
+    _has_infinite_order.
     """
     finite = True
     for g in generators:
         if g.rows != dim or g.cols != dim:
             raise ValueError("generator is %dx%d, chart dimension is %d"
                              % (g.rows, g.cols, dim))
-        det = g.det()
-        if not det:
+        # det(g) = +-d / den^dim, with d the last pivot of g's integer rows
+        pivots, d, _ = _eliminate([list(row) for row in g._num], dim)
+        if len(pivots) < dim:
             raise ValueError("generator is not invertible: %r" % (g,))
-        finite = finite and abs(det) == 1
+        finite = finite and abs(d) == g._den ** dim
     exceeded = "closure exceeded %d elements" % max_order
     if not finite:
         raise ClosureBoundExceeded(exceeded)
     limit = min(max_order, _minkowski_bound(dim))
+    starts = range(1, dim * dim + 1, dim)
+
+    def matrix(key):
+        return Matrix._make(tuple([key[i:i + dim] for i in starts]), key[0], dim)
 
     def bound(elements, words):
         if len(elements) >= limit or len(elements) == 256 and any(
-                _has_infinite_order(Matrix._make(num, den, dim))
-                for (den, num), w in zip(elements, words) if 0 < len(w) <= 2):
+                _has_infinite_order(matrix(key))
+                for key, w in zip(elements, words) if 0 < len(w) <= 2):
             raise ClosureBoundExceeded(exceeded)
 
     elements, words, right, index = _closure(
-        (1, Matrix.identity(dim)._num),
-        [(g._den, tuple(zip(*g._num))) for g in generators], _times, bound)
-    return FiniteMatrixGroup(dim, [Matrix._make(num, den, dim) for den, num in elements],
-                             tuple(index[g._den, g._num] for g in generators),
+        (1, *[int(i == j) for i in range(dim) for j in range(dim)]),
+        [(g._den, tuple(zip(*g._num)), starts) for g in generators], _times, bound)
+    return FiniteMatrixGroup(dim, list(map(matrix, elements)),
+                             tuple(index[(g._den, *chain.from_iterable(g._num))]
+                                   for g in generators),
                              words, right)
 
 
@@ -256,8 +286,9 @@ def close_in(parent: FiniteMatrixGroup, generators: Sequence[int]) -> FiniteMatr
     as a group of its own: generate_closure on their matrices, with the
     products read off the parent's table (FiniteMatrixGroup.mul) instead of
     multiplied.  Elements, words, table and generator indices are those
-    generate_closure gives."""
-    members, words, right, index = _closure(0, generators, parent.mul)
+    generate_closure gives.  A product here is a short walk already, so
+    _closure does not read products off its own rows first."""
+    members, words, right, index = _closure(0, generators, parent.mul, read_rows=False)
     return FiniteMatrixGroup(parent.dim, [parent.elements[i] for i in members],
                              tuple(index[g] for g in generators), words, right)
 
@@ -500,22 +531,42 @@ def sign_characters(g: FiniteMatrixGroup) -> list[tuple[int, ...]]:
     """Every homomorphism g -> {+1, -1}, as its values over all elements.
 
     Each assignment of signs to the generators, in binary order (so the
-    trivial character comes first), is extended along the generator words;
-    an extension is kept at its first occurrence when chi(x s) = chi(x) chi(s)
-    for every element x and generator s, which by induction on word length
-    makes it multiplicative.
+    trivial character comes first), is extended along the generator words,
+    and kept at its first occurrence when it is multiplicative.  The test
+    is a solve over GF(2): with mask[x] the parities of the letters of x's
+    word (bit p for generator position p), an assignment `bits` gives
+    chi(x) = (-1)^|mask[x] & bits|, and chi(x s) = chi(x) chi(s) for an
+    element x and the generator s at position p reads
+    <mask[x] ^ mask[s] ^ mask[right[x][p]], bits> = 0.  By induction on
+    word length these table entries make chi multiplicative, so an
+    assignment is kept exactly when it is orthogonal to a basis of their
+    vectors, and chi is built only for those.
     """
     gens = g.generator_indices
+    masks = []
+    for word in g.words:
+        m = 0
+        for p in word:
+            m ^= 1 << p
+        masks.append(m)
+    # a basis with distinct leading bits, largest first, so that each
+    # min(v, v ^ b) clears b's leading bit and keeps the larger ones
+    basis: list[int] = []
+    for v in {masks[x] ^ masks[s] ^ masks[y]
+              for x, row in enumerate(g.right) for s, y in zip(gens, row)}:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
     out = []
     seen = set()
     for bits in range(1 << len(gens)):
-        chi = tuple(-1 if sum((bits >> gi) & 1 for gi in word) & 1 else 1
-                    for word in g.words)
-        if chi in seen:
+        if any((bits & v).bit_count() & 1 for v in basis):
             continue
-        seen.add(chi)
-        if all(chi[g.mul(x, s)] == chi[x] * chi[s]
-               for x in range(g.order) for s in gens):
+        chi = tuple([-1 if (m & bits).bit_count() & 1 else 1 for m in masks])
+        if chi not in seen:
+            seen.add(chi)
             out.append(chi)
     return out
 
@@ -542,26 +593,32 @@ def intertwiners(g: FiniteMatrixGroup,
 
     image(a) is the k x k matrix that element index a acts by on the
     target.  The conditions are solved on g's generators (on the identity
-    alone when there are none), which suffices; the basis comes from the
-    RREF kernel of the stacked system over the k x n entries of L, row by
-    row, so it is deterministic.
+    alone when there are none), which suffices.  Each generator's block of
+    the stacked system over the k x n entries of L, row by row, is scaled
+    by den(a) den(image(a)) to integer rows, which keeps its kernel; the
+    basis is the kernel's reduced echelon rows (_null_space), so it is
+    deterministic.
     """
     n = g.dim
     k = image(0).rows
     rows = []
     for gi in g.generator_indices or (0,):
-        a, b = g.element(gi).entries, image(gi).entries
-        # (L a - b L)[i][j] = sum_c L[i][c] a[c][j] - b[i][c] L[c][j]
+        a, b = g.element(gi), image(gi)
+        an, bn = a._num, b._num
+        da, db = a._den, b._den
+        # den(a) den(b) (L a - b L)[i][j]
+        #   = sum_c L[i][c] db an[c][j] - sum_c da bn[i][c] L[c][j]
         for i in range(k):
             for j in range(n):
-                row = [QZERO] * (k * n)
+                row = [0] * (k * n)
                 for c in range(n):
-                    row[i * n + c] += a[c][j]
+                    row[i * n + c] += db * an[c][j]
                 for c in range(k):
-                    row[c * n + j] -= b[i][c]
+                    row[c * n + j] -= da * bn[i][c]
                 rows.append(row)
-    return [Matrix([v[i * n:(i + 1) * n] for i in range(k)])
-            for v in kernel(Matrix(rows)).basis]
+    echelon = _null_space(rows, k * n).echelon
+    return [Matrix._make(tuple([v[i * n:(i + 1) * n] for i in range(k)]), echelon._den, n)
+            for v in echelon._num]
 
 
 def commutant(g: FiniteMatrixGroup) -> list[Matrix]:

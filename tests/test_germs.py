@@ -393,8 +393,9 @@ class TestInvariantProjection:
 
 @functools.cache
 def honest_projection(name):
-    """The invariant projection of a corpus germ, or of bn_germ(3), built once."""
-    germ = bn_germ(3) if name == "b3" else germ_case(name).germ
+    """The invariant projection of a corpus germ, of bn_germ(3) ("b3") or of
+    s4_germ() ("s4"), built once."""
+    germ = {"b3": lambda: bn_germ(3), "s4": s4_germ}.get(name, lambda: germ_case(name).germ)()
     return invariant_projection(germ)
 
 
@@ -465,6 +466,20 @@ class TestCocycle:
         rep = cocycle_identities(bad)
         assert not rep.ok
         assert (rep.pairs_checked, rep.failures) == cocycle_reference(bad)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from(["s4", "b3"]), st.integers(1, 3), st.data())
+    def test_prefix_columns_match_reference_on_corrupted_tables(self, name, swaps, data):
+        # gamma delta is read off the table along delta's word, one prefix of
+        # the words at a time; on a corrupted table a prefix need not lead
+        # to the element its word names, so the columns must follow the
+        # words, as the reference's products do
+        bad = honest_projection(name)
+        for _ in range(swaps):
+            bad = swapped_table(bad, data)
+        rep = cocycle_identities(bad)
+        assert (rep.pairs_checked, rep.failures) == cocycle_reference(bad)
+        assert rep.ok == (not rep.failures)
 
     @settings(max_examples=10, deadline=None)
     @given(st.data())
@@ -615,9 +630,24 @@ def bn_germ(n, p=None):
     swap = [[int(j == (1 - i if i < 2 else i)) for j in range(n)] for i in range(n)]
     cycle = [[int(j == (i - 1) % n) for j in range(n)] for i in range(n)]
     flip = [[(-1 if i == 0 else 1) * int(i == j) for j in range(n)] for i in range(n)]
-    blocks = [[list(row) + [0] for row in (p * m(g) * pinv).entries] + [[0] * n + [1]]
-              for g in (swap, cycle, flip)]
-    src = build_chart(n + 1, [m(b) for b in blocks])
+    return line_germ([p * m(g) * pinv for g in (swap, cycle, flip)])
+
+
+def s4_germ():
+    """The permutation matrices of four coordinates (order 24), conjugated by
+    a rational matrix, as a line_germ."""
+    p = m([[1, F(1, 2), 0, 0], [0, 1, F(-1, 3), 0], [0, 0, 1, 2], [F(1, 5), 0, 0, 1]])
+    cycle = [[int(j == (i - 1) % 4) for j in range(4)] for i in range(4)]
+    swap = [[int(j == (1 - i if i < 2 else i)) for j in range(4)] for i in range(4)]
+    return line_germ([p * m(g) * p.inverse() for g in (cycle, swap)])
+
+
+def line_germ(gens):
+    """The group of the n x n matrices gens plus a trivial last coordinate,
+    mapped to the trivial line by that coordinate: N is the whole group."""
+    n = gens[0].rows
+    src = build_chart(n + 1, [m([list(row) + [0] for row in g.entries] + [[0] * n + [1]])
+                              for g in gens])
     line = build_chart(1, [])
     return build_germ(src, line, MultiPoly.coordinate(n + 1, n), trivial_theta(src, line))
 
@@ -812,6 +842,21 @@ class TestObstruction:
                 comb = comb + b.scale(F(draws.randint(-3, 3)))
             want.append(comb)
         assert list(germs._linear_candidates(basis, 2, 3)) == want
+
+    def test_empty_basis_draws_no_combination(self):
+        # the reflections in the three coordinate planes, to the trivial
+        # line: an invariant hyperplane exists, but no nonzero invariant
+        # covector, so every combination of the empty basis is zero
+        src = build_chart(3, [m([[-1 if i == j == k else int(i == j) for j in range(3)]
+                                 for i in range(3)]) for k in range(3)])
+        line = build_chart(1, [])
+        assert list(germs._linear_candidates([], 1, 3)) == [Matrix.zero(1, 3)]
+        with mock.patch.object(germs.random, "Random",
+                               side_effect=AssertionError("combination drawn")):
+            cert = obstruction_certificate(src, line, trivial_theta(src, line))
+        assert (cert.verdict, cert.reason_code, cert.detail) == (
+            "unknown", "inconclusive",
+            "no obstruction fired and no linear witness was found")
 
     def test_basis_witness_draws_no_combination(self, c):
         # the first basis element is already surjective, so no random

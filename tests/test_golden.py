@@ -4,7 +4,7 @@ Each run's (exit code, stdout, stderr) is hashed with sha256 and compared
 with tests/cli_digests.json, so a change that alters any report, summary
 line or error message on these inputs fails here.  The runs are the CLI on
 every built-in document, and strata, obstruct and analyze on rational
-conjugates of D4, A4 and B3.  The same digests must come out of one run
+conjugates of D4, A4, B3, S4, D12 and C2x3.  The same digests must come out of one run
 under python -O, since every check raises explicitly.  To regenerate the digests after an intended
 output change, run this file as a script from the repository root:
 
@@ -42,6 +42,11 @@ BASE_GROUPS = {
     "D4": [[[0, -1], [1, 0]], [[1, 0], [0, -1]]],
     "A4": [perm([1, 2, 0, 3]), perm([1, 0, 3, 2])],
     "B3": [perm([1, 2, 0]), perm([1, 0, 2]), [[-1, 0, 0], [0, 1, 0], [0, 0, 1]]],
+    "S4": [perm([1, 2, 3, 0]), perm([1, 0, 2, 3])],
+    "D12": [[[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0]],
+            [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, -1, 0, -1]]],
+    "C2x3": [[[-1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, -1, 0], [0, 0, 1]],
+             [[1, 0, 0], [0, 1, 0], [0, 0, -1]]],
 }
 
 # a rational conjugator per dimension
@@ -139,7 +144,7 @@ def pinned():
 def test_cli_output_matches_digests(tmp_path):
     want = pinned()
     got = digests(str(tmp_path))
-    assert len(got) == 30
+    assert len(got) == 39
     assert sorted(got) == sorted(want)
     changed = [label for label in got if got[label] != want[label]]
     assert not changed, "CLI output changed for %s" % changed

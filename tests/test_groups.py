@@ -50,12 +50,12 @@ def closure_sizes(monkeypatch):
     sizes = []
     real = groups._closure
 
-    def spy(one, generators, product, before_new=None):
+    def spy(one, generators, product, before_new=None, **kw):
         def before(elements, words):
             sizes.append(len(elements))
             if before_new is not None:
                 before_new(elements, words)
-        return real(one, generators, product, before)
+        return real(one, generators, product, before, **kw)
 
     monkeypatch.setattr(groups, "_closure", spy)
     return sizes
@@ -188,8 +188,8 @@ class TestClosure:
         g = generate_closure(3, list(gens))
         assert g.order == 48 and products == []
         monkeypatch.undo()
-        ref = groups._closure(Matrix.identity(3), gens, Matrix.__mul__)
-        assert (list(g.elements), list(g.words), list(g.right)) == ref[:3]
+        assert (list(g.elements), list(g.words), list(g.right),
+                g.generator_indices) == closure_by_products(3, gens)
 
     def test_idempotence(self):
         g = generate_closure(2, [ROT3, SWAP])
@@ -205,6 +205,62 @@ class TestClosure:
         g = generate_closure(2, [ROT3, SWAP])
         for i in range(g.order):
             assert g.mul(i, g.inv(i)) == 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_matches_product_reference_on_rational_conjugates(self, data):
+        """Products read off the table give the elements, words, table and
+        generator indices of forming every product, also when a generator
+        is the identity, repeats an earlier one or is a product of two."""
+        b3 = generate_closure(3, B3_GENS)
+        gens = [b3.element(i) for i in data.draw(
+            st.lists(st.integers(1, b3.order - 1), min_size=1, max_size=3))]
+        for kind in data.draw(st.lists(st.sampled_from(["identity", "repeat", "product"]),
+                                       max_size=3)):
+            if kind == "identity":
+                extra = Matrix.identity(3)
+            elif kind == "repeat":
+                extra = data.draw(st.sampled_from(gens))
+            else:
+                extra = data.draw(st.sampled_from(gens)) * data.draw(st.sampled_from(gens))
+            gens.insert(data.draw(st.integers(0, len(gens))), extra)
+        entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        p = data.draw(st.lists(st.lists(entries, min_size=3, max_size=3),
+                               min_size=3, max_size=3).map(m).filter(
+                                   lambda a: a.rank() == a.rows))
+        gens = conjugated(p, gens)
+        g = generate_closure(3, gens)
+        assert (list(g.elements), list(g.words), list(g.right),
+                g.generator_indices) == closure_by_products(3, gens)
+
+    def test_b3_conjugate_forms_fewer_products(self, monkeypatch):
+        """Forming every product e s of the B3 conjugate takes 48 * 3 = 144
+        products; reading e s = p (t s) off the filled rows leaves 111.  A
+        cyclic closure forms one product per element."""
+        products = []
+        real = groups._times
+        monkeypatch.setattr(groups, "_times", lambda e, g: products.append(1) or real(e, g))
+        assert b3_conjugate().order == 48 and len(products) == 111
+        products.clear()
+        assert generate_closure(2, [ROT3]).order == 3 and len(products) == 3
+
+
+def closure_by_products(dim, gens):
+    """Reference: breadth-first closure that multiplies every element by
+    every generator, as (elements, words, right, generator indices)."""
+    one = Matrix.identity(dim)
+    elements, words, right, index = [one], [()], [], {one: 0}
+    for i, e in enumerate(elements):
+        row = []
+        for s, g in enumerate(gens):
+            prod = e * g
+            if prod not in index:
+                index[prod] = len(elements)
+                elements.append(prod)
+                words.append(words[i] + (s,))
+            row.append(index[prod])
+        right.append(tuple(row))
+    return elements, words, right, tuple(index[g] for g in gens)
 
 
 class TestSubgroups:
@@ -619,6 +675,47 @@ class TestCommutant:
                 for el in g.elements:
                     assert b * el == el * b
 
+    @pytest.mark.parametrize("make", [
+        lambda: generate_closure(2, []), lambda: generate_closure(2, [ROT4]),
+        lambda: generate_closure(2, [ROT3, SWAP]), b3_conjugate, b4_conjugate])
+    def test_commutant_matches_fraction_reference(self, make):
+        g = make()
+        assert commutant(g) == intertwiners_by_fractions(g, g.element)
+
+    def test_intertwiners_into_another_group_match_fraction_reference(self):
+        # the permutation representation of S3, conjugated, into its 2-dimensional
+        # irreducible one (once) and into the sign character (not at all)
+        p = m([[1, F(1, 2), 0], [0, 1, F(-1, 3)], [2, 0, 1]])
+        src = generate_closure(3, conjugated(p, [m([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
+                                                 m([[0, 1, 0], [1, 0, 0], [0, 0, 1]])]))
+        for images, dim in (([ROT3, SWAP], 1), ([m([[1]]), m([[-1]])], 0)):
+            tgt = generate_closure(images[0].rows, images)
+            hom = verify_homomorphism(src, tgt, images)
+            image = lambda a: tgt.element(hom.apply(a))
+            basis = groups.intertwiners(src, image)
+            assert len(basis) == dim
+            assert basis == intertwiners_by_fractions(src, image)
+
+
+def intertwiners_by_fractions(g, image):
+    """Reference: the stacked system (L a - image(a) L)[i][j] = 0 over the
+    generators, on Fraction rows, and the rows of its kernel's basis."""
+    n = g.dim
+    k = image(0).rows
+    rows = []
+    for gi in g.generator_indices or (0,):
+        a, b = g.element(gi).entries, image(gi).entries
+        for i in range(k):
+            for j in range(n):
+                row = [F(0)] * (k * n)
+                for c in range(n):
+                    row[i * n + c] += a[c][j]
+                for c in range(k):
+                    row[c * n + j] -= b[i][c]
+                rows.append(row)
+    return [Matrix([v[i * n:(i + 1) * n] for i in range(k)])
+            for v in kernel(Matrix(rows)).basis]
+
 
 class TestInvariantSubspaces:
     def test_scalar_group_any_line(self):
@@ -823,6 +920,24 @@ class TestReynolds:
             chars = sign_characters(g)
             assert chars == sign_characters_by_pairs(g)
             assert chars[0] == (1,) * g.order
+
+    @pytest.mark.parametrize("gens", [
+        [FLIP_X, Matrix.identity(2), FLIP_Y, FLIP_X],
+        [ROT4, FLIP_Y, ROT4 * FLIP_Y, Matrix.identity(2)],
+        [ROT3, SWAP, ROT3, SWAP * ROT3],
+        [Matrix.identity(2)] * 4])
+    def test_sign_characters_with_four_generators(self, gens):
+        # k = 4 sign patterns over identity, repeated and product generators
+        g = generate_closure(2, gens)
+        assert sign_characters(g) == sign_characters_by_pairs(g)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.integers(0, 47), min_size=4, max_size=4))
+    def test_sign_characters_of_four_b3_elements(self, picks):
+        # element 0 is the identity; picks may repeat
+        b3 = b3_conjugate()
+        g = generate_closure(3, [b3.element(i) for i in picks])
+        assert sign_characters(g) == sign_characters_by_pairs(g)
 
     def test_fixed_subspace_is_intersection_of_kernels(self):
         g = b3_conjugate()
