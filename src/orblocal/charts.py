@@ -22,7 +22,6 @@ from .ratlin import (
     Matrix,
     Record,
     Subspace,
-    restrict_to_subspace,
     vec,
     vec_add,
     QONE,
@@ -200,9 +199,10 @@ def stratify(chart: LocalChart) -> StrataReport:
     form the lattice of the element fixed spaces (their intersection
     closure), and the pointwise stabilizer Stab(M) of a space M is the union
     of the classes of elements whose fixed space contains M.  The fixed
-    spaces take one kernel per cyclic subgroup <g>, of the integer rows
-    num - den I of g = num / den: Fix(g^k) = Fix(g) whenever
-    gcd(k, ord g) = 1, and the powers are read off the table.
+    spaces take one kernel per nontrivial cyclic subgroup <g>, of the
+    integer rows num - den I of g = num / den: Fix(g^k) = Fix(g) whenever
+    gcd(k, ord g) = 1, and the powers are read off the table; the identity
+    fixes the full space.
 
     The lattice is a union of G-orbits, since g Fix(h) = Fix(g h g^-1) and
     t R meets Fix(h) in t times the meet of R and Fix(t^-1 h t).  So it is
@@ -220,6 +220,7 @@ def stratify(chart: LocalChart) -> StrataReport:
     spaces: dict[Subspace, int] = {}  # each distinct element fixed space, to its class
     classes: dict[int, list[int]] = {}  # the ascending elements of each class
     class_of = [-1] * group.order
+    full = Subspace.full(n)
     for i, m in enumerate(group.elements):
         if class_of[i] < 0:
             powers = [i]
@@ -227,13 +228,13 @@ def stratify(chart: LocalChart) -> StrataReport:
                 powers.append(mul(powers[-1], i))
             d = m._den
             c = spaces.setdefault(_null_space([[x - d * (j == k) for k, x in enumerate(row)]
-                                               for j, row in enumerate(m._num)], n), len(spaces))
+                                               for j, row in enumerate(m._num)], n)
+                                  if i else full, len(spaces))
             for k, p in enumerate(powers, 1):
                 if gcd(k, len(powers)) == 1:
                     class_of[p] = c
         classes.setdefault(class_of[i], []).append(i)
     fixed = list(spaces)
-    full = Subspace.full(n)
     isotropy = {full: Subgroup(group, (0,))}
     reps = [full]
     for rep in reps:  # grows while it is walked
@@ -330,11 +331,6 @@ class SuborbifoldLocalModel(Record):
         _set(self, "omega", omega)
         _set(self, "intrinsic_isotropy", intrinsic_isotropy)
         _set(self, "full", full)
-
-    def restricted_action(self, coset: int) -> Matrix:
-        """The matrix of a coset acting on the subspace, in basis coordinates."""
-        rep = self.intrinsic_isotropy.representative(coset)
-        return restrict_to_subspace(self.chart.group.element(rep), self.subspace)
 
 
 def suborbifold_model(chart: LocalChart, subspace: Subspace,

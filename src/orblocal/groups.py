@@ -78,7 +78,9 @@ class FiniteMatrixGroup:
     off the right-multiplication table of the generators that the closure
     fills: right[e][s] is the index of element e times generator s, and
     words[j] spells element j as a product of generator positions, so no
-    product after closure multiplies matrices.
+    product after closure multiplies matrices.  ``index``, the map from
+    each element to its position that ``index_of`` reads, is built on the
+    first lookup: most groups never need it.
     """
 
     def __init__(self, dim: int, elements: list[Matrix],
@@ -90,7 +92,10 @@ class FiniteMatrixGroup:
         self.generator_indices = generator_indices
         self.words = tuple(words)
         self.right = tuple(right)
-        self.index = {m: i for i, m in enumerate(self.elements)}
+
+    @functools.cached_property
+    def index(self) -> dict[Matrix, int]:
+        return {m: i for i, m in enumerate(self.elements)}
 
     @property
     def order(self) -> int:
@@ -150,7 +155,8 @@ def _has_infinite_order(g: Matrix) -> bool:
 
 
 def _closure(one, generators: Sequence, product: Callable,
-             before_new: Callable | None = None, read_rows: bool = True):
+             before_new: Callable | None = None, read_rows: bool = True,
+             operands: Sequence | None = None):
     """Breadth-first closure of generators from one under product.
 
     Returns (elements, words, right, index): elements in the order they are
@@ -159,6 +165,9 @@ def _closure(one, generators: Sequence, product: Callable,
     mapping each element to its position.  The search visits elements in
     index order, so right[e] is filled as e is visited, after the rows of
     every element before e.
+    product(e, op) multiplies element e by the generator whose operand is
+    op: operands[s] for generator s, the generator itself when operands is
+    None.  Row 0 takes one s = s without forming a product.
     With read_rows, a product e s is read off those rows when it can be
     (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 4.1):
     e = p t, with p the element that reached e and t the last letter of its
@@ -181,7 +190,7 @@ def _closure(one, generators: Sequence, product: Callable,
         row: list[int] = []
         # walk only where t's own row is filled: ei is past the generators
         walk = read_rows and ei and (first := right[0][words[ei][-1]]) < ei
-        for gi, g in enumerate(generators):
+        for gi, g in enumerate(generators if operands is None else operands):
             if walk:
                 x = parents[ei]
                 for s in words[right[first][gi]]:
@@ -191,7 +200,7 @@ def _closure(one, generators: Sequence, product: Callable,
                 else:
                     row.append(x)
                     continue
-            prod = product(e, g)
+            prod = product(e, g) if ei else generators[gi]
             j = index.get(prod)
             if j is None:
                 if before_new is not None:
@@ -220,7 +229,8 @@ def _times(e: tuple, g: tuple) -> tuple:
     start of each row in a flat key): the flat key of the product."""
     gden, gcols, starts = g
     n = len(gcols)
-    out = [sum(map(mul, e[i:i + n], col)) for i in starts for col in gcols]
+    out = [sum(map(mul, row, col)) for row in [e[i:i + n] for i in starts]
+           for col in gcols]
     den = e[0] * gden
     if den != 1 and (c := gcd(den, *out)) != 1:
         return (den // c, *[x // c for x in out])
@@ -234,9 +244,11 @@ def generate_closure(dim: int, generators: list[Matrix],
     Breadth-first from the identity, multiplying on the right by generators
     in the given order (_closure), so the element ordering is
     deterministic.  The loop runs on the flat integer keys (den, *entries)
-    of the matrices (_flat), each generator taken by its columns once
-    (_times); products that the table already holds are read off it, and a
-    Matrix is made only for each element kept.  Every product
+    of the matrices, each generator taken by its columns once (_times); the
+    identity's row is the generators' own keys, products that the table
+    already holds are read off it, and a Matrix is made only for each
+    element kept, straight from its key, which _times leaves in lowest
+    terms.  Every product
     elements[e] * g is kept as an index in the right-multiplication table
     right[e][s] (s the position of g in the list).  Raises
     ClosureBoundExceeded if the closure passes max_order or Minkowski's
@@ -263,8 +275,8 @@ def generate_closure(dim: int, generators: list[Matrix],
     limit = min(max_order, _minkowski_bound(dim))
     starts = range(1, dim * dim + 1, dim)
 
-    def matrix(key):
-        return Matrix._make(tuple([key[i:i + dim] for i in starts]), key[0], dim)
+    def matrix(key):  # keys are in lowest terms, as _times returns them
+        return Matrix._lowest(tuple([key[i:i + dim] for i in starts]), key[0], dim)
 
     def bound(elements, words):
         if len(elements) >= limit or len(elements) == 256 and any(
@@ -272,13 +284,12 @@ def generate_closure(dim: int, generators: list[Matrix],
                 for key, w in zip(elements, words) if 0 < len(w) <= 2):
             raise ClosureBoundExceeded(exceeded)
 
+    keys = [(g._den, *chain.from_iterable(g._num)) for g in generators]
     elements, words, right, index = _closure(
-        (1, *[int(i == j) for i in range(dim) for j in range(dim)]),
-        [(g._den, tuple(zip(*g._num)), starts) for g in generators], _times, bound)
+        (1, *[int(i == j) for i in range(dim) for j in range(dim)]), keys, _times,
+        bound, operands=[(g._den, tuple(zip(*g._num)), starts) for g in generators])
     return FiniteMatrixGroup(dim, list(map(matrix, elements)),
-                             tuple(index[(g._den, *chain.from_iterable(g._num))]
-                                   for g in generators),
-                             words, right)
+                             tuple(index[k] for k in keys), words, right)
 
 
 def close_in(parent: FiniteMatrixGroup, generators: Sequence[int]) -> FiniteMatrixGroup:

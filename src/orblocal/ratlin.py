@@ -102,8 +102,9 @@ def rat(x) -> Fraction:
 
 
 def vec(entries: Iterable) -> tuple[Fraction, ...]:
-    """A rational vector as an immutable tuple."""
-    return tuple(rat(e) for e in entries)
+    """A rational vector as an immutable tuple; Fraction entries pass
+    through as they are."""
+    return tuple([e if e.__class__ is Fraction else rat(e) for e in entries])
 
 
 def vec_add(a, b):
@@ -126,15 +127,17 @@ def _int_vec(v: Sequence) -> list[int]:
 def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
     """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows, in place.
 
-    Pivots are sought in the first ncols columns; rows are updated in full.
+    Pivots are sought in the first ncols columns, row by row below the
+    rows that already hold one, and the search ends once every row holds a
+    pivot; rows are updated in full.
     At each pivot p (the previous pivot prev starts at 1) every other row
     becomes (p row_i - row_i[c] row_r) // prev; by Sylvester's identity each
     entry is then a minor of the input, so the division is exact (and
     skipped while prev is 1).  Rows with a zero in the pivot column are
     scaled by p / prev all the same, which keeps later divisions exact.
-    Afterwards the first len(pivots)
-    rows are d times the reduced echelon rows, d being the last pivot, and
-    the other rows are zero in the first ncols columns.
+    Afterwards the first len(pivots) rows are d times the reduced echelon
+    rows, d being the last pivot, and the other rows are zero in the first
+    ncols columns.
 
     Returns (pivot columns, d, sign of the row swaps); d is 1 without pivots,
     and for a square matrix of full rank sign * d is its determinant.
@@ -142,21 +145,23 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
     nrows = len(rows)
     pivots: list[int] = []
     prev = sign = 1
+    r = 0  # the row the next pivot goes to: len(pivots)
     for c in range(ncols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
+        for pr in range(r, nrows):
+            if rows[pr][c]:
+                break
+        else:
             continue
+        prow = rows[pr]
         if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
+            rows[pr] = rows[r]
+            rows[r] = prow
             sign = -sign
-        prow = rows[r]
         p = prow[c]
-        for i, row in enumerate(rows):
+        for i in range(nrows):
             if i == r:
                 continue
+            row = rows[i]
             f = row[c]
             if f:
                 rows[i] = ([p * a - f * b for a, b in zip(row, prow)] if prev == 1
@@ -165,6 +170,9 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
                 rows[i] = [p * a // prev for a in row]
         pivots.append(c)
         prev = p
+        r += 1
+        if r == nrows:
+            break
     return pivots, prev, sign
 
 
@@ -219,6 +227,14 @@ class Matrix:
             if g != 1:
                 num = tuple([tuple(x // g for x in row) for row in num])
                 den //= g
+        return cls._lowest(num, den, cols)
+
+    @classmethod
+    def _lowest(cls, num: tuple[tuple[int, ...], ...], den: int,
+                cols: int) -> "Matrix":
+        """The matrix num / den with cols columns, which the caller already
+        holds in lowest terms (den > 0, and its gcd with the numerators
+        is 1)."""
         m = object.__new__(cls)
         m._num = num
         m._den = den
@@ -449,7 +465,16 @@ class Subspace(Record):
 
     @classmethod
     def _from_rows(cls, n: int, rows: list[list[int]]) -> "Subspace":
-        """The span of integer rows of length n (the list is reduced in place)."""
+        """The span of integer rows of length n (the list is reduced in place).
+
+        A single row needs no elimination: its echelon row is the row over
+        its leading entry, which is what _eliminate leaves."""
+        if len(rows) == 1:
+            row = rows[0]
+            for c in range(n):
+                if row[c]:
+                    return cls(n, _over(rows, row[c], n), (c,))
+            return cls.zero(n)
         pivots, d, _ = _eliminate(rows, n)
         return cls(n, _over(rows[:len(pivots)], d, n), tuple(pivots))
 

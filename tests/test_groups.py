@@ -12,7 +12,8 @@ import orblocal
 from orblocal import groups
 
 from orblocal.charts import LocalChart, pointwise_stabilizer, stratify, suborbifold_model
-from orblocal.ratlin import BudgetExceeded, Matrix, Subspace, kernel, kernel_image_rank
+from orblocal.ratlin import (BudgetExceeded, Matrix, Subspace, kernel, kernel_image_rank,
+                             restrict_to_subspace)
 from orblocal.groups import (
     ClosureBoundExceeded,
     GroupHom,
@@ -235,14 +236,15 @@ class TestClosure:
 
     def test_b3_conjugate_forms_fewer_products(self, monkeypatch):
         """Forming every product e s of the B3 conjugate takes 48 * 3 = 144
-        products; reading e s = p (t s) off the filled rows leaves 111.  A
-        cyclic closure forms one product per element."""
+        products; reading e s = p (t s) off the filled rows leaves 111, and
+        taking the identity's row as the generators themselves leaves 108.
+        A cyclic closure forms one product per element but the identity."""
         products = []
         real = groups._times
         monkeypatch.setattr(groups, "_times", lambda e, g: products.append(1) or real(e, g))
-        assert b3_conjugate().order == 48 and len(products) == 111
+        assert b3_conjugate().order == 48 and len(products) == 108
         products.clear()
-        assert generate_closure(2, [ROT3]).order == 3 and len(products) == 3
+        assert generate_closure(2, [ROT3]).order == 3 and len(products) == 2
 
 
 def closure_by_products(dim, gens):
@@ -350,6 +352,67 @@ def b4_conjugate():
         [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
         [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
         [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])]))
+
+
+def dim4_conjugate(gens):
+    """The group of integer 4 x 4 generators, conjugated by a rational
+    matrix so that elements have denominators."""
+    p = m([[1, F(1, 2), 0, 0], [0, 1, F(-1, 3), 0], [0, 0, 1, 2], [F(1, 5), 0, 0, 1]])
+    return generate_closure(4, conjugated(p, [m(g) for g in gens]))
+
+
+def s4_conjugate():
+    """The permutation matrices of four coordinates (order 24), conjugated."""
+    return dim4_conjugate([[[int(j == (i - 1) % 4) for j in range(4)] for i in range(4)],
+                           [[int(j == (1 - i if i < 2 else i)) for j in range(4)]
+                            for i in range(4)]])
+
+
+def d12_conjugate():
+    """D12, of order 24, acting on Q(zeta_12) by multiplication with zeta
+    and by complex conjugation, conjugated."""
+    return dim4_conjugate([[[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0]],
+                           [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, -1, 0, -1]]])
+
+
+CONJUGATES = {"b3": b3_conjugate, "s4": s4_conjugate, "d12": d12_conjugate}
+
+
+class TestClosureElements:
+    """The elements the closure keeps, and the index that finds them."""
+
+    @pytest.mark.parametrize("name", CONJUGATES)
+    def test_kept_elements_are_in_lowest_terms(self, name):
+        """Each element is made straight from the key the closure keeps; it
+        is the same matrix, with the same hash and the same integers, as
+        the one Matrix._make brings to lowest terms."""
+        g = CONJUGATES[name]()
+        assert g.order == {"b3": 48, "s4": 24, "d12": 24}[name]
+        for e in g.elements:
+            made = Matrix._make(e._num, e._den, e.cols)
+            assert e == made and hash(e) == hash(made)
+            assert (e._num, e._den, e.rows, e.cols) == (made._num, made._den,
+                                                         made.rows, made.cols)
+
+    @pytest.mark.parametrize("name", CONJUGATES)
+    def test_index_of_finds_every_element(self, name):
+        g = CONJUGATES[name]()
+        assert "index" not in vars(g)  # built on the first lookup
+        for i, e in enumerate(g.elements):
+            assert g.index_of(e) == i
+            assert g.index_of(Matrix(e.entries)) == i
+        assert len(g.index) == g.order
+
+    @pytest.mark.parametrize("name", CONJUGATES)
+    def test_index_of_rejects_a_non_member(self, name):
+        """Twice the identity, half an element and a shear (of infinite
+        order) lie in no finite group of the conjugate's."""
+        g = CONJUGATES[name]()
+        n = g.dim
+        shear = m([[int(i == j or (i, j) == (0, 1)) for j in range(n)] for i in range(n)])
+        for outside in (Matrix.identity(n).scale(2), g.element(1).scale(F(1, 2)), shear):
+            with pytest.raises(ValueError, match="^matrix is not an element of this group$"):
+                g.index_of(outside)
 
 
 def closed_by_pairs(grp, members):
@@ -633,7 +696,8 @@ class TestQuotients:
                 assert intr.order == lam.order // model.omega.order
                 assert all(intr.representative(c) in h for c in range(intr.order))
                 for c in range(1, intr.order):
-                    assert model.restricted_action(c) != Matrix.identity(space.dim)
+                    action = restrict_to_subspace(grp.element(intr.representative(c)), space)
+                    assert action != Matrix.identity(space.dim)
 
 
 class TestFixedSubspaces:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orblocal.groups import generate_closure
-from orblocal.ratlin import (Matrix, Subspace, _eliminate, kernel, kernel_image_rank,
+from orblocal.ratlin import (Matrix, Subspace, _eliminate, _over, kernel, kernel_image_rank,
                              solve_exact)
 
 SETTINGS = settings(max_examples=80, deadline=None)
@@ -386,3 +386,102 @@ def test_negative_final_pivot():
     swapped = Matrix([[0, 1, 2], [3, 4, 5], [6, 7, 9]])
     assert _eliminate([list(r) for r in swapped._num], 3)[2] == -1
     assert swapped.det() == ref_det(swapped.entries) == -3
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernel against an earlier, plainer form of itself
+
+
+def reference_eliminate(rows, ncols):
+    """_eliminate as it was written before its loops were trimmed: the same
+    pivot rule and Bareiss updates, with a generator search per column and
+    an enumerate over every row."""
+    nrows = len(rows)
+    pivots = []
+    prev = sign = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            sign = -sign
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                rows[i] = ([p * a - f * b for a, b in zip(row, prow)] if prev == 1
+                           else [(p * a - f * b) // prev for a, b in zip(row, prow)])
+            elif p != prev:
+                rows[i] = [p * a // prev for a in row]
+        pivots.append(c)
+        prev = p
+    return pivots, prev, sign
+
+
+BIG = 10 ** 40
+
+
+def int_row(width):
+    """A dense small, a sparse (mostly zero) or a 40-digit integer row."""
+    entries = st.sampled_from([
+        st.integers(-9, 9),
+        st.sampled_from((0, 0, 0, 0, 0, 1, -1, 3)),
+        st.one_of(st.just(0), st.integers(-BIG, BIG)),
+        st.sampled_from((0, 0, 0, BIG + 1, -BIG, 7 * BIG - 3)),
+    ])
+    return entries.flatmap(lambda e: st.lists(e, min_size=width, max_size=width))
+
+
+@st.composite
+def int_row_lists(draw):
+    """0-6 integer rows of one length 0-9, some of them zero, repeated or
+    sums of earlier rows, and a column count ncols no greater than the row
+    length, as solve_exact, inverse and intersect pass it."""
+    width = draw(st.integers(0, 9))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("fresh", "fresh", "zero", "repeat", "sum")))
+        if kind == "zero":
+            rows.append([0] * width)
+        elif kind == "fresh" or not rows:
+            rows.append(draw(int_row(width)))
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([x + 2 * y for x, y in zip(a, b)])
+    return rows, draw(st.integers(0, width))
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_row_lists())
+def test_eliminate_matches_reference(case):
+    rows, ncols = case
+    got, want = [list(r) for r in rows], [list(r) for r in rows]
+    assert _eliminate(got, ncols) == reference_eliminate(want, ncols)
+    assert got == want
+
+
+@SETTINGS
+@given(st.integers(0, 9).flatmap(lambda n: st.tuples(st.just(n), int_row(n))))
+def test_one_row_span_matches_elimination(case):
+    """The span of one row is read off without eliminating; it equals the
+    span that eliminating the row gives, and the span of the row with a
+    zero row, which does eliminate."""
+    n, row = case
+    rows = [list(row)]
+    pivots, d, _ = reference_eliminate(rows, n)
+    want = Subspace(n, _over(rows[:len(pivots)], d, n), tuple(pivots))
+    for got in (Subspace._from_rows(n, [list(row)]),
+                Subspace._from_rows(n, [list(row), [0] * n])):
+        assert got == want and hash(got) == hash(want)
+        assert got.pivots == want.pivots
+        assert ((got.echelon._num, got.echelon._den, got.echelon.rows, got.echelon.cols)
+                == (want.echelon._num, want.echelon._den, want.echelon.rows, want.echelon.cols))

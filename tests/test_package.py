@@ -1,3 +1,4 @@
+import ast
 import inspect
 import os
 import subprocess
@@ -35,6 +36,59 @@ from orblocal.ratlin import Matrix, Record
 def test_every_export_resolves():
     missing = [name for name in orblocal.__all__ if not hasattr(orblocal, name)]
     assert missing == []
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def starred_subscripts(tree, source):
+    """The lines of subscripts like x[*a] or x[a, *b]: a starred element in
+    an unparenthesized tuple slice, Python 3.11 syntax (PEP 646) that
+    ast.parse accepts even with feature_version=(3, 10).  A parenthesized
+    tuple, x[(a, *b)], is valid Python 3.10; it ends past its last element,
+    at its closing parenthesis."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)
+                and any(isinstance(e, ast.Starred) for e in node.slice.elts)):
+            t, last = node.slice, node.slice.elts[-1]
+            if not ((t.end_lineno, t.end_col_offset) > (last.end_lineno, last.end_col_offset)
+                    and ast.get_source_segment(source, t).endswith(")")):
+                yield node.lineno
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("x[*a]", [1]), ("x[a, *b]", [1]), ("x[*a,]", [1]), ("x[(a), *b]", [1]),
+    ("x[a, *(b)]", [1]), ("y = 1\nx[\n  a,\n  *b]", [2]),
+    ("x[(a, *b)]", []), ("x[(*a,)]", []), ("x[(a, *b,)]", []), ("x[f(*a)]", []),
+    ("x[a, b]", []), ("x[a:b]", []),
+])
+def test_starred_subscript_check(source, lines):
+    assert list(starred_subscripts(ast.parse(source), source)) == lines
+
+
+def test_sources_keep_python_3_10_grammar():
+    """pyproject.toml declares Python 3.10: every .py file under src/,
+    tests/ and perfbench/ parses with the 3.10 grammar and has no starred
+    subscript."""
+    found = []
+    for top in ("src", "tests", "perfbench"):
+        for dirpath, dirnames, filenames in os.walk(os.path.join(ROOT, top)):
+            dirnames[:] = sorted(d for d in dirnames if not d.startswith((".", "__")))
+            for name in sorted(filenames):
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(dirpath, name)
+                rel = os.path.relpath(path, ROOT)
+                with open(path, encoding="utf-8") as fh:
+                    source = fh.read()
+                try:
+                    tree = ast.parse(source, rel, feature_version=(3, 10))
+                except SyntaxError as exc:
+                    found.append("%s:%s: %s" % (rel, exc.lineno, exc.msg))
+                    continue
+                found += ["%s:%d: starred subscript" % (rel, line)
+                          for line in starred_subscripts(tree, source)]
+    assert found == []
 
 
 def test_cli_import_loads_no_dataclass_machinery():
