@@ -43,14 +43,39 @@ EXIT_MATH = 2
 EXIT_BUDGET = 3
 
 
-def _load(path: str) -> dict:
+def _load(path: str):
+    """The JSON document in the file at path.  The file is read as bytes in
+    one unbuffered read and decoded as UTF-8, and CRLF and a lone CR become
+    LF, the newline translation of text mode: JSON reads all three as
+    whitespace, and a JSONDecodeError gives the position it gives on the
+    LF text.  A file that cannot be read, is not UTF-8 or is not JSON (a
+    UTF-8 byte order mark included) raises SchemaError at $, an input
+    error."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb", buffering=0) as fh:
+            data = fh.read()
     except OSError as e:
         raise SchemaError("$", "cannot read %s (%s)" % (path, e)) from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise SchemaError("$", "invalid UTF-8 in %s (%s)" % (path, e)) from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaError("$", "invalid JSON in %s (%s)" % (path, e)) from None
+
+
+def _write(path: str, text: str):
+    """Write text to the file at path as UTF-8; a file that cannot be
+    written raises SchemaError at $.out, an input error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise SchemaError("$.out", "cannot write %s (%s)" % (path, e)) from None
 
 
 def _json(v, pad: str = "\n") -> str:
@@ -81,13 +106,13 @@ def _json(v, pad: str = "\n") -> str:
 def _emit(report: dict, out_path: str | None, summary_lines: list[str]):
     """Print the summary lines, then write the report as
     json.dumps(report, indent=2, sort_keys=True) does (_json) to out_path,
-    or else to stdout."""
+    or else to stdout.  An out_path that cannot be written is an input
+    error (SchemaError at $.out), raised after the summary is printed."""
     for line in summary_lines:
         print(line)
     blob = _json(report)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(blob + "\n")
+        _write(out_path, blob + "\n")
     else:
         print(blob)
 
@@ -137,8 +162,7 @@ def cmd_analyze(args) -> int:
     proj = invariant_projection(germ)
     report["derived"]["n_order"] = proj.n_group.order
     report["derived"]["projection"] = serialize.matrix_json(proj.projection)
-    report["derived"]["projection_kernel"] = [
-        serialize.vector_json(b) for b in proj.proj_kernel.basis]
+    report["derived"]["projection_kernel"] = serialize.matrix_json(proj.proj_kernel.echelon)
     checks.append({"name": "invariant-projection", "passed": True,
                    "n_order": proj.n_group.order})
     cc = cocycle_identities(proj)
@@ -157,7 +181,7 @@ def cmd_analyze(args) -> int:
         models.append({
             "lift_point": serialize.vector_json(pt),
             "recentered": model.germ is not germ,
-            "kernel": [serialize.vector_json(b) for b in model.kernel.basis],
+            "kernel": serialize.matrix_json(model.kernel.echelon),
             "gamma_s_order": model.gamma_s.order,
             "g_order": model.g_group.order,
             "dim": model.dim,
@@ -217,7 +241,7 @@ def cmd_strata(args) -> int:
         "isotropy_order": s.isotropy.order,
         "singular": s.singular,
         "in_boundary": s.in_boundary,
-        "fixed_space": [serialize.vector_json(b) for b in s.fixed_space.basis],
+        "fixed_space": serialize.matrix_json(s.fixed_space.echelon),
     } for s in rep.strata]
     report = {"scenario": name, "version": __version__,
               "derived": {"strata": strata,
@@ -305,9 +329,7 @@ def cmd_corpus(args) -> int:
             "results": [{"name": n, "anchor": a, "passed": ok, "detail": d}
                         for n, a, ok, d in results],
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(blob, fh, indent=2, sort_keys=True, default=str)
-            fh.write("\n")
+        _write(args.out, json.dumps(blob, indent=2, sort_keys=True, default=str) + "\n")
     return EXIT_OK if failures == 0 else EXIT_MATH
 
 

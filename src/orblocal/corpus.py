@@ -288,7 +288,7 @@ def _run_real_target(case_name: str) -> dict:
     return {
         "gamma_order": report.gamma_order,
         "stratum_dimension": report.stratum_dimension,
-        "fixed_line": [serialize.vector_json(b) for b in report.fixed_line.basis],
+        "fixed_line": serialize.matrix_json(report.fixed_line.echelon),
     }
 
 
@@ -520,7 +520,7 @@ def _run_forbidden_index2() -> dict:
     return {
         "mirror_plane_found": mirror.found,
         "witness_order": mirror.witness.order,
-        "fixed_line": [serialize.vector_json(b) for b in mirror.fixed_line.basis],
+        "fixed_line": serialize.matrix_json(mirror.fixed_line.echelon),
         "rotation_3_found": rot.found,
     }
 

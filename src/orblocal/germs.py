@@ -61,6 +61,7 @@ from .ratlin import (
     vec,
     QONE,
     QZERO,
+    _scaled_vec,
     _set,
 )
 from .groups import (
@@ -176,9 +177,21 @@ class MapGerm(Record):
         return kernel(self.lift.jacobian_at(point))
 
 
-def _is_centered(germ: MapGerm, point) -> bool:
-    """True when every element of the source chart group fixes point."""
-    return all(m.apply(point) == point for m in germ.source.group.generators)
+def _is_centered(germ: MapGerm, point: tuple) -> bool:
+    """True when every element of the source chart group fixes point, a
+    tuple of rationals.  With point = iv / d on integers, a generator
+    num / den fixes it exactly when num·iv == den·iv, tested on integer
+    rows as Subspace.fixed_pointwise_by does.  A point whose length is not
+    the chart's dimension raises ValueError, as Matrix.apply does."""
+    gens = germ.source.group.generators
+    if not gens:
+        return True
+    iv, _ = _scaled_vec(point)
+    if len(iv) != gens[0].cols:
+        raise ValueError("vector length %d does not match %d columns"
+                         % (len(iv), gens[0].cols))
+    return all([sum(map(mul, row, iv)) for row in m._num] == [m._den * x for x in iv]
+               for m in gens)
 
 
 def build_germ(source: LocalChart, target: LocalChart, lift: MultiPoly,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .ratlin import Matrix, MultiPoly
 from .groups import GroupHom, verify_homomorphism
@@ -154,7 +154,21 @@ def parse_matrix(v, path: str, dim: int | None = None) -> Matrix:
 
 
 def matrix_json(m: Matrix) -> list[list[str]]:
-    return [[str(x) for x in row] for row in m.entries]
+    """The entries of m as str(Fraction) writes them, "n" or "n/d" in
+    lowest terms, read straight from its integer rows m._num over m._den:
+    one gcd per entry and no Fraction.  For a subspace s,
+    matrix_json(s.echelon) is the list of vector_json of s.basis."""
+    den = m._den
+    if den == 1:
+        return [[str(x) for x in row] for row in m._num]
+    out = []
+    for row in m._num:
+        strs = []
+        for x in row:
+            g = gcd(x, den)
+            strs.append(str(x // g) if g == den else "%d/%d" % (x // g, den // g))
+        out.append(strs)
+    return out
 
 
 def parse_poly(v, num_vars: int, path: str, out_dim: int | None = None) -> MultiPoly:

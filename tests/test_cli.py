@@ -328,6 +328,93 @@ def test_scalar_document_input_error(tmp_path, capsys, command, text):
     assert "input error" in capsys.readouterr().err
 
 
+# a built-in document and the extra arguments for each command that reads a file
+READER_RUNS = {
+    "analyze": ("germ-z2-square", []),
+    "sard": ("germ-z2-square", ["--samples", "5", "--seed", "1", "--box", "-1", "1"]),
+    "strata": ("chart-quarter-plane", []),
+    "obstruct": ("obstruction-z2-line", []),
+    "classify1": ("components-four-types", []),
+    "retraction": ("atlas-disk-reflection", []),
+}
+
+
+def write_bytes(tmp_path, data, name="doc.json"):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", sorted(READER_RUNS))
+class TestDocumentEncoding:
+    """A document is read as UTF-8 with text mode's newline translation."""
+
+    def test_invalid_utf8_is_an_input_error(self, tmp_path, docs, capsys, command):
+        name, extra = READER_RUNS[command]
+        data = json.dumps(docs[name]).encode("utf-8")
+        # a byte that starts no UTF-8 sequence, and a sequence cut short
+        for bad in (data.replace(b'"name": "', b'"name": "\xff', 1), data + b" \xe2\x82"):
+            path = write_bytes(tmp_path, bad)
+            assert main([command, path, *extra]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("input error: at $: invalid UTF-8 in %s ('utf-8' codec "
+                                  "can't decode " % path)
+            assert err.count("\n") == 1
+
+    def test_crlf_and_cr_read_as_lf(self, tmp_path, docs, capsys, command):
+        name, extra = READER_RUNS[command]
+        lf = json.dumps(docs[name], indent=2).encode("utf-8")
+        assert main([command, write_bytes(tmp_path, lf), *extra]) == 0
+        want = capsys.readouterr()
+        for newline in (b"\r\n", b"\r"):
+            path = write_bytes(tmp_path, lf.replace(b"\n", newline))
+            assert main([command, path, *extra]) == 0
+            got = capsys.readouterr()
+            assert (got.out, got.err) == (want.out, want.err)
+        # a JSON error is placed as in the LF text
+        broken = b'{\n  "kind":\n  x}'
+        path = write_bytes(tmp_path, broken)
+        assert main([command, path, *extra]) == 1
+        want = capsys.readouterr().err
+        assert want.endswith("(Expecting value: line 3 column 3 (char 14))\n")
+        for newline in (b"\r\n", b"\r"):
+            assert main([command, write_bytes(tmp_path, broken.replace(b"\n", newline)),
+                         *extra]) == 1
+            assert capsys.readouterr().err == want
+
+    def test_byte_order_mark_is_an_input_error(self, tmp_path, docs, capsys, command):
+        name, extra = READER_RUNS[command]
+        path = write_bytes(tmp_path, b"\xef\xbb\xbf" + json.dumps(docs[name]).encode("utf-8"))
+        assert main([command, path, *extra]) == 1
+        assert capsys.readouterr().err == (
+            "input error: at $: invalid JSON in %s (Unexpected UTF-8 BOM (decode using "
+            "utf-8-sig): line 1 column 1 (char 0))\n" % path)
+
+    def test_missing_file_cannot_be_read(self, tmp_path, capsys, command):
+        path = str(tmp_path / "missing.json")
+        assert main([command, path, *READER_RUNS[command][1]]) == 1
+        assert capsys.readouterr().err == (
+            "input error: at $: cannot read %s ([Errno 2] No such file or directory: %r)\n"
+            % (path, path))
+
+
+@pytest.mark.parametrize("command", sorted(READER_RUNS) + ["corpus"])
+def test_unwritable_out_is_an_input_error(tmp_path, docs, capsys, command):
+    if command == "corpus":
+        argv = ["corpus", "run", "--anchor", "obstruction"]
+    else:
+        name, extra = READER_RUNS[command]
+        argv = [command, write(tmp_path, docs[name]), *extra]
+    out = str(tmp_path / "missing-dir" / "report.json")
+    assert main([*argv, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "input error: at $.out: cannot write %s ([Errno 2] No such file or directory: %r)\n"
+        % (out, out))
+    assert captured.out  # the summary is printed before the report is written
+    assert not (tmp_path / "missing-dir").exists()
+
+
 BAD_CHART = {"dim": 2, "boundary": False, "generators": [[["1", "0"], ["0", "x"]]]}
 LINE = {"dim": 1, "boundary": False, "generators": []}
 MIRROR_LINE = {

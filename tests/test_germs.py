@@ -60,6 +60,7 @@ from orblocal.germs import (
 from orblocal.corpus import (
     builtin_documents, charts, germ_case, germ_cases, case_preimage_models)
 from orblocal.serialize import parse_germ_payload
+from test_golden import conjugate_documents
 
 
 def m(rows):
@@ -1388,6 +1389,85 @@ class TestRecenterAndPullback:
             mirror, qp, Matrix.identity(2), (F(1), F(0)), theta))
         with pytest.raises(ValueError):
             pull_back_germ(germ_case("mirror-line").germ, emb)
+
+
+@functools.cache
+def conjugate_germ(name):
+    """The analyze germ of tests/test_golden.py for a rational conjugate of
+    the named group (+) a trivial line."""
+    doc = conjugate_documents(name)["analyze"]
+    return parse_germ_payload(doc["payload"], "$.payload")[0]
+
+
+def centered_reference(germ, point):
+    """_is_centered as Fraction vectors test it."""
+    return all(g.apply(point) == point for g in germ.source.group.generators)
+
+
+@st.composite
+def centering_points(draw):
+    """(group, point): a point on a stratum of the chart, with weights on its
+    fixed space's basis, or any point, with 30-digit denominators now and
+    then, or the zero point."""
+    name = draw(st.sampled_from(["B3", "S4", "D12"]))
+    chart = conjugate_germ(name).source
+    n = chart.dim
+    q = st.builds(F, st.integers(-10 ** 30, 10 ** 30),
+                  st.one_of(st.integers(1, 9), st.integers(10 ** 29, 10 ** 30)))
+    how = draw(st.sampled_from(["stratum", "stratum", "any", "zero"]))
+    if how == "zero":
+        return name, (F(0),) * n
+    if how == "any":
+        return name, tuple(draw(st.lists(q, min_size=n, max_size=n)))
+    strata = stratify(chart).strata
+    basis = draw(st.sampled_from(strata)).fixed_space.basis
+    weights = draw(st.lists(q, min_size=len(basis), max_size=len(basis)))
+    return name, tuple(sum((w * b[j] for w, b in zip(weights, basis)), F(0))
+                       for j in range(n))
+
+
+class TestCentering:
+    """_is_centered on integer rows answers as Matrix.apply on Fractions does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(centering_points())
+    def test_matches_fraction_reference(self, case):
+        name, point = case
+        germ = conjugate_germ(name)
+        assert germs._is_centered(germ, point) == centered_reference(germ, point)
+
+    @pytest.mark.parametrize("name", ["B3", "S4", "D12"])
+    def test_fixed_and_moved_points(self, name):
+        # a point is fixed by the group exactly when it lies in the fixed
+        # space of the stratum whose isotropy is the whole group
+        germ = conjugate_germ(name)
+        strata = stratify(germ.source).strata
+        order = germ.source.group.order
+        everywhere = next(s.fixed_space for s in strata if s.isotropy.order == order)
+        big = F(7, 10 ** 30 + 1)
+        points = [(F(0),) * germ.source.dim]
+        for s in strata:
+            basis = s.fixed_space.basis
+            points += [tuple(big * x for x in basis[0]),
+                       tuple(sum((big * k * b[j] for k, b in enumerate(basis, 1)), F(0))
+                             for j in range(germ.source.dim))]
+        seen = set()
+        for point in points:
+            want = everywhere.contains(point)
+            assert germs._is_centered(germ, point) == centered_reference(germ, point) == want
+            seen.add(want)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("length", [0, 3, 6])
+    def test_wrong_length_raises(self, length):
+        germ = conjugate_germ("S4")  # a chart of dimension 5
+        point = (F(1, 10 ** 30),) * length
+        with pytest.raises(ValueError, match="vector length %d does not match 5 columns"
+                           % length):
+            germs._is_centered(germ, point)
+        with pytest.raises(ValueError, match="vector length %d does not match 5 columns"
+                           % length):
+            centered_reference(germ, point)
 
 
 class TestKernelSplit:

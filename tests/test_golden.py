@@ -3,8 +3,9 @@
 Each run's (exit code, stdout, stderr) is hashed with sha256 and compared
 with tests/cli_digests.json, so a change that alters any report, summary
 line or error message on these inputs fails here.  The runs are the CLI on
-every built-in document, and strata, obstruct and analyze on rational
-conjugates of D4, A4, B3, S4, D12 and C2x3.  The same digests must come out of one run
+every built-in document, strata, obstruct and analyze on rational
+conjugates of D4, A4, B3, S4, D12 and C2x3, and corpus run --out, whose
+written file is pinned by its own sha256.  The same digests must come out of one run
 under python -O, since every check raises explicitly.  To regenerate the digests after an intended
 output change, run this file as a script from the repository root:
 
@@ -121,18 +122,29 @@ def runs():
     return out
 
 
+def run_digest(argv):
+    """sha256 of the JSON list [exit code, stdout, stderr] of the CLI on argv."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    blob = json.dumps([code, stdout.getvalue(), stderr.getvalue()])
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 def digests(workdir):
-    """label -> sha256 of the JSON list [exit code, stdout, stderr]."""
+    """label -> sha256 of the JSON list [exit code, stdout, stderr] of each
+    run, and for "corpus-run-out" the sha256 of the file that
+    corpus run --out writes."""
     out = {}
     for label, command, doc in runs():
         path = os.path.join(workdir, "doc.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main([command, path])
-        blob = json.dumps([code, stdout.getvalue(), stderr.getvalue()])
-        out[label] = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        out[label] = run_digest([command, path])
+    path = os.path.join(workdir, "corpus.json")
+    out["corpus-run"] = run_digest(["corpus", "run", "--out", path])
+    with open(path, "rb") as fh:
+        out["corpus-run-out"] = hashlib.sha256(fh.read()).hexdigest()
     return out
 
 
@@ -144,7 +156,7 @@ def pinned():
 def test_cli_output_matches_digests(tmp_path):
     want = pinned()
     got = digests(str(tmp_path))
-    assert len(got) == 39
+    assert len(got) == 41
     assert sorted(got) == sorted(want)
     changed = [label for label in got if got[label] != want[label]]
     assert not changed, "CLI output changed for %s" % changed

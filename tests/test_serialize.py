@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orblocal.ratlin import Matrix, MultiPoly
+from orblocal.ratlin import Matrix, MultiPoly, Subspace
 from orblocal import serialize
 from orblocal.serialize import SchemaError
 from orblocal.corpus import builtin_documents, germ_case
@@ -138,6 +138,77 @@ class TestIntegerParsing:
         q = serialize.parse_rational("1e%d" % (LIMIT - 1), "$")
         assert q == 10 ** (LIMIT - 1) and len(str(q)) == LIMIT
         assert serialize.parse_rational("-25e-%d" % (LIMIT - 1), "$") == F(-25, 10 ** (LIMIT - 1))
+
+
+def reference_matrix_json(m):
+    """The writer before it read integer rows: str of each Fraction entry."""
+    return [[str(x) for x in row] for row in m.entries]
+
+
+BIG = 10 ** 40
+# numerators and denominators: small, negative, 40 digits, denominator 1
+written_ints = st.one_of(st.integers(-6, 6), st.integers(-BIG, BIG))
+written_dens = st.one_of(st.just(1), st.integers(1, 12), st.integers(1, BIG))
+
+
+@st.composite
+def written_matrices(draw):
+    """A Matrix of 0-4 rows and 0-4 columns, built from Fraction entries or
+    from integer rows over a common denominator."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        den = draw(written_dens)
+        num = tuple(tuple(draw(written_ints) for _ in range(cols)) for _ in range(rows))
+        return Matrix._make(num, den, cols)
+    entries = [[F(draw(written_ints), draw(written_dens)) for _ in range(cols)]
+               for _ in range(rows)]
+    return Matrix(entries) if rows else Matrix.zero(0, cols)
+
+
+@st.composite
+def written_subspaces(draw):
+    """A subspace of Q^0..Q^4 spanned by 0-5 vectors, among them zero and
+    repeated vectors, or the zero or the full space."""
+    n = draw(st.integers(0, 4))
+    how = draw(st.sampled_from(["span", "span", "zero", "full"]))
+    if how == "zero":
+        return Subspace.zero(n)
+    if how == "full":
+        return Subspace.full(n)
+    vectors = draw(st.lists(st.lists(st.builds(F, written_ints, written_dens),
+                                     min_size=n, max_size=n), max_size=5))
+    if vectors and draw(st.booleans()):
+        vectors.append(vectors[0])
+    return Subspace.from_vectors(n, vectors)
+
+
+class TestMatrixWriter:
+    """matrix_json writes each entry from the integer rows as str(Fraction)
+    writes it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(written_matrices())
+    def test_matches_fraction_reference(self, m):
+        got = serialize.matrix_json(m)
+        assert got == reference_matrix_json(m)
+        assert len(got) == m.rows and all(len(row) == m.cols for row in got)
+
+    @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_shapes(self, rows, cols):
+        m = Matrix.zero(rows, cols)
+        assert serialize.matrix_json(m) == reference_matrix_json(m) == [[]] * rows
+
+    def test_denominators_reduced_per_entry(self):
+        m = Matrix([[F(1, 2), F(-3, 4), 0], [F(5, 6), -2, F(BIG + 1, 3)]])
+        assert serialize.matrix_json(m) == [["1/2", "-3/4", "0"],
+                                            ["5/6", "-2", "%d/3" % (BIG + 1)]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(written_subspaces())
+    def test_echelon_is_the_basis(self, s):
+        got = serialize.matrix_json(s.echelon)
+        assert got == [serialize.vector_json(b) for b in s.basis]
+        assert len(got) == s.dim
 
 
 class TestPoly:
