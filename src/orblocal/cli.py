@@ -104,16 +104,17 @@ def _json(v, pad: str = "\n") -> str:
 
 
 def _emit(report: dict, out_path: str | None, summary_lines: list[str]):
-    """Print the summary lines, then write the report as
-    json.dumps(report, indent=2, sort_keys=True) does (_json) to out_path,
-    or else to stdout.  An out_path that cannot be written is an input
-    error (SchemaError at $.out), raised after the summary is printed."""
-    for line in summary_lines:
-        print(line)
+    """Write the report as json.dumps(report, indent=2, sort_keys=True)
+    does (_json) to out_path and print the summary lines, or else print the
+    summary lines and then the report.  An out_path that cannot be written
+    is an input error (SchemaError at $.out), raised before anything is
+    printed."""
     blob = _json(report)
     if out_path:
         _write(out_path, blob + "\n")
-    else:
+    for line in summary_lines:
+        print(line)
+    if not out_path:
         print(blob)
 
 
@@ -312,6 +313,13 @@ def cmd_corpus(args) -> int:
     if args.action != "run":
         raise SchemaError("$", "unknown corpus action %r" % args.action)
     results = list(corpus.run_corpus(anchor=args.anchor))
+    if args.out:  # written before anything is printed
+        blob = {
+            "version": __version__,
+            "results": [{"name": n, "anchor": a, "passed": ok, "detail": d}
+                        for n, a, ok, d in results],
+        }
+        _write(args.out, json.dumps(blob, indent=2, sort_keys=True, default=str) + "\n")
     failures = 0
     for name, anchor, ok, detail in results:
         if ok:
@@ -323,13 +331,6 @@ def cmd_corpus(args) -> int:
             print("    %s: expected %s, got %s"
                   % (key, json.dumps(want, default=str), json.dumps(got, default=str)))
     print("corpus: %d/%d passed" % (len(results) - failures, len(results)))
-    if args.out:
-        blob = {
-            "version": __version__,
-            "results": [{"name": n, "anchor": a, "passed": ok, "detail": d}
-                        for n, a, ok, d in results],
-        }
-        _write(args.out, json.dumps(blob, indent=2, sort_keys=True, default=str) + "\n")
     return EXIT_OK if failures == 0 else EXIT_MATH
 
 

@@ -51,10 +51,8 @@ from .ratlin import (
     poly_apply_matrix,
     poly_gcd,
     poly_derivative,
-    poly_monic,
-    poly_trim,
-    poly_deg,
-    poly_eval_at,
+    poly_int,
+    poly_value,
     has_real_root,
     sign_variations,
     sturm_chain,
@@ -784,9 +782,9 @@ def _linear_candidates(basis: Sequence[Matrix], k: int, n: int) -> Iterator[Matr
 # Monte Carlo density sampling of regular values
 
 
-def _critical_value_poly(coeffs: list[Fraction]) -> list[Fraction]:
+def _critical_value_poly(num: list[int], den: int) -> list[int]:
     """A polynomial in p that vanishes exactly at the complex critical values
-    of f, low degree first.
+    of f = num / den, low degree first.
 
     By Stickelberger's theorem the characteristic polynomial of
     multiplication by f on Q[x]/(f') is the product of p - f(a) over the
@@ -795,19 +793,19 @@ def _critical_value_poly(coeffs: list[Fraction]) -> list[Fraction]:
     companion matrix C of the monic f', so multiplication by f is f(C).  A
     nonzero evaluation rules a sample out as a critical value cheaply.
     """
-    deriv = poly_monic(poly_derivative(coeffs))
-    d = poly_deg(deriv)
+    deriv = poly_derivative(num)
+    d = len(deriv) - 1
     if d < 1:
-        return [QONE]
-    companion = Matrix([[QONE if i == j + 1 else QZERO for j in range(d - 1)]
-                        + [-deriv[i]] for i in range(d)])
-    return list(poly_apply_matrix(coeffs, companion).charpoly())
+        return [1]
+    companion = Matrix([[int(i == j + 1) for j in range(d - 1)]
+                        + [Fraction(-deriv[i], deriv[-1])] for i in range(d)])
+    return poly_int(poly_apply_matrix(num, companion).scale(Fraction(1, den)).charpoly())
 
 
 def _separable_coordinates(lift: MultiPoly) -> list[tuple]:
-    """Per output coordinate: ('const', value) or
-    ('poly', var, coeffs, deriv, res), with ``res`` the critical-value
-    polynomial of ``_critical_value_poly``.
+    """Per output coordinate: ('const', value) or ('poly', var, num, den,
+    res) for the coordinate num(x_var) / den, with ``res`` its critical-value
+    polynomial from ``_critical_value_poly``.
 
     Raises UnsupportedLift unless each output uses at most one variable and
     no two outputs share one.
@@ -823,41 +821,40 @@ def _separable_coordinates(lift: MultiPoly) -> list[tuple]:
     if len(seen) != len(set(seen)):
         raise UnsupportedLift("two outputs share a variable; supply a preimage table")
     out = []
-    for j, v in enumerate(used):
-        d = lift.coord_dict(j)
+    den = lift._den
+    for terms, v in zip(lift._num, used):
         if v is None:
-            out.append(("const", d.get((0,) * lift.num_vars, QZERO)))
+            out.append(("const", Fraction(terms[0][1], den) if terms else QZERO))
         else:
-            coeffs = [QZERO] * (max(e[v] for e in d) + 1)
-            for e, c in d.items():
-                coeffs[e[v]] = c
-            coeffs = poly_trim(coeffs)
-            out.append(("poly", v, coeffs, poly_derivative(coeffs),
-                        _critical_value_poly(coeffs)))
+            num = [0] * (max(e[v] for e, _ in terms) + 1)
+            for e, c in terms:
+                num[e[v]] = c
+            out.append(("poly", v, num, den, _critical_value_poly(num, den)))
     return out
 
 
-def _grid_roots(res: list[Fraction], n_lo: int, n_hi: int) -> list[int]:
+def _grid_roots(res: list[int], n_lo: int, n_hi: int) -> list[int]:
     """The integers n in [n_lo, n_hi] with res(n / D) = 0, ascending, for a
     nonzero res and D = SNAP_DENOMINATOR.
 
     Degree 1 is solved in closed form.  Otherwise the range is cut to the
-    Cauchy bound D * (1 + max |c_i / c_d|) on the real roots of res(t / D),
-    and the Sturm chain of that polynomial, counted on ints at the ends of
-    (l, r], bisects the range to unit steps (l, l + 1], where an exact
-    evaluation at l + 1 decides.
+    Cauchy bound D * (1 + max |c_i / c_d|), rounded up, on the real roots of
+    D^d res(t / D), and the Sturm chain of that polynomial, counted on ints
+    at the ends of (l, r], bisects the range to unit steps (l, l + 1], where
+    an exact evaluation at l + 1 decides.
     """
     D = SNAP_DENOMINATOR
-    if poly_deg(res) < 1:
+    d = len(res) - 1
+    if d < 1:
         return []
-    if poly_deg(res) == 1:
-        n = -res[0] * D / res[1]
-        return [n.numerator] if n.denominator == 1 and n_lo <= n <= n_hi else []
-    bound = (1 + max(abs(c / res[-1]) for c in res[:-1])) * D
-    n_lo, n_hi = max(n_lo, math.floor(-bound)), min(n_hi, math.ceil(bound))
+    if d == 1:
+        n, r = divmod(-res[0] * D, res[1])
+        return [n] if not r and n_lo <= n <= n_hi else []
+    bound = -(-D * (abs(res[-1]) + max(map(abs, res[:-1]))) // abs(res[-1]))
+    n_lo, n_hi = max(n_lo, -bound), min(n_hi, bound)
     if n_lo > n_hi:
         return []
-    chain = sturm_chain([c / D ** i for i, c in enumerate(res)])
+    chain = sturm_chain([c * D ** (d - i) for i, c in enumerate(res)])
     roots = []
     todo = [(n_lo - 1, n_hi, sign_variations(chain, n_lo - 1), sign_variations(chain, n_hi))]
     while todo:
@@ -865,7 +862,7 @@ def _grid_roots(res: list[Fraction], n_lo: int, n_hi: int) -> list[int]:
         if vl == vr:
             continue
         if r - l == 1:
-            if poly_eval_at(res, Fraction(r, D)) == 0:
+            if poly_value(res, r, D) == 0:
                 roots.append(r)
             continue
         mid = (l + r) // 2
@@ -978,11 +975,13 @@ def _classify_sample(coords, p) -> bool:
                 return True  # constant coordinate misses pj: empty preimage
             critical = True  # zero Jacobian row on a full solution set
             continue
-        _, _, coeffs, deriv, res = coord
-        shifted = [coeffs[0] - pj, *coeffs[1:]]
-        if poly_eval_at(res, pj) == 0:
-            g = poly_gcd(shifted, deriv)
-            if poly_deg(g) >= 1 and has_real_root(g):
+        _, _, num, den, res = coord
+        a, b = pj.numerator, pj.denominator
+        shifted = [b * c for c in num]  # b den (f - pj)
+        shifted[0] -= a * den
+        if poly_value(res, a, b) == 0:
+            g = poly_gcd(shifted, poly_derivative(num))
+            if len(g) > 1 and has_real_root(g):
                 critical = True  # a real root of g solves the equation too
                 continue
         unchecked.append(shifted)

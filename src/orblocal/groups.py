@@ -36,13 +36,12 @@ from .ratlin import (
     kernel,
     kernel_image_rank,
     poly_apply_matrix,
-    poly_derivative,
-    poly_divmod,
-    poly_gcd,
+    poly_int,
     factor_rational_poly,
     _eliminate,
     _null_space,
     _set,
+    _squarefree,
 )
 
 DEFAULT_ORDER_BOUND = 10000
@@ -147,11 +146,10 @@ def _has_infinite_order(g: Matrix) -> bool:
     order has det +-1, |trace| <= n (a sum of n roots of unity), an integral
     characteristic polynomial p (its roots are algebraic integers) and is
     diagonalizable, so the squarefree part p / gcd(p, p') annihilates it."""
-    p = list(g.charpoly())
-    squarefree = poly_divmod(p, poly_gcd(p, poly_derivative(p)))[0]
+    p = g.charpoly()
     return (abs(g.det()) != 1 or abs(g.trace()) > g.rows
             or any(c.denominator != 1 for c in p)
-            or not poly_apply_matrix(squarefree, g).is_zero())
+            or not poly_apply_matrix(_squarefree(poly_int(p)), g).is_zero())
 
 
 def _closure(one, generators: Sequence, product: Callable,
@@ -735,7 +733,7 @@ def find_invariant_subspace(group: FiniteMatrixGroup, dim_wanted: int) -> Invari
     candidates: list[Subspace] = []
     for m in probes:
         for factor, _ in factor_rational_poly(m.charpoly()):
-            fm = poly_apply_matrix(list(factor), m)
+            fm = poly_apply_matrix(factor, m)
             ker, img, _ = kernel_image_rank(fm)
             for s in (ker, img):
                 if 0 < s.dim < n:

@@ -23,13 +23,13 @@ arithmetic enters any code path here.  The three value types are
 Elimination (rref, rank, det, inverse, solve, kernels) is fraction-free
 Gauss-Jordan elimination (Bareiss) on the integer rows: every intermediate
 entry is a minor of the input, every division is exact, and the reduced
-form is read off at the end over the last pivot.  Vectors and univariate
-polynomials work on ``fractions.Fraction``.  On top of those it provides
-kernels/images/rank, characteristic polynomials with full factorization
-into irreducibles over Q (Yun square-free split plus Kronecker's finite
+form is read off at the end over the last pivot.  Vectors work on
+``fractions.Fraction``, univariate polynomials on integer coefficient lists
+up to a positive scale.  On top of those it provides kernels/images/rank,
+characteristic polynomials with full factorization into irreducibles over
+Q (Musser's square-free split, rational roots, then Kronecker's
 interpolation method; fine at the degrees <= 8 this library works with),
-and dense univariate helpers (gcd, Sturm chains) used by the critical-value
-sampler.
+and the gcds and Sturm chains of the critical-value sampler.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import gcd, inf, lcm, prod
+from math import gcd, inf, isqrt, lcm, prod
 from operator import add, attrgetter, mul
 from typing import Iterable, Sequence
 
@@ -627,89 +627,90 @@ def solve_exact(a: Matrix, b: Sequence) -> tuple[Fraction, ...] | None:
 
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials over Q (coefficients low degree first)
+# dense univariate polynomials over Q: a list of ints, low degree first, with
+# a nonzero top coefficient ([] is zero), standing for each of its positive
+# multiples, which have the same real roots, signs, gcds and factors
 
 
-def poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
+def poly_int(p: Iterable) -> list[int]:
+    """The primitive integer multiple of a rational sequence, the positive
+    multiple with coprime integer coefficients, trailing zeros dropped."""
+    return _primitive(_int_vec(p))
+
+
+def _primitive(p: Sequence[int]) -> list[int]:
+    """p over the gcd of its coefficients, trailing zeros dropped."""
+    p = list(p)
+    while p and not p[-1]:
         p.pop()
-    return p
+    g = gcd(*p)
+    return [c // g for c in p] if g > 1 else p
 
 
-def poly_deg(p: Sequence[Fraction]) -> int:
-    return len(p) - 1
+def _positive(p: list[int]) -> list[int]:
+    """p or -p, whichever has a positive lead coefficient."""
+    return [-c for c in p] if p and p[-1] < 0 else p
 
 
-def poly_eval_at(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = QZERO
+def poly_value(p: Sequence[int], n: int, d: int = 1) -> int:
+    """d^deg p(n / d), which has the sign of p(n / d) for d > 0."""
+    v, dk = 0, 1
     for c in reversed(p):
-        acc = acc * x + c
-    return acc
+        v = v * n + c * dk
+        dk *= d
+    return v
 
 
-def poly_mul(p, q):
-    if not p or not q:
-        return []
-    out = [QZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly_trim(out)
+def poly_divmod(p: Sequence[int], q: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Pseudo-division by a nonzero q: (quo, rem) with c p = quo q + rem for
+    some integer c > 0 and deg rem < deg q.
 
-
-def poly_add(p, q):
-    out = [QZERO] * max(len(p), len(q))
-    for i, a in enumerate(p):
-        out[i] += a
-    for i, b in enumerate(q):
-        out[i] += b
-    return poly_trim(out)
-
-
-def poly_scale(p, c):
-    c = rat(c)
-    return poly_trim([c * a for a in p])
-
-
-def poly_divmod(p, q):
+    Each step multiplies by |lead(q)| / g alone, g being its gcd with the
+    top coefficient, so c is 1 when q divides p in Z[x].
+    """
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    p = list(p)
-    quot = [QZERO] * max(0, len(p) - len(q) + 1)
-    lead = q[-1]
-    while len(p) >= len(q) and p:
-        f = p[-1] / lead
-        k = len(p) - len(q)
-        quot[k] = f
+    lead, n = q[-1], len(q)
+    rem = list(p)
+    quo = [0] * max(0, len(rem) - n + 1)
+    while len(rem) >= n:
+        top, k = rem[-1], len(rem) - n
+        g = gcd(top, lead)
+        a, f = abs(lead) // g, (top if lead > 0 else -top) // g
+        if a != 1:
+            rem = [a * c for c in rem]
+            quo = [a * c for c in quo]
+        quo[k] = f
         for i, b in enumerate(q):
-            p[k + i] -= f * b
-        poly_trim(p)
-    return poly_trim(quot), p
+            rem[k + i] -= f * b
+        while rem and not rem[-1]:
+            rem.pop()
+    return quo, rem
 
 
-def poly_derivative(p):
-    return poly_trim([i * c for i, c in enumerate(p)][1:])
+def poly_derivative(p: Sequence[int]) -> list[int]:
+    return [i * c for i, c in enumerate(p)][1:]
 
 
-def poly_monic(p):
-    if not p:
-        return []
-    return poly_scale(p, 1 / p[-1])
-
-
-def poly_gcd(p, q):
-    """Monic gcd over Q."""
-    p, q = poly_trim(list(p)), poly_trim(list(q))
+def poly_gcd(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    """The gcd, primitive with a positive lead coefficient ([] when p and q
+    are both zero): Euclid on primitive remainders."""
+    p, q = _primitive(p), _primitive(q)
     while q:
-        p, q = q, poly_divmod(p, q)[1]
-    return poly_monic(p)
+        p, q = q, _primitive(poly_divmod(p, q)[1])
+    return _positive(p)
 
 
-def sturm_chain(p: Sequence[Fraction]) -> list[list[int]]:
+def _squarefree(p: Sequence[int]) -> list[int]:
+    """p / gcd(p, p') for a nonzero p, primitive: the product of the
+    distinct irreducible factors of p, with the sign of p."""
+    p = _primitive(p)
+    return poly_divmod(p, poly_gcd(p, poly_derivative(p)))[0]
+
+
+def sturm_chain(p: Sequence[int]) -> list[list[int]]:
     """The Sturm chain of the square-free part of a nonzero p, each member
-    scaled by a positive constant to integer coefficients.
+    primitive.
 
     With p0 = p / gcd(p, p'), the chain is p0, p0', and then the negated
     remainders p(i+1) = -rem(p(i-1), p(i)) down to a nonzero constant; a
@@ -717,17 +718,14 @@ def sturm_chain(p: Sequence[Fraction]) -> list[list[int]]:
     ``sign_variations(chain, a) - sign_variations(chain, b)`` is the number
     of distinct real roots of p in (a, b], whether or not a or b is a root.
     """
-    p = poly_trim(list(p))
-    if not p:
+    if not any(p):
         raise ValueError("Sturm chain of the zero polynomial")
-    if poly_deg(p) >= 1:
-        p = poly_divmod(p, poly_gcd(p, poly_derivative(p)))[0]
-    chain = [p]
-    nxt = poly_derivative(p)
+    chain = [_squarefree(p)]
+    nxt = _primitive(poly_derivative(chain[0]))
     while nxt:
         chain.append(nxt)
-        nxt = [-c for c in poly_divmod(chain[-2], nxt)[1]]
-    return [_int_vec(f) for f in chain]
+        nxt = _primitive([-c for c in poly_divmod(chain[-2], nxt)[1]])
+    return chain
 
 
 def sign_variations(chain: Sequence[Sequence[int]], x) -> int:
@@ -745,190 +743,151 @@ def sign_variations(chain: Sequence[Sequence[int]], x) -> int:
         elif x == -inf:
             v = f[-1] if len(f) % 2 else -f[-1]
         else:
-            v = 0
-            for c in reversed(f):
-                v = v * x + c
+            v = poly_value(f, x)
         if v:
             signs.append(v > 0)
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def sturm_real_root_count(p: Sequence[Fraction]) -> int:
+def sturm_real_root_count(p: Sequence[int]) -> int:
     """Number of distinct real roots of p (any nonzero p)."""
     chain = sturm_chain(p)
     return sign_variations(chain, -inf) - sign_variations(chain, inf)
 
 
-def has_real_root(p: Sequence[Fraction]) -> bool:
-    p = poly_trim(list(p))
-    if not p:
+def has_real_root(p: Sequence[int]) -> bool:
+    if len(p) % 2 == 0:  # zero, or of odd degree
         return True
-    if poly_deg(p) == 0:
-        return False
-    if poly_deg(p) % 2 == 1:
-        return True
-    return sturm_real_root_count(p) > 0
+    return len(p) > 1 and sturm_real_root_count(p) > 0
 
 
 # ---------------------------------------------------------------------------
 # factorization into irreducibles over Q
 
 
-def _yun_squarefree(p: list[Fraction]) -> list[tuple[list[Fraction], int]]:
-    """Yun's algorithm: monic square-free parts with multiplicities."""
-    p = poly_monic(p)
-    out = []
-    a = poly_gcd(p, poly_derivative(p))
-    b = poly_divmod(p, a)[0]
-    c = poly_divmod(poly_derivative(p), a)[0]
-    d = poly_add(c, poly_scale(poly_derivative(b), -1))
-    i = 1
-    while poly_deg(b) >= 1:
-        ai = poly_gcd(b, d)
-        if poly_deg(ai) >= 1:
-            out.append((ai, i))
-        b = poly_divmod(b, ai)[0]
-        c = poly_divmod(d, ai)[0]
-        d = poly_add(c, poly_scale(poly_derivative(b), -1))
+def _squarefree_parts(p: Sequence[int]) -> list[tuple[list[int], int]]:
+    """Musser's square-free split of a nonconstant p: the pairs (a_i, i),
+    a_i nonconstant, square-free, primitive with a positive lead and
+    pairwise coprime, with p a rational multiple of the product of a_i^i.
+    From g = gcd(p, p') and w = p / g, step i splits off w / gcd(w, g),
+    then w becomes gcd(w, g) and g becomes g / gcd(w, g); every quotient is
+    exact."""
+    p = _positive(_primitive(p))
+    g = poly_gcd(p, poly_derivative(p))
+    w = poly_divmod(p, g)[0]
+    out, i = [], 1
+    while len(w) > 1:
+        y = poly_gcd(w, g)
+        z = poly_divmod(w, y)[0]
+        if len(z) > 1:
+            out.append((z, i))
+        w, g = y, poly_divmod(g, y)[0]
         i += 1
     return out
 
 
 def _int_divisors(n: int) -> list[int]:
+    """The divisors of n != 0 in ascending absolute value, each followed by
+    its negative."""
     n = abs(n)
-    small, big = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                big.append(n // d)
-        d += 1
-    ds = small + big[::-1]
+    ds = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    ds += [n // d for d in reversed(ds) if d * d != n]
     return [s * x for x in ds for s in (1, -1)]
-
-
-def _rational_roots(p: list[Fraction]) -> list[Fraction]:
-    """All rational roots of p, by the rational root theorem."""
-    ip = _int_vec(p)
-    while ip and ip[0] == 0:
-        ip = ip[1:]
-    roots = []
-    if len(ip) != len(p):
-        roots.append(QZERO)
-    if not ip or len(ip) == 1:
-        return roots
-    for num in _int_divisors(ip[0]):
-        for d in _int_divisors(ip[-1]):
-            if d <= 0:
-                continue
-            cand = Fraction(num, d)
-            if cand not in roots and poly_eval_at(p, cand) == 0:
-                roots.append(cand)
-    return roots
 
 
 _KRONECKER_COMBO_CAP = 4_000_000
 
 
-def _factor_squarefree(p: list[Fraction]) -> list[list[Fraction]]:
-    """Irreducible monic factors of a monic square-free p over Q.
-
-    Rational roots come off first; what remains of degree <= 3 is then
-    irreducible.  Higher degrees use Kronecker interpolation: a degree-d
-    factor is determined by its values at d+1 integer points, and those
-    values divide the values of p there, so only finitely many candidates
-    exist.
-    """
-    p = poly_monic(p)
+def _factor_squarefree(p: list[int]) -> list[list[int]]:
+    """Irreducible factors of a square-free primitive p with a positive lead,
+    each primitive with a positive lead.  Rational roots a / b come off
+    first as factors b x - a, gcd(a, b) = 1 and b > 0, with a dividing the
+    constant coefficient and b the lead; what remains of degree <= 3 is then
+    irreducible.  Higher degrees use Kronecker's method."""
     factors = []
-    for r in sorted(_rational_roots(p)):
-        p = poly_divmod(p, [-r, QONE])[0]
-        factors.append([-r, QONE])
-    while poly_deg(p) >= 1:
-        if poly_deg(p) <= 3:
-            factors.append(poly_monic(p))
-            break
-        q = _kronecker_find_factor(p)
-        if q is None:
-            factors.append(poly_monic(p))
-            break
-        factors.append(poly_monic(q))
+    if not p[0]:
+        factors.append([0, 1])
+        p = p[1:]
+    for a, b in itertools.product(_int_divisors(p[0]), _int_divisors(p[-1])):
+        if b > 0 and gcd(a, b) == 1 and not poly_value(p, a, b):
+            factors.append([-a, b])
+            p = poly_divmod(p, [-a, b])[0]
+    while len(p) > 4 and (q := _kronecker_find_factor(p)):
+        factors.append(q)
         p = poly_divmod(p, q)[0]
+    if len(p) > 1:
+        factors.append(p)
     return factors
 
 
-def _kronecker_find_factor(p: list[Fraction]) -> list[Fraction] | None:
-    """A nontrivial factor of p (monic, square-free, no rational roots), or None."""
-    ip = _int_vec(p)
-    points: list[int] = []
-    k = 0
-    while len(points) <= poly_deg(p) // 2:
-        for x in ([0] if k == 0 else [k, -k]):
-            if poly_eval_at(p, Fraction(x)) != 0:
-                points.append(x)
-        k += 1
-    for d in range(2, poly_deg(p) // 2 + 1):
-        xs = points[: d + 1]
-        divisor_lists = []
-        for x in xs:
-            divisor_lists.append(_int_divisors(poly_eval_at([Fraction(c) for c in ip], Fraction(x)).numerator))
-        total = 1
-        for dl in divisor_lists:
-            total *= len(dl)
-        if total > _KRONECKER_COMBO_CAP:
+def _kronecker_find_factor(p: list[int]) -> list[int] | None:
+    """A nontrivial factor of least degree of p (primitive, square-free,
+    without rational roots), primitive with a positive lead, or None.
+
+    By Gauss's lemma a factor of degree d is a multiple of a primitive q
+    dividing p in Z[x], so q(x) divides p(x) at the points x = 0, 1, -1,
+    2, ..., none of them a root of p, and q is the interpolant of its values
+    at d + 1 of them, with q(0) > 0 up to sign.  A candidate is tried only
+    if its lead is an integer dividing p's.
+    """
+    half = (len(p) - 1) // 2
+    points = [(k + 1) // 2 * (1 if k % 2 else -1) for k in range(half + 1)]
+    values = [poly_value(p, x) for x in points]
+    for d in range(2, half + 1):
+        divisor_lists = [_int_divisors(v) for v in values[:d + 1]]
+        if prod(map(len, divisor_lists)) > _KRONECKER_COMBO_CAP:
             raise BudgetExceeded("factor search space too large at degree %d" % d)
-        # sign symmetry: q and -q divide together, so pin the first value > 0
-        first = [v for v in divisor_lists[0] if v > 0]
-        for values in itertools.product(first, *divisor_lists[1:]):
-            q = _lagrange_interpolate(xs, values)
-            if poly_deg(q) != d or q[-1] == 0:
+        cols, w = _lagrange_basis(points[:d + 1])
+        positive = [v for v in divisor_lists[0] if v > 0]  # q(0) > 0
+        for ys in itertools.product(positive, *divisor_lists[1:]):
+            lead, r = divmod(sum(map(mul, ys, cols[-1])), w)
+            if r or not lead or p[-1] % lead:
                 continue
-            q = poly_monic(q)
-            quot, rem = poly_divmod(p, q)
-            if not rem and poly_deg(quot) >= 1:
-                return q
+            q = [sum(map(mul, ys, col)) for col in cols]  # w times the interpolant
+            if not poly_divmod(p, q)[1]:
+                return _positive(_primitive(q))
     return None
 
 
-def _lagrange_interpolate(xs: Sequence[int], ys: Sequence[int]) -> list[Fraction]:
-    out: list[Fraction] = []
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        term = [Fraction(yi)]
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            term = poly_mul(term, [Fraction(-xj, 1), QONE])
-            term = poly_scale(term, Fraction(1, xi - xj))
-        out = poly_add(out, term)
-    return out
+def _lagrange_basis(xs: Sequence[int]) -> tuple[list[tuple[int, ...]], int]:
+    """(cols, w) for distinct integer points xs: with L_i the polynomial of
+    degree < len(xs) that is 1 at xs[i] and 0 at the other points,
+    cols[k][i] / w is the coefficient of x^k in L_i, and w > 0."""
+    nums, dens = [], []
+    for i, xi in enumerate(xs):
+        num, den = [1], 1
+        for xj in xs[:i] + xs[i + 1:]:
+            num = [a - xj * b for a, b in zip([0] + num, num + [0])]  # num (x - xj)
+            den *= xi - xj
+        nums.append(num)
+        dens.append(den)
+    w = lcm(*dens)
+    return list(zip(*[[w // den * c for c in num] for num, den in zip(nums, dens)])), w
 
 
-def factor_rational_poly(p: Sequence[Fraction]) -> list[tuple[tuple[Fraction, ...], int]]:
-    """Factor a univariate rational polynomial into monic irreducibles over Q.
+def factor_rational_poly(p: Sequence) -> list[tuple[tuple[int, ...], int]]:
+    """Factor a univariate rational polynomial into irreducibles over Q.
 
-    Returns (factor, multiplicity) pairs; the product of factor^multiplicity
-    equals the monic normalization of the input.  Factors are sorted by
-    (degree, coefficients) so output is canonical.
+    Returns (factor, multiplicity) pairs, each factor primitive with a
+    positive lead coefficient; the product of factor^multiplicity is a
+    rational multiple of p.  For an integral monic p, such as the
+    characteristic polynomial of a matrix of finite order, the factors are
+    monic.  Factors are sorted by (degree, coefficients) so output is
+    canonical.
     """
-    p = poly_trim([rat(c) for c in p])
-    if poly_deg(p) < 1:
+    p = poly_int(p)
+    if len(p) < 2:
         return []
-    found: list[tuple[tuple[Fraction, ...], int]] = []
-    for part, mult in _yun_squarefree(p):
-        for f in _factor_squarefree(part):
-            found.append((tuple(f), mult))
-    merged: dict[tuple[Fraction, ...], int] = {}
-    for f, m in found:
-        merged[f] = merged.get(f, 0) + m
-    return sorted(merged.items(), key=lambda fm: (len(fm[0]), fm[0]))
+    return sorted(((tuple(f), mult) for part, mult in _squarefree_parts(p)
+                   for f in _factor_squarefree(part)),
+                  key=lambda fm: (len(fm[0]), fm[0]))
 
 
-def poly_apply_matrix(p: Sequence[Fraction], m: Matrix) -> Matrix:
-    """Evaluate a univariate polynomial at a square matrix by Horner's rule,
-    from the top coefficient down: degree d costs d matrix products."""
+def poly_apply_matrix(p: Sequence, m: Matrix) -> Matrix:
+    """Evaluate a univariate polynomial with rational coefficients at a
+    square matrix by Horner's rule, from the top coefficient down: degree d
+    costs d matrix products."""
     n = m.rows
-    p = poly_trim(list(p))
     if not p:
         return Matrix.zero(n, n)
     ident = Matrix.identity(n)
@@ -1037,9 +996,6 @@ class MultiPoly:
     @property
     def out_dim(self) -> int:
         return len(self._num)
-
-    def coord_dict(self, i: int) -> TermDict:
-        return dict(self.coords[i])
 
     @classmethod
     def zero_map(cls, num_vars: int, out_dim: int) -> "MultiPoly":

@@ -411,7 +411,7 @@ def test_unwritable_out_is_an_input_error(tmp_path, docs, capsys, command):
     assert captured.err == (
         "input error: at $.out: cannot write %s ([Errno 2] No such file or directory: %r)\n"
         % (out, out))
-    assert captured.out  # the summary is printed before the report is written
+    assert captured.out == ""  # the report is written before the summary is printed
     assert not (tmp_path / "missing-dir").exists()
 
 

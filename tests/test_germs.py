@@ -12,19 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import orblocal
-from orblocal.ratlin import (
-    Matrix,
-    MultiPoly,
-    Subspace,
-    has_real_root,
-    poly_add,
-    poly_derivative,
-    poly_deg,
-    poly_eval_at,
-    poly_gcd,
-    poly_mul,
-    poly_trim,
-)
+from orblocal.ratlin import Matrix, MultiPoly, Subspace, has_real_root, poly_int
 from orblocal.groups import (
     FiniteMatrixGroup, GroupHom, NotAHomomorphism, Subgroup, close_in, generate_closure,
     verify_homomorphism)
@@ -61,6 +49,8 @@ from orblocal.corpus import (
     builtin_documents, charts, germ_case, germ_cases, case_preimage_models)
 from orblocal.serialize import parse_germ_payload
 from test_golden import conjugate_documents
+from test_ratlin import (
+    ref_add, ref_deg, ref_derivative, ref_eval, ref_gcd, ref_mul, ref_trim)
 
 
 def m(rows):
@@ -1012,11 +1002,11 @@ class TestSard:
         grid root 0: the roots in range, once each."""
         res = list(other)
         for n in grid:
-            res = poly_mul(res, [F(-n, SNAP_DENOMINATOR), F(1)])
+            res = ref_mul(res, [F(-n, SNAP_DENOMINATOR), F(1)])
         want = {n for n in grid if n_lo <= n <= n_lo + span}
         if other == [F(0), F(1)] and n_lo <= 0 <= n_lo + span:
             want.add(0)
-        assert germs._grid_roots(res, n_lo, n_lo + span) == sorted(want)
+        assert germs._grid_roots(poly_int(res), n_lo, n_lo + span) == sorted(want)
 
     @pytest.mark.parametrize("dims", [1, 2])
     @settings(max_examples=30, deadline=None)
@@ -1112,7 +1102,8 @@ class TestSard:
         """Stickelberger: for f of degree 1 to 8, the characteristic
         polynomial of multiplication by f on Q[x]/(f') is a nonzero multiple
         of Res_x(f - p, f')."""
-        got = _critical_value_poly(coeffs)
+        den = lcm(*(c.denominator for c in coeffs))
+        got = _critical_value_poly([int(c * den) for c in coeffs], den)
         want = reference_critical_value_resultant(coeffs)
         assert len(got) == len(want) and want[-1] != 0
         scale = got[-1] / want[-1]
@@ -1125,9 +1116,13 @@ def sard_reference(germ, box, samples, seed):
     tuple and goes through reference_classify_sample, with each coordinate's
     critical values from reference_critical_value_resultant."""
     box = tuple((F(lo), F(hi)) for lo, hi in box)
-    coords = [coord if coord[0] == "const"
-              else (*coord[:4], reference_critical_value_resultant(coord[2]))
-              for coord in _separable_coordinates(germ.lift)]
+    coords = []
+    for coord in _separable_coordinates(germ.lift):
+        if coord[0] == "poly":
+            coeffs = [F(c, coord[3]) for c in coord[2]]
+            coord = ("poly", coord[1], coeffs, ref_derivative(coeffs),
+                     reference_critical_value_resultant(coeffs))
+        coords.append(coord)
     fbox = [(float(lo), float(hi)) for lo, hi in box]
     rng = random.Random(seed)
     regular_count = 0
@@ -1145,7 +1140,7 @@ def sard_reference(germ, box, samples, seed):
 
 def reference_sylvester_resultant(a, b):
     """Res(a, b) as the determinant of the Sylvester matrix."""
-    m, n = poly_deg(a), poly_deg(b)
+    m, n = ref_deg(a), ref_deg(b)
     size = m + n
     rows = []
     ra, rb = list(reversed(a)), list(reversed(b))
@@ -1159,15 +1154,15 @@ def reference_sylvester_resultant(a, b):
 def reference_critical_value_resultant(coeffs):
     """Res_x(f - p, f') as a polynomial in p, by Sylvester determinants at
     deg f' + 1 integer points and Lagrange interpolation."""
-    deriv = poly_derivative(coeffs)
-    if poly_deg(deriv) < 1:
+    deriv = ref_derivative(coeffs)
+    if ref_deg(deriv) < 1:
         return [F(1)]
-    xs = list(range(poly_deg(deriv) + 1))
+    xs = list(range(ref_deg(deriv) + 1))
     ys = []
     for t in xs:
         shifted = list(coeffs)
         shifted[0] = shifted[0] - t
-        ys.append(reference_sylvester_resultant(poly_trim(shifted), deriv))
+        ys.append(reference_sylvester_resultant(ref_trim(shifted), deriv))
     return reference_lagrange_interpolate(xs, ys) or [F(0)]
 
 
@@ -1178,8 +1173,8 @@ def reference_lagrange_interpolate(xs, ys):
         term = [F(yi)]
         for j, xj in enumerate(xs):
             if j != i:
-                term = [c / (xi - xj) for c in poly_mul(term, [F(-xj), F(1)])]
-        out = poly_add(out, term)
+                term = [c / (xi - xj) for c in ref_mul(term, [F(-xj), F(1)])]
+        out = ref_add(out, term)
     return out
 
 
@@ -1194,7 +1189,7 @@ def reference_classify_sample(coords, p):
             if coord[1] != pj:
                 return True  # constant coordinate misses pj: empty preimage
             capable.append((coord, pj, True))
-        elif poly_eval_at(coord[4], pj) == 0:
+        elif ref_eval(coord[4], pj) == 0:
             capable.append((coord, pj, False))
     if not capable:
         return True
@@ -1207,22 +1202,22 @@ def reference_classify_sample(coords, p):
         _, _, coeffs, deriv, _ = coord
         shifted = list(coeffs)
         shifted[0] = shifted[0] - pj
-        poly_trim(shifted)
-        g = poly_gcd(shifted, deriv)
-        if poly_deg(g) >= 1 and has_real_root(g):
+        ref_trim(shifted)
+        g = ref_gcd(shifted, deriv)
+        if ref_deg(g) >= 1 and has_real_root(poly_int(g)):
             critical_real = True
         else:
             nonempty_checks.append(shifted)
     if not critical_real:
         return True
     for coord, pj in zip(coords, p):
-        if coord[0] == "poly" and poly_eval_at(coord[4], pj) != 0:
+        if coord[0] == "poly" and ref_eval(coord[4], pj) != 0:
             shifted = list(coord[2])
             shifted[0] = shifted[0] - pj
-            poly_trim(shifted)
-            if poly_deg(shifted) < 1 or not has_real_root(shifted):
+            ref_trim(shifted)
+            if ref_deg(shifted) < 1 or not has_real_root(poly_int(shifted)):
                 return True
-    return any(poly_deg(s) < 1 or not has_real_root(s) for s in nonempty_checks)
+    return any(ref_deg(s) < 1 or not has_real_root(poly_int(s)) for s in nonempty_checks)
 
 
 small_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=7)
@@ -1251,8 +1246,8 @@ def sard_coordinates(draw):
         return coeffs, coeffs[0]
     a, s, v = draw(small_rationals), draw(nonzero_rationals), draw(grid_values)
     g = [draw(small_rationals) for _ in range(deg - 2)] + [s]
-    coeffs = poly_add(poly_mul(poly_mul([-a, F(1)], [-a, F(1)]), g), [v])
-    return poly_trim(coeffs), v
+    coeffs = ref_add(ref_mul(ref_mul([-a, F(1)], [-a, F(1)]), g), [v])
+    return ref_trim(coeffs), v
 
 
 def sard_interval(centre):

@@ -3,8 +3,10 @@
 Each run's (exit code, stdout, stderr) is hashed with sha256 and compared
 with tests/cli_digests.json, so a change that alters any report, summary
 line or error message on these inputs fails here.  The runs are the CLI on
-every built-in document, strata, obstruct and analyze on rational
-conjugates of D4, A4, B3, S4, D12 and C2x3, and corpus run --out, whose
+every built-in document; sard with 10^6 samples on every built-in germ
+document, for seeds 1 and 20240 and the boxes [-2, 2] and [-1/3, 5/7] on
+each target coordinate; strata, obstruct and analyze on rational
+conjugates of D4, A4, B3, S4, D12 and C2x3; and corpus run --out, whose
 written file is pinned by its own sha256.  The same digests must come out of one run
 under python -O, since every check raises explicitly.  To regenerate the digests after an intended
 output change, run this file as a script from the repository root:
@@ -113,12 +115,26 @@ def conjugate_documents(name):
     }
 
 
+SARD_SEEDS = (1, 20240)
+SARD_BOXES = (("-2", "2"), ("-1/3", "5/7"))
+
+
 def runs():
-    """(label, command, document) of every pinned run."""
-    out = [(name, COMMAND[doc["kind"]], doc) for name, doc in builtin_documents().items()]
+    """(label, document, argv after the document) of every pinned run; the
+    command is argv's first word."""
+    out = []
+    for name, doc in builtin_documents().items():
+        out.append((name, doc, [COMMAND[doc["kind"]]]))
+        if doc["kind"] == "germ":
+            k = doc["payload"]["target"]["dim"]
+            for seed in SARD_SEEDS:
+                for lo, hi in SARD_BOXES:
+                    out.append(("%s-sard-%d-[%s,%s]" % (name, seed, lo, hi), doc,
+                                ["sard", "--samples", "1000000", "--seed", str(seed),
+                                 *["--box", lo, hi] * k]))
     for name in BASE_GROUPS:
         for command, doc in conjugate_documents(name).items():
-            out.append(("%s-%s" % (name, command), command, doc))
+            out.append(("%s-%s" % (name, command), doc, [command]))
     return out
 
 
@@ -136,11 +152,11 @@ def digests(workdir):
     run, and for "corpus-run-out" the sha256 of the file that
     corpus run --out writes."""
     out = {}
-    for label, command, doc in runs():
+    for label, doc, argv in runs():
         path = os.path.join(workdir, "doc.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        out[label] = run_digest([command, path])
+        out[label] = run_digest([argv[0], path, *argv[1:]])
     path = os.path.join(workdir, "corpus.json")
     out["corpus-run"] = run_digest(["corpus", "run", "--out", path])
     with open(path, "rb") as fh:
@@ -156,7 +172,7 @@ def pinned():
 def test_cli_output_matches_digests(tmp_path):
     want = pinned()
     got = digests(str(tmp_path))
-    assert len(got) == 41
+    assert len(got) == 105
     assert sorted(got) == sorted(want)
     changed = [label for label in got if got[label] != want[label]]
     assert not changed, "CLI output changed for %s" % changed

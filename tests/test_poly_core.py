@@ -132,7 +132,7 @@ def assert_matches(p, n, ref):
     assert p._den > 0
     assert gcd(p._den, *(c for terms in p._num for _, c in terms)) == 1
     assert p.is_zero() == (not any(p.coords))
-    again = MultiPoly(n, [p.coord_dict(i) for i in range(p.out_dim)])
+    again = MultiPoly(n, [dict(p.coords[i]) for i in range(p.out_dim)])
     assert again == p and hash(again) == hash(p)
 
 

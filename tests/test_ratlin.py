@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from orblocal import ratlin
 from orblocal.ratlin import (
@@ -14,8 +15,9 @@ from orblocal.ratlin import (
     has_real_root,
     kernel_image_rank,
     poly_apply_matrix,
+    poly_divmod,
     poly_gcd,
-    poly_mul,
+    poly_int,
     restrict_to_subspace,
     sign_variations,
     solve_exact,
@@ -27,6 +29,62 @@ from orblocal.ratlin import (
 def random_matrix(rng, rows, cols, span=4):
     return Matrix([[F(rng.randint(-span, span), rng.randint(1, 3))
                     for _ in range(cols)] for _ in range(rows)])
+
+
+# A Fraction reference for univariate polynomials, coefficients low degree
+# first and the top one nonzero; the library keeps them as integer lists.
+
+
+def ref_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def ref_deg(p):
+    return len(p) - 1
+
+
+def ref_eval(p, x):
+    acc = F(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def ref_add(p, q):
+    out = [F(0)] * max(len(p), len(q))
+    for i, a in enumerate(p):
+        out[i] += a
+    for i, b in enumerate(q):
+        out[i] += b
+    return ref_trim(out)
+
+
+def ref_mul(p, q):
+    out = [F(0)] * max(0, len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return ref_trim(out)
+
+
+def ref_derivative(p):
+    return ref_trim([i * F(c) for i, c in enumerate(p)][1:])
+
+
+def ref_gcd(p, q):
+    """The monic gcd, by Euclid's algorithm over Fractions."""
+    p, q = ref_trim([F(c) for c in p]), ref_trim([F(c) for c in q])
+    while q:
+        r = list(p)
+        while len(r) >= len(q):
+            f, k = r[-1] / q[-1], len(r) - len(q)
+            for i, b in enumerate(q):
+                r[k + i] -= f * b
+            ref_trim(r)
+        p, q = q, r
+    return [c / p[-1] for c in p] if p else []
 
 
 class TestMatrix:
@@ -194,7 +252,7 @@ class TestFactorization:
             prod = [F(1)]
             for f, mult in fs:
                 for _ in range(mult):
-                    prod = poly_mul(prod, list(f))
+                    prod = ref_mul(prod, list(f))
             assert prod == coeffs
 
     def test_cyclotomic_matrix_orders(self):
@@ -242,8 +300,8 @@ class TestSturm:
         ([2, 0, 1], 0),      # x^2 + 2
     ])
     def test_root_counts(self, poly, count):
-        assert sturm_real_root_count([F(c) for c in poly]) == count
-        assert has_real_root([F(c) for c in poly]) == (count > 0)
+        assert sturm_real_root_count(poly) == count
+        assert has_real_root(poly) == (count > 0)
 
     def test_variations_count_roots_in_half_open_intervals(self):
         """(x - 1)^2 (x + 2) (x^2 + 1) (x - 1/3): V(a) - V(b) is the number
@@ -251,23 +309,115 @@ class TestSturm:
         ints, Fractions and the infinities."""
         p = [F(1)]
         for factor in ([-1, 1], [-1, 1], [2, 1], [1, 0, 1], [F(-1, 3), 1]):
-            p = poly_mul(p, [F(c) for c in factor])
+            p = ref_mul(p, [F(c) for c in factor])
         roots = [F(-2), F(1, 3), F(1)]
-        chain = sturm_chain(p)
+        chain = sturm_chain(poly_int(p))
         assert all(isinstance(c, int) for f in chain for c in f)
         points = [-math.inf, -3, F(-2), F(-1, 2), 0, F(1, 3), F(1, 2), 1, F(3, 2), math.inf]
         for i, a in enumerate(points):
             for b in points[i + 1:]:
                 want = sum(1 for r in roots if a < r <= b)
                 assert sign_variations(chain, a) - sign_variations(chain, b) == want
-        assert sturm_chain([F(5)]) == [[5]]
+        assert sturm_chain([5]) == [[1]]
         with pytest.raises(ValueError):
-            sturm_chain([F(0)])
+            sturm_chain([0])
 
     def test_gcd(self):
         # gcd(x^2-1, x-1) = x-1 up to normalization
-        g = poly_gcd([F(-1), F(0), F(1)], [F(-1), F(1)])
-        assert g == [F(-1), F(1)]
+        g = poly_gcd([-1, 0, 1], [-1, 1])
+        assert g == [-1, 1]
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+int_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=6).filter(lambda p: p[-1])
+
+
+@st.composite
+def factored_polys(draw):
+    """(p, factors, mults, roots): p a nonzero rational multiple of the
+    product of factors[i]^mults[i], with Fraction factors x - r for distinct
+    small rationals r (the real roots) and (x - a)^2 + b with b > 0 and
+    distinct (a, b), which have no real root; so the factors are
+    irreducible over Q, square-free and pairwise coprime."""
+    roots = draw(st.lists(small_rationals, unique=True, max_size=3))
+    quadratics = draw(st.lists(st.tuples(small_rationals, small_rationals.filter(lambda b: b > 0)),
+                               unique=True, max_size=2))
+    factors = [[-r, F(1)] for r in roots] + [[a * a + b, -2 * a, F(1)] for a, b in quadratics]
+    assume(factors)
+    mults = [draw(st.integers(1, 3)) for _ in factors]
+    p = [draw(small_rationals.filter(lambda c: c != 0))]
+    for f, m in zip(factors, mults):
+        for _ in range(m):
+            p = ref_mul(p, f)
+    return p, factors, mults, roots
+
+
+class TestIntegerPolynomials:
+    """The integer polynomial functions against the Fraction reference on
+    products of small rational factors with multiplicities."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(factored_polys(), int_polys, int_polys)
+    def test_divmod_is_a_pseudo_division(self, fp, q, r):
+        """c p = quo q + rem with c > 0 and deg rem < deg q, and c = 1 when q
+        divides p in Z[x]."""
+        for p in (poly_int(fp[0]), r):
+            quo, rem = poly_divmod(p, q)
+            assert len(rem) < len(q) and (not rem or rem[-1])
+            lhs = ref_add(ref_mul(quo, q), rem)
+            c = F(lhs[-1], p[-1])
+            assert c > 0 and lhs == [c * a for a in p]
+        assert poly_divmod([int(c) for c in ref_mul(q, r)], q) == (r, [])
+
+    @settings(max_examples=80, deadline=None)
+    @given(factored_polys(), st.data())
+    def test_gcd_is_the_monic_gcd_up_to_a_positive_scale(self, fp, data):
+        p, factors, mults, _ = fp
+        q = data.draw(int_polys)
+        for f in data.draw(st.lists(st.sampled_from(factors), max_size=3)):
+            q = ref_mul(q, f)
+        for a, b in [(p, q), (q, p), (p, ref_derivative(p)), (p, [])]:
+            g = poly_gcd(poly_int(a), poly_int(b))
+            assert g[-1] > 0 and [F(c, g[-1]) for c in g] == ref_gcd(a, b)
+
+    @settings(max_examples=80, deadline=None)
+    @given(factored_polys())
+    def test_squarefree_parts_give_the_multiplicities(self, fp):
+        p, factors, mults, _ = fp
+        want = []
+        for i in sorted(set(mults)):
+            part = [F(1)]
+            for f, m in zip(factors, mults):
+                if m == i:
+                    part = ref_mul(part, f)
+            want.append((poly_int(part), i))
+        assert ratlin._squarefree_parts(poly_int(p)) == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(factored_polys())
+    def test_factors_reexpand_to_a_multiple(self, fp):
+        p, factors, mults, _ = fp
+        got = factor_rational_poly(p)
+        assert got == sorted(((tuple(poly_int(f)), m) for f, m in zip(factors, mults)),
+                             key=lambda fm: (len(fm[0]), fm[0]))
+        prod = [F(1)]
+        for f, m in got:
+            assert f[-1] > 0 and math.gcd(*f) == 1
+            for _ in range(m):
+                prod = ref_mul(prod, f)
+        c = prod[-1] / p[-1]
+        assert prod == [c * a for a in p]
+
+    @settings(max_examples=80, deadline=None)
+    @given(factored_polys())
+    def test_sturm_counts_the_distinct_real_roots(self, fp):
+        p, _, _, roots = fp
+        assert sturm_real_root_count(poly_int(p)) == len(roots)
+        assert has_real_root(poly_int(p)) == bool(roots)
+        chain = sturm_chain(poly_int(p))
+        # distinct roots with denominators up to 4 lie at least 1/12 apart
+        for r in roots:
+            assert sign_variations(chain, r - F(1, 100)) - sign_variations(chain, r) == 1
 
 
 class TestMultiPoly:
