@@ -210,10 +210,16 @@ def stratify(chart: LocalChart) -> StrataReport:
     space, and each new space's orbit is walked (_orbit).  R is met with the
     classes outside Stab(R) (the others contain R) once per orbit of Stab(R)
     acting on them by conjugation, as h in Stab(R) fixes R pointwise and
-    h Fix(g) = Fix(h g h^-1); a line meets each of them in 0.  A new meet M
-    is fixed by Stab(R) and the orbit it was met with; each other class
-    takes one membership test of M's echelon rows.  Strata are sorted by
-    echelon rows, as integers over the lcm of their denominators.
+    h Fix(g) = Fix(h g h^-1); a line meets each of them in 0.  A class
+    whose space F is already in the lattice is not met when Stab(R) lies in
+    Stab(F), told by Stab(R)'s generators on Stab(F)'s member set: both are
+    lattice spaces, each the fixed space of its pointwise stabilizer, so F
+    lies in R and the meet could only find F again (the class is its own
+    orbit, as Stab(R) fixes F pointwise).  After the full space's round
+    every class space is in the lattice.  A new meet M is fixed by Stab(R)
+    and the orbit it was met with; each other class takes one membership
+    test of M's echelon rows.  Strata are sorted by echelon rows, as
+    integers over the lcm of their denominators.
     """
     n, group = chart.dim, chart.group
     mul = group.mul
@@ -236,6 +242,7 @@ def stratify(chart: LocalChart) -> StrataReport:
         classes.setdefault(class_of[i], []).append(i)
     fixed = list(spaces)
     isotropy = {full: Subgroup(group, (0,))}
+    inner: dict[int, set[int]] = {}  # the members of Stab(fixed[c]), once it is known
     reps = [full]
     for rep in reps:  # grows while it is walked
         stab = isotropy[rep]
@@ -250,6 +257,10 @@ def stratify(chart: LocalChart) -> StrataReport:
         for c in outside:
             if c in seen:
                 continue
+            if c not in inner and fixed[c] in isotropy:
+                inner[c] = set(isotropy[fixed[c]].members)
+            if c in inner and inner[c].issuperset(stab.generators):
+                continue  # fixed[c] lies in rep: the meet is fixed[c], known
             seen.add(c)
             orbit = [c]
             for o in orbit:  # grows while it is walked
@@ -400,11 +411,12 @@ def verify_embedding(e: ChartEmbedding) -> ChartEmbedding:
     L gamma = theta(gamma) L and theta(gamma) t = t, which gives
     psi(gamma y) = theta(gamma) psi(y) for every y.  theta is first checked
     to be multiplicative (GroupHom.check_multiplicative, NotAHomomorphism
-    otherwise); then both conditions hold for a product when they hold for
-    its factors, so they are checked on the distinct generators (the
-    identity when there are none) in ascending index order.  Closure is
-    breadth-first, so the first failing generator is the first failing
-    element.
+    otherwise; a theta that has passed it, in verify_homomorphism for one,
+    is not walked again); then both conditions hold for a product when
+    they hold for its factors, so they are checked on the distinct
+    generators (the identity when there are none) in ascending index order.
+    Closure is breadth-first, so the first failing generator is the first
+    failing element.
     """
     if e.linear.rows != e.target.dim or e.linear.cols != e.source.dim:
         raise EmbeddingError("linear part is %dx%d for a %d->%d embedding"

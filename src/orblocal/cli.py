@@ -353,7 +353,8 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once; each parse returns a fresh namespace."""
+    """The argument parser, built once; each parse returns a fresh namespace.
+    Its ``commands`` maps each command name to the command's own parser."""
     ap = _Parser(
         prog="orblocal",
         description="exact local calculus of smooth orbifold charts and germs")
@@ -400,11 +401,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anchor", help="only scenarios whose anchor/name match")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_corpus)
+    ap.commands = sub.choices
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run the command argv names (sys.argv[1:] when None) and return its
+    exit code.
+
+    When argv's first word names a command, the rest is parsed by that
+    command's own parser (build_parser().commands) alone, into a namespace
+    whose ``command`` is the name: the namespace the top-level parser gives,
+    which hands the rest to the same parser.  Everything else goes through
+    the top-level parser: no command, an unknown one, --help, --version,
+    and a word the command's parser does not know, which the top-level
+    parser reports as an unrecognized argument.
+    """
+    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    args = extra = None
+    if argv and argv[0] in ap.commands:
+        args, extra = ap.commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+    if args is None or extra:
+        args = ap.parse_args(argv)
     try:
         return args.fn(args)
     except SchemaError as e:

@@ -197,7 +197,9 @@ def build_germ(source: LocalChart, target: LocalChart, lift: MultiPoly,
     """Verify and assemble a map germ.
 
     theta is first checked to be multiplicative on (element, generator)
-    pairs (GroupHom.check_multiplicative, NotAHomomorphism otherwise).
+    pairs (GroupHom.check_multiplicative, NotAHomomorphism otherwise); a
+    theta that has passed that check, in verify_homomorphism or an earlier
+    germ, keeps its verdict and is not walked again.
     Equivariance is then the exact polynomial identity
     lift(gamma y) - theta(gamma) lift(y) == 0 for the distinct generators
     gamma of the source group, in ascending index order (the identity alone
@@ -376,26 +378,43 @@ def _boundary_restriction(lift: MultiPoly) -> MultiPoly:
 class InvariantProjection(Record):
     """The averaged projection onto the differential kernel.
 
-    For each gamma in the homomorphism kernel N, a_gamma = gamma - I maps
-    into the kernel subspace K.  projection = -(1/|N|) sum a_gamma is
+    For each gamma in the homomorphism kernel N, A(gamma) = gamma - I maps
+    into the kernel subspace K.  projection = -(1/|N|) sum A(gamma) is
     I - R_N, where R_N = (1/|N|) sum gamma projects onto the fixed space of
     N, so it is an idempotent commuting with N whose image lies in K and
-    whose kernel N fixes pointwise.  a_gamma lists every member of N, in
-    member order.
+    whose kernel N fixes pointwise.  a_gamma lists (gamma, A(gamma)) for
+    every member of N, in member order.  A projection given a_gamma as None,
+    as invariant_projection builds it, has A(gamma) = gamma - I: it derives
+    a_gamma from n_group on the first read and keeps it, and
+    cocycle_identities reads the members of N in their integer form (the
+    private ``_scaled``, see _scaled_members) instead.  a_gamma takes part
+    in equality, hashing and repr either way; ``_scaled`` does not.
     """
 
-    __slots__ = _fields = ("n_group", "kernel_space", "a_gamma", "projection",
-                           "proj_kernel", "proj_image")
+    __slots__ = ("n_group", "kernel_space", "_a_gamma", "projection",
+                 "proj_kernel", "proj_image", "_scaled")
+    _fields = ("n_group", "kernel_space", "a_gamma", "projection",
+               "proj_kernel", "proj_image")
 
     def __init__(self, n_group: Subgroup, kernel_space: Subspace,
-                 a_gamma: tuple[tuple[int, Matrix], ...], projection: Matrix,
+                 a_gamma: tuple[tuple[int, Matrix], ...] | None, projection: Matrix,
                  proj_kernel: Subspace, proj_image: Subspace):
         _set(self, "n_group", n_group)
         _set(self, "kernel_space", kernel_space)
-        _set(self, "a_gamma", a_gamma)
+        _set(self, "_a_gamma", a_gamma)
         _set(self, "projection", projection)
         _set(self, "proj_kernel", proj_kernel)
         _set(self, "proj_image", proj_image)
+        _set(self, "_scaled", None)
+
+    @property
+    def a_gamma(self) -> tuple[tuple[int, Matrix], ...]:
+        if self._a_gamma is None:
+            grp = self.n_group.parent
+            ident = Matrix.identity(grp.dim)
+            _set(self, "_a_gamma", tuple((i, grp.element(i) - ident)
+                                         for i in self.n_group.members))
+        return self._a_gamma
 
 
 def invariant_projection(germ: MapGerm) -> InvariantProjection:
@@ -409,23 +428,27 @@ def invariant_projection(germ: MapGerm) -> InvariantProjection:
     matrices gives the same under their product.  The projection is checked
     to be idempotent with its image in K and its kernel and image splitting
     the space.  Kernel membership is tested on integer rows (the columns of
-    gamma - I and the echelon rows of the image, each up to a scale), and
-    the projection is one integer sum (_negated_mean).  Every check raises
+    gamma - I and the echelon rows of the image, each up to a scale).  The
+    members of N are read once, as a common denominator D and the integer
+    matrices D gamma (_scaled_members); the projection I - (1/|N|) sum gamma
+    is one integer sum of them, (|N| D I - sum D gamma) / (|N| D), and the
+    result keeps them for cocycle_identities.  No matrix gamma - I is
+    formed: a_gamma is derived on its first read.  Every check raises
     AssertionError explicitly, so it also runs under python -O.
     """
     n = germ.source.dim
     grp = germ.source.group
-    ident = Matrix.identity(n)
     ngrp = germ.n_group
     kernel = germ.base_kernel
     gens = [grp.element(i) for i in ngrp.generators]
     for m in gens:
-        # a = num / den maps into K exactly when each integer column of num does
-        if not all(map(kernel._spans, zip(*(m - ident)._num))):
+        # (num - den I) / den maps into K exactly when each integer column
+        # of num - den I does
+        if not all(map(kernel._spans, zip(*_minus_identity_rows(m)))):
             raise AssertionError(
                 "gamma - I does not map into the kernel (broken germ)")
-    a_gamma = tuple((i, grp.element(i) - ident) for i in ngrp.members)
-    proj = _negated_mean([a for _, a in a_gamma])
+    scaled = _scaled_members(grp, ngrp.members)
+    proj = _negated_mean(scaled)
     if proj * proj != proj:
         raise AssertionError("projection is not idempotent")
     if any(m * proj != proj * m for m in gens):
@@ -437,23 +460,40 @@ def invariant_projection(germ: MapGerm) -> InvariantProjection:
         raise AssertionError("N moves the projection kernel")
     if pk.dim + pi.dim != n or not pk.intersect(pi).is_zero():
         raise AssertionError("projection kernel and image do not split the space")
-    return InvariantProjection(
+    result = InvariantProjection(
         n_group=ngrp, kernel_space=kernel,
-        a_gamma=a_gamma, projection=proj,
+        a_gamma=None, projection=proj,
         proj_kernel=pk, proj_image=pi,
     )
+    _set(result, "_scaled", scaled)
+    return result
 
 
-def _negated_mean(mats: Sequence[Matrix]) -> Matrix:
-    """-(1/k) times the sum of k square matrices of one size, as one integer
-    sum of their numerators over the lcm of their denominators."""
-    den = math.lcm(*[m._den for m in mats])
-    nums = [(den // m._den, m._num) for m in mats]
-    n = mats[0].rows
-    return Matrix._make(
-        tuple([tuple([-sum([f * num[i][j] for f, num in nums]) for j in range(n)])
-               for i in range(n)]),
-        len(mats) * den, n)
+def _scaled_members(grp, members: Sequence[int]) -> tuple[int, list]:
+    """The members of a subgroup of grp in one integer form: (D, e_hat),
+    D the lcm of their denominators and e_hat[k] the integer rows of D
+    times the k-th member (its own numerator rows when its denominator is
+    D)."""
+    elements = grp.elements
+    den = math.lcm(*[elements[gi]._den for gi in members])
+    e_hat = []
+    for gi in members:
+        g = elements[gi]
+        f = den // g._den
+        e_hat.append(g._num if f == 1 else tuple([tuple([x * f for x in row])
+                                                  for row in g._num]))
+    return den, e_hat
+
+
+def _negated_mean(scaled: tuple[int, list]) -> Matrix:
+    """-(1/k) sum (gamma - I) over the k members of _scaled_members' form
+    (D, e_hat): (k D I - sum D gamma) / (k D), one integer sum per entry."""
+    den, e_hat = scaled
+    n = len(e_hat[0])
+    top = len(e_hat) * den
+    sums = [sum(col) for col in zip(*[itertools.chain.from_iterable(e) for e in e_hat])]
+    return Matrix._make(tuple([tuple([top * (i == j) - sums[n * i + j] for j in range(n)])
+                               for i in range(n)]), top, n)
 
 
 class CocycleReport(Record):
@@ -483,17 +523,20 @@ def cocycle_identities(proj: InvariantProjection) -> CocycleReport:
     ring,
         R3 = E(gamma delta) - E(gamma) E(delta),
         R2 = R3 + A(gamma) Delta(delta),   R1 = R3 + Delta(gamma) A(delta).
-    When some Delta(gamma) is nonzero, every pair is checked on the three
-    identities with plain Matrix products.  A projection built by
-    invariant_projection has A(gamma) = gamma - I (_is_minus_identity), so
-    every Delta vanishes, E(gamma) = gamma, all three residuals are R3, and
-    a pair whose R3 is nonzero fails all three identities.  Over the
-    common denominator D of the members, E^(gamma) = D gamma is integer,
-    and so is D^2 R3 = D E^(gamma delta) - E^(gamma) E^(delta), zero
-    exactly when R3 is.  Each integer matrix is packed into one integer by
-    Kronecker substitution, key(M) = sum M[i][j] 2^(b (n i + j)), which
-    determines M while every entry is one signed base-2^b digit
-    (_digit_bits).  With the row-packed l(gamma)_k = sum_i E^(gamma)[i][k]
+    A projection built by invariant_projection holds no a_gamma until it is
+    read and has A(gamma) = gamma - I by construction.  Only a projection
+    holding an a_gamma, given explicitly or read, is compared with gamma - I
+    member by member (_is_minus_identity); when some A(gamma) differs, so
+    that some Delta(gamma) is nonzero, every pair is checked on the three
+    identities with plain Matrix products.  Otherwise every Delta vanishes,
+    E(gamma) = gamma, all three residuals are R3, and a pair whose R3 is
+    nonzero fails all three identities.  Over the common denominator D of
+    the members, E^(gamma) = D gamma is integer (_scaled_members, the form
+    invariant_projection keeps on the projection), and so is D^2 R3 =
+    D E^(gamma delta) - E^(gamma) E^(delta), zero exactly when R3 is.  Each
+    integer matrix is packed into one integer by Kronecker substitution,
+    key(M) = sum M[i][j] 2^(b (n i + j)), which determines M while every
+    entry is one signed base-2^b digit (_digit_bits).  With the row-packed l(gamma)_k = sum_i E^(gamma)[i][k]
     2^(b n i) and the column-packed u(delta)_k = sum_j E^(delta)[k][j]
     2^(b j), the key of E^(gamma) E^(delta) is the dot product
     l(gamma) . u(delta).  Every gamma gets a slot of W = b n^2 bits, b
@@ -513,23 +556,24 @@ def cocycle_identities(proj: InvariantProjection) -> CocycleReport:
     """
     grp = proj.n_group.parent
     members = proj.n_group.members
-    amap = dict(proj.a_gamma)
     elements = grp.elements
     pairs = len(members) ** 2
-    if not all(_is_minus_identity(amap[gi], elements[gi]) for gi in members):
-        failures = []
-        for gi in members:
-            g, a_g = elements[gi], amap[gi]
-            for di in members:
-                a_d, a_gd = amap[di], amap[grp.mul(gi, di)]
-                rights = (a_g + g * a_d, a_d + a_g * elements[di], a_d + a_g + a_g * a_d)
-                failures += [(gi, di, name) for name, r in zip(_COCYCLE_IDENTITIES, rights)
-                             if a_gd != r]
-        return CocycleReport(pairs_checked=pairs, ok=not failures, failures=tuple(failures))
+    if proj._a_gamma is not None:
+        amap = dict(proj._a_gamma)
+        if not all(_is_minus_identity(amap[gi], elements[gi]) for gi in members):
+            failures = []
+            for gi in members:
+                g, a_g = elements[gi], amap[gi]
+                for di in members:
+                    a_d, a_gd = amap[di], amap[grp.mul(gi, di)]
+                    rights = (a_g + g * a_d, a_d + a_g * elements[di],
+                              a_d + a_g + a_g * a_d)
+                    failures += [(gi, di, name)
+                                 for name, r in zip(_COCYCLE_IDENTITIES, rights) if a_gd != r]
+            return CocycleReport(pairs_checked=pairs, ok=not failures,
+                                 failures=tuple(failures))
     n, size = grp.dim, len(members)
-    den = math.lcm(*(elements[gi]._den for gi in members))
-    e_hat = [[[x * (den // elements[gi]._den) for x in row] for row in elements[gi]._num]
-             for gi in members]
+    den, e_hat = proj._scaled or _scaled_members(grp, members)
     b = _digit_bits(den, n, e_hat)
     b += -b % (8 // math.gcd(8, n * n))  # a slot of W = b n^2 bits is whole bytes
     w = b * n * n
@@ -570,12 +614,16 @@ def cocycle_identities(proj: InvariantProjection) -> CocycleReport:
     return CocycleReport(pairs_checked=pairs, ok=not failures, failures=failures)
 
 
-def _is_minus_identity(a: Matrix, g: Matrix) -> bool:
-    """Whether a = g - I, on integer rows: g = num / den in lowest terms
-    makes g - I = (num - den I) / den in lowest terms too."""
+def _minus_identity_rows(g: Matrix) -> tuple[tuple[int, ...], ...]:
+    """The integer rows num - den I of g = num / den: g - I is
+    (num - den I) / den, in lowest terms when g is."""
     d = g._den
-    return a._den == d and a._num == tuple([
-        row[:i] + (row[i] - d,) + row[i + 1:] for i, row in enumerate(g._num)])
+    return tuple([row[:i] + (row[i] - d,) + row[i + 1:] for i, row in enumerate(g._num)])
+
+
+def _is_minus_identity(a: Matrix, g: Matrix) -> bool:
+    """Whether a = g - I, on integer rows (_minus_identity_rows)."""
+    return a._den == g._den and a._num == _minus_identity_rows(g)
 
 
 def _digit_bits(den: int, n: int, e_hat) -> int:

@@ -135,6 +135,12 @@ class FiniteMatrixGroup:
         return self.order == 1
 
     def full_subgroup(self) -> "Subgroup":
+        """The whole group as a Subgroup, built and closure-checked on the
+        first call and kept: the group is not changed after closure."""
+        return self._full
+
+    @functools.cached_property
+    def _full(self) -> "Subgroup":
         return Subgroup(self, tuple(range(self.order)))
 
     def __repr__(self):
@@ -389,15 +395,21 @@ class Subgroup(Record):
 
 
 class GroupHom(Record):
-    """A verified homomorphism between two finite matrix groups."""
+    """A homomorphism between two finite matrix groups.
 
-    __slots__ = _fields = ("source", "target", "mapping")
+    Whether check_multiplicative has passed is kept in the private slot
+    ``_multiplicative``, which takes no part in equality, hashing or repr.
+    """
+
+    __slots__ = ("source", "target", "mapping", "_multiplicative")
+    _fields = ("source", "target", "mapping")
 
     def __init__(self, source: FiniteMatrixGroup, target: FiniteMatrixGroup,
                  mapping: tuple[int, ...]):
         _set(self, "source", source)
         _set(self, "target", target)
         _set(self, "mapping", mapping)
+        _set(self, "_multiplicative", False)
 
     def apply(self, i: int) -> int:
         return self.mapping[i]
@@ -425,7 +437,12 @@ class GroupHom(Record):
         pair; with a the identity it also gives phi(identity) = identity.
         These are integer table lookups.  The witness (a, j) names the
         element index a and the position j of s in the source's generators.
+        The fields and both groups' tables do not change, so the pairs are
+        walked once per homomorphism: a later call after a pass returns at
+        once, and a failed check walks again to the same witness.
         """
+        if self._multiplicative:
+            return
         src, tgt, phi = self.source, self.target, self.mapping
         for a in range(src.order):
             for j, s in enumerate(src.generator_indices or (0,)):
@@ -433,6 +450,7 @@ class GroupHom(Record):
                     raise NotAHomomorphism(
                         "generator images violate a relation at element %d and "
                         "generator %d" % (a, j), witness=(a, j))
+        _set(self, "_multiplicative", True)
 
 
 def verify_homomorphism(source: FiniteMatrixGroup, target: FiniteMatrixGroup,

@@ -563,24 +563,37 @@ class Subspace(Record):
 
 def kernel(m: Matrix) -> Subspace:
     """Exact kernel of a rational matrix, read off its integer reduced rows."""
-    return _null_space([list(row) for row in m._num], m.cols)
+    return _null_space(m._num, m.cols)
 
 
 def _null_space(rows: list[list[int]], n: int) -> Subspace:
-    """The kernel of the integer rows of length n (the list is reduced in
-    place): the kernel of any matrix num / den with these rows as num."""
-    pivots, d, _ = _eliminate(rows, n)
-    pivot_set = set(pivots)
+    """The kernel of the integer rows of length n: the kernel of any matrix
+    num / den with these rows as num.  The rows are left as they are.
+
+    One elimination, of the rows with their columns reversed, gives the
+    kernel's reduced echelon rows.  Reversed, a pivot row is d times a
+    reduced row with its leading 1 at pivot column c and nonzero entries
+    only at free columns left of c (right of it, reversed).  So the kernel
+    vector of free column f, d at f and minus each pivot row's entry at f
+    at that row's pivot, is nonzero only at f and at pivot columns right
+    of f, and it is zero at every other free column: over d, these vectors
+    in ascending f are the reduced echelon rows, leading 1s at the free
+    columns."""
+    rev = [row[::-1] for row in rows]
+    pivots, d, _ = _eliminate(rev, n)
+    top = n - 1
+    pivots = [top - c for c in pivots]
+    free = [f for f in range(n) if f not in pivots]
+    if not free:
+        return Subspace.zero(n)
     vecs = []
-    for j in range(n):
-        if j not in pivot_set:
-            # d times the kernel vector with a 1 in free column j
-            v = [0] * n
-            v[j] = d
-            for row, c in zip(rows, pivots):
-                v[c] = -row[j]
-            vecs.append(v)
-    return Subspace._from_rows(n, vecs)
+    for f in free:
+        v = [0] * n
+        v[f] = d
+        for row, c in zip(rev, pivots):
+            v[c] = -row[top - f]
+        vecs.append(v)
+    return Subspace(n, _over(vecs, d, n), tuple(free))
 
 
 def kernel_image_rank(m: Matrix) -> tuple[Subspace, Subspace, int]:

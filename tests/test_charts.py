@@ -266,6 +266,23 @@ class TestStrataReference:
         assert len(calls) < 600
         assert rep == reference_stratify(chart)
 
+    def test_b4_conjugate_meets_no_class_inside_the_representative(self, monkeypatch):
+        """On the B4 conjugate, a class whose fixed space is already in the
+        lattice and lies in the representative (its stabilizer contains the
+        representative's) is not met: 276 intersections, where meeting it
+        too took 446."""
+        p = m([[1, F(1, 2), 0, 0], [0, 1, F(-1, 3), 0], [0, 0, 1, 2], [F(1, 5), 0, 0, 1]])
+        chart = build_chart(4, conjugated(signed_permutations(4), p))
+        for _ in range(2):
+            calls = []
+            meet = Subspace.intersect
+            monkeypatch.setattr(Subspace, "intersect",
+                                lambda a, b: calls.append(b) or meet(a, b))
+            rep = stratify(chart)
+            monkeypatch.undo()
+            assert len(calls) == 276
+            assert rep == reference_stratify(chart)
+
     def test_one_kernel_per_cyclic_subgroup(self, monkeypatch):
         """stratify takes one element kernel per nontrivial cyclic subgroup
         of a B3 conjugate, since Fix(g^k) = Fix(g) for k prime to the order

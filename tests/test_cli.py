@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -243,6 +244,67 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 0
         assert capsys.readouterr().out
+
+
+def top_level_main(argv):
+    """main with every argv parsed by build_parser().parse_args, the
+    top-level parser, as when no command's own parser is looked up."""
+    with mock.patch.object(build_parser(), "commands", {}):
+        return main(argv)
+
+
+def outcome(run, argv, capsys):
+    """(exit code, stdout, stderr) of run(argv), exit code from a return or
+    a SystemExit."""
+    try:
+        code = run(argv)
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParseEquivalence:
+    """main parses argv with the named command's own parser; each case gives
+    the exit code, stdout and stderr of the top-level parse."""
+
+    VALID = [
+        ["analyze", "germ-mirror-line"],
+        ["sard", "germ-z2-square", "--samples", "50", "--seed", "3", "--box", "-2", "2"],
+        ["strata", "chart-quarter-plane"],
+        ["obstruct", "obstruction-z2-line"],
+        ["classify1", "components-four-types"],
+        ["retraction", "atlas-disk-reflection"],
+        ["corpus", "run", "--anchor", "sard"],
+    ]
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze"],
+        ["frobnicate", "x.json"],
+        [],
+        ["sard", "x.json", "--samples", "5", "--seed", "1", "--box", "1"],
+        ["sard", "x.json", "--samples", "five", "--seed", "1", "--box", "0", "1"],
+        ["strata", "x.json", "--bogus"],
+        ["corpus", "walk"],
+        ["--version"],
+        ["strata", "x.json", "--version"],
+    ] + [[command, "--help"] for command in
+         ("analyze", "sard", "strata", "obstruct", "classify1", "retraction", "corpus")])
+    def test_usage_help_and_version(self, argv, capsys):
+        assert outcome(main, argv, capsys) == outcome(top_level_main, argv, capsys)
+
+    @pytest.mark.parametrize("argv", VALID, ids=[argv[0] for argv in VALID])
+    def test_valid_runs(self, argv, tmp_path, docs, capsys):
+        if argv[0] != "corpus":
+            argv = [argv[0], write(tmp_path, docs[argv[1]])] + argv[2:]
+        ap = build_parser()
+        assert (ap.commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+                == ap.parse_args(argv))
+        # the top-level parser is not run
+        with mock.patch.object(ap, "parse_known_args", side_effect=AssertionError):
+            got = outcome(main, argv, capsys)
+        assert got == outcome(top_level_main, argv, capsys)
+        assert got[0] == 0 and got[1] and not got[2]
 
 
 class TestStrata:

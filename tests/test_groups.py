@@ -271,6 +271,18 @@ class TestSubgroups:
         with pytest.raises(ValueError):
             Subgroup(g, (0, 1))  # not closed: missing the square
 
+    def test_full_subgroup_checked_once_per_group(self, monkeypatch):
+        checks = []
+        check = Subgroup.__post_init__
+        monkeypatch.setattr(Subgroup, "__post_init__",
+                            lambda h: checks.append(h.parent) or check(h))
+        grp = b3_conjugate()
+        full = grp.full_subgroup()
+        assert grp.full_subgroup() is full and len(checks) == 1
+        assert full.members == tuple(range(48)) and full.is_full()
+        other = generate_closure(2, [ROT3])
+        assert other.full_subgroup() is not full and checks == [grp, other]
+
     def test_lagrange_all_subgroups(self):
         for grp in (z2z2(), generate_closure(2, [ROT3, SWAP]),
                     generate_closure(2, [ROT4, m([[1, 0], [0, -1]])])):

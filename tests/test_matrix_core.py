@@ -5,8 +5,9 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from orblocal import ratlin
 from orblocal.groups import generate_closure
 from orblocal.ratlin import (Matrix, Subspace, _eliminate, _over, kernel, kernel_image_rank,
                              solve_exact)
@@ -321,7 +322,12 @@ def test_subspace_operations(case, data):
 
 
 @SETTINGS
-@given(matrices())
+# wide matrices of few rows have several free columns, between and around
+# the pivots
+@given(st.one_of(matrices(), matrices(max_rows=3, max_cols=8)))
+@example([[0, 1, 2, 0, 3, 0], [0, 0, 0, 1, F(-4, 3), 0]])
+@example([[F(1, 2), 1, 2, 3, 5, 8, 13]])
+@example([[0] * 5, [0] * 5])
 def test_kernel_and_image(a):
     m = Matrix(a)
     ker = kernel(m)
@@ -334,6 +340,23 @@ def test_kernel_and_image(a):
     assert k == ker
     assert image.basis == ref_span(m.rows, [list(c) for c in zip(*a)])
     assert rank == image.dim == len(ref_rref(a)[1]) == m.cols - ker.dim
+
+
+@pytest.mark.parametrize("a", [
+    [[1, 2, 3], [2, 4, 6]],
+    [[0, 1, 2, 0, 3, 0], [0, 2, 4, 1, F(-4, 3), 0], [0, 3, 6, 1, F(5, 3), 0]],
+    [[0, 0, 0]],
+])
+def test_kernel_eliminates_once(a, monkeypatch):
+    """kernel reads the reduced echelon rows of a kernel with several free
+    columns off one elimination."""
+    calls = []
+    monkeypatch.setattr(ratlin, "_eliminate",
+                        lambda rows, n: calls.append(n) or _eliminate(rows, n))
+    ker = kernel(Matrix(a))
+    assert len(calls) == 1 and ker.dim >= 2
+    monkeypatch.undo()
+    assert ker.basis == ref_kernel(a, len(a[0]))
 
 
 @SETTINGS

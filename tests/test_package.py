@@ -109,6 +109,8 @@ UNCOMPARED = {
     "Subgroup": {"generators": ()},
     "QuotientGroup": {"coset_index": {}},
     "MapGerm": {"_lift_values": {(F(7),): (F(7),)}},
+    "GroupHom": {"_multiplicative": False},
+    "InvariantProjection": {"_scaled": None},
 }
 
 
