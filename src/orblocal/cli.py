@@ -23,16 +23,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__, corpus, serialize
 from .charts import stratify
-from .germs import (
-    cocycle_identities,
-    faithfulness_check,
-    invariant_projection,
-    is_regular_value,
-    obstruction_certificate,
-    preimage_model,
-    sampling_interval,
-    sard_sample,
-)
+from .germs import analyze_germ, obstruction_certificate, sampling_interval, sard_sample
 from .onedim import boundary_parity, classify_1_orbifold, retraction_contradiction
 from .ratlin import BudgetExceeded
 from .serialize import SchemaError
@@ -147,53 +138,39 @@ def cmd_analyze(args) -> int:
     meta = serialize.parse_scenario(_load(args.file))
     _expect_kind(meta, "germ")
     germ, p, lifts = serialize.parse_germ_payload(meta["payload"], "$.payload")
+    reg, proj, cc, built, faith = analyze_germ(germ, p, lifts)
     report = _base_report(meta)
     checks = report["checks"]
-    checks.append({"name": "germ-equivariance", "passed": True,
-                   "generators_checked":
-                       len(set(germ.source.group.generator_indices or (0,)))})
-    reg = is_regular_value(germ, p, lifts)
-    checks.append({
-        "name": "regular-value", "passed": reg.regular,
-        "needed_rank": reg.needed_rank,
-        "point_ranks": [[serialize.vector_json(pt), rank]
-                        for pt, rank in reg.point_ranks],
-        "empty_preimage": reg.empty_preimage,
-    })
-    proj = invariant_projection(germ)
-    report["derived"]["n_order"] = proj.n_group.order
-    report["derived"]["projection"] = serialize.matrix_json(proj.projection)
-    report["derived"]["projection_kernel"] = serialize.matrix_json(proj.proj_kernel.echelon)
-    checks.append({"name": "invariant-projection", "passed": True,
-                   "n_order": proj.n_group.order})
-    cc = cocycle_identities(proj)
-    checks.append({"name": "cocycle-identities", "passed": cc.ok,
-                   "pairs_checked": cc.pairs_checked})
-    built = [preimage_model(germ, p, pt) for pt in lifts] if reg.regular else []
-    faith = faithfulness_check(germ)
-    checks.append({"name": "faithfulness", "passed": True,
-                   "n_order": faith.n_order, "g_order": faith.g_order})
+    checks += [
+        {"name": "germ-equivariance", "passed": True,
+         "generators_checked": len(set(germ.source.group.generator_indices or (0,)))},
+        {"name": "regular-value", "passed": reg.regular, "needed_rank": reg.needed_rank,
+         "point_ranks": [[serialize.vector_json(pt), rank] for pt, rank in reg.point_ranks],
+         "empty_preimage": reg.empty_preimage},
+        {"name": "invariant-projection", "passed": True, "n_order": proj.n_group.order},
+        {"name": "cocycle-identities", "passed": True, "pairs_checked": cc.pairs_checked},
+        {"name": "faithfulness", "passed": True,
+         "n_order": faith.n_order, "g_order": faith.g_order},
+    ]
+    derived = report["derived"]
+    derived["n_order"] = proj.n_group.order
+    derived["projection"] = serialize.matrix_json(proj.projection)
+    derived["projection_kernel"] = serialize.matrix_json(proj.proj_kernel.echelon)
     if not reg.regular:
-        summary = ["FAIL %s: not a regular value" % meta["name"]]
-        _emit(report, args.out, summary)
+        _emit(report, args.out, ["FAIL %s: not a regular value" % meta["name"]])
         return EXIT_MATH
-    models = []
-    for pt, model in zip(lifts, built):
-        models.append({
-            "lift_point": serialize.vector_json(pt),
-            "recentered": model.germ is not germ,
-            "kernel": serialize.matrix_json(model.kernel.echelon),
-            "gamma_s_order": model.gamma_s.order,
-            "g_order": model.g_group.order,
-            "dim": model.dim,
-            "boundary_kind": model.boundary_kind,
-        })
-    report["derived"]["preimage_models"] = models
-    checks.append({"name": "preimage-models", "passed": True,
-                   "count": len(models)})
-    summary = ["PASS %s: regular value, %d preimage model(s)"
-               % (meta["name"], len(models))]
-    _emit(report, args.out, summary)
+    derived["preimage_models"] = [{
+        "lift_point": serialize.vector_json(pt),
+        "recentered": model.germ is not germ,
+        "kernel": serialize.matrix_json(model.kernel.echelon),
+        "gamma_s_order": model.gamma_s.order,
+        "g_order": model.g_group.order,
+        "dim": model.dim,
+        "boundary_kind": model.boundary_kind,
+    } for pt, model in zip(lifts, built)]
+    checks.append({"name": "preimage-models", "passed": True, "count": len(built)})
+    _emit(report, args.out, ["PASS %s: regular value, %d preimage model(s)"
+                             % (meta["name"], len(built))])
     return EXIT_OK
 
 
@@ -319,7 +296,7 @@ def cmd_corpus(args) -> int:
             "results": [{"name": n, "anchor": a, "passed": ok, "detail": d}
                         for n, a, ok, d in results],
         }
-        _write(args.out, json.dumps(blob, indent=2, sort_keys=True, default=str) + "\n")
+        _write(args.out, _json(blob) + "\n")
     failures = 0
     for name, anchor, ok, detail in results:
         if ok:

@@ -30,9 +30,8 @@ from .charts import (
 )
 from .germs import (
     MapGerm,
+    analyze_germ,
     build_germ,
-    cocycle_identities,
-    faithfulness_check,
     invariant_projection,
     is_regular_value,
     lift_replacement_invariance,
@@ -238,28 +237,23 @@ def _strata_summary(chart: LocalChart) -> dict:
 
 
 def _run_germ_case(case: GermCase) -> dict:
-    report = is_regular_value(case.germ, case.p, case.lifts)
+    reg, proj, cc, models, faith = analyze_germ(case.germ, case.p, case.lifts)
     out = {
-        "regular": report.regular,
-        "ranks": [r for _, r in report.point_ranks],
+        "regular": reg.regular,
+        "ranks": [r for _, r in reg.point_ranks],
         "group_order": case.germ.source.group.order,
+        "n_order": proj.n_group.order,
+        "projection": serialize.matrix_json(proj.projection),
+        "cocycle_pairs": cc.pairs_checked,
+        "g_order_at_base": faith.g_order,
     }
-    proj = invariant_projection(case.germ)
-    out["n_order"] = proj.n_group.order
-    out["projection"] = serialize.matrix_json(proj.projection)
-    cc = cocycle_identities(proj)
-    if not cc.ok:
-        raise AssertionError("cocycle identities fail on %d pair(s)" % len(cc.failures))
-    out["cocycle_pairs"] = cc.pairs_checked
-    faith = faithfulness_check(case.germ)
-    out["g_order_at_base"] = faith.g_order
-    if case.regular:
+    if reg.regular:
         out["models"] = [{
             "gamma_s_order": model.gamma_s.order,
             "g_order": model.g_group.order,
             "dim": model.dim,
             "boundary_kind": model.boundary_kind,
-        } for model in case_preimage_models(case)]
+        } for model in models]
     return out
 
 

@@ -21,8 +21,9 @@ On top of germs this module builds:
   kernel of the homomorphism, negated), with its algebraic identity suite:
   the composition identities of gamma -> gamma - I are checked on every
   pair of the kernel, all pairs with one delta as one dot product of
-  integer-packed matrices (plain products when some A(gamma) is not
-  gamma - I),
+  integer-packed matrices,
+* analyze_germ, the pipeline of these checks that the analyze command and
+  the corpus share,
 * faithfulness of the homomorphism kernel inside the quotient,
 * obstruction certificates for the existence of germs with a regular center
   value, and
@@ -383,25 +384,20 @@ class InvariantProjection(Record):
     I - R_N, where R_N = (1/|N|) sum gamma projects onto the fixed space of
     N, so it is an idempotent commuting with N whose image lies in K and
     whose kernel N fixes pointwise.  a_gamma lists (gamma, A(gamma)) for
-    every member of N, in member order.  A projection given a_gamma as None,
-    as invariant_projection builds it, has A(gamma) = gamma - I: it derives
-    a_gamma from n_group on the first read and keeps it, and
-    cocycle_identities reads the members of N in their integer form (the
-    private ``_scaled``, see _scaled_members) instead.  a_gamma takes part
-    in equality, hashing and repr either way; ``_scaled`` does not.
+    every member of N, in member order; it is formed from n_group on each
+    read and is no field.  cocycle_identities reads the members of N in
+    their integer form instead (the private ``_scaled`` that
+    invariant_projection keeps, see _scaled_members).
     """
 
-    __slots__ = ("n_group", "kernel_space", "_a_gamma", "projection",
-                 "proj_kernel", "proj_image", "_scaled")
-    _fields = ("n_group", "kernel_space", "a_gamma", "projection",
-               "proj_kernel", "proj_image")
+    __slots__ = ("n_group", "kernel_space", "projection", "proj_kernel", "proj_image",
+                 "_scaled")
+    _fields = ("n_group", "kernel_space", "projection", "proj_kernel", "proj_image")
 
-    def __init__(self, n_group: Subgroup, kernel_space: Subspace,
-                 a_gamma: tuple[tuple[int, Matrix], ...] | None, projection: Matrix,
+    def __init__(self, n_group: Subgroup, kernel_space: Subspace, projection: Matrix,
                  proj_kernel: Subspace, proj_image: Subspace):
         _set(self, "n_group", n_group)
         _set(self, "kernel_space", kernel_space)
-        _set(self, "_a_gamma", a_gamma)
         _set(self, "projection", projection)
         _set(self, "proj_kernel", proj_kernel)
         _set(self, "proj_image", proj_image)
@@ -409,12 +405,9 @@ class InvariantProjection(Record):
 
     @property
     def a_gamma(self) -> tuple[tuple[int, Matrix], ...]:
-        if self._a_gamma is None:
-            grp = self.n_group.parent
-            ident = Matrix.identity(grp.dim)
-            _set(self, "_a_gamma", tuple((i, grp.element(i) - ident)
-                                         for i in self.n_group.members))
-        return self._a_gamma
+        grp = self.n_group.parent
+        ident = Matrix.identity(grp.dim)
+        return tuple((i, grp.element(i) - ident) for i in self.n_group.members)
 
 
 def invariant_projection(germ: MapGerm) -> InvariantProjection:
@@ -433,7 +426,7 @@ def invariant_projection(germ: MapGerm) -> InvariantProjection:
     matrices D gamma (_scaled_members); the projection I - (1/|N|) sum gamma
     is one integer sum of them, (|N| D I - sum D gamma) / (|N| D), and the
     result keeps them for cocycle_identities.  No matrix gamma - I is
-    formed: a_gamma is derived on its first read.  Every check raises
+    formed: a_gamma forms them on read.  Every check raises
     AssertionError explicitly, so it also runs under python -O.
     """
     n = germ.source.dim
@@ -461,8 +454,7 @@ def invariant_projection(germ: MapGerm) -> InvariantProjection:
     if pk.dim + pi.dim != n or not pk.intersect(pi).is_zero():
         raise AssertionError("projection kernel and image do not split the space")
     result = InvariantProjection(
-        n_group=ngrp, kernel_space=kernel,
-        a_gamma=None, projection=proj,
+        n_group=ngrp, kernel_space=kernel, projection=proj,
         proj_kernel=pk, proj_image=pi,
     )
     _set(result, "_scaled", scaled)
@@ -517,26 +509,17 @@ def cocycle_identities(proj: InvariantProjection) -> CocycleReport:
                        = A(delta) + A(gamma) delta
                        = A(delta) + A(gamma) + A(gamma) A(delta)
 
-    Every pair and every identity is checked exactly.  With E(gamma) =
-    A(gamma) + I and Delta(gamma) = A(gamma) - gamma + I, the residuals R1,
-    R2, R3 of the three identities (left side minus right side) are, in any
-    ring,
-        R3 = E(gamma delta) - E(gamma) E(delta),
-        R2 = R3 + A(gamma) Delta(delta),   R1 = R3 + Delta(gamma) A(delta).
-    A projection built by invariant_projection holds no a_gamma until it is
-    read and has A(gamma) = gamma - I by construction.  Only a projection
-    holding an a_gamma, given explicitly or read, is compared with gamma - I
-    member by member (_is_minus_identity); when some A(gamma) differs, so
-    that some Delta(gamma) is nonzero, every pair is checked on the three
-    identities with plain Matrix products.  Otherwise every Delta vanishes,
-    E(gamma) = gamma, all three residuals are R3, and a pair whose R3 is
-    nonzero fails all three identities.  Over the common denominator D of
-    the members, E^(gamma) = D gamma is integer (_scaled_members, the form
-    invariant_projection keeps on the projection), and so is D^2 R3 =
-    D E^(gamma delta) - E^(gamma) E^(delta), zero exactly when R3 is.  Each
-    integer matrix is packed into one integer by Kronecker substitution,
-    key(M) = sum M[i][j] 2^(b (n i + j)), which determines M while every
-    entry is one signed base-2^b digit (_digit_bits).  With the row-packed l(gamma)_k = sum_i E^(gamma)[i][k]
+    Every pair and every identity is checked exactly.  A(gamma) = gamma - I,
+    so E(gamma) = A(gamma) + I is gamma, and all three residuals (left side
+    minus right side) are R3 = E(gamma delta) - E(gamma) E(delta): a pair
+    whose R3 is nonzero fails all three identities.  Over the common
+    denominator D of the members, E^(gamma) = D gamma is integer
+    (_scaled_members, the form invariant_projection keeps on the
+    projection), and so is D^2 R3 = D E^(gamma delta) - E^(gamma) E^(delta),
+    zero exactly when R3 is.  Each integer matrix is packed into one integer
+    by Kronecker substitution, key(M) = sum M[i][j] 2^(b (n i + j)), which
+    determines M while every entry is one signed base-2^b digit
+    (_digit_bits).  With the row-packed l(gamma)_k = sum_i E^(gamma)[i][k]
     2^(b n i) and the column-packed u(delta)_k = sum_j E^(delta)[k][j]
     2^(b j), the key of E^(gamma) E^(delta) is the dot product
     l(gamma) . u(delta).  Every gamma gets a slot of W = b n^2 bits, b
@@ -556,22 +539,6 @@ def cocycle_identities(proj: InvariantProjection) -> CocycleReport:
     """
     grp = proj.n_group.parent
     members = proj.n_group.members
-    elements = grp.elements
-    pairs = len(members) ** 2
-    if proj._a_gamma is not None:
-        amap = dict(proj._a_gamma)
-        if not all(_is_minus_identity(amap[gi], elements[gi]) for gi in members):
-            failures = []
-            for gi in members:
-                g, a_g = elements[gi], amap[gi]
-                for di in members:
-                    a_d, a_gd = amap[di], amap[grp.mul(gi, di)]
-                    rights = (a_g + g * a_d, a_d + a_g * elements[di],
-                              a_d + a_g + a_g * a_d)
-                    failures += [(gi, di, name)
-                                 for name, r in zip(_COCYCLE_IDENTITIES, rights) if a_gd != r]
-            return CocycleReport(pairs_checked=pairs, ok=not failures,
-                                 failures=tuple(failures))
     n, size = grp.dim, len(members)
     den, e_hat = proj._scaled or _scaled_members(grp, members)
     b = _digit_bits(den, n, e_hat)
@@ -611,7 +578,7 @@ def cocycle_identities(proj: InvariantProjection) -> CocycleReport:
                        if got[gpos * step:(gpos + 1) * step] != want[c])
     failures = tuple((members[g], members[d], name) for g, d in sorted(bad)
                      for name in _COCYCLE_IDENTITIES)
-    return CocycleReport(pairs_checked=pairs, ok=not failures, failures=failures)
+    return CocycleReport(pairs_checked=size * size, ok=not failures, failures=failures)
 
 
 def _minus_identity_rows(g: Matrix) -> tuple[tuple[int, ...], ...]:
@@ -619,11 +586,6 @@ def _minus_identity_rows(g: Matrix) -> tuple[tuple[int, ...], ...]:
     (num - den I) / den, in lowest terms when g is."""
     d = g._den
     return tuple([row[:i] + (row[i] - d,) + row[i + 1:] for i, row in enumerate(g._num)])
-
-
-def _is_minus_identity(a: Matrix, g: Matrix) -> bool:
-    """Whether a = g - I, on integer rows (_minus_identity_rows)."""
-    return a._den == g._den and a._num == _minus_identity_rows(g)
 
 
 def _digit_bits(den: int, n: int, e_hat) -> int:
@@ -674,6 +636,22 @@ def faithfulness_check(germ: MapGerm) -> FaithfulnessReport:
     if not report.injective:
         raise AssertionError("N does not inject into the quotient")
     return report
+
+
+def analyze_germ(germ: MapGerm, p, lifts):
+    """The analyze pipeline: (regular-value report, invariant projection,
+    cocycle report, preimage models, faithfulness report).  The models are
+    one per lift point when p is regular and none otherwise.  A failed
+    cocycle check raises AssertionError, naming the number of failing pairs
+    (each names up to three identities), so it also fails under python -O."""
+    reg = is_regular_value(germ, p, lifts)
+    proj = invariant_projection(germ)
+    cc = cocycle_identities(proj)
+    if not cc.ok:
+        raise AssertionError("cocycle identities fail on %d pair(s)"
+                             % len({fail[:2] for fail in cc.failures}))
+    models = [preimage_model(germ, p, pt) for pt in lifts] if reg.regular else []
+    return reg, proj, cc, models, faithfulness_check(germ)
 
 
 class RealTargetReport(Record):

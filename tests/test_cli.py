@@ -93,6 +93,37 @@ class TestAnalyze:
         path = write(tmp_path, doc)
         assert main(["analyze", path]) == 2
 
+    @pytest.mark.parametrize("name", ["germ-mirror-line", "germ-z2-square-critical"])
+    def test_failed_cocycle_check_exit_two(self, tmp_path, docs, capsys, monkeypatch, name):
+        # at a regular value and at a critical one, a failed cocycle check
+        # is a failed mathematical check, and no report is written
+        monkeypatch.setattr(germs, "cocycle_identities", lambda proj: germs.CocycleReport(
+            4, False, tuple((1, 1, identity) for identity in germs._COCYCLE_IDENTITIES)))
+        out = tmp_path / "r.json"
+        assert main(["analyze", write(tmp_path, docs[name]), "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "check failed: AssertionError: cocycle identities fail on 1 pair(s)\n")
+        assert not out.exists()
+
+    def test_failed_cocycle_check_exit_two_under_optimize(self, tmp_path, docs):
+        # python -O strips asserts; the failed cocycle check must still raise
+        script = "\n".join([
+            "import sys",
+            "from orblocal import germs",
+            "from orblocal.cli import main",
+            "germs.cocycle_identities = lambda proj: germs.CocycleReport(",
+            "    4, False, ((1, 1, 'product'), (1, 2, 'product')))",
+            "print(sys.flags.optimize, main(['analyze', sys.argv[1]]))",
+        ])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(orblocal.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script, write(tmp_path, docs["germ-mirror-line"])],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "1 2\n"
+        assert out.stderr == "check failed: AssertionError: cocycle identities fail on 2 pair(s)\n"
+
     @pytest.mark.parametrize("name", sorted(
         n for n, d in builtin_documents().items() if d["kind"] == "germ"))
     def test_base_point_split_once(self, tmp_path, docs, name, monkeypatch):

@@ -432,8 +432,8 @@ class TestInvariantProjection:
         made, projs = [], []
         sub = Matrix.__sub__
         monkeypatch.setattr(Matrix, "__sub__", lambda a, b: made.append(b) or sub(a, b))
-        build = cli.invariant_projection
-        monkeypatch.setattr(cli, "invariant_projection",
+        build = germs.invariant_projection
+        monkeypatch.setattr(germs, "invariant_projection",
                             lambda germ: projs.append(build(germ)) or projs[-1])
         assert cli.main(["analyze", str(path), "--out", str(tmp_path / "r.json")]) == 0
         assert made == []
@@ -445,9 +445,6 @@ class TestInvariantProjection:
         monkeypatch.undo()
         ident = Matrix.identity(grp.dim)
         assert a_gamma == tuple((i, grp.element(i) - ident) for i in members)
-        assert proj.a_gamma is a_gamma
-        assert proj == InvariantProjection(proj.n_group, proj.kernel_space, a_gamma,
-                                           proj.projection, proj.proj_kernel, proj.proj_image)
 
     def test_image_of_a_gamma_in_kernel(self):
         for case in germ_cases():
@@ -470,7 +467,6 @@ def honest_projection(name):
 # would take minutes
 NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
 
-small_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=4)
 large_rationals = st.builds(F, st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 4))
 
 
@@ -500,30 +496,18 @@ class TestCocycle:
 
     @pytest.mark.parametrize("case", ["x-squared-plane", "sym-sum", "dihedral-radial"])
     def test_corrupted_projection_failures_match_reference(self, case):
+        # one member of N given a wrong matrix, the identity, or the matrix
+        # of another member, each against the kept table (swapping two
+        # members can be an automorphism of N, as on a Klein four-group)
         proj = invariant_projection(germ_case(case).germ)
-        for a_gamma in corruptions(proj.a_gamma):
-            bad = with_a_gamma(proj, a_gamma)
+        grp, members = proj.n_group.parent, proj.n_group.members
+        n, k = grp.dim, members[len(members) // 2]
+        off = Matrix([[F(j - 2 * r, 3) for j in range(n)] for r in range(n)])
+        for g in (grp.element(k) + off, Matrix.identity(n), grp.element(members[1])):
+            bad = with_element(proj, k, g)
             rep = cocycle_identities(bad)
             assert not rep.ok
             assert (rep.pairs_checked, rep.failures) == cocycle_reference(bad)
-
-    @settings(max_examples=15, deadline=None, phases=NO_SHRINK)
-    @given(st.sampled_from(["x-squared-plane", "dihedral-radial", "b3"]), st.data())
-    def test_matches_reference_after_random_perturbations(self, name, data):
-        bad = perturbed(honest_projection(name), data, small_rationals, 0, 4)
-        rep = cocycle_identities(bad)
-        assert (rep.pairs_checked, rep.failures) == cocycle_reference(bad)
-        assert rep.ok == (not rep.failures)
-
-    @settings(max_examples=15, deadline=None, phases=NO_SHRINK)
-    @given(st.sampled_from(["x-squared-plane", "b3"]), st.data())
-    def test_matches_reference_after_large_perturbations(self, name, data):
-        # entries far above those of the honest projection, over denominators
-        # that differ between members
-        bad = perturbed(honest_projection(name), data, large_rationals, 1, 3)
-        rep = cocycle_identities(bad)
-        assert (rep.pairs_checked, rep.failures) == cocycle_reference(bad)
-        assert rep.ok == (not rep.failures)
 
     @settings(max_examples=12, deadline=None, phases=NO_SHRINK)
     @given(st.sampled_from(["x-squared-plane", "dihedral-radial", "b3"]), st.data())
@@ -575,57 +559,28 @@ class TestCocycle:
 
     @pytest.mark.parametrize("den", [1, 7])
     def test_one_corrupted_member_with_own_or_shared_denominator(self, den):
-        # every A(gamma) of x-squared-plane is integer: a corruption over 1
+        # every member of x-squared-plane is integer: a corruption over 1
         # shares the common denominator, one over 7 raises it
         proj = honest_projection("x-squared-plane")
-        i, a = proj.a_gamma[2]
+        i = proj.n_group.members[2]
         off = Matrix([[F(3, den), 0], [F(-5, den), F(1, den)]])
-        a_gamma = proj.a_gamma[:2] + ((i, a + off),) + proj.a_gamma[3:]
-        bad = with_a_gamma(proj, a_gamma)
+        bad = with_element(proj, i, proj.n_group.parent.element(i) + off)
         rep = cocycle_identities(bad)
         assert not rep.ok
         assert (rep.pairs_checked, rep.failures) == cocycle_reference(bad)
-
-    def test_minus_identity_compared_only_on_a_held_a_gamma(self, monkeypatch):
-        # a projection from invariant_projection holds no a_gamma, so its
-        # members are not compared with gamma - I; one given an a_gamma is
-        # compared member by member and then takes the same packed check
-        calls = []
-        same = germs._is_minus_identity
-        monkeypatch.setattr(germs, "_is_minus_identity",
-                            lambda a, g: calls.append(a) or same(a, g))
-        proj = invariant_projection(germ_case("dihedral-radial").germ)
-        rep = cocycle_identities(proj)
-        assert rep.ok and calls == []
-        assert cocycle_identities(with_a_gamma(proj, proj.a_gamma)) == rep
-        assert len(calls) == proj.n_group.order
 
     def test_b4_conjugate_every_pair(self):
         rep = cocycle_identities(invariant_projection(bn_germ(4)))
         assert rep.ok and rep.pairs_checked == 384 ** 2 == 147456
 
 
-def perturbed(proj, data, entries, min_size, max_size):
-    """proj with between min_size and max_size of its A(gamma) shifted by
-    matrices drawn from entries."""
-    n = proj.n_group.parent.dim
-    a_gamma = list(proj.a_gamma)
-    positions = data.draw(st.lists(st.integers(0, len(a_gamma) - 1), unique=True,
-                                   min_size=min_size, max_size=max_size))
-    for pos in positions:
-        off = data.draw(st.lists(entries, min_size=n * n, max_size=n * n))
-        i, a = a_gamma[pos]
-        a_gamma[pos] = (i, a + Matrix([off[r * n:(r + 1) * n] for r in range(n)]))
-    return with_a_gamma(proj, tuple(a_gamma))
-
-
 def swapped_table(proj, data):
     """proj over a copy of its group whose right-multiplication table has
-    two entries e1, e2 of one generator's column swapped; its A(gamma) are
-    kept, so each is still gamma - I.  The generator is one whose word is its
-    own position, so the product of e1 and that generator is wrong.  N must
-    be the whole group, which keeps the member set closed under the
-    corrupted table."""
+    two entries e1, e2 of one generator's column swapped; its elements are
+    kept, so each A(gamma) is still gamma - I.  The generator is one whose
+    word is its own position, so the product of e1 and that generator is
+    wrong.  N must be the whole group, which keeps the member set closed
+    under the corrupted table."""
     grp = proj.n_group.parent
     assert proj.n_group.is_full()
     s = data.draw(st.sampled_from([s for s, g in enumerate(grp.generator_indices)
@@ -636,14 +591,23 @@ def swapped_table(proj, data):
     right[e1][s], right[e2][s] = right[e2][s], right[e1][s]
     table = FiniteMatrixGroup(grp.dim, grp.elements, grp.generator_indices, grp.words,
                               [tuple(row) for row in right])
+    return over_table(proj, table)
+
+
+def with_element(proj, i, g):
+    """proj over a copy of its group whose element i is the matrix g and
+    whose table is kept: A(gamma) = gamma - I of that member no longer
+    agrees with the products the table gives."""
+    grp = proj.n_group.parent
+    elements = grp.elements[:i] + (g,) + grp.elements[i + 1:]
+    return over_table(proj, FiniteMatrixGroup(grp.dim, elements, grp.generator_indices,
+                                              grp.words, grp.right))
+
+
+def over_table(proj, table):
+    """proj with its N moved to table, a copy of its group, and every other
+    field kept."""
     return InvariantProjection(Subgroup(table, proj.n_group.members), proj.kernel_space,
-                               proj.a_gamma, proj.projection, proj.proj_kernel,
-                               proj.proj_image)
-
-
-def with_a_gamma(proj, a_gamma):
-    """proj with its A(gamma) list replaced and every other field kept."""
-    return InvariantProjection(proj.n_group, proj.kernel_space, a_gamma,
                                proj.projection, proj.proj_kernel, proj.proj_image)
 
 
@@ -686,21 +650,6 @@ def cocycle_reference(proj):
             if a_gd != a_d + a_g + a_g * a_d:
                 failures.append((gi, di, "product"))
     return pairs, tuple(failures)
-
-
-def corruptions(a_gamma):
-    """Copies of a_gamma with one A(gamma) made nonzero and wrong, one made
-    zero, and two of them swapped."""
-    n = a_gamma[0][1].rows
-    k = len(a_gamma) // 2
-    i, a = a_gamma[k]
-    off = Matrix([[F(j - 2 * r, 3) for j in range(n)] for r in range(n)])
-    swapped = list(a_gamma)
-    (i1, a1), (i2, a2) = swapped[1], swapped[-1]
-    swapped[1], swapped[-1] = (i1, a2), (i2, a1)
-    return [a_gamma[:k] + ((i, a + off),) + a_gamma[k + 1:],
-            a_gamma[:k] + ((i, Matrix.zero(n, n)),) + a_gamma[k + 1:],
-            tuple(swapped)]
 
 
 def bn_germ(n, p=None):
@@ -845,7 +794,7 @@ class TestRealTarget:
             "honest = germs.invariant_projection",
             "def moved(g):",
             "    p = honest(g)",
-            "    return germs.InvariantProjection(p.n_group, p.kernel_space, p.a_gamma,",
+            "    return germs.InvariantProjection(p.n_group, p.kernel_space,",
             "        p.projection, Subspace.from_vectors(2, [[0, 1]]), p.proj_image)",
             "germs.invariant_projection = moved",
             "try:",
