@@ -27,12 +27,9 @@ from .ratlin import (
     QONE,
     QZERO,
     _null_space,
-    _set,
 )
 from .groups import (
     FiniteMatrixGroup,
-    GroupHom,
-    QuotientGroup,
     Subgroup,
     generate_closure,
     quotient,
@@ -80,9 +77,7 @@ class LocalChart(Record):
                 if not _fixes_last_coordinate(m):
                     raise BoundaryViolation(
                         "element does not fix the boundary functional: %r" % (m,))
-        _set(self, "dim", dim)
-        _set(self, "group", group)
-        _set(self, "boundary", boundary)
+        Record.__init__(self, dim, group, boundary)
 
     def contains_point(self, point) -> bool:
         p = vec(point)
@@ -166,14 +161,6 @@ class Stratum(Record):
     __slots__ = _fields = ("isotropy", "fixed_space", "dimension", "codimension",
                            "in_boundary")
 
-    def __init__(self, isotropy: Subgroup, fixed_space: Subspace, dimension: int,
-                 codimension: int, in_boundary: bool):
-        _set(self, "isotropy", isotropy)
-        _set(self, "fixed_space", fixed_space)
-        _set(self, "dimension", dimension)
-        _set(self, "codimension", codimension)
-        _set(self, "in_boundary", in_boundary)
-
     @property
     def singular(self) -> bool:
         return not self.isotropy.is_trivial()
@@ -181,10 +168,6 @@ class Stratum(Record):
 
 class StrataReport(Record):
     __slots__ = _fields = ("chart", "strata")
-
-    def __init__(self, chart: LocalChart, strata: tuple[Stratum, ...]):
-        _set(self, "chart", chart)
-        _set(self, "strata", strata)
 
     def singular_strata(self) -> tuple[Stratum, ...]:
         return tuple(s for s in self.strata if s.singular)
@@ -334,15 +317,6 @@ class SuborbifoldLocalModel(Record):
     __slots__ = _fields = ("chart", "subspace", "lambda_group", "omega",
                            "intrinsic_isotropy", "full")
 
-    def __init__(self, chart: LocalChart, subspace: Subspace, lambda_group: Subgroup,
-                 omega: Subgroup, intrinsic_isotropy: QuotientGroup, full: bool):
-        _set(self, "chart", chart)
-        _set(self, "subspace", subspace)
-        _set(self, "lambda_group", lambda_group)
-        _set(self, "omega", omega)
-        _set(self, "intrinsic_isotropy", intrinsic_isotropy)
-        _set(self, "full", full)
-
 
 def suborbifold_model(chart: LocalChart, subspace: Subspace,
                       lambda_group: Subgroup) -> SuborbifoldLocalModel:
@@ -391,14 +365,6 @@ class ChartEmbedding(Record):
     """An affine equivariant embedding of one chart into another."""
 
     __slots__ = _fields = ("source", "target", "linear", "translate", "theta")
-
-    def __init__(self, source: LocalChart, target: LocalChart, linear: Matrix,
-                 translate: tuple[Fraction, ...], theta: GroupHom):
-        _set(self, "source", source)
-        _set(self, "target", target)
-        _set(self, "linear", linear)
-        _set(self, "translate", translate)
-        _set(self, "theta", theta)
 
     def apply(self, point) -> tuple[Fraction, ...]:
         return vec_add(self.linear.apply(point), self.translate)

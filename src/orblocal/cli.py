@@ -253,8 +253,9 @@ def cmd_classify1(args) -> int:
     payload, name, where = _payload(args.file, "component-list", "components")
     if not isinstance(payload, dict) or "components" not in payload:
         raise SchemaError(where + ".components", "missing required field")
+    comps_json = serialize.array_field(payload, "components", where, "components")
     comps = [serialize.parse_component(cj, "%s.components[%d]" % (where, i))
-             for i, cj in enumerate(payload["components"])]
+             for i, cj in enumerate(comps_json)]
     types = [classify_1_orbifold(c) for c in comps]
     derived = {"types": types}
     if all(t in ("a", "b") for t in types):
@@ -287,8 +288,6 @@ def cmd_retraction(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    if args.action != "run":
-        raise SchemaError("$", "unknown corpus action %r" % args.action)
     results = list(corpus.run_corpus(anchor=args.anchor))
     if args.out:  # written before anything is printed
         blob = {

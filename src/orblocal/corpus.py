@@ -15,7 +15,7 @@ from fractions import Fraction as F
 from functools import lru_cache
 from typing import Callable
 
-from .ratlin import Matrix, MultiPoly, Record, Subspace, _set
+from .ratlin import Matrix, MultiPoly, Record, Subspace
 from .groups import Subgroup, verify_homomorphism
 from .charts import (
     ChartEmbedding,
@@ -101,13 +101,6 @@ class GermCase(Record):
     """One corpus germ with a target point and its known regularity."""
 
     __slots__ = _fields = ("name", "germ", "p", "lifts", "regular")
-
-    def __init__(self, name: str, germ: MapGerm, p: tuple, lifts: tuple, regular: bool):
-        _set(self, "name", name)
-        _set(self, "germ", germ)
-        _set(self, "p", p)
-        _set(self, "lifts", lifts)
-        _set(self, "regular", regular)
 
 
 @lru_cache(maxsize=1)
@@ -201,10 +194,7 @@ class Scenario(Record):
 
     def __init__(self, name: str, anchor: str, compute: Callable[[], dict],
                  expect: dict | None = None):
-        _set(self, "name", name)
-        _set(self, "anchor", anchor)
-        _set(self, "compute", compute)
-        _set(self, "expect", {} if expect is None else expect)
+        Record.__init__(self, name, anchor, compute, {} if expect is None else expect)
 
     def run(self) -> dict:
         """The summary, after checking every expected field against it."""

@@ -67,7 +67,6 @@ from .groups import (
     GroupHom,
     QuotientGroup,
     Subgroup,
-    InvariantSubspaceResult,
     close_in,
     eigenspace,
     find_invariant_subspace,
@@ -242,15 +241,6 @@ class RegularValueReport(Record):
     __slots__ = _fields = ("target_point", "regular", "point_ranks", "needed_rank",
                            "empty_preimage")
 
-    def __init__(self, target_point: tuple[Fraction, ...], regular: bool,
-                 point_ranks: tuple[tuple[tuple[Fraction, ...], int], ...],
-                 needed_rank: int, empty_preimage: bool):
-        _set(self, "target_point", target_point)
-        _set(self, "regular", regular)
-        _set(self, "point_ranks", point_ranks)
-        _set(self, "needed_rank", needed_rank)
-        _set(self, "empty_preimage", empty_preimage)
-
 
 def is_regular_value(germ: MapGerm, p, preimage_lifts) -> RegularValueReport:
     """Exact regularity of a target point over the supplied preimage lifts.
@@ -293,18 +283,7 @@ class PreimageModel(Record):
 
     __slots__ = _fields = ("germ", "target_point", "lift_point", "suborbifold", "dim",
                            "boundary_kind", "boundary_kernel_dim")
-
-    def __init__(self, germ: MapGerm, target_point: tuple[Fraction, ...],
-                 lift_point: tuple[Fraction, ...], suborbifold: SuborbifoldLocalModel,
-                 dim: int, boundary_kind: str = "interior",
-                 boundary_kernel_dim: int | None = None):
-        _set(self, "germ", germ)
-        _set(self, "target_point", target_point)
-        _set(self, "lift_point", lift_point)
-        _set(self, "suborbifold", suborbifold)
-        _set(self, "dim", dim)
-        _set(self, "boundary_kind", boundary_kind)
-        _set(self, "boundary_kernel_dim", boundary_kernel_dim)
+    _defaults = {"boundary_kind": "interior", "boundary_kernel_dim": None}
 
     @property
     def kernel(self) -> Subspace:
@@ -393,15 +372,7 @@ class InvariantProjection(Record):
     __slots__ = ("n_group", "kernel_space", "projection", "proj_kernel", "proj_image",
                  "_scaled")
     _fields = ("n_group", "kernel_space", "projection", "proj_kernel", "proj_image")
-
-    def __init__(self, n_group: Subgroup, kernel_space: Subspace, projection: Matrix,
-                 proj_kernel: Subspace, proj_image: Subspace):
-        _set(self, "n_group", n_group)
-        _set(self, "kernel_space", kernel_space)
-        _set(self, "projection", projection)
-        _set(self, "proj_kernel", proj_kernel)
-        _set(self, "proj_image", proj_image)
-        _set(self, "_scaled", None)
+    _defaults = {"_scaled": None}
 
     @property
     def a_gamma(self) -> tuple[tuple[int, Matrix], ...]:
@@ -453,12 +424,10 @@ def invariant_projection(germ: MapGerm) -> InvariantProjection:
         raise AssertionError("N moves the projection kernel")
     if pk.dim + pi.dim != n or not pk.intersect(pi).is_zero():
         raise AssertionError("projection kernel and image do not split the space")
-    result = InvariantProjection(
+    return InvariantProjection(
         n_group=ngrp, kernel_space=kernel, projection=proj,
-        proj_kernel=pk, proj_image=pi,
+        proj_kernel=pk, proj_image=pi, _scaled=scaled,
     )
-    _set(result, "_scaled", scaled)
-    return result
 
 
 def _scaled_members(grp, members: Sequence[int]) -> tuple[int, list]:
@@ -490,12 +459,6 @@ def _negated_mean(scaled: tuple[int, list]) -> Matrix:
 
 class CocycleReport(Record):
     __slots__ = _fields = ("pairs_checked", "ok", "failures")
-
-    def __init__(self, pairs_checked: int, ok: bool,
-                 failures: tuple[tuple[int, int, str], ...]):
-        _set(self, "pairs_checked", pairs_checked)
-        _set(self, "ok", ok)
-        _set(self, "failures", failures)
 
 
 _COCYCLE_IDENTITIES = ("left-twisted", "right-twisted", "product")
@@ -601,14 +564,6 @@ class FaithfulnessReport(Record):
     __slots__ = _fields = ("n_order", "g_order", "intersection_trivial", "injective",
                            "coset_images")
 
-    def __init__(self, n_order: int, g_order: int, intersection_trivial: bool,
-                 injective: bool, coset_images: tuple[tuple[int, int], ...]):
-        _set(self, "n_order", n_order)
-        _set(self, "g_order", g_order)
-        _set(self, "intersection_trivial", intersection_trivial)
-        _set(self, "injective", injective)
-        _set(self, "coset_images", coset_images)
-
 
 def faithfulness_check(germ: MapGerm) -> FaithfulnessReport:
     """Verify N meets the trivially-acting subgroup only in the identity.
@@ -641,10 +596,13 @@ def faithfulness_check(germ: MapGerm) -> FaithfulnessReport:
 def analyze_germ(germ: MapGerm, p, lifts):
     """The analyze pipeline: (regular-value report, invariant projection,
     cocycle report, preimage models, faithfulness report).  The models are
-    one per lift point when p is regular and none otherwise.  A failed
-    cocycle check raises AssertionError, naming the number of failing pairs
-    (each names up to three identities), so it also fails under python -O."""
+    one per lift point when p is regular and none otherwise.  A base point
+    that the chart group moves raises NotCentered before the projection,
+    which is built at the base point.  A failed cocycle check raises
+    AssertionError, naming the number of failing pairs (each names up to
+    three identities), so it also fails under python -O."""
     reg = is_regular_value(germ, p, lifts)
+    germ.base_split  # NotCentered unless centered; kept for faithfulness_check
     proj = invariant_projection(germ)
     cc = cocycle_identities(proj)
     if not cc.ok:
@@ -659,17 +617,6 @@ class RealTargetReport(Record):
 
     __slots__ = _fields = ("gamma_order", "gamma_s_order", "g_trivial", "fixed_line",
                            "kernel_space", "image_equals_kernel", "stratum_dimension")
-
-    def __init__(self, gamma_order: int, gamma_s_order: int, g_trivial: bool,
-                 fixed_line: Subspace, kernel_space: Subspace,
-                 image_equals_kernel: bool, stratum_dimension: int | None):
-        _set(self, "gamma_order", gamma_order)
-        _set(self, "gamma_s_order", gamma_s_order)
-        _set(self, "g_trivial", g_trivial)
-        _set(self, "fixed_line", fixed_line)
-        _set(self, "kernel_space", kernel_space)
-        _set(self, "image_equals_kernel", image_equals_kernel)
-        _set(self, "stratum_dimension", stratum_dimension)
 
 
 def real_target_structure(germ: MapGerm, model: PreimageModel) -> RealTargetReport:
@@ -722,17 +669,10 @@ def real_target_structure(germ: MapGerm, model: PreimageModel) -> RealTargetRepo
 class ObstructionCertificate(Record):
     """Whether a germ with a regular center value can exist for given data."""
 
+    # verdict is "possible" | "impossible" | "unknown"
     __slots__ = _fields = ("verdict", "reason_code", "detail", "witness_lift",
                            "invariant_search")
-
-    def __init__(self, verdict: str, reason_code: str, detail: str,
-                 witness_lift: MultiPoly | None = None,
-                 invariant_search: InvariantSubspaceResult | None = None):
-        _set(self, "verdict", verdict)  # "possible" | "impossible" | "unknown"
-        _set(self, "reason_code", reason_code)
-        _set(self, "detail", detail)
-        _set(self, "witness_lift", witness_lift)
-        _set(self, "invariant_search", invariant_search)
+    _defaults = {"witness_lift": None, "invariant_search": None}
 
 
 def obstruction_certificate(source: LocalChart, target: LocalChart,
@@ -1017,15 +957,6 @@ def _classify_sample(coords, p) -> bool:
 class SardReport(Record):
     __slots__ = _fields = ("samples", "seed", "box", "regular_count", "critical_values")
 
-    def __init__(self, samples: int, seed: int,
-                 box: tuple[tuple[Fraction, Fraction], ...], regular_count: int,
-                 critical_values: tuple[tuple[Fraction, ...], ...]):
-        _set(self, "samples", samples)
-        _set(self, "seed", seed)
-        _set(self, "box", box)
-        _set(self, "regular_count", regular_count)
-        _set(self, "critical_values", critical_values)
-
     @property
     def regular_fraction(self) -> Fraction:
         return Fraction(self.regular_count, self.samples)
@@ -1127,13 +1058,6 @@ def sard_sample(germ: MapGerm, box, samples: int, seed: int) -> SardReport:
 
 class LiftReplacementReport(Record):
     __slots__ = _fields = ("eta_index", "kernels_equal", "n_unchanged", "companion")
-
-    def __init__(self, eta_index: int, kernels_equal: bool, n_unchanged: bool,
-                 companion: MapGerm):
-        _set(self, "eta_index", eta_index)
-        _set(self, "kernels_equal", kernels_equal)
-        _set(self, "n_unchanged", n_unchanged)
-        _set(self, "companion", companion)
 
 
 def lift_replacement_invariance(germ: MapGerm, eta: Matrix) -> LiftReplacementReport:

@@ -403,13 +403,7 @@ class GroupHom(Record):
 
     __slots__ = ("source", "target", "mapping", "_multiplicative")
     _fields = ("source", "target", "mapping")
-
-    def __init__(self, source: FiniteMatrixGroup, target: FiniteMatrixGroup,
-                 mapping: tuple[int, ...]):
-        _set(self, "source", source)
-        _set(self, "target", target)
-        _set(self, "mapping", mapping)
-        _set(self, "_multiplicative", False)
+    _defaults = {"_multiplicative": False}
 
     def apply(self, i: int) -> int:
         return self.mapping[i]
@@ -498,13 +492,6 @@ class QuotientGroup(Record):
 
     __slots__ = ("group", "normal", "cosets", "coset_index")
     _fields = ("group", "normal", "cosets")
-
-    def __init__(self, group: Subgroup, normal: Subgroup,
-                 cosets: tuple[tuple[int, ...], ...], coset_index: dict[int, int]):
-        _set(self, "group", group)
-        _set(self, "normal", normal)
-        _set(self, "cosets", cosets)
-        _set(self, "coset_index", coset_index)
 
     @property
     def order(self) -> int:
@@ -663,11 +650,7 @@ class InvariantSubspaceResult(Record):
     """
 
     __slots__ = _fields = ("status", "subspace", "reason")
-
-    def __init__(self, status: str, subspace: Subspace | None = None, reason: str = ""):
-        _set(self, "status", status)
-        _set(self, "subspace", subspace)
-        _set(self, "reason", reason)
+    _defaults = {"subspace": None, "reason": ""}
 
     @property
     def found(self) -> bool:

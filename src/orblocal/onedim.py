@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ratlin import Record, Subspace, _set
-from .groups import Subgroup, fixed_subspace, index2_subgroups
+from .ratlin import Record, Subspace
+from .groups import fixed_subspace, index2_subgroups
 from .charts import LocalChart, isotropy_at, stratify
 from .germs import MapGerm, PreimageModel, _boundary_restriction, is_regular_value
 from .ratlin import Matrix, MultiPoly
@@ -52,8 +52,7 @@ class OneOrbifoldComponent(Record):
                 raise ValueError("an interval needs exactly two boundary/mirror ends")
         else:
             raise ValueError("unknown shape %r" % shape)
-        _set(self, "shape", shape)
-        _set(self, "ends", ends)
+        Record.__init__(self, shape, ends)
 
 
 def classify_1_orbifold(c: OneOrbifoldComponent) -> str:
@@ -86,24 +85,14 @@ class AssemblyEnd(Record):
             raise ValueError("glue ends need a token")
         if kind != GLUE and token:
             raise ValueError("terminal ends cannot carry a glue token")
-        _set(self, "kind", kind)
-        _set(self, "token", token)
-        _set(self, "isotropy_order", isotropy_order)
-        _set(self, "chart_index", chart_index)
-        _set(self, "point", point)
-        _set(self, "is_base", is_base)
+        Record.__init__(self, kind, token, isotropy_order, chart_index, point, is_base)
 
 
 class AssemblyPiece(Record):
     """A 1-dimensional preimage arc inside one chart, with its two ends."""
 
     __slots__ = _fields = ("name", "ends", "chart_index")
-
-    def __init__(self, name: str, ends: tuple[AssemblyEnd, AssemblyEnd],
-                 chart_index: int | None = None):
-        _set(self, "name", name)
-        _set(self, "ends", ends)
-        _set(self, "chart_index", chart_index)
+    _defaults = {"chart_index": None}
 
 
 def piece_from_model(name: str, model: PreimageModel,
@@ -139,12 +128,6 @@ def piece_from_model(name: str, model: PreimageModel,
 
 class AssembledComponent(Record):
     __slots__ = _fields = ("component", "piece_names", "terminal_ends")
-
-    def __init__(self, component: OneOrbifoldComponent, piece_names: tuple[str, ...],
-                 terminal_ends: tuple[AssemblyEnd, ...]):
-        _set(self, "component", component)
-        _set(self, "piece_names", piece_names)
-        _set(self, "terminal_ends", terminal_ends)
 
 
 def assemble_components(pieces: list[AssemblyPiece]) -> list[AssembledComponent]:
@@ -208,11 +191,6 @@ def assemble_components(pieces: list[AssemblyPiece]) -> list[AssembledComponent]
 class ParityReport(Record):
     __slots__ = _fields = ("boundary_points", "even", "type_counts")
 
-    def __init__(self, boundary_points: int, even: bool, type_counts: dict):
-        _set(self, "boundary_points", boundary_points)
-        _set(self, "even", even)
-        _set(self, "type_counts", type_counts)
-
 
 def boundary_parity(components: list[OneOrbifoldComponent]) -> ParityReport:
     """Count boundary points over type a/b components only.
@@ -247,12 +225,7 @@ class Index2Report(Record):
     """
 
     __slots__ = _fields = ("found", "witness", "fixed_line")
-
-    def __init__(self, found: bool, witness: Subgroup | None = None,
-                 fixed_line: Subspace | None = None):
-        _set(self, "found", found)
-        _set(self, "witness", witness)
-        _set(self, "fixed_line", fixed_line)
+    _defaults = {"witness": None, "fixed_line": None}
 
 
 def forbidden_index2_check(chart: LocalChart) -> Index2Report:
@@ -268,19 +241,9 @@ def forbidden_index2_check(chart: LocalChart) -> Index2Report:
 class HypothesisEvidence(Record):
     __slots__ = _fields = ("chart_index", "has_interior_codim1", "codim1_fixed_spaces")
 
-    def __init__(self, chart_index: int, has_interior_codim1: bool,
-                 codim1_fixed_spaces: tuple[Subspace, ...]):
-        _set(self, "chart_index", chart_index)
-        _set(self, "has_interior_codim1", has_interior_codim1)
-        _set(self, "codim1_fixed_spaces", codim1_fixed_spaces)
-
 
 class HypothesisReport(Record):
     __slots__ = _fields = ("holds", "evidence")
-
-    def __init__(self, holds: bool, evidence: tuple[HypothesisEvidence, ...]):
-        _set(self, "holds", holds)
-        _set(self, "evidence", evidence)
 
 
 def no_retraction_hypothesis(atlas: list[LocalChart]) -> HypothesisReport:
@@ -308,28 +271,13 @@ class RetractionScenario(Record):
 
     __slots__ = _fields = ("atlas", "p", "germs", "pieces")
 
-    def __init__(self, atlas: list[LocalChart], p: tuple[Fraction, ...],
-                 germs: list[tuple[int, MapGerm, list]], pieces: list[AssemblyPiece]):
-        _set(self, "atlas", atlas)
-        _set(self, "p", p)
-        _set(self, "germs", germs)
-        _set(self, "pieces", pieces)
-
 
 class RetractionReport(Record):
+    # status is "hypothesis not met" | "contradiction"
     __slots__ = _fields = ("status", "hypothesis", "contradiction_kind", "detail",
                            "components", "mirror_site")
-
-    def __init__(self, status: str, hypothesis: HypothesisReport,
-                 contradiction_kind: str | None = None, detail: str = "",
-                 components: tuple[AssembledComponent, ...] = (),
-                 mirror_site: tuple | None = None):
-        _set(self, "status", status)  # "hypothesis not met" | "contradiction"
-        _set(self, "hypothesis", hypothesis)
-        _set(self, "contradiction_kind", contradiction_kind)
-        _set(self, "detail", detail)
-        _set(self, "components", components)
-        _set(self, "mirror_site", mirror_site)
+    _defaults = {"contradiction_kind": None, "detail": "", "components": (),
+                 "mirror_site": None}
 
 
 def _verify_boundary_identity(germ: MapGerm):

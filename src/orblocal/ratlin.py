@@ -20,6 +20,9 @@ arithmetic enters any code path here.  The three value types are
                    substitution and composition with a Matrix run on ints,
                    and ``coords`` is its ``Fraction`` view.
 
+``Record`` is the base of the library's immutable value records: a
+record's fields are its public slots, set once by ``Record.__init__``.
+
 Elimination (rref, rank, det, inverse, solve, kernels) is fraction-free
 Gauss-Jordan elimination (Bareiss) on the integer rows: every intermediate
 entry is a minor of the input, every division is exact, and the reduced
@@ -58,20 +61,56 @@ _set = object.__setattr__
 class Record:
     """Base of the library's immutable value records.
 
-    A subclass names in ``_fields`` the fields that take part in equality,
-    hashing and repr, and its ``__init__`` stores every field with
-    ``_set``; assigning or deleting an attribute afterwards raises
-    AttributeError.  Two records are equal when they have the same class
-    and equal ``_fields`` values, and a record hashes as the tuple of those
-    values.  A subclass compared in hot loops defines its own ``__eq__`` and
+    A record's fields are its public ``__slots__``, set once by
+    ``Record.__init__``: positional arguments bind to them in slot order and
+    keyword arguments by name.  A field left out takes its value from the
+    class's ``_defaults``, which also gives the private slots their first
+    values (a keyword may set those too).  A missing, unknown, doubled or
+    surplus argument raises TypeError.  Assigning or deleting an attribute
+    afterwards raises AttributeError.  A record that validates or converts
+    its arguments defines its own ``__init__``, which ends in
+    ``Record.__init__``; Subgroup (which computes a slot) and MapGerm
+    (which has no slots) store their fields with ``_set``.  A subclass
+    names in ``_fields`` the fields that take part in equality, hashing and
+    repr.  Two records are equal when they have the same class and equal
+    ``_fields`` values, and a record hashes as the tuple of those values.  A
+    subclass compared in hot loops defines its own ``__eq__`` and
     ``__hash__`` on the same tuple.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...]
+    _defaults: dict = {}
 
     def __init_subclass__(cls):
         cls._key = attrgetter(*cls._fields)
+        slots = cls.__dict__.get("__slots__", ())
+        cls._public = tuple([s for s in slots if not s.startswith("_")])
+        cls._slots = cls._public + tuple([s for s in slots if s.startswith("_")])
+        # the slots' own setters, which skip the name lookup of _set
+        cls._setters = tuple([getattr(cls, s).__set__ for s in cls._public])
+
+    def __init__(self, *args, **kwargs):
+        n = len(args)
+        if n > len(self._public):
+            raise TypeError("%s takes %d positional arguments but %d were given"
+                            % (type(self).__name__, len(self._public), n))
+        for setter, value in zip(self._setters, args):
+            setter(self, value)
+        names = self._slots
+        defaults = self._defaults
+        for name in names[n:]:
+            if name in kwargs:
+                _set(self, name, kwargs.pop(name))
+            elif name in defaults:
+                _set(self, name, defaults[name])
+            else:
+                raise TypeError("%s missing argument %r" % (type(self).__name__, name))
+        if kwargs:  # each name left is bound already or names no slot
+            name = next(iter(kwargs))
+            raise TypeError("%s got %s argument %r" % (
+                type(self).__name__,
+                "multiple values for" if name in names else "an unexpected keyword", name))
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % name)
@@ -426,11 +465,6 @@ class Subspace(Record):
 
     __slots__ = ("ambient_dim", "echelon", "pivots")
     _fields = ("ambient_dim", "echelon")
-
-    def __init__(self, ambient_dim: int, echelon: Matrix, pivots: tuple[int, ...]):
-        _set(self, "ambient_dim", ambient_dim)
-        _set(self, "echelon", echelon)
-        _set(self, "pivots", pivots)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -123,6 +123,15 @@ def _parts(v: list, path: str, row: int | None = None) -> list[tuple[int, int]]:
     return out
 
 
+def array_field(v: dict, key: str, path: str, items: str) -> list:
+    """The array v[key], [] when v has no key; SchemaError at path.key when
+    it is not an array (of the named items)."""
+    a = v.get(key, [])
+    if not isinstance(a, list):
+        raise SchemaError("%s.%s" % (path, key), "expected an array of %s" % items)
+    return a
+
+
 def parse_vector(v, path: str, dim: int | None = None) -> tuple[Fraction, ...]:
     """An array of rationals, of dim entries when dim is given."""
     if not isinstance(v, list):
@@ -220,11 +229,8 @@ def parse_chart(v, path: str) -> LocalChart:
     boundary = v.get("boundary", False)
     if not isinstance(boundary, bool):
         raise SchemaError(path + ".boundary", "expected a boolean")
-    gens_json = v.get("generators", [])
-    if not isinstance(gens_json, list):
-        raise SchemaError(path + ".generators", "expected an array of matrices")
     gens = [parse_matrix(g, "%s.generators[%d]" % (path, i), v["dim"])
-            for i, g in enumerate(gens_json)]
+            for i, g in enumerate(array_field(v, "generators", path, "matrices"))]
     return build_chart(v["dim"], gens, boundary=boundary)
 
 
@@ -263,11 +269,8 @@ def parse_germ_payload(v, path: str) -> tuple[MapGerm, tuple, list]:
         if "base_point" in v else None
     germ = build_germ(source, target, lift, theta, base)
     p = parse_vector(v["p"], path + ".p", target.dim)
-    lifts_json = v.get("preimage_lifts", [])
-    if not isinstance(lifts_json, list):
-        raise SchemaError(path + ".preimage_lifts", "expected an array of points")
     lifts = [parse_vector(x, "%s.preimage_lifts[%d]" % (path, i), source.dim)
-             for i, x in enumerate(lifts_json)]
+             for i, x in enumerate(array_field(v, "preimage_lifts", path, "points"))]
     return germ, p, lifts
 
 
@@ -380,7 +383,7 @@ def parse_atlas_payload(v, path: str) -> RetractionScenario:
         raise SchemaError(path + ".p", "missing required field")
     p = parse_vector(v["p"], path + ".p", target.dim)
     germs = []
-    for i, g in enumerate(v.get("germs", [])):
+    for i, g in enumerate(array_field(v, "germs", path, "germs")):
         gpath = "%s.germs[%d]" % (path, i)
         if not isinstance(g, dict) or "chart" not in g:
             raise SchemaError(gpath, 'expected {"chart": index, "lift": ...}')
@@ -393,11 +396,11 @@ def parse_atlas_payload(v, path: str) -> RetractionScenario:
         lift = parse_poly(g.get("lift"), source.dim, gpath + ".lift", target.dim)
         germ = build_germ(source, target, lift, theta)
         lifts = [parse_vector(x, "%s.preimage_lifts[%d]" % (gpath, j), source.dim)
-                 for j, x in enumerate(g.get("preimage_lifts", []))]
+                 for j, x in enumerate(array_field(g, "preimage_lifts", gpath, "points"))]
         germs.append((ci, germ, lifts))
     pieces = [parse_piece(pc, "%s.pieces[%d]" % (path, i))
-              for i, pc in enumerate(v.get("pieces", []))]
-    for i, e in enumerate(v.get("embeddings", [])):
+              for i, pc in enumerate(array_field(v, "pieces", path, "pieces"))]
+    for i, e in enumerate(array_field(v, "embeddings", path, "embeddings")):
         epath = "%s.embeddings[%d]" % (path, i)
         parse_embedding(e, charts, epath)
     return RetractionScenario(atlas=charts, p=p, germs=germs, pieces=pieces)

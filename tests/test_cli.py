@@ -65,6 +65,17 @@ class TestAnalyze:
         assert main(["analyze", path]) == 2
         assert "not a regular value" in capsys.readouterr().out
 
+    def test_off_center_base_point_not_centered(self, tmp_path, docs, capsys):
+        # the chart group moves (1, 0): the germ is fine, and the projection
+        # at the base point is not built
+        doc = json.loads(json.dumps(docs["germ-sum-squares"]))
+        doc["payload"]["base_point"] = ["1", "0"]
+        assert main(["analyze", write(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("check failed: NotCentered: base point is not fixed "
+                                "by the chart group\n")
+        assert captured.out == ""
+
     def test_malformed_rational_exit_one(self, tmp_path, docs, capsys):
         doc = json.loads(json.dumps(docs["germ-mirror-line"]))
         doc["payload"]["p"] = ["1/0"]
@@ -522,6 +533,9 @@ def germ_with(**fields):
     return dict(MIRROR_LINE, **fields)
 
 
+ATLAS = builtin_documents()["atlas-disk-reflection"]["payload"]
+
+
 @pytest.mark.parametrize("command, payload, where", [
     ("strata", BAD_CHART, ".generators[0][1][1]: bad rational 'x'"),
     ("obstruct", {"source": BAD_CHART, "target": LINE,
@@ -541,6 +555,13 @@ def germ_with(**fields):
     ("analyze", germ_with(base_point=["0"]), ".base_point: expected 2 coordinates, got 1"),
     ("analyze", germ_with(preimage_lifts=[["0", "0"], ["0"]]),
      ".preimage_lifts[1]: expected 2 coordinates, got 1"),
+    # a field that must be an array and is not
+    ("retraction", dict(ATLAS, germs=5), ".germs: expected an array of germs"),
+    ("retraction", dict(ATLAS, pieces=5), ".pieces: expected an array of pieces"),
+    ("retraction", dict(ATLAS, embeddings=5), ".embeddings: expected an array of embeddings"),
+    ("retraction", dict(ATLAS, germs=[dict(ATLAS["germs"][0], preimage_lifts=5)]),
+     ".germs[0].preimage_lifts: expected an array of points"),
+    ("classify1", {"components": 5}, ".components: expected an array of components"),
 ])
 def test_input_error_paths(tmp_path, capsys, command, payload, where):
     # a bare payload is the document itself; a scenario wrapper holds it

@@ -186,8 +186,13 @@ def hash_or_error(r):
 
 
 def init_fields(r):
-    """The names of the parameters of r's constructor."""
-    return list(inspect.signature(type(r).__init__).parameters)[1:]
+    """The names of the fields r's constructor takes: the public slots of a
+    record that Record.__init__ builds, else the parameters of its own
+    __init__."""
+    cls = type(r)
+    if cls.__init__ is Record.__init__:
+        return [name for name in cls.__slots__ if not name.startswith("_")]
+    return list(inspect.signature(cls.__init__).parameters)[1:]
 
 
 def twin(r):
@@ -216,3 +221,45 @@ def test_record_contract(records, name):
         object.__setattr__(changed, field, value)
         assert getattr(changed, field) != getattr(r, field)
         assert changed == r and hash(changed) == hash(r)
+
+
+def test_record_constructors():
+    # only the records that validate their arguments or compute a slot
+    # define a constructor; the others are built by Record.__init__
+    own = sorted(name for mod in (ratlin, groups, charts_mod, germs, onedim, corpus)
+                 for name, obj in vars(mod).items() if name in RECORD_CLASSES
+                 and obj.__module__ == mod.__name__ and "__init__" in vars(obj))
+    assert own == ["AssemblyEnd", "LocalChart", "MapGerm", "OneOrbifoldComponent",
+                   "Scenario", "Subgroup"]
+
+
+def test_record_init_binds_slots():
+    Report = onedim.RetractionReport
+    hyp = onedim.HypothesisReport(True, ())
+    full = Report("contradiction", hyp, "kind", "detail", (), (0, (F(1),)))
+    assert full == Report(status="contradiction", hypothesis=hyp, contradiction_kind="kind",
+                          detail="detail", components=(), mirror_site=(0, (F(1),)))
+    assert full == Report("contradiction", hyp, "kind", detail="detail",
+                          mirror_site=(0, (F(1),)))
+    # fields left out take the class's defaults
+    short = Report("hypothesis not met", hyp)
+    assert (short.contradiction_kind, short.detail, short.components,
+            short.mirror_site) == (None, "", (), None)
+    assert Report("hypothesis not met", hyp, components=()) == short
+    # private slots start from the defaults, and a keyword may set them
+    assert groups.GroupHom(None, None, ())._multiplicative is False
+    assert groups.GroupHom(None, None, (), _multiplicative=True)._multiplicative is True
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((), {}, "RetractionReport missing argument 'status'"),
+    (("s",), {}, "RetractionReport missing argument 'hypothesis'"),
+    (("s", None), {"colour": 1}, "RetractionReport got an unexpected keyword argument 'colour'"),
+    (("s", None), {"status": "t"}, "RetractionReport got multiple values for argument 'status'"),
+    (("s", None, None, "", (), None, 7), {},
+     "RetractionReport takes 6 positional arguments but 7 were given"),
+])
+def test_record_init_rejects_bad_arguments(args, kwargs, message):
+    with pytest.raises(TypeError) as exc:
+        onedim.RetractionReport(*args, **kwargs)
+    assert str(exc.value) == message
