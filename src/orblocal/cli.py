@@ -109,37 +109,34 @@ def _emit(report: dict, out_path: str | None, summary_lines: list[str]):
         print(blob)
 
 
-def _base_report(meta: dict) -> dict:
-    return {"scenario": meta["name"], "anchor": meta["anchor"],
+def _base_report(name: str, anchor: str) -> dict:
+    return {"scenario": name, "anchor": anchor,
             "version": __version__, "checks": [], "derived": {}}
 
 
-def _payload(path: str, kind: str, default_name: str) -> tuple:
-    """(payload, name, where) of a document: a scenario wrapper of the given
-    kind, or a bare payload object named default_name.  where is the path
-    of the payload in the document, "$.payload" or "$", for input errors."""
+def _payload(path: str, kind: str, default_name: str, parse) -> tuple:
+    """(parse(payload, where), name, anchor) of the document at path, the
+    one way every file command reads its document.  The document is a
+    scenario wrapper of the given kind, where the payload sits at
+    where = "$.payload", or a bare payload object (where = "$") named
+    default_name with the anchor ""; where prefixes the input errors."""
     doc = _load(path)
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected a JSON object")
     if "kind" not in doc:
-        return doc, default_name, "$"
+        return parse(doc, "$"), default_name, ""
     meta = serialize.parse_scenario(doc)
-    _expect_kind(meta, kind)
-    return meta["payload"], meta["name"], "$.payload"
-
-
-def _expect_kind(meta: dict, kind: str):
     if meta["kind"] != kind:
         raise SchemaError("$.kind", "expected a %r scenario, got %r"
                           % (kind, meta["kind"]))
+    return parse(meta["payload"], "$.payload"), meta["name"], meta["anchor"]
 
 
 def cmd_analyze(args) -> int:
-    meta = serialize.parse_scenario(_load(args.file))
-    _expect_kind(meta, "germ")
-    germ, p, lifts = serialize.parse_germ_payload(meta["payload"], "$.payload")
+    (germ, p, lifts), name, anchor = _payload(args.file, "germ", "germ",
+                                              serialize.parse_germ_payload)
     reg, proj, cc, built, faith = analyze_germ(germ, p, lifts)
-    report = _base_report(meta)
+    report = _base_report(name, anchor)
     checks = report["checks"]
     checks += [
         {"name": "germ-equivariance", "passed": True,
@@ -157,7 +154,7 @@ def cmd_analyze(args) -> int:
     derived["projection"] = serialize.matrix_json(proj.projection)
     derived["projection_kernel"] = serialize.matrix_json(proj.proj_kernel.echelon)
     if not reg.regular:
-        _emit(report, args.out, ["FAIL %s: not a regular value" % meta["name"]])
+        _emit(report, args.out, ["FAIL %s: not a regular value" % name])
         return EXIT_MATH
     derived["preimage_models"] = [{
         "lift_point": serialize.vector_json(pt),
@@ -170,14 +167,13 @@ def cmd_analyze(args) -> int:
     } for pt, model in zip(lifts, built)]
     checks.append({"name": "preimage-models", "passed": True, "count": len(built)})
     _emit(report, args.out, ["PASS %s: regular value, %d preimage model(s)"
-                             % (meta["name"], len(built))])
+                             % (name, len(built))])
     return EXIT_OK
 
 
 def cmd_sard(args) -> int:
-    meta = serialize.parse_scenario(_load(args.file))
-    _expect_kind(meta, "germ")
-    germ, _, _ = serialize.parse_germ_payload(meta["payload"], "$.payload")
+    (germ, _, _), name, anchor = _payload(args.file, "germ", "germ",
+                                          serialize.parse_germ_payload)
     if len(args.box) != germ.target.dim:
         raise SchemaError("$.box", "need %d --box intervals, got %d"
                           % (germ.target.dim, len(args.box)))
@@ -198,20 +194,19 @@ def cmd_sard(args) -> int:
     if args.samples < 1:
         raise SchemaError("$.samples", "need at least 1 sample, got %d" % args.samples)
     sard = sard_sample(germ, box, args.samples, args.seed)
-    report = _base_report(meta)
+    report = _base_report(name, anchor)
     report["seed"] = args.seed
     report["derived"]["sard"] = sard.to_jsonable()
     report["checks"].append({"name": "sard-sampling", "passed": True,
                              "regular_fraction": str(sard.regular_fraction)})
     summary = ["PASS %s: regular fraction %s over %d samples"
-               % (meta["name"], sard.regular_fraction, args.samples)]
+               % (name, sard.regular_fraction, args.samples)]
     _emit(report, args.out, summary)
     return EXIT_OK
 
 
 def cmd_strata(args) -> int:
-    payload, name, where = _payload(args.file, "chart", "chart")
-    chart = serialize.parse_chart(payload, where)
+    chart, name, _ = _payload(args.file, "chart", "chart", serialize.parse_chart)
     rep = stratify(chart)
     strata = [{
         "dimension": s.dimension,
@@ -232,8 +227,8 @@ def cmd_strata(args) -> int:
 
 
 def cmd_obstruct(args) -> int:
-    payload, name, where = _payload(args.file, "obstruction", "obstruction")
-    source, target, theta = serialize.parse_obstruction_payload(payload, where)
+    (source, target, theta), name, _ = _payload(args.file, "obstruction", "obstruction",
+                                                serialize.parse_obstruction_payload)
     cert = obstruction_certificate(source, target, theta)
     derived = {"verdict": cert.verdict, "reason": cert.reason_code,
                "detail": cert.detail}
@@ -250,12 +245,8 @@ def cmd_obstruct(args) -> int:
 
 
 def cmd_classify1(args) -> int:
-    payload, name, where = _payload(args.file, "component-list", "components")
-    if not isinstance(payload, dict) or "components" not in payload:
-        raise SchemaError(where + ".components", "missing required field")
-    comps_json = serialize.array_field(payload, "components", where, "components")
-    comps = [serialize.parse_component(cj, "%s.components[%d]" % (where, i))
-             for i, cj in enumerate(comps_json)]
+    comps, name, _ = _payload(args.file, "component-list", "components",
+                              serialize.parse_components)
     types = [classify_1_orbifold(c) for c in comps]
     derived = {"types": types}
     if all(t in ("a", "b") for t in types):
@@ -271,15 +262,13 @@ def cmd_classify1(args) -> int:
 
 
 def cmd_retraction(args) -> int:
-    payload, name, where = _payload(args.file, "atlas", "atlas")
-    scenario = serialize.parse_atlas_payload(payload, where)
+    scenario, name, _ = _payload(args.file, "atlas", "atlas", serialize.parse_atlas_payload)
     rep = retraction_contradiction(scenario)
     derived = {
         "status": rep.status,
         "contradiction_kind": rep.contradiction_kind,
         "detail": rep.detail,
-        "components": [serialize.component_json(c.component)
-                       for c in rep.components],
+        **serialize.components_json(c.component for c in rep.components),
         "hypothesis_holds": rep.hypothesis.holds,
     }
     report = {"scenario": name, "version": __version__, "derived": derived}

@@ -29,7 +29,6 @@ from .charts import (
     verify_embedding,
 )
 from .germs import (
-    MapGerm,
     analyze_germ,
     build_germ,
     invariant_projection,
@@ -360,20 +359,24 @@ def _run_sard(case_name: str) -> dict:
     return report.to_jsonable()
 
 
-def _run_classify_types() -> dict:
-    comps = [
+def _four_types() -> list[OneOrbifoldComponent]:
+    """One compact 1-orbifold of each type (a) to (d)."""
+    return [
         OneOrbifoldComponent(LOOP),
         OneOrbifoldComponent(INTERVAL, (BOUNDARY, BOUNDARY)),
         OneOrbifoldComponent(INTERVAL, (BOUNDARY, MIRROR)),
         OneOrbifoldComponent(INTERVAL, (MIRROR, MIRROR)),
     ]
-    return {"types": [classify_1_orbifold(c) for c in comps]}
+
+
+def _run_classify_types() -> dict:
+    return {"types": [classify_1_orbifold(c) for c in _four_types()]}
 
 
 def _boundary_piece(name: str, token: str, base=False, chart=None) -> AssemblyPiece:
     return AssemblyPiece(name, (
         AssemblyEnd(BOUNDARY, chart_index=chart, point=(F(0), F(0)), is_base=base),
-        AssemblyEnd(GLUE, token=token, chart_index=chart)))
+        AssemblyEnd(GLUE, token=token, chart_index=chart)), chart)
 
 
 def _single_component(pieces):
@@ -422,31 +425,35 @@ def _run_assembly_mismatch_error() -> dict:
     return _expect_error(AssemblyError, lambda: assemble_components([a, b]))
 
 
-def _half_plane_edge_germ() -> tuple[MapGerm, list]:
-    case = germ_case("half-plane-edge")
-    return case.germ, [list(case.lifts[0])]
+def _type_c() -> RetractionScenario:
+    """An atlas with a mirror line, where the hypothesis fails."""
+    atlas = [charts()["line-z2"], charts()["half-line"]]
+    return RetractionScenario(atlas=atlas, p=(F(0),), germs=[], pieces=[])
 
 
 def _run_retraction_type_c() -> dict:
-    atlas = [charts()["line-z2"], charts()["half-line"]]
-    s = RetractionScenario(atlas=atlas, p=(F(0),), germs=[], pieces=[])
-    report = retraction_contradiction(s)
+    report = retraction_contradiction(_type_c())
     return {"status": report.status, "detail": report.detail}
 
 
-def _run_retraction_disk() -> dict:
+def _disk_reflection() -> RetractionScenario:
+    """A disk modulo the point reflection: the preimage of p runs from the
+    boundary to the cone point, a forced mirror end."""
     atlas = [charts()["point-reflection"], charts()["half-plane"]]
-    germ, lifts = _half_plane_edge_germ()
+    edge = germ_case("half-plane-edge")
     pieces = [
         _boundary_piece("edge-arc", "t1", base=True, chart=1),
         AssemblyPiece("mirror-arc", (
             AssemblyEnd(MIRROR, isotropy_order=2, chart_index=0,
                         point=(F(0), F(0))),
-            AssemblyEnd(GLUE, token="t1", chart_index=0))),
+            AssemblyEnd(GLUE, token="t1", chart_index=0)), 0),
     ]
-    s = RetractionScenario(atlas=atlas, p=(F(0),),
-                           germs=[(1, germ, lifts)], pieces=pieces)
-    report = retraction_contradiction(s)
+    return RetractionScenario(atlas=atlas, p=(F(0),),
+                              germs=[(1, edge.germ, edge.lifts)], pieces=pieces)
+
+
+def _run_retraction_disk() -> dict:
+    report = retraction_contradiction(_disk_reflection())
     if report.mirror_site is None or report.mirror_site[3] != 0:
         raise AssertionError("the mirror site's fixed space is not the origin")
     return {"status": report.status, "kind": report.contradiction_kind,
@@ -455,7 +462,7 @@ def _run_retraction_disk() -> dict:
 
 def _run_retraction_manifold() -> dict:
     atlas = [charts()["plane-trivial"], charts()["half-plane"], charts()["half-plane"]]
-    germ, lifts = _half_plane_edge_germ()
+    edge = germ_case("half-plane-edge")
     pieces = [
         _boundary_piece("near-edge", "a", base=True, chart=1),
         AssemblyPiece("crossing", (AssemblyEnd(GLUE, token="a", chart_index=0),
@@ -463,7 +470,7 @@ def _run_retraction_manifold() -> dict:
         _boundary_piece("far-edge", "b", base=False, chart=2),
     ]
     s = RetractionScenario(atlas=atlas, p=(F(0),),
-                           germs=[(1, germ, lifts), (2, germ, lifts)],
+                           germs=[(1, edge.germ, edge.lifts), (2, edge.germ, edge.lifts)],
                            pieces=pieces)
     report = retraction_contradiction(s)
     return {"status": report.status, "kind": report.contradiction_kind,
@@ -626,89 +633,26 @@ def run_corpus(anchor: str | None = None):
 
 
 def builtin_documents() -> dict[str, dict]:
-    """Scenario files for the CLI, one per representative corpus entry."""
+    """Scenario files for the CLI, one per representative corpus entry,
+    each written by the serialize writer of its kind from the objects the
+    corpus runs."""
     c = charts()
-    docs: dict[str, dict] = {}
-    for case in germ_cases():
-        docs["germ-%s" % case.name] = {
-            "kind": "germ",
-            "name": "germ-%s" % case.name,
-            "anchor": "preimage",
-            "payload": serialize.germ_payload_json(case.germ, case.p, case.lifts),
-        }
+    line, qline = c["line-trivial"], c["line-z2"]
     sq = germ_case("z2-square")
-    docs["germ-z2-square-critical"] = {
-        "kind": "germ",
-        "name": "germ-z2-square-critical",
-        "anchor": "regular-value",
-        "payload": serialize.germ_payload_json(sq.germ, (F(0),), ((F(0),),)),
-    }
-    line = c["line-trivial"]
-    docs["obstruction-z2-line"] = {
-        "kind": "obstruction",
-        "name": "obstruction-z2-line",
-        "anchor": "obstruction",
-        "payload": {
-            "source": serialize.chart_json(c["line-z2"]),
-            "target": serialize.chart_json(line),
-            "theta_gen_images": [serialize.matrix_json(Matrix.identity(1))],
-        },
-    }
-    docs["chart-quarter-plane"] = {
-        "kind": "chart",
-        "name": "chart-quarter-plane",
-        "anchor": "strata",
-        "payload": serialize.chart_json(c["quarter-plane"]),
-    }
-    docs["components-four-types"] = {
-        "kind": "component-list",
-        "name": "components-four-types",
-        "anchor": "one-orbifold",
-        "payload": {"components": [
-            {"shape": "loop"},
-            {"shape": "interval", "ends": ["boundary", "boundary"]},
-            {"shape": "interval", "ends": ["boundary", "mirror"]},
-            {"shape": "interval", "ends": ["mirror", "mirror"]},
-        ]},
-    }
-    edge_case = germ_case("half-plane-edge")
-    docs["atlas-disk-reflection"] = {
-        "kind": "atlas",
-        "name": "atlas-disk-reflection",
-        "anchor": "retraction",
-        "payload": {
-            "charts": [serialize.chart_json(c["point-reflection"]),
-                       serialize.chart_json(c["half-plane"])],
-            "target": serialize.chart_json(line),
-            "p": ["0"],
-            "germs": [{
-                "chart": 1,
-                "lift": serialize.poly_json(edge_case.germ.lift),
-                "theta_gen_images": [],
-                "preimage_lifts": [["0", "0"]],
-            }],
-            "pieces": [
-                {"name": "edge-arc", "chart": 1, "ends": [
-                    {"kind": "boundary", "chart": 1, "point": ["0", "0"],
-                     "is_base": True},
-                    {"kind": "glue", "token": "t1", "chart": 1}]},
-                {"name": "mirror-arc", "chart": 0, "ends": [
-                    {"kind": "mirror", "chart": 0, "point": ["0", "0"]},
-                    {"kind": "glue", "token": "t1", "chart": 0}]},
-            ],
-        },
-    }
-    docs["atlas-type-c"] = {
-        "kind": "atlas",
-        "name": "atlas-type-c",
-        "anchor": "retraction",
-        "payload": {
-            "charts": [serialize.chart_json(c["line-z2"]),
-                       serialize.chart_json(c["half-line"])],
-            "target": serialize.chart_json(line),
-            "p": ["0"],
-            "germs": [],
-            "pieces": [],
-        },
-    }
-    return docs
+    docs = [("germ-%s" % case.name, "germ", "preimage",
+             serialize.germ_payload_json(case.germ, case.p, case.lifts))
+            for case in germ_cases()]
+    docs += [
+        ("germ-z2-square-critical", "germ", "regular-value",
+         serialize.germ_payload_json(sq.germ, (F(0),), ((F(0),),))),
+        ("obstruction-z2-line", "obstruction", "obstruction",
+         serialize.obstruction_json(qline, line, _trivial_theta(qline, line))),
+        ("chart-quarter-plane", "chart", "strata", serialize.chart_json(c["quarter-plane"])),
+        ("components-four-types", "component-list", "one-orbifold",
+         serialize.components_json(_four_types())),
+        ("atlas-disk-reflection", "atlas", "retraction",
+         serialize.atlas_json(_disk_reflection(), line)),
+        ("atlas-type-c", "atlas", "retraction", serialize.atlas_json(_type_c(), line)),
+    ]
+    return {name: {"kind": kind, "name": name, "anchor": anchor, "payload": payload}
+            for name, kind, anchor, payload in docs}

@@ -1,11 +1,17 @@
-"""JSON schemas for scenarios, charts, germs, and reports.
+"""The document format: the scenario wrapper, the payloads of charts,
+germs, obstructions, component lists and atlases, and report values.
 
-Rationals travel as strings "p/q" or "n" so nothing is ever rounded;
-matrices are row-major nested arrays of such strings; polynomial maps are
-arrays (one per output coordinate) of {"coef": rational, "exps": [int,...]}
-terms.  Schema violations raise SchemaError carrying the JSON path of the
-offending field; mathematical failures (non-invertible generators, broken
-equivariance, ...) propagate as the library's own exceptions.
+Each payload kind has a reader (parse_*), which checks the document and
+builds the library's objects, and a writer (*_json), which writes those
+objects back as the reader reads them; the built-in documents
+(corpus.builtin_documents) are written by these writers from the objects
+the corpus runs.  Rationals travel as strings "p/q" or "n" so nothing is
+ever rounded; matrices are row-major nested arrays of such strings;
+polynomial maps are arrays (one per output coordinate) of
+{"coef": rational, "exps": [int,...]} terms.  Schema violations raise
+SchemaError carrying the JSON path of the offending field; mathematical
+failures (non-invertible generators, broken equivariance, ...) propagate
+as the library's own exceptions.
 
 Entries of the form str(Fraction) writes ("-?[0-9]+(/[0-9]+)?" or a JSON
 integer) are read with int(), and a matrix is built as integer rows over
@@ -253,53 +259,73 @@ def parse_theta(v, source: LocalChart, target: LocalChart, path: str) -> GroupHo
     return verify_homomorphism(source.group, target.group, images)
 
 
-def parse_germ_payload(v, path: str) -> tuple[MapGerm, tuple, list]:
-    """Parse a germ scenario payload: (germ, target point p, preimage lifts)."""
-    if not isinstance(v, dict):
-        raise SchemaError(path, "expected a germ scenario object")
-    for key in ("source", "target", "theta_gen_images", "lift", "p"):
-        if key not in v:
-            raise SchemaError("%s.%s" % (path, key), "missing required field")
-    source = parse_chart(v["source"], path + ".source")
-    target = parse_chart(v["target"], path + ".target")
-    theta = parse_theta(v["theta_gen_images"], source, target,
+def theta_json(theta: GroupHom) -> list[list[list[str]]]:
+    """The images of the source group's generators, as parse_theta reads them."""
+    image = theta.target.element
+    return [matrix_json(image(theta.mapping[i])) for i in theta.source.generator_indices]
+
+
+def _parse_germ(v: dict, source: LocalChart, target: LocalChart, path: str,
+                base_point=None) -> tuple[MapGerm, list]:
+    """(germ, preimage lifts) from the germ fields of v at path: its
+    theta_gen_images ([] when absent), lift and preimage_lifts, with the
+    germ's base point base_point (None for the origin)."""
+    theta = parse_theta(v.get("theta_gen_images", []), source, target,
                         path + ".theta_gen_images")
-    lift = parse_poly(v["lift"], source.dim, path + ".lift", target.dim)
-    base = parse_vector(v["base_point"], path + ".base_point", source.dim) \
-        if "base_point" in v else None
-    germ = build_germ(source, target, lift, theta, base)
-    p = parse_vector(v["p"], path + ".p", target.dim)
+    lift = parse_poly(v.get("lift"), source.dim, path + ".lift", target.dim)
+    germ = build_germ(source, target, lift, theta, base_point)
     lifts = [parse_vector(x, "%s.preimage_lifts[%d]" % (path, i), source.dim)
              for i, x in enumerate(array_field(v, "preimage_lifts", path, "points"))]
-    return germ, p, lifts
+    return germ, lifts
+
+
+def _germ_json(germ: MapGerm, lifts) -> dict:
+    """The germ fields _parse_germ reads."""
+    return {"theta_gen_images": theta_json(germ.theta), "lift": poly_json(germ.lift),
+            "preimage_lifts": [vector_json(x) for x in lifts]}
+
+
+def _require(v, path: str, what: str, keys: tuple[str, ...]) -> None:
+    """SchemaError at path unless v is an object (what names it), and at
+    path.key for the first of keys that it lacks."""
+    if not isinstance(v, dict):
+        raise SchemaError(path, "expected %s" % what)
+    for key in keys:
+        if key not in v:
+            raise SchemaError("%s.%s" % (path, key), "missing required field")
+
+
+def parse_germ_payload(v, path: str) -> tuple[MapGerm, tuple, list]:
+    """Parse a germ scenario payload: (germ, target point p, preimage lifts)."""
+    _require(v, path, "a germ scenario object",
+             ("source", "target", "theta_gen_images", "lift", "p"))
+    source = parse_chart(v["source"], path + ".source")
+    target = parse_chart(v["target"], path + ".target")
+    base = parse_vector(v["base_point"], path + ".base_point", source.dim) \
+        if "base_point" in v else None
+    germ, lifts = _parse_germ(v, source, target, path, base)
+    return germ, parse_vector(v["p"], path + ".p", target.dim), lifts
 
 
 def germ_payload_json(germ: MapGerm, p, lifts) -> dict:
-    return {
-        "source": chart_json(germ.source),
-        "target": chart_json(germ.target),
-        "theta_gen_images": [
-            matrix_json(germ.theta.apply_matrix(g))
-            for g in germ.source.group.generators
-        ],
-        "lift": poly_json(germ.lift),
-        "base_point": vector_json(germ.base_point),
-        "p": vector_json(p),
-        "preimage_lifts": [vector_json(x) for x in lifts],
-    }
+    return {"source": chart_json(germ.source), "target": chart_json(germ.target),
+            **_germ_json(germ, lifts), "base_point": vector_json(germ.base_point),
+            "p": vector_json(p)}
 
 
 def parse_obstruction_payload(v, path: str):
-    if not isinstance(v, dict):
-        raise SchemaError(path, "expected an obstruction scenario object")
-    for key in ("source", "target", "theta_gen_images"):
-        if key not in v:
-            raise SchemaError("%s.%s" % (path, key), "missing required field")
+    _require(v, path, "an obstruction scenario object",
+             ("source", "target", "theta_gen_images"))
     source = parse_chart(v["source"], path + ".source")
     target = parse_chart(v["target"], path + ".target")
     theta = parse_theta(v["theta_gen_images"], source, target,
                         path + ".theta_gen_images")
     return source, target, theta
+
+
+def obstruction_json(source: LocalChart, target: LocalChart, theta: GroupHom) -> dict:
+    return {"source": chart_json(source), "target": chart_json(target),
+            "theta_gen_images": theta_json(theta)}
 
 
 def parse_component(v, path: str) -> OneOrbifoldComponent:
@@ -324,7 +350,27 @@ def component_json(c: OneOrbifoldComponent) -> dict:
     return {"shape": INTERVAL, "ends": list(c.ends)}
 
 
-def parse_end(v, path: str) -> AssemblyEnd:
+def parse_components(v, path: str) -> list[OneOrbifoldComponent]:
+    """The components of a component-list payload {"components": [...]}."""
+    _require(v, path, "a component-list object", ("components",))
+    return [parse_component(c, "%s.components[%d]" % (path, i))
+            for i, c in enumerate(array_field(v, "components", path, "components"))]
+
+
+def components_json(components) -> dict:
+    return {"components": [component_json(c) for c in components]}
+
+
+def _chart_index(i, atlas: list[LocalChart] | None, path: str) -> int:
+    """i when it indexes into atlas, or is any integer when atlas is None."""
+    if not _is_int(i) or atlas is not None and not 0 <= i < len(atlas):
+        raise SchemaError(path, "expected an integer chart index" if atlas is None
+                          else "expected a chart index from 0 to %d" % (len(atlas) - 1))
+    return i
+
+
+def parse_end(v, path: str, atlas: list[LocalChart] | None = None) -> AssemblyEnd:
+    """An end; given the atlas, its chart and point must fit the atlas."""
     if not isinstance(v, dict) or "kind" not in v:
         raise SchemaError(path, 'expected {"kind": ...}')
     kind = v["kind"]
@@ -337,9 +383,10 @@ def parse_end(v, path: str) -> AssemblyEnd:
     if not _is_int(order) or order < 1:
         raise SchemaError(path + ".isotropy_order", "expected a positive integer")
     chart_index = v.get("chart")
-    if chart_index is not None and not _is_int(chart_index):
-        raise SchemaError(path + ".chart", "expected an integer chart index")
-    point = parse_vector(v["point"], path + ".point") if "point" in v else None
+    if chart_index is not None:
+        _chart_index(chart_index, atlas, path + ".chart")
+    point = None if "point" not in v else parse_vector(
+        v["point"], path + ".point", None if atlas is None else atlas[0].dim)
     is_base = v.get("is_base", False)
     if not isinstance(is_base, bool):
         raise SchemaError(path + ".is_base", "expected a boolean")
@@ -350,7 +397,19 @@ def parse_end(v, path: str) -> AssemblyEnd:
         raise SchemaError(path, str(e)) from None
 
 
-def parse_piece(v, path: str) -> AssemblyPiece:
+def end_json(e: AssemblyEnd) -> dict:
+    """The end as parse_end reads it, without the fields at their parse
+    defaults: no token, chart or point, the kind's isotropy order, not base."""
+    order = e.isotropy_order
+    fields = {"kind": e.kind, "token": e.token, "chart": e.chart_index,
+              "isotropy_order": None if order == (2 if e.kind == MIRROR else 1) else order,
+              "point": None if e.point is None else vector_json(e.point),
+              "is_base": e.is_base or None}
+    return {k: v for k, v in fields.items() if v is not None}
+
+
+def parse_piece(v, path: str, atlas: list[LocalChart] | None = None) -> AssemblyPiece:
+    """A piece; given the atlas, its charts and points must fit the atlas."""
     if not isinstance(v, dict) or "ends" not in v:
         raise SchemaError(path, 'expected {"name": ..., "ends": [...]}')
     name = v.get("name", "piece")
@@ -360,15 +419,22 @@ def parse_piece(v, path: str) -> AssemblyPiece:
     if not isinstance(ends, list) or len(ends) != 2:
         raise SchemaError(path + ".ends", "expected exactly two ends")
     chart_index = v.get("chart")
-    if chart_index is not None and not _is_int(chart_index):
-        raise SchemaError(path + ".chart", "expected an integer chart index")
-    e0 = parse_end(ends[0], path + ".ends[0]")
-    e1 = parse_end(ends[1], path + ".ends[1]")
+    if chart_index is not None:
+        _chart_index(chart_index, atlas, path + ".chart")
+    e0 = parse_end(ends[0], path + ".ends[0]", atlas)
+    e1 = parse_end(ends[1], path + ".ends[1]", atlas)
     return AssemblyPiece(name, (e0, e1), chart_index)
 
 
+def piece_json(pc: AssemblyPiece) -> dict:
+    """The piece as parse_piece reads it, without a chart when it has none."""
+    fields = {"name": pc.name, "chart": pc.chart_index, "ends": [end_json(e) for e in pc.ends]}
+    return {k: v for k, v in fields.items() if v is not None}
+
+
 def parse_atlas_payload(v, path: str) -> RetractionScenario:
-    """Parse a retraction/parity atlas: charts, target, p, germs, pieces."""
+    """Parse a retraction/parity atlas: charts of one dimension, target, p,
+    germs, pieces."""
     if not isinstance(v, dict):
         raise SchemaError(path, "expected an atlas object")
     charts_json = v.get("charts")
@@ -376,6 +442,11 @@ def parse_atlas_payload(v, path: str) -> RetractionScenario:
         raise SchemaError(path + ".charts", "expected a nonempty array of charts")
     charts = [parse_chart(c, "%s.charts[%d]" % (path, i))
               for i, c in enumerate(charts_json)]
+    for i, c in enumerate(charts):
+        if c.dim != charts[0].dim:
+            raise SchemaError("%s.charts[%d].dim" % (path, i),
+                              "expected %d, the dimension of charts[0], got %d"
+                              % (charts[0].dim, c.dim))
     if "target" not in v:
         raise SchemaError(path + ".target", "missing required field")
     target = parse_chart(v["target"], path + ".target")
@@ -387,18 +458,9 @@ def parse_atlas_payload(v, path: str) -> RetractionScenario:
         gpath = "%s.germs[%d]" % (path, i)
         if not isinstance(g, dict) or "chart" not in g:
             raise SchemaError(gpath, 'expected {"chart": index, "lift": ...}')
-        ci = g["chart"]
-        if not _is_int(ci) or not (0 <= ci < len(charts)):
-            raise SchemaError(gpath + ".chart", "chart index out of range")
-        source = charts[ci]
-        theta = parse_theta(g.get("theta_gen_images", []), source, target,
-                            gpath + ".theta_gen_images")
-        lift = parse_poly(g.get("lift"), source.dim, gpath + ".lift", target.dim)
-        germ = build_germ(source, target, lift, theta)
-        lifts = [parse_vector(x, "%s.preimage_lifts[%d]" % (gpath, j), source.dim)
-                 for j, x in enumerate(array_field(g, "preimage_lifts", gpath, "points"))]
-        germs.append((ci, germ, lifts))
-    pieces = [parse_piece(pc, "%s.pieces[%d]" % (path, i))
+        ci = _chart_index(g["chart"], charts, gpath + ".chart")
+        germs.append((ci, *_parse_germ(g, charts[ci], target, gpath)))
+    pieces = [parse_piece(pc, "%s.pieces[%d]" % (path, i), charts)
               for i, pc in enumerate(array_field(v, "pieces", path, "pieces"))]
     for i, e in enumerate(array_field(v, "embeddings", path, "embeddings")):
         epath = "%s.embeddings[%d]" % (path, i)
@@ -406,17 +468,24 @@ def parse_atlas_payload(v, path: str) -> RetractionScenario:
     return RetractionScenario(atlas=charts, p=p, germs=germs, pieces=pieces)
 
 
+def atlas_json(s: RetractionScenario, target: LocalChart) -> dict:
+    """The atlas payload of s, whose germs map to target; embeddings are
+    not written."""
+    return {
+        "charts": [chart_json(c) for c in s.atlas],
+        "target": chart_json(target),
+        "p": vector_json(s.p),
+        "germs": [{"chart": ci, **_germ_json(germ, lifts)} for ci, germ, lifts in s.germs],
+        "pieces": [piece_json(pc) for pc in s.pieces],
+    }
+
+
 def parse_embedding(v, charts: list[LocalChart], path: str) -> ChartEmbedding:
     """Parse and verify a declared chart embedding (indices into the atlas)."""
-    if not isinstance(v, dict):
-        raise SchemaError(path, "expected an embedding object")
-    for key in ("source", "target", "linear", "translate", "theta_gen_images"):
-        if key not in v:
-            raise SchemaError("%s.%s" % (path, key), "missing required field")
-    si, ti = v["source"], v["target"]
-    for label, idx in (("source", si), ("target", ti)):
-        if not _is_int(idx) or not (0 <= idx < len(charts)):
-            raise SchemaError("%s.%s" % (path, label), "chart index out of range")
+    _require(v, path, "an embedding object",
+             ("source", "target", "linear", "translate", "theta_gen_images"))
+    si = _chart_index(v["source"], charts, path + ".source")
+    ti = _chart_index(v["target"], charts, path + ".target")
     linear = parse_matrix(v["linear"], path + ".linear")
     translate = parse_vector(v["translate"], path + ".translate")
     theta = parse_theta(v["theta_gen_images"], charts[si], charts[ti],

@@ -534,6 +534,14 @@ def germ_with(**fields):
 
 
 ATLAS = builtin_documents()["atlas-disk-reflection"]["payload"]
+TYPE_C = builtin_documents()["atlas-type-c"]["payload"]
+
+
+def atlas_with_mirror_end(**fields):
+    """ATLAS with fields set on its mirror end, pieces[1].ends[0]."""
+    edge, mirror = ATLAS["pieces"]
+    end, glue = mirror["ends"]
+    return dict(ATLAS, pieces=[edge, dict(mirror, ends=[dict(end, **fields), glue])])
 
 
 @pytest.mark.parametrize("command, payload, where", [
@@ -562,20 +570,44 @@ ATLAS = builtin_documents()["atlas-disk-reflection"]["payload"]
     ("retraction", dict(ATLAS, germs=[dict(ATLAS["germs"][0], preimage_lifts=5)]),
      ".germs[0].preimage_lifts: expected an array of points"),
     ("classify1", {"components": 5}, ".components: expected an array of components"),
+    # a chart index on a piece or an end must name a chart of the atlas
+    ("retraction", atlas_with_mirror_end(chart=7),
+     ".pieces[1].ends[0].chart: expected a chart index from 0 to 1"),
+    ("retraction", atlas_with_mirror_end(chart=-1),
+     ".pieces[1].ends[0].chart: expected a chart index from 0 to 1"),
+    ("retraction", dict(ATLAS, pieces=[dict(ATLAS["pieces"][0], chart=2), ATLAS["pieces"][1]]),
+     ".pieces[0].chart: expected a chart index from 0 to 1"),
+    # an end's point has the atlas's dimension, and the atlas has one
+    ("retraction", atlas_with_mirror_end(point=["0", "0", "0"]),
+     ".pieces[1].ends[0].point: expected 2 coordinates, got 3"),
+    ("retraction", dict(TYPE_C, charts=[TYPE_C["charts"][0], {"dim": 2, "generators": []}]),
+     ".charts[1].dim: expected 1, the dimension of charts[0], got 2"),
 ])
 def test_input_error_paths(tmp_path, capsys, command, payload, where):
     # a bare payload is the document itself; a scenario wrapper holds it
-    # under $.payload.  analyze and sard read wrapped germ documents only.
+    # under $.payload
     kind = {"strata": "chart", "obstruct": "obstruction", "analyze": "germ",
             "sard": "germ", "classify1": "component-list", "retraction": "atlas"}[command]
     extra = ["--samples", "5", "--seed", "1", "--box", "-1", "1"] if command == "sard" else []
     wrapped = {"kind": kind, "name": "bad", "anchor": "test", "payload": payload}
-    cases = [(wrapped, "$.payload")]
-    if kind != "germ":
-        cases.insert(0, (payload, "$"))
-    for doc, prefix in cases:
+    for doc, prefix in [(payload, "$"), (wrapped, "$.payload")]:
         assert main([command, write(tmp_path, doc, "doc.json"), *extra]) == 1
         assert "input error: at %s%s" % (prefix, where) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("analyze", []), ("sard", ["--samples", "50", "--seed", "3", "--box", "-1", "1"])])
+def test_bare_germ_payload_reads_as_wrapped(tmp_path, docs, command, extra):
+    # every file command reads a bare payload as the payload of a wrapper
+    doc = docs["germ-z2-square"]
+    reports = []
+    for text in (doc, doc["payload"]):
+        out = tmp_path / "report.json"
+        assert main([command, write(tmp_path, text), *extra, "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    wrapped, bare = reports
+    assert bare["derived"] == wrapped["derived"]
+    assert (bare["scenario"], bare["anchor"]) == ("germ", "")
 
 
 @pytest.mark.parametrize("literal", [

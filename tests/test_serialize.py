@@ -292,6 +292,26 @@ class TestGermPayload:
         assert exc.value.path == "$.p"
 
 
+# each payload kind's reader and the writer that writes its objects back
+ROUND_TRIPS = {
+    "germ": lambda v: serialize.germ_payload_json(*serialize.parse_germ_payload(v, "$")),
+    "chart": lambda v: serialize.chart_json(serialize.parse_chart(v, "$")),
+    "obstruction": lambda v: serialize.obstruction_json(
+        *serialize.parse_obstruction_payload(v, "$")),
+    "component-list": lambda v: serialize.components_json(
+        serialize.parse_components(v, "$")),
+    "atlas": lambda v: serialize.atlas_json(serialize.parse_atlas_payload(v, "$"),
+                                            serialize.parse_chart(v["target"], "$.target")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(builtin_documents()))
+def test_builtin_document_round_trip(name):
+    # reading a built-in payload and writing it back gives the payload
+    doc = builtin_documents()[name]
+    assert ROUND_TRIPS[doc["kind"]](doc["payload"]) == doc["payload"]
+
+
 class TestAtlasEmbeddings:
     def test_declared_embedding_verified(self):
         from orblocal.corpus import charts
