@@ -341,25 +341,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=cmd_sard)
 
-    p = sub.add_parser("strata", help="stratify a chart by isotropy type")
-    p.add_argument("file")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_strata)
-
-    p = sub.add_parser("obstruct", help="existence certificate for a germ problem")
-    p.add_argument("file")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_obstruct)
-
-    p = sub.add_parser("classify1", help="classify compact 1-orbifold components")
-    p.add_argument("file")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_classify1)
-
-    p = sub.add_parser("retraction", help="run the no-retraction argument on an atlas")
-    p.add_argument("file")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_retraction)
+    for name, fn, text in (
+            ("strata", cmd_strata, "stratify a chart by isotropy type"),
+            ("obstruct", cmd_obstruct, "existence certificate for a germ problem"),
+            ("classify1", cmd_classify1, "classify compact 1-orbifold components"),
+            ("retraction", cmd_retraction, "run the no-retraction argument on an atlas")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("file")
+        p.add_argument("--out")
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("corpus", help="run the built-in scenario corpus")
     p.add_argument("action", choices=["run"])

@@ -636,6 +636,27 @@ def kernel_image_rank(m: Matrix) -> tuple[Subspace, Subspace, int]:
     return kernel(m), image, image.dim
 
 
+def restrict_to_subspace(m: Matrix, s: Subspace) -> Matrix:
+    """The matrix of m acting on s, in the coordinates of s's basis.
+
+    Requires s invariant under m; raises ValueError with a witness vector
+    otherwise.
+    """
+    k = s.dim
+    if k == 0:
+        return Matrix.identity(0)
+    bt = s.echelon.transpose()
+    cols = []
+    for b in s.basis:
+        mb = m.apply(b)
+        coords = solve_exact(bt, mb)
+        if coords is None:
+            raise ValueError("subspace not invariant: image of %s leaves it"
+                             % (tuple(str(x) for x in b),))
+        cols.append(coords)
+    return Matrix.from_columns(cols)
+
+
 def solve_exact(a: Matrix, b: Sequence) -> tuple[Fraction, ...] | None:
     """One exact solution x of a x = b, or None if inconsistent."""
     b = vec(b)

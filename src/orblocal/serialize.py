@@ -361,16 +361,15 @@ def components_json(components) -> dict:
     return {"components": [component_json(c) for c in components]}
 
 
-def _chart_index(i, atlas: list[LocalChart] | None, path: str) -> int:
-    """i when it indexes into atlas, or is any integer when atlas is None."""
-    if not _is_int(i) or atlas is not None and not 0 <= i < len(atlas):
-        raise SchemaError(path, "expected an integer chart index" if atlas is None
-                          else "expected a chart index from 0 to %d" % (len(atlas) - 1))
+def _chart_index(i, atlas: list[LocalChart], path: str) -> int:
+    """i when it is an integer that indexes into atlas."""
+    if not _is_int(i) or not 0 <= i < len(atlas):
+        raise SchemaError(path, "expected a chart index from 0 to %d" % (len(atlas) - 1))
     return i
 
 
-def parse_end(v, path: str, atlas: list[LocalChart] | None = None) -> AssemblyEnd:
-    """An end; given the atlas, its chart and point must fit the atlas."""
+def parse_end(v, path: str, atlas: list[LocalChart]) -> AssemblyEnd:
+    """An end, whose chart and point must fit the atlas."""
     if not isinstance(v, dict) or "kind" not in v:
         raise SchemaError(path, 'expected {"kind": ...}')
     kind = v["kind"]
@@ -386,7 +385,7 @@ def parse_end(v, path: str, atlas: list[LocalChart] | None = None) -> AssemblyEn
     if chart_index is not None:
         _chart_index(chart_index, atlas, path + ".chart")
     point = None if "point" not in v else parse_vector(
-        v["point"], path + ".point", None if atlas is None else atlas[0].dim)
+        v["point"], path + ".point", atlas[0].dim)
     is_base = v.get("is_base", False)
     if not isinstance(is_base, bool):
         raise SchemaError(path + ".is_base", "expected a boolean")
@@ -408,8 +407,8 @@ def end_json(e: AssemblyEnd) -> dict:
     return {k: v for k, v in fields.items() if v is not None}
 
 
-def parse_piece(v, path: str, atlas: list[LocalChart] | None = None) -> AssemblyPiece:
-    """A piece; given the atlas, its charts and points must fit the atlas."""
+def parse_piece(v, path: str, atlas: list[LocalChart]) -> AssemblyPiece:
+    """A piece, whose charts and points must fit the atlas."""
     if not isinstance(v, dict) or "ends" not in v:
         raise SchemaError(path, 'expected {"name": ..., "ends": [...]}')
     name = v.get("name", "piece")
@@ -421,9 +420,8 @@ def parse_piece(v, path: str, atlas: list[LocalChart] | None = None) -> Assembly
     chart_index = v.get("chart")
     if chart_index is not None:
         _chart_index(chart_index, atlas, path + ".chart")
-    e0 = parse_end(ends[0], path + ".ends[0]", atlas)
-    e1 = parse_end(ends[1], path + ".ends[1]", atlas)
-    return AssemblyPiece(name, (e0, e1), chart_index)
+    ends = tuple(parse_end(e, "%s.ends[%d]" % (path, i), atlas) for i, e in enumerate(ends))
+    return AssemblyPiece(name, ends, chart_index)
 
 
 def piece_json(pc: AssemblyPiece) -> dict:
@@ -435,8 +433,7 @@ def piece_json(pc: AssemblyPiece) -> dict:
 def parse_atlas_payload(v, path: str) -> RetractionScenario:
     """Parse a retraction/parity atlas: charts of one dimension, target, p,
     germs, pieces."""
-    if not isinstance(v, dict):
-        raise SchemaError(path, "expected an atlas object")
+    _require(v, path, "an atlas object", ())
     charts_json = v.get("charts")
     if not isinstance(charts_json, list) or not charts_json:
         raise SchemaError(path + ".charts", "expected a nonempty array of charts")
@@ -447,11 +444,8 @@ def parse_atlas_payload(v, path: str) -> RetractionScenario:
             raise SchemaError("%s.charts[%d].dim" % (path, i),
                               "expected %d, the dimension of charts[0], got %d"
                               % (charts[0].dim, c.dim))
-    if "target" not in v:
-        raise SchemaError(path + ".target", "missing required field")
+    _require(v, path, "an atlas object", ("target", "p"))
     target = parse_chart(v["target"], path + ".target")
-    if "p" not in v:
-        raise SchemaError(path + ".p", "missing required field")
     p = parse_vector(v["p"], path + ".p", target.dim)
     germs = []
     for i, g in enumerate(array_field(v, "germs", path, "germs")):

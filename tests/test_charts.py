@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orblocal import charts
-from orblocal.ratlin import Matrix, Subspace, kernel, vec
+from orblocal.ratlin import Matrix, Subspace, kernel, restrict_to_subspace, vec
 from orblocal.groups import (
     GroupHom, NotAHomomorphism, Subgroup, close_in, verify_homomorphism)
 from orblocal.onedim import no_retraction_hypothesis
@@ -25,7 +25,6 @@ from orblocal.charts import (
     suborbifold_model,
     verify_embedding,
 )
-from test_ratlin import restrict_to_subspace
 
 
 def m(rows):

@@ -12,7 +12,8 @@ import orblocal
 from orblocal import groups
 
 from orblocal.charts import LocalChart, pointwise_stabilizer, stratify, suborbifold_model
-from orblocal.ratlin import BudgetExceeded, Matrix, Subspace, kernel, kernel_image_rank
+from orblocal.ratlin import (BudgetExceeded, Matrix, Subspace, kernel, kernel_image_rank,
+                             restrict_to_subspace)
 from orblocal.groups import (
     ClosureBoundExceeded,
     GroupHom,
@@ -29,7 +30,6 @@ from orblocal.groups import (
     sign_characters,
     verify_homomorphism,
 )
-from test_ratlin import restrict_to_subspace
 
 
 def m(rows):

@@ -18,33 +18,12 @@ from orblocal.ratlin import (
     poly_divmod,
     poly_gcd,
     poly_int,
+    restrict_to_subspace,
     sign_variations,
     solve_exact,
     sturm_chain,
     sturm_real_root_count,
 )
-
-
-def restrict_to_subspace(m: Matrix, s: Subspace) -> Matrix:
-    """The matrix of m acting on s, in the coordinates of s's basis.
-
-    Requires s invariant under m; raises ValueError with a witness vector
-    otherwise.  The library has no caller of it; the tests use it to read
-    an action on an invariant subspace.
-    """
-    k = s.dim
-    if k == 0:
-        return Matrix.identity(0)
-    bt = s.echelon.transpose()
-    cols = []
-    for b in s.basis:
-        mb = m.apply(b)
-        coords = solve_exact(bt, mb)
-        if coords is None:
-            raise ValueError("subspace not invariant: image of %s leaves it"
-                             % (tuple(str(x) for x in b),))
-        cols.append(coords)
-    return Matrix.from_columns(cols)
 
 
 def random_matrix(rng, rows, cols, span=4):

@@ -384,8 +384,11 @@ class TestBooleansAreNotIntegers:
          "$.embeddings[0].target"),
     ])
     def test_true_rejected_at_its_path(self, parse, doc, path):
+        # an end or a piece is read against its atlas
+        atlas = [serialize.parse_chart(_line_chart(), "$")] * 2
+        args = (atlas,) if parse in (serialize.parse_end, serialize.parse_piece) else ()
         with pytest.raises(SchemaError) as exc:
-            parse(doc, "$")
+            parse(doc, "$", *args)
         assert exc.value.path == path
 
     def test_cli_exits_one(self, tmp_path, capsys):
@@ -422,6 +425,11 @@ class TestComponents:
             serialize.parse_component({"shape": "interval", "ends": ["x", "y"]}, "$")
 
 
+def _plane_atlas():
+    from orblocal.corpus import charts
+    return [charts()["point-reflection"], charts()["half-plane"]]
+
+
 class TestPieces:
     def test_roundtrip(self):
         from orblocal.onedim import AssemblyEnd, AssemblyPiece
@@ -431,8 +439,8 @@ class TestPieces:
         piece = AssemblyPiece("arc", (
             AssemblyEnd("boundary", chart_index=1, point=(F(0), F(0)), is_base=True),
             AssemblyEnd("glue", token="t")), chart_index=1)
-        assert serialize.parse_piece(blob, "$") == piece
+        assert serialize.parse_piece(blob, "$", _plane_atlas()) == piece
 
     def test_glue_without_token(self):
         with pytest.raises(SchemaError):
-            serialize.parse_end({"kind": "glue"}, "$")
+            serialize.parse_end({"kind": "glue"}, "$", _plane_atlas())
