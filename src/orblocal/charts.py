@@ -77,7 +77,7 @@ class LocalChart(Record):
                 if not _fixes_last_coordinate(m):
                     raise BoundaryViolation(
                         "element does not fix the boundary functional: %r" % (m,))
-        Record.__init__(self, dim, group, boundary)
+        self._init(dim, group, boundary)
 
     def contains_point(self, point) -> bool:
         p = vec(point)

@@ -193,7 +193,7 @@ class Scenario(Record):
 
     def __init__(self, name: str, anchor: str, compute: Callable[[], dict],
                  expect: dict | None = None):
-        Record.__init__(self, name, anchor, compute, {} if expect is None else expect)
+        self._init(name, anchor, compute, {} if expect is None else expect)
 
     def run(self) -> dict:
         """The summary, after checking every expected field against it."""

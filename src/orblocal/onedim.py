@@ -52,7 +52,7 @@ class OneOrbifoldComponent(Record):
                 raise ValueError("an interval needs exactly two boundary/mirror ends")
         else:
             raise ValueError("unknown shape %r" % shape)
-        Record.__init__(self, shape, ends)
+        self._init(shape, ends)
 
 
 def classify_1_orbifold(c: OneOrbifoldComponent) -> str:
@@ -85,7 +85,7 @@ class AssemblyEnd(Record):
             raise ValueError("glue ends need a token")
         if kind != GLUE and token:
             raise ValueError("terminal ends cannot carry a glue token")
-        Record.__init__(self, kind, token, isotropy_order, chart_index, point, is_base)
+        self._init(kind, token, isotropy_order, chart_index, point, is_base)
 
 
 class AssemblyPiece(Record):

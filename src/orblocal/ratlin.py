@@ -20,8 +20,8 @@ arithmetic enters any code path here.  The three value types are
                    substitution and composition with a Matrix run on ints,
                    and ``coords`` is its ``Fraction`` view.
 
-``Record`` is the base of the library's immutable value records: a
-record's fields are its public slots, set once by ``Record.__init__``.
+``Record`` is the base of the library's immutable value records, each set
+once by the one constructor generated for its class (validating ones end in it).
 
 Elimination (rref, rank, det, inverse, solve, kernels) is fraction-free
 Gauss-Jordan elimination (Bareiss) on the integer rows: every intermediate
@@ -54,22 +54,37 @@ class BudgetExceeded(RuntimeError):
     """A computation passed a resource limit; no mathematical check failed."""
 
 
-# stores a field in a Record's __init__, past the record's own __setattr__
+# stores a field past a record's own __setattr__, outside its generated constructor
 _set = object.__setattr__
+_INIT_FILE = "<record constructor>"  # the co_filename of each generated constructor
+
+
+def _init_source(cls) -> str:
+    """The source of cls's generated constructor: its parameters are the
+    public slots in slot order, then the private ones keyword-only, defaulting
+    to ``_defaults``, and it stores each through the setter ``_set_<slot>``."""
+    slots = cls.__dict__.get("__slots__", ())
+    public = [s for s in slots if not s.startswith("_")]
+    private = [s for s in slots if s.startswith("_")]
+    params = ["self"] + public + ["*"] * bool(private) + private
+    return "def __init__(%s):\n%s\n" % (
+        ", ".join(s + "=_defaults[%r]" % s if s in cls._defaults else s for s in params),
+        "\n".join(["    _set_%s(self, %s)" % (s, s) for s in public + private] or ["    pass"]))
 
 
 class Record:
     """Base of the library's immutable value records.
 
-    A record's fields are its public ``__slots__``, set once by
-    ``Record.__init__``: positional arguments bind to them in slot order and
-    keyword arguments by name.  A field left out takes its value from the
-    class's ``_defaults``, which also gives the private slots their first
-    values (a keyword may set those too).  A missing, unknown, doubled or
-    surplus argument raises TypeError.  Assigning or deleting an attribute
-    afterwards raises AttributeError.  A record that validates or converts
-    its arguments defines its own ``__init__``, which ends in
-    ``Record.__init__``; Subgroup (which computes a slot) and MapGerm
+    A record's fields are its public ``__slots__``.  Each record class gets
+    one constructor, ``_init``, compiled from ``_init_source`` when the class
+    is made, so Python binds its arguments: positional ones to the public
+    slots in slot order, keywords by name, the private slots by keyword
+    only, a slot left out to its ``_defaults`` value; a missing, unknown,
+    doubled or surplus argument raises Python's own TypeError, naming the
+    class.  Assigning or deleting an attribute afterwards raises
+    AttributeError.  ``_init`` is the class's ``__init__``, unless the record
+    validates or converts its arguments in its own ``__init__``, which ends
+    in ``self._init(...)``; Subgroup (which computes a slot) and MapGerm
     (which has no slots) store their fields with ``_set``.  A subclass
     names in ``_fields`` the fields that take part in equality, hashing and
     repr.  Two records are equal when they have the same class and equal
@@ -84,33 +99,14 @@ class Record:
 
     def __init_subclass__(cls):
         cls._key = attrgetter(*cls._fields)
-        slots = cls.__dict__.get("__slots__", ())
-        cls._public = tuple([s for s in slots if not s.startswith("_")])
-        cls._slots = cls._public + tuple([s for s in slots if s.startswith("_")])
-        # the slots' own setters, which skip the name lookup of _set
-        cls._setters = tuple([getattr(cls, s).__set__ for s in cls._public])
-
-    def __init__(self, *args, **kwargs):
-        n = len(args)
-        if n > len(self._public):
-            raise TypeError("%s takes %d positional arguments but %d were given"
-                            % (type(self).__name__, len(self._public), n))
-        for setter, value in zip(self._setters, args):
-            setter(self, value)
-        names = self._slots
-        defaults = self._defaults
-        for name in names[n:]:
-            if name in kwargs:
-                _set(self, name, kwargs.pop(name))
-            elif name in defaults:
-                _set(self, name, defaults[name])
-            else:
-                raise TypeError("%s missing argument %r" % (type(self).__name__, name))
-        if kwargs:  # each name left is bound already or names no slot
-            name = next(iter(kwargs))
-            raise TypeError("%s got %s argument %r" % (
-                type(self).__name__,
-                "multiple values for" if name in names else "an unexpected keyword", name))
+        namespace = {"__name__": cls.__module__, "_defaults": cls._defaults}
+        for s in cls.__dict__.get("__slots__", ()):
+            namespace["_set_" + s] = getattr(cls, s).__set__
+        exec(compile(_init_source(cls), _INIT_FILE, "exec"), namespace)
+        cls._init = init = namespace["__init__"]
+        init.__qualname__ = cls.__qualname__ + ".__init__"
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = init
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % name)

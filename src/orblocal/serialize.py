@@ -268,9 +268,10 @@ def theta_json(theta: GroupHom) -> list[list[list[str]]]:
 def _parse_germ(v: dict, source: LocalChart, target: LocalChart, path: str,
                 base_point=None) -> tuple[MapGerm, list]:
     """(germ, preimage lifts) from the germ fields of v at path: its
-    theta_gen_images ([] when absent), lift and preimage_lifts, with the
-    germ's base point base_point (None for the origin)."""
-    theta = parse_theta(v.get("theta_gen_images", []), source, target,
+    theta_gen_images (required), lift and preimage_lifts, with the germ's
+    base point base_point (None for the origin)."""
+    _require(v, path, "a germ object", ("theta_gen_images",))
+    theta = parse_theta(v["theta_gen_images"], source, target,
                         path + ".theta_gen_images")
     lift = parse_poly(v.get("lift"), source.dim, path + ".lift", target.dim)
     germ = build_germ(source, target, lift, theta, base_point)

@@ -537,6 +537,13 @@ ATLAS = builtin_documents()["atlas-disk-reflection"]["payload"]
 TYPE_C = builtin_documents()["atlas-type-c"]["payload"]
 
 
+def atlas_germ_without_theta(chart):
+    """ATLAS's germ, on the given chart, without theta_gen_images."""
+    germ = dict(ATLAS["germs"][0], chart=chart)
+    del germ["theta_gen_images"]
+    return germ
+
+
 def atlas_with_mirror_end(**fields):
     """ATLAS with fields set on its mirror end, pieces[1].ends[0]."""
     edge, mirror = ATLAS["pieces"]
@@ -582,6 +589,12 @@ def atlas_with_mirror_end(**fields):
      ".pieces[1].ends[0].point: expected 2 coordinates, got 3"),
     ("retraction", dict(TYPE_C, charts=[TYPE_C["charts"][0], {"dim": 2, "generators": []}]),
      ".charts[1].dim: expected 1, the dimension of charts[0], got 2"),
+    # an atlas germ gives its theta_gen_images, as a germ document does,
+    # on a chart with generators and on a trivial-group chart alike
+    ("retraction", dict(ATLAS, germs=[atlas_germ_without_theta(0)]),
+     ".germs[0].theta_gen_images: missing required field"),
+    ("retraction", dict(ATLAS, germs=[atlas_germ_without_theta(1)]),
+     ".germs[0].theta_gen_images: missing required field"),
 ])
 def test_input_error_paths(tmp_path, capsys, command, payload, where):
     # a bare payload is the document itself; a scenario wrapper holds it

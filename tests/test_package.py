@@ -66,28 +66,35 @@ def test_starred_subscript_check(source, lines):
     assert list(starred_subscripts(ast.parse(source), source)) == lines
 
 
-def test_sources_keep_python_3_10_grammar():
-    """pyproject.toml declares Python 3.10: every .py file under src/,
-    tests/ and perfbench/ parses with the 3.10 grammar and has no starred
-    subscript."""
-    found = []
+def python_sources():
+    """(name, source) of every .py file under src/, tests/ and perfbench/,
+    then of every record class's generated constructor."""
     for top in ("src", "tests", "perfbench"):
         for dirpath, dirnames, filenames in os.walk(os.path.join(ROOT, top)):
             dirnames[:] = sorted(d for d in dirnames if not d.startswith((".", "__")))
             for name in sorted(filenames):
-                if not name.endswith(".py"):
-                    continue
-                path = os.path.join(dirpath, name)
-                rel = os.path.relpath(path, ROOT)
-                with open(path, encoding="utf-8") as fh:
-                    source = fh.read()
-                try:
-                    tree = ast.parse(source, rel, feature_version=(3, 10))
-                except SyntaxError as exc:
-                    found.append("%s:%s: %s" % (rel, exc.lineno, exc.msg))
-                    continue
-                found += ["%s:%d: starred subscript" % (rel, line)
-                          for line in starred_subscripts(tree, source)]
+                if name.endswith(".py"):
+                    path = os.path.join(dirpath, name)
+                    with open(path, encoding="utf-8") as fh:
+                        yield os.path.relpath(path, ROOT), fh.read()
+    for name in RECORD_CLASSES:
+        yield "%s.__init__" % name, ratlin._init_source(RECORD_TYPES[name])
+
+
+def test_sources_keep_python_3_10_grammar():
+    """pyproject.toml declares Python 3.10: every .py file under src/,
+    tests/ and perfbench/, and the source of every generated record
+    constructor, parses with the 3.10 grammar and has no starred
+    subscript."""
+    found = []
+    for rel, source in python_sources():
+        try:
+            tree = ast.parse(source, rel, feature_version=(3, 10))
+        except SyntaxError as exc:
+            found.append("%s:%s: %s" % (rel, exc.lineno, exc.msg))
+            continue
+        found += ["%s:%d: starred subscript" % (rel, line)
+                  for line in starred_subscripts(tree, source)]
     assert found == []
 
 
@@ -166,11 +173,17 @@ def record_instances():
     return {type(r).__name__: r for r in out}
 
 
-RECORD_CLASSES = sorted(
-    name for mod in (ratlin, groups, charts_mod, germs, onedim, corpus)
+RECORD_TYPES = {
+    name: obj for mod in (ratlin, groups, charts_mod, germs, onedim, corpus)
     for name, obj in vars(mod).items()
     if isinstance(obj, type) and issubclass(obj, Record) and obj is not Record
-    and obj.__module__ == mod.__name__)
+    and obj.__module__ == mod.__name__}
+RECORD_CLASSES = sorted(RECORD_TYPES)
+
+
+def generated(fn):
+    """Whether fn is a constructor that Record generated."""
+    return fn.__code__.co_filename == ratlin._INIT_FILE
 
 
 @pytest.fixture(scope="module")
@@ -186,13 +199,8 @@ def hash_or_error(r):
 
 
 def init_fields(r):
-    """The names of the fields r's constructor takes: the public slots of a
-    record that Record.__init__ builds, else the parameters of its own
-    __init__."""
-    cls = type(r)
-    if cls.__init__ is Record.__init__:
-        return [name for name in cls.__slots__ if not name.startswith("_")]
-    return list(inspect.signature(cls.__init__).parameters)[1:]
+    """The names of the parameters of r's constructor."""
+    return list(inspect.signature(type(r).__init__).parameters)[1:]
 
 
 def twin(r):
@@ -225,12 +233,39 @@ def test_record_contract(records, name):
 
 def test_record_constructors():
     # only the records that validate their arguments or compute a slot
-    # define a constructor; the others are built by Record.__init__
-    own = sorted(name for mod in (ratlin, groups, charts_mod, germs, onedim, corpus)
-                 for name, obj in vars(mod).items() if name in RECORD_CLASSES
-                 and obj.__module__ == mod.__name__ and "__init__" in vars(obj))
+    # define a constructor; the others are built by their generated one
+    own = sorted(name for name, cls in RECORD_TYPES.items() if not generated(cls.__init__))
     assert own == ["AssemblyEnd", "LocalChart", "MapGerm", "OneOrbifoldComponent",
                    "Scenario", "Subgroup"]
+    assert all(generated(cls._init) for cls in RECORD_TYPES.values())
+
+
+@pytest.mark.parametrize("name", RECORD_CLASSES)
+def test_generated_constructor_signature(name):
+    # the public slots in slot order, then the private slots by keyword
+    # only, each defaulting to its _defaults value, and nothing else
+    cls = RECORD_TYPES[name]
+    slots = vars(cls).get("__slots__", ())
+    P = inspect.Parameter
+
+    def param(slot, kind):
+        return P(slot, kind, default=cls._defaults.get(slot, P.empty))
+
+    expected = inspect.Signature(
+        [P("self", P.POSITIONAL_OR_KEYWORD)]
+        + [param(s, P.POSITIONAL_OR_KEYWORD) for s in slots if not s.startswith("_")]
+        + [param(s, P.KEYWORD_ONLY) for s in slots if s.startswith("_")])
+    assert inspect.signature(cls._init) == expected
+    assert cls._init.__qualname__ == name + ".__init__"
+    if generated(cls.__init__):
+        assert cls.__init__ is cls._init
+
+
+def test_subgroup_checks_closure():
+    qp = charts()["quarter-plane"].group
+    assert groups.Subgroup(qp, (0,)).generators == ()
+    with pytest.raises(ValueError, match="^member set not closed under product$"):
+        groups.Subgroup(qp, tuple(range(qp.order - 1)))
 
 
 def test_record_init_binds_slots():
@@ -252,12 +287,16 @@ def test_record_init_binds_slots():
 
 
 @pytest.mark.parametrize("args, kwargs, message", [
-    ((), {}, "RetractionReport missing argument 'status'"),
-    (("s",), {}, "RetractionReport missing argument 'hypothesis'"),
-    (("s", None), {"colour": 1}, "RetractionReport got an unexpected keyword argument 'colour'"),
-    (("s", None), {"status": "t"}, "RetractionReport got multiple values for argument 'status'"),
-    (("s", None, None, "", (), None, 7), {},
-     "RetractionReport takes 6 positional arguments but 7 were given"),
+    pytest.param((), {}, "RetractionReport.__init__() missing 2 required positional "
+                 "arguments: 'status' and 'hypothesis'", id="missing-two"),
+    pytest.param(("s",), {}, "RetractionReport.__init__() missing 1 required positional "
+                 "argument: 'hypothesis'", id="missing-one"),
+    pytest.param(("s", None), {"colour": 1}, "RetractionReport.__init__() got an "
+                 "unexpected keyword argument 'colour'", id="unexpected-keyword"),
+    pytest.param(("s", None), {"status": "t"}, "RetractionReport.__init__() got multiple "
+                 "values for argument 'status'", id="doubled"),
+    pytest.param(("s", None, None, "", (), None, 7), {}, "RetractionReport.__init__() takes "
+                 "from 3 to 7 positional arguments but 8 were given", id="surplus"),
 ])
 def test_record_init_rejects_bad_arguments(args, kwargs, message):
     with pytest.raises(TypeError) as exc:
