@@ -2,9 +2,9 @@
 
 A chart is a finite rational matrix group acting linearly on R^n, or on the
 half-space {x_n >= 0} when the boundary flag is set.  Boundary charts are
-kept in a normal form: every element must fix the last coordinate
+kept in a normal form: every generator must fix the last coordinate
 functional exactly (last matrix row = (0,...,0,1)), which makes half-space
-preservation a syntactic check.
+preservation a syntactic check; products of such matrices keep that row.
 
 The module computes isotropy groups, the stratification of a chart by
 isotropy type (each stratum is a fixed subspace minus the smaller fixed
@@ -26,11 +26,11 @@ from .ratlin import (
     vec_add,
     QONE,
     QZERO,
-    _null_space,
 )
 from .groups import (
     FiniteMatrixGroup,
     Subgroup,
+    eigenspace,
     generate_closure,
     quotient,
     DEFAULT_ORDER_BOUND,
@@ -58,9 +58,10 @@ class EmbeddingError(ValueError):
 
 
 def _fixes_last_coordinate(m: Matrix) -> bool:
+    """True when m's last row is (0, ..., 0, 1), tested on the integer rows
+    of m = num / den as (0, ..., 0, den) without m's Fraction view."""
     n = m.rows
-    want = tuple(QZERO if j < n - 1 else QONE for j in range(n))
-    return m.entries[n - 1] == want
+    return m._num[n - 1] == (0,) * (n - 1) + (m._den,)
 
 
 class LocalChart(Record):
@@ -72,8 +73,8 @@ class LocalChart(Record):
         if group.dim != dim:
             raise ValueError("group dimension %d != chart dimension %d"
                              % (group.dim, dim))
-        if boundary:
-            for m in group.elements:
+        if boundary:  # the generators keep the last row, so their products do
+            for m in group.generators:
                 if not _fixes_last_coordinate(m):
                     raise BoundaryViolation(
                         "element does not fix the boundary functional: %r" % (m,))
@@ -182,10 +183,10 @@ def stratify(chart: LocalChart) -> StrataReport:
     form the lattice of the element fixed spaces (their intersection
     closure), and the pointwise stabilizer Stab(M) of a space M is the union
     of the classes of elements whose fixed space contains M.  The fixed
-    spaces take one kernel per nontrivial cyclic subgroup <g>, of the
-    integer rows num - den I of g = num / den: Fix(g^k) = Fix(g) whenever
-    gcd(k, ord g) = 1, and the powers are read off the table; the identity
-    fixes the full space.
+    spaces take one kernel per nontrivial cyclic subgroup <g>, its
+    eigenspace(n, [(g, 1)]): Fix(g^k) = Fix(g) whenever gcd(k, ord g) = 1,
+    and the powers are read off the table; the identity fixes the full
+    space.
 
     The lattice is a union of G-orbits, since g Fix(h) = Fix(g h g^-1) and
     t R meets Fix(h) in t times the meet of R and Fix(t^-1 h t).  So it is
@@ -215,10 +216,7 @@ def stratify(chart: LocalChart) -> StrataReport:
             powers = [i]
             while powers[-1]:
                 powers.append(mul(powers[-1], i))
-            d = m._den
-            c = spaces.setdefault(_null_space([[x - d * (j == k) for k, x in enumerate(row)]
-                                               for j, row in enumerate(m._num)], n)
-                                  if i else full, len(spaces))
+            c = spaces.setdefault(eigenspace(n, [(m, 1)]) if i else full, len(spaces))
             for k, p in enumerate(powers, 1):
                 if gcd(k, len(powers)) == 1:
                     class_of[p] = c

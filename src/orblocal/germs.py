@@ -62,6 +62,7 @@ from .ratlin import (
     QZERO,
     _scaled_vec,
     _set,
+    _shifted_rows,
 )
 from .groups import (
     GroupHom,
@@ -78,7 +79,6 @@ from .charts import (
     ChartEmbedding,
     LocalChart,
     isotropy_at,
-    stratify,
     suborbifold_model,
     SuborbifoldLocalModel,
 )
@@ -181,15 +181,12 @@ def _is_centered(germ: MapGerm, point: tuple) -> bool:
     num / den fixes it exactly when num·iv == den·iv, tested on integer
     rows as Subspace.fixed_pointwise_by does.  A point whose length is not
     the chart's dimension raises ValueError, as Matrix.apply does."""
-    gens = germ.source.group.generators
-    if not gens:
-        return True
     iv, _ = _scaled_vec(point)
-    if len(iv) != gens[0].cols:
+    if len(iv) != germ.source.dim:
         raise ValueError("vector length %d does not match %d columns"
-                         % (len(iv), gens[0].cols))
+                         % (len(iv), germ.source.dim))
     return all([sum(map(mul, row, iv)) for row in m._num] == [m._den * x for x in iv]
-               for m in gens)
+               for m in germ.source.group.generators)
 
 
 def build_germ(source: LocalChart, target: LocalChart, lift: MultiPoly,
@@ -408,7 +405,7 @@ def invariant_projection(germ: MapGerm) -> InvariantProjection:
     for m in gens:
         # (num - den I) / den maps into K exactly when each integer column
         # of num - den I does
-        if not all(map(kernel._spans, zip(*_minus_identity_rows(m)))):
+        if not all(map(kernel._spans, zip(*_shifted_rows(m, 1)))):
             raise AssertionError(
                 "gamma - I does not map into the kernel (broken germ)")
     scaled = _scaled_members(grp, ngrp.members)
@@ -544,13 +541,6 @@ def cocycle_identities(proj: InvariantProjection) -> CocycleReport:
     return CocycleReport(pairs_checked=size * size, ok=not failures, failures=failures)
 
 
-def _minus_identity_rows(g: Matrix) -> tuple[tuple[int, ...], ...]:
-    """The integer rows num - den I of g = num / den: g - I is
-    (num - den I) / den, in lowest terms when g is."""
-    d = g._den
-    return tuple([row[:i] + (row[i] - d,) + row[i + 1:] for i, row in enumerate(g._num)])
-
-
 def _digit_bits(den: int, n: int, e_hat) -> int:
     """The digit width b for packing D^2 R3 = D E^(gamma delta) -
     E^(gamma) E^(delta), n x n: each entry is at most D t + n t^2 in
@@ -626,7 +616,10 @@ def real_target_structure(germ: MapGerm, model: PreimageModel) -> RealTargetRepo
     the whole group survives into the quotient, the projection kernel is a
     pointwise-fixed line, its image is the differential kernel, and the
     singular stratum through the point has dimension at least 1 whenever
-    the group is nontrivial.
+    the group is nontrivial.  The whole group fixes the point, so that
+    stratum is the generic part of Fix(Gamma), the eigenspace of the
+    generators with every sign +1, and its dimension is dim Fix(Gamma):
+    the chart is not stratified.
     """
     if germ.target.dim != 1 or not germ.target.group.is_trivial():
         raise ValueError("target must be 1-dimensional with trivial group")
@@ -649,10 +642,7 @@ def real_target_structure(germ: MapGerm, model: PreimageModel) -> RealTargetRepo
             raise AssertionError("projection image differs from kernel")
     stratum_dim = None
     if not grp.is_trivial():
-        fix = eigenspace(grp.dim, [(m, 1) for m in grp.generators])
-        report = stratify(germ.source)
-        stratum = next(s for s in report.strata if s.fixed_space == fix)
-        stratum_dim = stratum.dimension
+        stratum_dim = eigenspace(grp.dim, [(m, 1) for m in grp.generators]).dim
         if stratum_dim < 1:
             raise AssertionError("singular stratum through the point is isolated")
     return RealTargetReport(

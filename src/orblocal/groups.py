@@ -13,9 +13,12 @@ and on the list of sign characters G -> {+-1} (``sign_characters``): fixed
 subspaces are the eigenspaces of a subgroup's generators with every sign +1,
 index-2 subgroups are kernels of the nontrivial sign characters, and
 invariant lines and hyperplanes come from the nonzero eigenspaces of the
-generators, and of their transposes, under a sign character.  The commutant
-algebra drives the invariant-subspace search in the other dimensions, with
-sound "certified none" verdicts.
+generators, and of their transposes, under a sign character; the chart
+strata take each cyclic subgroup's fixed space from it too.  It stacks the
+integer rows den (m - c I) of ratlin's one row builder (_shifted_rows),
+whose columns are also the gamma - I columns that the invariant projection
+tests.  The commutant algebra drives the invariant-subspace search in the
+other dimensions, with sound "certified none" verdicts.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .ratlin import (
     _eliminate,
     _null_space,
     _set,
+    _shifted_rows,
     _squarefree,
 )
 
@@ -587,11 +591,9 @@ def sign_characters(g: FiniteMatrixGroup) -> list[tuple[int, ...]]:
 
 def eigenspace(n: int, pairs: Sequence[tuple[Matrix, int]]) -> Subspace:
     """{v in Q^n : m v = c v for every (m, c) in pairs}, the whole space when
-    there are none: the kernel of the integer blocks den(m) (m - c I),
-    stacked."""
-    rows = tuple([tuple(x - c * m._den * (i == j) for j, x in enumerate(row))
-                  for m, c in pairs for i, row in enumerate(m._num)])
-    return kernel(Matrix._make(rows, 1, n))
+    there are none: the kernel of the integer blocks den(m) (m - c I)
+    (_shifted_rows), stacked."""
+    return _null_space([row for m, c in pairs for row in _shifted_rows(m, c)], n)
 
 
 def fixed_subspace(h: Subgroup) -> Subspace:

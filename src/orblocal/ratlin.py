@@ -596,6 +596,14 @@ def kernel(m: Matrix) -> Subspace:
     return _null_space(m._num, m.cols)
 
 
+def _shifted_rows(m: Matrix, c: int) -> list[tuple[int, ...]]:
+    """The integer rows num - c den I of a square m = num / den: den (m - c I),
+    whose kernel is {v : m v = c v} and whose columns are den times those
+    of m - c I."""
+    d = c * m._den
+    return [row[:i] + (row[i] - d,) + row[i + 1:] for i, row in enumerate(m._num)]
+
+
 def _null_space(rows: list[list[int]], n: int) -> Subspace:
     """The kernel of the integer rows of length n: the kernel of any matrix
     num / den with these rows as num.  The rows are left as they are.

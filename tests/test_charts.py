@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -8,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 from orblocal import charts
 from orblocal.ratlin import Matrix, Subspace, kernel, restrict_to_subspace, vec
 from orblocal.groups import (
-    GroupHom, NotAHomomorphism, Subgroup, close_in, verify_homomorphism)
+    GroupHom, NotAHomomorphism, Subgroup, close_in, generate_closure, verify_homomorphism)
 from orblocal.onedim import no_retraction_hypothesis
 from orblocal.charts import (
     BoundaryViolation,
     ChartEmbedding,
     EmbeddingError,
+    LocalChart,
     NotInvariant,
     StrataReport,
     Stratum,
@@ -55,9 +57,51 @@ class TestBuildChart:
         with pytest.raises(BoundaryViolation):
             build_chart(2, [m([[1, 0], [0, -1]])], boundary=True)
 
+    def test_boundary_violation_before_closure(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("closure ran")
+
+        monkeypatch.setattr(charts, "generate_closure", refuse)
+        bad = m([[1, 0], [0, -1]])
+        with pytest.raises(BoundaryViolation, match="^%s$" % re.escape(
+                "generator does not fix the boundary functional: %r" % (bad,))):
+            build_chart(2, [m([[-1, 0], [0, 1]]), bad], boundary=True)
+
+    @pytest.mark.parametrize("bad_first", [True, False])
+    def test_direct_boundary_chart_with_a_bad_generator(self, bad_first, monkeypatch):
+        # the closure lists the generators right after the identity, so the
+        # first bad generator is the first bad element
+        good, bad = m([[-1, 0], [0, 1]]), m([[1, 0], [0, -1]])
+        group = generate_closure(2, [bad, good] if bad_first else [good, bad])
+        checked = []
+        check = charts._fixes_last_coordinate
+        monkeypatch.setattr(charts, "_fixes_last_coordinate",
+                            lambda g: checked.append(g) or check(g))
+        with pytest.raises(BoundaryViolation, match="^%s$" % re.escape(
+                "element does not fix the boundary functional: %r" % (bad,))):
+            LocalChart(2, group, True)
+        assert len(checked) <= len(group.generators)
+
+    def test_boundary_chart_reads_generators_only(self, monkeypatch):
+        # a rational conjugate of B4 (+) a boundary coordinate, order 384:
+        # the normal form is checked once per generator, on integer rows, so
+        # no other element's Fraction view is built
+        p = m([[1, F(1, 2), 0, 0], [0, 1, F(-1, 3), 0], [0, 0, 1, 2], [F(1, 5), 0, 0, 1]])
+        gens = [m([list(row) + [0] for row in g.entries] + [[0, 0, 0, 0, 1]])
+                for g in conjugated(signed_permutations(4), p)]
+        checked = []
+        check = charts._fixes_last_coordinate
+        monkeypatch.setattr(charts, "_fixes_last_coordinate",
+                            lambda g: checked.append(g) or check(g))
+        chart = build_chart(5, gens, boundary=True)
+        grp = chart.group
+        assert chart.boundary and grp.order == 384
+        # build_chart's check before the closure, then LocalChart's
+        assert checked == gens + list(grp.generators)
+        assert all(grp.elements[i]._entries is None
+                   for i in range(grp.order) if i not in grp.generator_indices)
+
     def test_group_dim_mismatch(self):
-        from orblocal.charts import LocalChart
-        from orblocal.groups import generate_closure
         g = generate_closure(1, [m([[-1]])])
         with pytest.raises(ValueError):
             LocalChart(2, g)
@@ -286,8 +330,8 @@ class TestStrataReference:
     def test_one_kernel_per_cyclic_subgroup(self, monkeypatch):
         """stratify takes one element kernel per nontrivial cyclic subgroup
         of a B3 conjugate, since Fix(g^k) = Fix(g) for k prime to the order
-        of g, and the identity fixes the full space; the kernels are taken
-        on integer rows (charts._null_space)."""
+        of g, and the identity fixes the full space; each kernel is one
+        eigenspace(n, [(g, 1)]) (charts.eigenspace)."""
         p = m([[1, F(1, 2), 0], [0, 1, F(-1, 3)], [2, 0, 1]])
         chart = build_chart(3, conjugated(signed_permutations(3), p))
         g = chart.group
@@ -299,12 +343,13 @@ class TestStrataReference:
                 x = g.mul(x, i)
             cyclic.add(frozenset(powers))
         calls = []
-        null_space = charts._null_space
-        monkeypatch.setattr(charts, "_null_space",
-                            lambda rows, n: calls.append(rows) or null_space(rows, n))
+        eigenspace = charts.eigenspace
+        monkeypatch.setattr(charts, "eigenspace",
+                            lambda n, pairs: calls.append(pairs) or eigenspace(n, pairs))
         rep = stratify(chart)
         monkeypatch.undo()
         assert len(calls) == len(cyclic) - 1 < g.order
+        assert all(len(pairs) == 1 and pairs[0][1] == 1 for pairs in calls)
         assert rep == reference_stratify(chart)
 
     def test_boundary_charts(self):

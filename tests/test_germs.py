@@ -15,10 +15,10 @@ import orblocal
 from orblocal.ratlin import Matrix, MultiPoly, Subspace, has_real_root, poly_int
 from orblocal.groups import (
     FiniteMatrixGroup, GroupHom, NotAHomomorphism, Subgroup, close_in, generate_closure,
-    verify_homomorphism)
+    sign_characters, verify_homomorphism)
 from orblocal.charts import (
     ChartEmbedding, build_chart, isotropy_at, stratify, verify_embedding)
-from orblocal import cli, germs
+from orblocal import charts as charts_module, cli, germs
 from orblocal.germs import (
     EquivarianceError,
     InvariantProjection,
@@ -26,6 +26,7 @@ from orblocal.germs import (
     NotCentered,
     NotInPreimage,
     NotRegularPoint,
+    RealTargetReport,
     SARD_CHUNK,
     SNAP_DENOMINATOR,
     SardReport,
@@ -661,10 +662,16 @@ def bn_germ(n, p=None):
                 else F(-1, 3) if j == i + 1 else 2 if (i, j) == (n - 1, 0) else 0
                 for j in range(n)] for i in range(n)])
     pinv = p.inverse()
+    return line_germ([p * g * pinv for g in bn_generators(n)])
+
+
+def bn_generators(n):
+    """A transposition, an n-cycle and a sign flip: generators of the signed
+    permutations of n coordinates."""
     swap = [[int(j == (1 - i if i < 2 else i)) for j in range(n)] for i in range(n)]
     cycle = [[int(j == (i - 1) % n) for j in range(n)] for i in range(n)]
     flip = [[(-1 if i == 0 else 1) * int(i == j) for j in range(n)] for i in range(n)]
-    return line_germ([p * m(g) * pinv for g in (swap, cycle, flip)])
+    return [m(swap), m(cycle), m(flip)]
 
 
 def s4_germ():
@@ -811,6 +818,28 @@ class TestRealTarget:
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "1 fixed line is moved by element 1"
 
+    @pytest.mark.parametrize("name", ["mirror-line", "cycle-sum", "b3", "b4"])
+    def test_stratum_dimension_without_stratify(self, name, monkeypatch):
+        # the stratum through a centered point is that of the whole group, so
+        # its dimension is dim Fix(Gamma), as the stratification reports it
+        germ = {"b3": lambda: bn_germ(3), "b4": lambda: bn_germ(4)}.get(
+            name, lambda: germ_case(name).germ)()
+        grp = germ.source.group
+        model = preimage_model(germ, [0], germ.base_point)
+        proj = invariant_projection(germ)
+        everywhere = next(s for s in stratify(germ.source).strata
+                          if s.isotropy.order == grp.order)
+
+        def refuse(chart):
+            raise AssertionError("stratify ran")
+
+        monkeypatch.setattr(germs, "stratify", refuse, raising=False)
+        monkeypatch.setattr(charts_module, "stratify", refuse)
+        rep = real_target_structure(germ, model)
+        assert rep == RealTargetReport(grp.order, grp.order, True, proj.proj_kernel,
+                                       model.kernel, True, everywhere.dimension)
+        assert rep.stratum_dimension == 1
+
 
 class TestObstruction:
     def test_z2_to_line_impossible(self, c):
@@ -901,6 +930,26 @@ class TestObstruction:
             cert = obstruction_certificate(c["mirror-plane"], line,
                                            trivial_theta(c["mirror-plane"], line))
         assert cert.verdict == "possible"
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_conjugates_keep_sign_characters_and_verdicts(self, data):
+        # a subgroup H of B3 and a random rational conjugate P H P^-1 have as
+        # many sign characters and the same verdict and reason to the line
+        b3 = generate_closure(3, bn_generators(3))
+        picks = data.draw(st.lists(st.integers(0, b3.order - 1), max_size=3))
+        entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        p = data.draw(st.lists(st.lists(entries, min_size=3, max_size=3),
+                               min_size=3, max_size=3).map(m).filter(
+                                   lambda a: a.rank() == a.rows))
+        gens = [b3.element(i) for i in picks]
+        pinv = p.inverse()
+        line = build_chart(1, [])
+        seen = []
+        for chart in (build_chart(3, gens), build_chart(3, [p * g * pinv for g in gens])):
+            cert = obstruction_certificate(chart, line, trivial_theta(chart, line))
+            seen.append((len(sign_characters(chart.group)), cert.verdict, cert.reason_code))
+        assert seen[0] == seen[1]
 
 
 class TestSard:
@@ -1506,6 +1555,14 @@ class TestCentering:
         with pytest.raises(ValueError, match="vector length %d does not match 5 columns"
                            % length):
             centered_reference(germ, point)
+
+    def test_wrong_length_without_generators(self):
+        # the length is checked before the generators are read, so a trivial
+        # group raises too
+        germ = germ_case("trivial-line").germ
+        assert germ.source.group.generators == ()
+        with pytest.raises(ValueError, match="^vector length 3 does not match 1 columns$"):
+            germs._is_centered(germ, (1, 2, 3))
 
 
 class TestKernelSplit:

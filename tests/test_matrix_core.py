@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from orblocal import ratlin
-from orblocal.groups import generate_closure
+from orblocal.groups import eigenspace, generate_closure
 from orblocal.ratlin import (Matrix, Subspace, _eliminate, _over, kernel, kernel_image_rank,
                              solve_exact)
 
@@ -340,6 +340,21 @@ def test_kernel_and_image(a):
     assert k == ker
     assert image.basis == ref_span(m.rows, [list(c) for c in zip(*a)])
     assert rank == image.dim == len(ref_rref(a)[1]) == m.cols - ker.dim
+
+
+@SETTINGS
+@given(square_matrices(), st.sampled_from((1, -1)))
+def test_shifted_rows(a, c):
+    """m = a + c I, so {v : m v = c v} is the kernel of a: _shifted_rows
+    gives the integer rows den (m - c I), and eigenspace their kernel."""
+    n = len(a)
+    m = Matrix([[x + c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)])
+    rows = ratlin._shifted_rows(m, c)
+    assert rows == [tuple(m._den * x for x in row) for row in a]
+    want = ref_kernel(a, n)
+    assert eigenspace(n, [(m, c)]).basis == ratlin._null_space(rows, n).basis == want
+    for v in want:
+        assert ref_apply(m.entries, v) == [c * x for x in v]
 
 
 @pytest.mark.parametrize("a", [
