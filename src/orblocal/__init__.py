@@ -2,7 +2,8 @@
 
 Linear chart models (a finite rational matrix group acting on R^n or a half
 space), equivariant polynomial map germs between them, regular values and
-preimage suborbifold structure, the kernel-averaging invariant projection,
+preimage suborbifold structure, the invariant projection onto a
+differential kernel (read off the generators of the homomorphism kernel),
 obstruction certificates for real-valued maps, and the compact 1-orbifold /
 no-retraction bookkeeping.  All core arithmetic is exact over Q.
 """

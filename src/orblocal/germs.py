@@ -17,11 +17,11 @@ On top of germs this module builds:
   the kernel subspace, the part of the group acting trivially on it, and
   the effective quotient that becomes the intrinsic isotropy of the
   preimage suborbifold,
-* the kernel-averaging invariant projection (gamma - I averaged over the
-  kernel of the homomorphism, negated), with its algebraic identity suite:
-  the composition identities of gamma -> gamma - I are checked on every
-  pair of the kernel, all pairs with one delta as one dot product of
-  integer-packed matrices,
+* the invariant projection I - R_N, R_N the average over the kernel N of
+  the homomorphism, read off N's generators by one elimination, with its
+  algebraic identity suite: the composition identities of
+  gamma -> gamma - I are checked on every pair of N, all pairs with one
+  delta as one dot product of integer-packed matrices,
 * analyze_germ, the pipeline of these checks that the analyze command and
   the corpus share,
 * faithfulness of the homomorphism kernel inside the quotient,
@@ -48,7 +48,6 @@ from .ratlin import (
     Record,
     Subspace,
     kernel,
-    kernel_image_rank,
     poly_apply_matrix,
     poly_gcd,
     poly_derivative,
@@ -60,6 +59,8 @@ from .ratlin import (
     vec,
     QONE,
     QZERO,
+    _eliminate,
+    _over,
     _scaled_vec,
     _set,
     _shifted_rows,
@@ -353,23 +354,20 @@ def _boundary_restriction(lift: MultiPoly) -> MultiPoly:
 
 
 class InvariantProjection(Record):
-    """The averaged projection onto the differential kernel.
+    """The invariant projection onto the differential kernel.
 
     For each gamma in the homomorphism kernel N, A(gamma) = gamma - I maps
-    into the kernel subspace K.  projection = -(1/|N|) sum A(gamma) is
-    I - R_N, where R_N = (1/|N|) sum gamma projects onto the fixed space of
-    N, so it is an idempotent commuting with N whose image lies in K and
-    whose kernel N fixes pointwise.  a_gamma lists (gamma, A(gamma)) for
-    every member of N, in member order; it is formed from n_group on each
-    read and is no field.  cocycle_identities reads the members of N in
-    their integer form instead (the private ``_scaled`` that
-    invariant_projection keeps, see _scaled_members).
+    into the kernel subspace K.  projection is I - R_N, where
+    R_N = (1/|N|) sum gamma projects onto the fixed space of N: the
+    idempotent whose kernel proj_kernel is Fix(N) and whose image
+    proj_image is the span of the images of the A(gamma), inside K.  It
+    commutes with N.  a_gamma lists (gamma, A(gamma)) for every member of
+    N, in member order; it is formed from n_group on each read and is no
+    field.
     """
 
-    __slots__ = ("n_group", "kernel_space", "projection", "proj_kernel", "proj_image",
-                 "_scaled")
-    _fields = ("n_group", "kernel_space", "projection", "proj_kernel", "proj_image")
-    _defaults = {"_scaled": None}
+    __slots__ = _fields = ("n_group", "kernel_space", "projection", "proj_kernel",
+                           "proj_image")
 
     @property
     def a_gamma(self) -> tuple[tuple[int, Matrix], ...]:
@@ -379,22 +377,23 @@ class InvariantProjection(Record):
 
 
 def invariant_projection(germ: MapGerm) -> InvariantProjection:
-    """Build the invariant projection at the germ's base point, verified exactly.
+    """Build the invariant projection at the germ's base point from the
+    generators S of N (Subgroup.generators), verified exactly.
 
-    The checks that concern N run on its generators (Subgroup.generators):
-    gamma - I maps into the kernel K, gamma commutes with the projection,
-    and gamma fixes the projection kernel pointwise.  Each passes to
-    products: gamma delta - I = (gamma - I) delta + (delta - I) maps into K
-    when both terms do, and commuting with or fixing a vector under two
-    matrices gives the same under their product.  The projection is checked
-    to be idempotent with its image in K and its kernel and image splitting
-    the space.  Kernel membership is tested on integer rows (the columns of
-    gamma - I and the echelon rows of the image, each up to a scale).  The
-    members of N are read once, as a common denominator D and the integer
-    matrices D gamma (_scaled_members); the projection I - (1/|N|) sum gamma
-    is one integer sum of them, (|N| D I - sum D gamma) / (|N| D), and the
-    result keeps them for cocycle_identities.  No matrix gamma - I is
-    formed: a_gamma forms them on read.  Every check raises
+    For a finite N, Q^n = Fix(N) + sum over S of im(s - I), a direct sum
+    (Serre, Linear Representations, 2.6): the kernel and the image of
+    I - R_N.  A projection is fixed by its kernel and its image, so it is
+    read off S alone, with no sum over the members of N.  Fix(N) is the
+    eigenspace of S for 1, and the image is spanned by the integer columns
+    of num - den I over the s = num / den (_shifted_rows), each of which is
+    first checked to lie in the kernel K: gamma delta - I =
+    (gamma - I) delta + (delta - I) then maps into K for every member.  One
+    elimination of the rows [f | 0] over the echelon rows f of Fix(N) and
+    [w | w] over those w of the image keeps each row of the form [v | P v],
+    P the projection, and leaves [d I | d P^T] when the two spaces split
+    the space, which is the split check.  P is then checked to be
+    idempotent and to commute with S, hence with N.  No matrix gamma - I
+    is formed: a_gamma forms them on read.  Every check raises
     AssertionError explicitly, so it also runs under python -O.
     """
     n = germ.source.dim
@@ -402,36 +401,36 @@ def invariant_projection(germ: MapGerm) -> InvariantProjection:
     ngrp = germ.n_group
     kernel = germ.base_kernel
     gens = [grp.element(i) for i in ngrp.generators]
+    moved = []
     for m in gens:
         # (num - den I) / den maps into K exactly when each integer column
         # of num - den I does
-        if not all(map(kernel._spans, zip(*_shifted_rows(m, 1)))):
+        cols = list(zip(*_shifted_rows(m, 1)))
+        if not all(map(kernel._spans, cols)):
             raise AssertionError(
                 "gamma - I does not map into the kernel (broken germ)")
-    scaled = _scaled_members(grp, ngrp.members)
-    proj = _negated_mean(scaled)
+        moved += map(list, cols)
+    pk = eigenspace(n, [(m, 1) for m in gens])
+    pi = Subspace._from_rows(n, moved)
+    rows = ([list(f) + [0] * n for f in pk.echelon._num]
+            + [list(w + w) for w in pi.echelon._num])
+    pivots, d, _ = _eliminate(rows, n)
+    if len(rows) != n or len(pivots) != n:
+        raise AssertionError("projection kernel and image do not split the space")
+    proj = _over(list(zip(*[row[n:] for row in rows])), d, n)
     if proj * proj != proj:
         raise AssertionError("projection is not idempotent")
     if any(m * proj != proj * m for m in gens):
         raise AssertionError("projection does not commute with N")
-    pk, pi, _ = kernel_image_rank(proj)
-    if not all(map(kernel._spans, pi.echelon._num)):
-        raise AssertionError("projection image escapes the kernel")
-    if not all(pk.fixed_pointwise_by(m) for m in gens):
-        raise AssertionError("N moves the projection kernel")
-    if pk.dim + pi.dim != n or not pk.intersect(pi).is_zero():
-        raise AssertionError("projection kernel and image do not split the space")
-    return InvariantProjection(
-        n_group=ngrp, kernel_space=kernel, projection=proj,
-        proj_kernel=pk, proj_image=pi, _scaled=scaled,
-    )
+    return InvariantProjection(n_group=ngrp, kernel_space=kernel, projection=proj,
+                               proj_kernel=pk, proj_image=pi)
 
 
 def _scaled_members(grp, members: Sequence[int]) -> tuple[int, list]:
-    """The members of a subgroup of grp in one integer form: (D, e_hat),
-    D the lcm of their denominators and e_hat[k] the integer rows of D
-    times the k-th member (its own numerator rows when its denominator is
-    D)."""
+    """The members of a subgroup of grp in one integer form, as
+    cocycle_identities packs them: (D, e_hat), D the lcm of their
+    denominators and e_hat[k] the integer rows of D times the k-th member
+    (its own numerator rows when its denominator is D)."""
     elements = grp.elements
     den = math.lcm(*[elements[gi]._den for gi in members])
     e_hat = []
@@ -441,17 +440,6 @@ def _scaled_members(grp, members: Sequence[int]) -> tuple[int, list]:
         e_hat.append(g._num if f == 1 else tuple([tuple([x * f for x in row])
                                                   for row in g._num]))
     return den, e_hat
-
-
-def _negated_mean(scaled: tuple[int, list]) -> Matrix:
-    """-(1/k) sum (gamma - I) over the k members of _scaled_members' form
-    (D, e_hat): (k D I - sum D gamma) / (k D), one integer sum per entry."""
-    den, e_hat = scaled
-    n = len(e_hat[0])
-    top = len(e_hat) * den
-    sums = [sum(col) for col in zip(*[itertools.chain.from_iterable(e) for e in e_hat])]
-    return Matrix._make(tuple([tuple([top * (i == j) - sums[n * i + j] for j in range(n)])
-                               for i in range(n)]), top, n)
 
 
 class CocycleReport(Record):
@@ -474,8 +462,8 @@ def cocycle_identities(proj: InvariantProjection) -> CocycleReport:
     minus right side) are R3 = E(gamma delta) - E(gamma) E(delta): a pair
     whose R3 is nonzero fails all three identities.  Over the common
     denominator D of the members, E^(gamma) = D gamma is integer
-    (_scaled_members, the form invariant_projection keeps on the
-    projection), and so is D^2 R3 = D E^(gamma delta) - E^(gamma) E^(delta),
+    (_scaled_members, which reads every member of N once per call),
+    and so is D^2 R3 = D E^(gamma delta) - E^(gamma) E^(delta),
     zero exactly when R3 is.  Each integer matrix is packed into one integer
     by Kronecker substitution, key(M) = sum M[i][j] 2^(b (n i + j)), which
     determines M while every entry is one signed base-2^b digit
@@ -500,7 +488,7 @@ def cocycle_identities(proj: InvariantProjection) -> CocycleReport:
     grp = proj.n_group.parent
     members = proj.n_group.members
     n, size = grp.dim, len(members)
-    den, e_hat = proj._scaled or _scaled_members(grp, members)
+    den, e_hat = _scaled_members(grp, members)
     b = _digit_bits(den, n, e_hat)
     b += -b % (8 // math.gcd(8, n * n))  # a slot of W = b n^2 bits is whole bytes
     w = b * n * n
@@ -619,7 +607,8 @@ def real_target_structure(germ: MapGerm, model: PreimageModel) -> RealTargetRepo
     the group is nontrivial.  The whole group fixes the point, so that
     stratum is the generic part of Fix(Gamma), the eigenspace of the
     generators with every sign +1, and its dimension is dim Fix(Gamma):
-    the chart is not stratified.
+    the chart is not stratified.  Like the projection it builds, it reads
+    the group's generators and no other element.
     """
     if germ.target.dim != 1 or not germ.target.group.is_trivial():
         raise ValueError("target must be 1-dimensional with trivial group")

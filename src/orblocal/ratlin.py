@@ -63,7 +63,7 @@ def _init_source(cls) -> str:
     """The source of cls's generated constructor: its parameters are the
     public slots in slot order, then the private ones keyword-only, defaulting
     to ``_defaults``, and it stores each through the setter ``_set_<slot>``."""
-    slots = cls.__dict__.get("__slots__", ())
+    slots = cls.__slots__
     public = [s for s in slots if not s.startswith("_")]
     private = [s for s in slots if s.startswith("_")]
     params = ["self"] + public + ["*"] * bool(private) + private
@@ -75,17 +75,18 @@ def _init_source(cls) -> str:
 class Record:
     """Base of the library's immutable value records.
 
-    A record's fields are its public ``__slots__``.  Each record class gets
-    one constructor, ``_init``, compiled from ``_init_source`` when the class
-    is made, so Python binds its arguments: positional ones to the public
-    slots in slot order, keywords by name, the private slots by keyword
-    only, a slot left out to its ``_defaults`` value; a missing, unknown,
-    doubled or surplus argument raises Python's own TypeError, naming the
-    class.  Assigning or deleting an attribute afterwards raises
-    AttributeError.  ``_init`` is the class's ``__init__``, unless the record
-    validates or converts its arguments in its own ``__init__``, which ends
-    in ``self._init(...)``; Subgroup (which computes a slot) and MapGerm
-    (which has no slots) store their fields with ``_set``.  A subclass
+    A record's fields are its public ``__slots__``.  Each record class that
+    declares ``__slots__`` of its own gets one constructor, ``_init``,
+    compiled from ``_init_source`` when the class is made, so Python binds
+    its arguments: positional ones to the public slots in slot order,
+    keywords by name, the private slots by keyword only, a slot left out to
+    its ``_defaults`` value; a missing, unknown, doubled or surplus argument
+    raises Python's own TypeError, naming the class.  Assigning or deleting
+    an attribute afterwards raises AttributeError.  ``_init`` is the class's
+    ``__init__``, unless the record validates or converts its arguments in
+    its own ``__init__``, which ends in ``self._init(...)``; Subgroup (which
+    computes a slot) stores its fields with ``_set``, and so does MapGerm,
+    which declares no slots and gets no ``_init``.  A subclass
     names in ``_fields`` the fields that take part in equality, hashing and
     repr.  Two records are equal when they have the same class and equal
     ``_fields`` values, and a record hashes as the tuple of those values.  A
@@ -99,8 +100,10 @@ class Record:
 
     def __init_subclass__(cls):
         cls._key = attrgetter(*cls._fields)
+        if "__slots__" not in cls.__dict__:
+            return
         namespace = {"__name__": cls.__module__, "_defaults": cls._defaults}
-        for s in cls.__dict__.get("__slots__", ()):
+        for s in cls.__slots__:
             namespace["_set_" + s] = getattr(cls, s).__set__
         exec(compile(_init_source(cls), _INIT_FILE, "exec"), namespace)
         cls._init = init = namespace["__init__"]

@@ -14,8 +14,8 @@ from hypothesis import Phase, assume, given, settings, strategies as st
 import orblocal
 from orblocal.ratlin import Matrix, MultiPoly, Subspace, has_real_root, poly_int
 from orblocal.groups import (
-    FiniteMatrixGroup, GroupHom, NotAHomomorphism, Subgroup, close_in, generate_closure,
-    sign_characters, verify_homomorphism)
+    FiniteMatrixGroup, GroupHom, NotAHomomorphism, Subgroup, close_in, fixed_subspace,
+    generate_closure, intertwiners, sign_characters, verify_homomorphism)
 from orblocal.charts import (
     ChartEmbedding, build_chart, isotropy_at, stratify, verify_embedding)
 from orblocal import charts as charts_module, cli, germs
@@ -390,6 +390,7 @@ class TestInvariantProjection:
         for case in germ_cases():
             proj = invariant_projection(case.germ)
             p = proj.projection
+            assert p == reynolds_reference(proj.n_group)
             assert p * p == p
             for i in proj.n_group.members:
                 g = case.germ.source.group.element(i)
@@ -407,8 +408,12 @@ class TestInvariantProjection:
             "from orblocal import germs",
             "from orblocal.corpus import germ_case",
             "germ = germ_case('mirror-line').germ",
-            "mean = germs._negated_mean",
-            "germs._negated_mean = lambda mats: mean(mats).scale(2)",
+            "# the elimination reports twice its pivot: the projection comes out halved",
+            "eliminate = germs._eliminate",
+            "def doubled(rows, ncols):",
+            "    pivots, d, sign = eliminate(rows, ncols)",
+            "    return pivots, 2 * d, sign",
+            "germs._eliminate = doubled",
             "try:",
             "    germs.invariant_projection(germ)",
             "except AssertionError as e:",
@@ -425,9 +430,10 @@ class TestInvariantProjection:
 
     def test_analyze_forms_no_minus_identity_until_a_gamma_is_read(
             self, monkeypatch, tmp_path):
-        # the projection and the cocycle check read N's members as one
-        # integer form; the list of A(gamma) = gamma - I is formed only when
-        # a_gamma is read, and then it is the list gamma - I in member order
+        # the projection reads N's generators as integer rows and the
+        # cocycle check N's members as one integer form; the list of
+        # A(gamma) = gamma - I is formed only when a_gamma is read, and then
+        # it is the list gamma - I in member order
         path = tmp_path / "b3.json"
         path.write_text(json.dumps(conjugate_documents("B3")["analyze"]))
         made, projs = [], []
@@ -453,6 +459,92 @@ class TestInvariantProjection:
             for _, a in proj.a_gamma:
                 for col in range(a.cols):
                     assert proj.kernel_space.contains(a.column(col))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_proper_kernels_match_reynolds_reference(self, data):
+        # a random rational conjugate of a subgroup of B3, mapped to
+        # line-z2 by a nontrivial sign character, so that N is a proper
+        # subgroup; the lift is an equivariant linear map or zero
+        gens, p = draw_b3_subgroup(data)
+        pinv = p.inverse()
+        chart, z2 = build_chart(3, [p * g * pinv for g in gens]), charts()["line-z2"]
+        chars = sign_characters(chart.group)
+        assume(len(chars) > 1)
+        chi = data.draw(st.sampled_from(chars[1:]))
+        theta = verify_homomorphism(chart.group, z2.group,
+                                    [m([[chi[i]]]) for i in chart.group.generator_indices])
+        basis = intertwiners(chart.group, lambda a: z2.group.element(theta.apply(a)))
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(basis),
+                                    max_size=len(basis)))
+        lift = Matrix.zero(1, 3)
+        for b, k in zip(basis, coeffs):
+            lift = lift + b.scale(k)
+        germ = build_germ(chart, z2, MultiPoly.from_linear(lift), theta)
+        proj = invariant_projection(germ)
+        assert not proj.n_group.is_full()
+        assert proj.projection == reynolds_reference(proj.n_group)
+        assert proj.proj_kernel == fixed_subspace(proj.n_group)
+        assert cocycle_identities(proj).ok
+
+    def test_reads_only_the_generators_of_n(self, monkeypatch):
+        # on B4 plus a line N is the whole group, of order 384: the
+        # projection and the real-target check read the generators of N and
+        # of the chart group, and no other element
+        germ = bn_germ(4)
+        model = preimage_model(germ, [0], germ.base_point)
+        grp, ngrp = germ.source.group, germ.n_group
+        read = []
+        monkeypatch.setitem(vars(germ), "n_group", GeneratorsOnly(ngrp))
+        monkeypatch.setattr(grp, "elements", Watched(grp.elements, read))
+        monkeypatch.setattr(germs, "_scaled_members", None)
+        proj = invariant_projection(germ)
+        rep = real_target_structure(germ, model)
+        monkeypatch.undo()
+        assert read and set(read) <= set(ngrp.generators) | set(grp.generator_indices)
+        assert proj.projection == reynolds_reference(ngrp)
+        assert rep.fixed_line == proj.proj_kernel == fixed_subspace(ngrp)
+
+
+def reynolds_reference(n):
+    """I - (1/|N|) sum gamma over the members of the subgroup n: the
+    invariant projection as the average over N."""
+    grp = n.parent
+    total = Matrix.zero(grp.dim, grp.dim)
+    for i in n.members:
+        total = total + grp.element(i)
+    return Matrix.identity(grp.dim) - total.scale(F(1, n.order))
+
+
+class GeneratorsOnly:
+    """A stand-in for a subgroup that gives its parent and generators and
+    fails when its members or its order are read."""
+
+    def __init__(self, n):
+        self.parent, self.generators = n.parent, n.generators
+
+    @property
+    def members(self):
+        raise AssertionError("the members of N were read")
+
+    order = members
+
+
+class Watched(tuple):
+    """A group's element tuple that records each index read into a list
+    and fails when it is walked."""
+
+    def __new__(cls, items, read):
+        self = super().__new__(cls, items)
+        self.read = read
+        return self
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return tuple.__getitem__(self, i)
+
+    def __iter__(self):
+        raise AssertionError("the group's elements were walked")
 
 
 @functools.cache
@@ -936,13 +1028,7 @@ class TestObstruction:
     def test_conjugates_keep_sign_characters_and_verdicts(self, data):
         # a subgroup H of B3 and a random rational conjugate P H P^-1 have as
         # many sign characters and the same verdict and reason to the line
-        b3 = generate_closure(3, bn_generators(3))
-        picks = data.draw(st.lists(st.integers(0, b3.order - 1), max_size=3))
-        entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-        p = data.draw(st.lists(st.lists(entries, min_size=3, max_size=3),
-                               min_size=3, max_size=3).map(m).filter(
-                                   lambda a: a.rank() == a.rows))
-        gens = [b3.element(i) for i in picks]
+        gens, p = draw_b3_subgroup(data)
         pinv = p.inverse()
         line = build_chart(1, [])
         seen = []
@@ -950,6 +1036,18 @@ class TestObstruction:
             cert = obstruction_certificate(chart, line, trivial_theta(chart, line))
             seen.append((len(sign_characters(chart.group)), cert.verdict, cert.reason_code))
         assert seen[0] == seen[1]
+
+
+def draw_b3_subgroup(data):
+    """Up to three elements of B3, generating a subgroup H, and an
+    invertible rational 3 x 3 matrix P to conjugate H by."""
+    b3 = generate_closure(3, bn_generators(3))
+    picks = data.draw(st.lists(st.integers(0, b3.order - 1), max_size=3))
+    entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    p = data.draw(st.lists(st.lists(entries, min_size=3, max_size=3),
+                           min_size=3, max_size=3).map(m).filter(
+                               lambda a: a.rank() == a.rows))
+    return [b3.element(i) for i in picks], p
 
 
 class TestSard:
